@@ -11,14 +11,7 @@ bound, and the contraction-rescaling equivalence.
 
 __version__ = "0.1.0"
 
-from .state_space import (
-    Basis,
-    DimensionMismatchError,
-    SpectralVector,
-    WeightedInnerProduct,
-    inner,
-    norm,
-)
+from .state_space import WeightedInnerProduct
 from .semigroup import (
     BlockWaveSemigroup,
     ContractionReport,
@@ -28,16 +21,14 @@ from .semigroup import (
     check_contraction,
 )
 from .noise import (
-    JumpEvent,
     LevyPathSpec,
     MarkSpaceSpec,
+    NoiseRealization,
     TimeGrid,
     TruncatedMarkSpace,
-    WienerSpec,
-    compensate,
+    coarsen_noise,
+    draw_noise,
     path_rng,
-    sample_prm,
-    sample_wiener_increments,
     truncate_small_jumps,
 )
 from .coefficients import (
@@ -65,14 +56,11 @@ from .solver import (
     InnerIterationError,
     ModelSpec,
     ModelValidationError,
-    NoiseRealization,
     PicardDivergenceError,
     PicardTrace,
     SolverError,
-    coarsen_noise,
     direct_solve,
     direct_solve_batch,
-    draw_noise,
     picard_solve,
     picard_solve_batch,
     rescale_to_contraction,

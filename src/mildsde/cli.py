@@ -48,16 +48,14 @@ from .models import (
     gaussian_marks,
     stochastic_exponential,
 )
-from .noise import TimeGrid
+from .noise import TimeGrid, coarsen_noise, draw_noise
 from .solver import (
     InnerIterationError,
     ModelSpec,
     PicardDivergenceError,
     PicardTrace,
     SolverError,
-    coarsen_noise,
     direct_solve_batch,
-    draw_noise,
     picard_solve_batch,
 )
 from .state_space import weighted_norm_sq
@@ -121,6 +119,10 @@ class RunConfig:
             raise ConfigError("horizon must be > 0")
         if self.paths < 1:
             raise ConfigError("paths must be >= 1")
+        if self.dim < 1:
+            raise ConfigError("dim must be >= 1")
+        if self.n_max < 1:
+            raise ConfigError("n_max must be >= 1")
         if self.example not in EXAMPLE_BUILDERS:
             raise ConfigError(
                 f"unknown example {self.example!r}; choices {sorted(EXAMPLE_BUILDERS)}"
@@ -165,6 +167,17 @@ class RunConfig:
 
 
 def model_from_config(config: RunConfig, validate: bool = True) -> ModelSpec:
+    """Build the configured example; a value its builder rejects is a
+    configuration error."""
+    try:
+        return _build_model(config, validate)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{config.example}: {exc}") from exc
+
+
+def _build_model(config: RunConfig, validate: bool) -> ModelSpec:
     p = dict(config.model_params)
     common = dict(horizon=config.horizon, validate=validate)
     if config.ito_tol_coeff is not None:

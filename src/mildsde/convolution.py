@@ -152,9 +152,6 @@ class SemimartingaleIncrements:
         """Raw increments dZ_i = drift + diffusion + jumps, per cell."""
         return self.drift + self.diffusion + self.jump_sums
 
-    def has_jumps(self) -> np.ndarray:
-        return self.jump_sq > 0.0
-
 
 def _convolve(
     semigroup: Semigroup, z: SemimartingaleIncrements, x0: np.ndarray

@@ -36,7 +36,6 @@ from .coefficients import (
 from .noise import LevyPathSpec, MarkSpaceSpec
 from .semigroup import BlockWaveSemigroup, DelayShiftSemigroup, DiagonalSemigroup
 from .solver import ModelSpec
-from .state_space import Basis
 
 __all__ = [
     "EXAMPLE_BUILDERS",
@@ -118,6 +117,11 @@ def _default_profile(dim: int, amplitude: float) -> np.ndarray:
     return amplitude / np.arange(1, dim + 1) ** 2
 
 
+def _mark_times_state(t, xi, x):
+    """Jump coefficient k(t, xi, x) = xi * x, one mark per leading index of x."""
+    return np.asarray(xi)[..., None] * np.asarray(x, dtype=float)
+
+
 def _constant_sampler(x0: np.ndarray):
     x0 = np.asarray(x0, dtype=float)
 
@@ -125,10 +129,6 @@ def _constant_sampler(x0: np.ndarray):
         return x0
 
     return sampler
-
-
-def sine_basis(n_modes: int, prefix: str = "") -> Basis:
-    return Basis(tuple(f"{prefix}sin:{k}" for k in range(1, n_modes + 1)))
 
 
 def build_reaction_diffusion(
@@ -174,7 +174,7 @@ def build_reaction_diffusion(
     c_k = marks.rate * marks.mark_second_moment
     nu_mean = marks.rate * marks.mean_mark()
     jump = JumpCoeffSpec(
-        evaluate=lambda t, xi, x: xi * np.asarray(x, dtype=float),
+        evaluate=_mark_times_state,
         compensator=lambda t, x: nu_mean * np.asarray(x, dtype=float),
         lipschitz_c=c_k,
         growth_d=c_k,
@@ -280,7 +280,7 @@ def build_hyperbolic(
     def jump_eval(t, xi, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        out[..., v_sl] = xi * x[..., u_sl]
+        out[..., v_sl] = np.asarray(xi)[..., None] * x[..., u_sl]
         return out
 
     nu_mean = marks.rate * marks.mean_mark()
@@ -460,7 +460,7 @@ def build_linear_scalar(
     c_k = marks.rate * marks.mark_second_moment
     nu_mean = marks.rate * marks.mean_mark()
     jump = JumpCoeffSpec(
-        evaluate=lambda t, xi, x: xi * np.asarray(x, dtype=float),
+        evaluate=_mark_times_state,
         compensator=lambda t, x: nu_mean * np.asarray(x, dtype=float),
         lipschitz_c=c_k,
         growth_d=c_k,
@@ -495,19 +495,16 @@ def stochastic_exponential(
 
     X_t = x0 exp((a - sigma^2/2 - nu_mean) t + sigma W_t) prod_{s<=t} (1+xi_s)
     where nu_mean is the first moment of the (uncompensated) intensity.
-    Evaluated at grid points; each jump takes effect from the right endpoint
-    of its cell on, matching the integrator's binning.
+    Evaluated at grid points from the (time, mark) pairs in ``events``; each
+    jump takes effect from the right endpoint of its cell on, matching the
+    integrator's binning.
     """
     times = np.asarray(times, dtype=float)
     log_factor = (a - 0.5 * sigma * sigma - nu_mean) * times + sigma * wiener_path
     prod = np.ones_like(times)
     if events:
         dt = times[1] - times[0]
-        for ev in events:
-            if hasattr(ev, "time"):
-                t_ev, mark = ev.time, ev.mark
-            else:
-                _, t_ev, mark = ev
+        for t_ev, mark in events:
             cell = min(int(math.ceil(t_ev / dt)) - 1, len(times) - 2)
             prod[max(cell, 0) + 1 :] *= 1.0 + mark
     return x0 * np.exp(log_factor) * prod

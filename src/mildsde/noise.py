@@ -1,9 +1,10 @@
-"""Reproducible samplers for truncated Wiener increments, Poisson random
-measures with finite activity, and square integrable jump processes.
+"""Reproducible noise: the time grid, per-path streams, mark spaces, and the
+frozen realizations both solvers read.
 
 All randomness flows through numpy Generators. Per-path streams are derived
 from (master seed, path index) via SeedSequence spawn keys, so paths are
-reproducible independently of batching or thread count.
+reproducible independently of batching or thread count. A realization keeps
+its jumps once, as flat arrays sorted by (cell, row, time).
 """
 
 from __future__ import annotations
@@ -11,26 +12,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .solver import ModelSpec
+
 __all__ = [
     "TimeGrid",
-    "WienerSpec",
     "MarkSpaceSpec",
-    "JumpEvent",
     "LevyPathSpec",
     "TruncatedMarkSpace",
     "truncate_small_jumps",
     "path_rng",
-    "sample_wiener_increments",
-    "sample_prm",
-    "compensate",
+    "NoiseRealization",
+    "draw_noise",
+    "coarsen_noise",
 ]
 
 # Fixed entropy for the quadrature node stream of mark-space integrals, so the
-# cached integrals agree across processes and runs.
+# quadrature estimates agree across processes and runs.
 _QUADRATURE_ENTROPY = 0x6D61726B
 
 
@@ -58,49 +60,17 @@ class TimeGrid:
     def refine(self, factor: int) -> "TimeGrid":
         return TimeGrid(self.horizon, self.n_steps * factor)
 
-    def cell_of(self, t: float) -> int:
-        """Cell index whose half-open interval (t_j, t_{j+1}] contains t."""
-        idx = math.ceil(t / self.dt) - 1
-        return min(max(idx, 0), self.n_steps - 1)
+    def cell_of(self, t):
+        """Cell index whose half-open interval (t_j, t_{j+1}] contains t;
+        elementwise (an int array) when t is an array."""
+        idx = np.clip(np.ceil(np.asarray(t) / self.dt).astype(int) - 1, 0, self.n_steps - 1)
+        return idx if idx.ndim else int(idx)
 
 
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     """Independent stream for one path, stable under batching."""
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(path_index),))
     return np.random.default_rng(seq)
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-@dataclass(frozen=True)
-class WienerSpec:
-    """Finitely many independent scalar Wiener modes on a grid."""
-
-    modes: int
-    grid: TimeGrid
-
-    def __post_init__(self):
-        if self.modes < 1:
-            raise ValueError("need at least one Wiener mode")
-
-
-def sample_wiener_increments(spec: WienerSpec, seed) -> np.ndarray:
-    """Increment table of shape (n_steps, modes), each entry N(0, dt).
-
-    Identical seeds give identical tables; disjoint steps and distinct modes
-    are independent.
-    """
-    rng = _as_rng(seed)
-    return rng.standard_normal((spec.grid.n_steps, spec.modes)) * math.sqrt(spec.grid.dt)
-
-
-class JumpEvent(NamedTuple):
-    time: float
-    mark: float
 
 
 @dataclass(eq=False)
@@ -112,11 +82,8 @@ class MarkSpaceSpec:
     from the normalized intensity. ``mark_second_moment`` is the declared
     second moment of a single mark under that normalized law; ``mark_mean``
     may be declared when a closed form is known (used for exact compensators),
-    otherwise it is estimated by the cached quadrature below.
-
-    Integrals against the intensity measure are evaluated by Monte Carlo
-    quadrature over a node set drawn once per instance from a fixed stream,
-    and cached per integrand.
+    otherwise it is estimated by Monte Carlo quadrature over a node set drawn
+    once per instance from a fixed stream.
     """
 
     rate: float
@@ -126,7 +93,6 @@ class MarkSpaceSpec:
     description: str = ""
     quadrature_samples: int = 10_000
     _nodes: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rate < 0.0:
@@ -142,68 +108,13 @@ class MarkSpaceSpec:
             self._nodes = np.asarray(self.sample_marks(rng, self.quadrature_samples))
         return self._nodes
 
-    def nu_integral(self, h: Callable[[float], np.ndarray]) -> np.ndarray:
-        """Monte Carlo value of the intensity integral of h, cached per h."""
-        cached = self._cache.get(h)
-        if cached is not None:
-            return cached
-        if self.rate == 0.0:
-            val = np.asarray(h(0.0), dtype=float) * 0.0
-        else:
-            nodes = self.quadrature_nodes()
-            acc = np.asarray(h(float(nodes[0])), dtype=float).copy()
-            for xi in nodes[1:]:
-                acc += h(float(xi))
-            val = self.rate * acc / len(nodes)
-        self._cache[h] = val
-        return val
-
     def mean_mark(self) -> float:
-        """Declared mark mean if present, else the cached quadrature estimate."""
+        """Declared mark mean if present, else the quadrature estimate."""
         if self.mark_mean is not None:
             return float(self.mark_mean)
         if self.rate == 0.0:
             return 0.0
         return float(np.mean(self.quadrature_nodes()))
-
-
-def sample_prm(spec: MarkSpaceSpec, horizon: float, seed) -> list[JumpEvent]:
-    """One realization of the Poisson random measure over (0, horizon].
-
-    The event count is Poisson(rate * horizon), times are uniform order
-    statistics, marks are i.i.d. from the normalized intensity. Zero rate
-    gives the valid degenerate empty realization.
-    """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be > 0")
-    rng = _as_rng(seed)
-    if spec.rate == 0.0:
-        return []
-    count = int(rng.poisson(spec.rate * horizon))
-    if count == 0:
-        return []
-    times = np.sort(rng.uniform(0.0, horizon, size=count))
-    marks = np.asarray(spec.sample_marks(rng, count))
-    return [JumpEvent(float(t), float(m)) for t, m in zip(times, marks)]
-
-
-def compensate(
-    events: Sequence[JumpEvent],
-    h: Callable[[float], np.ndarray],
-    spec: MarkSpaceSpec,
-    grid: TimeGrid,
-) -> np.ndarray:
-    """Per-cell increments of the compensated jump integral of h.
-
-    Cell j receives sum of h(mark) over events with time in (t_j, t_{j+1}]
-    minus dt times the intensity integral of h (Monte Carlo quadrature,
-    cached on the spec). Over many realizations each cell sum has mean zero.
-    """
-    mean_h = np.atleast_1d(spec.nu_integral(h))
-    out = np.tile(-grid.dt * mean_h, (grid.n_steps, 1))
-    for ev in events:
-        out[grid.cell_of(ev.time)] += np.atleast_1d(np.asarray(h(ev.mark), dtype=float))
-    return out
 
 
 @dataclass(eq=False)
@@ -298,3 +209,94 @@ class LevyPathSpec:
             + self.gaussian_variance
             + self.jumps.rate * self.jumps.mark_second_moment
         )
+
+
+@dataclass(eq=False)
+class NoiseRealization:
+    """Frozen noise for a batch of paths on one grid.
+
+    ``dW`` has shape (paths, n_steps, modes) and ``x0`` holds the sampled
+    initial states, drawn from the same per-path streams. Jump event e hits
+    path row ``jump_row[e]`` at time ``jump_time[e]`` with mark
+    ``jump_mark[e]``, binned into cell ``jump_cell[e]``; events are sorted by
+    (cell, row, time), so each cell's events form one contiguous slice.
+    """
+
+    grid: TimeGrid
+    dW: np.ndarray
+    x0: np.ndarray
+    jump_row: np.ndarray
+    jump_cell: np.ndarray
+    jump_time: np.ndarray
+    jump_mark: np.ndarray
+
+    @property
+    def n_paths(self) -> int:
+        return self.x0.shape[0]
+
+    @cached_property
+    def events_by_path(self) -> list[tuple[tuple[float, float], ...]]:
+        """Read-only per-path view: the (time, mark) pairs of each row in time
+        order. Built once per realization."""
+        order = np.argsort(self.jump_row, kind="stable")
+        pairs = list(zip(self.jump_time[order].tolist(), self.jump_mark[order].tolist()))
+        ends = np.cumsum(np.bincount(self.jump_row, minlength=self.n_paths)).tolist()
+        return [tuple(pairs[s:e]) for s, e in zip([0] + ends[:-1], ends)]
+
+
+def _binned(grid, dW, x0, row, time, mark) -> NoiseRealization:
+    """Realization with its events binned on ``grid`` and sorted by (cell,
+    row); the sort is stable, so events of one row and cell keep their given
+    order, which must be time order."""
+    cell = grid.cell_of(time)
+    order = np.lexsort((row, cell))
+    return NoiseRealization(grid, dW, x0, row[order], cell[order], time[order], mark[order])
+
+
+def draw_noise(
+    model: ModelSpec, grid: TimeGrid, master_seed: int, path_indices
+) -> NoiseRealization:
+    """Draw (x0, Wiener table, jump events) for each path index.
+
+    Streams depend only on (master_seed, path_index), so batching and thread
+    count never change a path's realization. Draw order per path is fixed:
+    initial state, Wiener increments, jump count, jump times, marks.
+    """
+    path_indices = list(path_indices)
+    p, m = len(path_indices), grid.n_steps
+    modes = model.wiener_modes
+    marks = model.marks
+    rate = marks.rate if marks is not None else 0.0
+    dW = np.zeros((p, m, modes))
+    x0 = np.zeros((p, model.dim))
+    counts, times, draws = [], [np.zeros(0)], [np.zeros(0)]
+    sqrt_dt = math.sqrt(grid.dt)
+    for row, idx in enumerate(path_indices):
+        rng = path_rng(master_seed, idx)
+        x0[row] = np.asarray(model.x0_sampler(rng), dtype=float)
+        if modes > 0:
+            dW[row] = rng.standard_normal((m, modes)) * sqrt_dt
+        count = int(rng.poisson(rate * grid.horizon)) if rate > 0.0 else 0
+        if count > 0:
+            times.append(np.sort(rng.uniform(0.0, grid.horizon, size=count)))
+            draws.append(np.asarray(marks.sample_marks(rng, count), dtype=float))
+        counts.append(count)
+    rows = np.repeat(np.arange(p), counts)
+    return _binned(grid, dW, x0, rows, np.concatenate(times), np.concatenate(draws))
+
+
+def coarsen_noise(noise: NoiseRealization, factor: int) -> NoiseRealization:
+    """The same realization seen on a grid coarsened by an integer factor.
+
+    Wiener increments aggregate over groups of fine cells; jump events are
+    re-binned. Used for same-realization refinement comparisons.
+    """
+    grid = noise.grid
+    if grid.n_steps % factor != 0:
+        raise ValueError("coarsening factor must divide the step count")
+    coarse = TimeGrid(grid.horizon, grid.n_steps // factor)
+    p, _, modes = noise.dW.shape
+    dW = noise.dW.reshape(p, coarse.n_steps, factor, modes).sum(axis=2)
+    return _binned(
+        coarse, dW, noise.x0, noise.jump_row, noise.jump_time, noise.jump_mark
+    )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .state_space import SpectralVector, WeightedInnerProduct, weighted_norm_sq
+from .state_space import WeightedInnerProduct, weighted_norm_sq
 
 __all__ = [
     "Semigroup",
@@ -49,14 +49,6 @@ class Semigroup:
     def shifted(self, delta: float) -> "Semigroup":
         """The semigroup exp(delta*t) S_t, with growth bound alpha + delta."""
         raise NotImplementedError
-
-    def act(self, t: float, x):
-        """Typed entry point: accepts SpectralVector or array, returns same kind."""
-        if t < 0.0:
-            raise ValueError(f"semigroup time must be >= 0, got {t}")
-        if isinstance(x, SpectralVector):
-            return SpectralVector(self.apply(float(t), x.coeffs), x.basis)
-        return self.apply(float(t), np.asarray(x, dtype=float))
 
 
 def _check_time(t: float) -> float:

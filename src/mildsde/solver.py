@@ -3,7 +3,7 @@ solve with frozen forcing, the outer successive-approximation loop, and a
 one-pass exponential Euler integrator for cross-validation.
 
 The outer loop freezes one noise realization per path (same Wiener table,
-same jump list) across all iterations: iterate n builds its forcing from the
+same jump events) across all iterations: iterate n builds its forcing from the
 left limits of iterate n-1 on that same realization, then solves the
 deterministic equation
 
@@ -32,9 +32,9 @@ from .coefficients import (
     check_semimonotone,
 )
 from .convolution import CadlagPath, SemimartingaleIncrements, _convolve
-from .noise import MarkSpaceSpec, TimeGrid, path_rng
+from .noise import MarkSpaceSpec, NoiseRealization, TimeGrid, draw_noise
 from .semigroup import Semigroup
-from .state_space import weighted_norm_sq
+from .state_space import hs_norm_sq, weighted_norm_sq
 
 __all__ = [
     "SolverError",
@@ -43,9 +43,6 @@ __all__ = [
     "AprioriBoundError",
     "ModelValidationError",
     "ModelSpec",
-    "NoiseRealization",
-    "draw_noise",
-    "coarsen_noise",
     "rescale_to_contraction",
     "unrescale_values",
     "solve_deterministic_mild",
@@ -135,90 +132,27 @@ class ModelSpec:
         return mono, growth
 
 
-@dataclass(eq=False)
-class NoiseRealization:
-    """Frozen noise for a batch of paths on one grid.
-
-    ``dW`` has shape (paths, n_steps, modes); jump events are stored both per
-    cell (for the time loop) and per path (for diagnostics). ``x0`` holds the
-    sampled initial states, drawn from the same per-path streams.
-    """
-
-    grid: TimeGrid
-    dW: np.ndarray
-    events_by_cell: dict[int, list[tuple[int, float, float]]]
-    events_by_path: list[list[tuple[int, float, float]]]
-    x0: np.ndarray
-
-    @property
-    def n_paths(self) -> int:
-        return self.x0.shape[0]
-
-
-def draw_noise(
-    model: ModelSpec, grid: TimeGrid, master_seed: int, path_indices
-) -> NoiseRealization:
-    """Draw (x0, Wiener table, jump list) for each path index.
-
-    Streams depend only on (master_seed, path_index), so batching and thread
-    count never change a path's realization. Draw order per path is fixed:
-    initial state, Wiener increments, jump count, jump times, marks.
-    """
-    path_indices = list(path_indices)
-    p = len(path_indices)
-    m = grid.n_steps
-    modes = model.wiener_modes
-    dim = model.dim
-    dW = np.zeros((p, m, modes))
-    x0 = np.zeros((p, dim))
-    events_by_cell: dict[int, list[tuple[int, float, float]]] = {}
-    events_by_path: list[list[tuple[int, float, float]]] = []
-    sqrt_dt = math.sqrt(grid.dt)
-    for row, idx in enumerate(path_indices):
-        rng = path_rng(master_seed, idx)
-        x0[row] = np.asarray(model.x0_sampler(rng), dtype=float)
-        if modes > 0:
-            dW[row] = rng.standard_normal((m, modes)) * sqrt_dt
-        path_events: list[tuple[int, float, float]] = []
-        if model.marks is not None and model.marks.rate > 0.0:
-            count = int(rng.poisson(model.marks.rate * grid.horizon))
-            if count > 0:
-                times = np.sort(rng.uniform(0.0, grid.horizon, size=count))
-                marks = np.asarray(model.marks.sample_marks(rng, count))
-                for t, xi in zip(times, marks):
-                    cell = grid.cell_of(float(t))
-                    path_events.append((cell, float(t), float(xi)))
-                    events_by_cell.setdefault(cell, []).append((row, float(t), float(xi)))
-        events_by_path.append(path_events)
-    return NoiseRealization(grid, dW, events_by_cell, events_by_path, x0)
-
-
-def coarsen_noise(noise: NoiseRealization, factor: int) -> NoiseRealization:
-    """The same realization seen on a grid coarsened by an integer factor.
-
-    Wiener increments aggregate over groups of fine cells; jump events are
-    re-binned. Used for same-realization refinement comparisons.
-    """
-    grid = noise.grid
-    if grid.n_steps % factor != 0:
-        raise ValueError("coarsening factor must divide the step count")
-    coarse = TimeGrid(grid.horizon, grid.n_steps // factor)
-    p, m, modes = noise.dW.shape
-    dW = noise.dW.reshape(p, coarse.n_steps, factor, modes).sum(axis=2)
-    events_by_cell: dict[int, list[tuple[int, float, float]]] = {}
-    events_by_path: list[list[tuple[int, float, float]]] = []
-    for row, events in enumerate(noise.events_by_path):
-        out = []
-        for _, t, xi in events:
-            cell = coarse.cell_of(t)
-            out.append((cell, t, xi))
-            events_by_cell.setdefault(cell, []).append((row, t, xi))
-        events_by_path.append(out)
-    return NoiseRealization(coarse, dW, events_by_cell, events_by_path, noise.x0)
-
-
 # ---------------------------------------------------------------------------
 # Contraction rescaling
+
+
+def _exp_gauge(c: float, t):
+    """exp(c t) by math.exp; for an array of event times, one factor per time
+    with a trailing axis so it scales the matching rows of a state array."""
+    if np.ndim(t) == 0:
+        return math.exp(c * t)
+    return np.vectorize(math.exp, otypes=[float])(c * np.asarray(t))[..., None]
+
+
+def _conjugate(fn, alpha: float):
+    """The coefficient exp(-alpha t) fn(t, ..., exp(alpha t) x) of the
+    contraction gauge; the state x is fn's last argument."""
+
+    def evaluate(t, *args):
+        *head, x = args
+        return _exp_gauge(-alpha, t) * fn(t, *head, _exp_gauge(alpha, t) * np.asarray(x))
+
+    return evaluate
 
 
 def rescale_to_contraction(model: ModelSpec) -> ModelSpec:
@@ -234,11 +168,6 @@ def rescale_to_contraction(model: ModelSpec) -> ModelSpec:
         return model
     c = model.coeffs
 
-    def make_drift(f):
-        def evaluate(t, x):
-            return math.exp(-alpha * t) * f(t, math.exp(alpha * t) * np.asarray(x))
-        return evaluate
-
     def make_implicit(orig_step):
         if orig_step is None:
             return None
@@ -251,40 +180,25 @@ def rescale_to_contraction(model: ModelSpec) -> ModelSpec:
 
         return step
 
-    def make_diffusion(g):
-        def evaluate(t, x):
-            return math.exp(-alpha * t) * g(t, math.exp(alpha * t) * np.asarray(x))
-        return evaluate
-
-    def make_jump(k):
-        def evaluate(t, xi, x):
-            return math.exp(-alpha * t) * k(t, xi, math.exp(alpha * t) * np.asarray(x))
-        return evaluate
-
-    def make_compensator(comp):
-        def evaluate(t, x):
-            return math.exp(-alpha * t) * comp(t, math.exp(alpha * t) * np.asarray(x))
-        return evaluate
-
     # Conjugation preserves the semimonotonicity and Lipschitz constants
     # exactly; the growth constant picks up exp(2 |alpha| T) only when the
     # rescaling factor can exceed one on [0, T].
     growth_factor = math.exp(2.0 * max(0.0, -alpha) * model.horizon)
     drift = DriftSpec(
-        evaluate=make_drift(c.drift.evaluate),
+        evaluate=_conjugate(c.drift.evaluate, alpha),
         semimonotone_m=c.drift.semimonotone_m,
         growth_d=c.drift.growth_d * growth_factor,
         implicit_step=make_implicit(c.drift.implicit_step),
     )
     diffusion = DiffusionSpec(
-        evaluate=make_diffusion(c.diffusion.evaluate),
+        evaluate=_conjugate(c.diffusion.evaluate, alpha),
         modes=c.diffusion.modes,
         lipschitz_c=c.diffusion.lipschitz_c,
         growth_d=c.diffusion.growth_d * growth_factor,
     )
     jump = JumpCoeffSpec(
-        evaluate=make_jump(c.jump.evaluate),
-        compensator=make_compensator(c.jump.compensator),
+        evaluate=_conjugate(c.jump.evaluate, alpha),
+        compensator=_conjugate(c.jump.compensator, alpha),
         lipschitz_c=c.jump.lipschitz_c,
         growth_d=c.jump.growth_d * growth_factor,
         is_zero=c.jump.is_zero,
@@ -451,6 +365,25 @@ def _apriori_bound(seg, drift, x0, v_values, grid, w, alpha, m_const):
     return bound
 
 
+def _check_apriori_bound(seg, drift, x0, v_values, values, grid, w, alpha, slack, label):
+    """Raise :class:`AprioriBoundError` when ||X(t)|| exceeds the a-priori
+    bound by more than the relative ``slack``, naming the earliest such t and
+    the first path row that exceeds it there."""
+    bound = _apriori_bound(seg, drift, x0, v_values, grid, w, alpha, drift.semimonotone_m)
+    actual = np.atleast_2d(np.sqrt(weighted_norm_sq(values, w)))
+    bound = np.broadcast_to(bound, actual.shape)
+    over = actual > bound * (1.0 + slack) + 1e-9
+    if not over.any():
+        return
+    j = int(np.argmax(over.any(axis=0)))
+    row = int(np.argmax(over[:, j]))
+    raise AprioriBoundError(
+        f"{label} exceeded the a-priori bound at t={grid.times[j]:.6g}, path row "
+        f"{row}: norm {actual[row, j]:.6g} vs bound {bound[row, j]:.6g} "
+        f"(+{slack:.0%} slack)"
+    )
+
+
 def solve_deterministic_mild(
     semigroup: Semigroup,
     drift: DriftSpec,
@@ -488,19 +421,10 @@ def solve_deterministic_mild(
     if squeeze:
         values = values[0]
     if check_bound:
-        bound = _apriori_bound(
-            semigroup, drift, x0, forcing.values, grid, weights,
-            semigroup.alpha, drift.semimonotone_m,
+        _check_apriori_bound(
+            semigroup, drift, x0, forcing.values, values, grid, weights,
+            semigroup.alpha, bound_slack, "deterministic mild solve",
         )
-        actual = np.sqrt(weighted_norm_sq(values, weights))
-        excess = actual - bound * (1.0 + bound_slack) - 1e-9
-        if np.any(excess > 0):
-            j = int(np.argmax(np.max(excess, axis=0) if excess.ndim > 1 else excess))
-            raise AprioriBoundError(
-                f"a-priori bound violated at t={grid.times[j]:.6g}: "
-                f"norm {float(np.max(actual[..., j])):.6g} vs bound "
-                f"{float(np.min(bound[..., j])):.6g} (+{bound_slack:.0%} slack)"
-            )
     pre = {
         j: values[..., j, :] - (forcing.values[j] - forcing.pre_jump[j])
         for j in forcing.pre_jump
@@ -509,51 +433,54 @@ def solve_deterministic_mild(
 
 
 # ---------------------------------------------------------------------------
-# Noise-term forcing built from a frozen iterate
+# Noise increments, shared by both solvers
 
 
-def _noise_increments(
-    model: ModelSpec, noise: NoiseRealization, path_values: np.ndarray
-) -> SemimartingaleIncrements:
-    """Cell increments of g(s, X_{s-}) dW + k dN-tilde along a frozen path.
+def _cell_assembler(model: ModelSpec, noise: NoiseRealization, z=None):
+    """Per-cell noise increments g(s, X_{s-}) dW + k dN-tilde on one realization.
 
-    Coefficients are evaluated at the path's value at each cell's left
-    endpoint (its left limit inside the cell under the piecewise-constant
-    reading); jump events use the mark and the event time.
+    ``assemble(j, xl)`` freezes every coefficient at the cell's left-point
+    state ``xl`` (paths, dim) and returns (compensator drift -dt * comp,
+    g dW, jump sums), each None when its channel is absent or, for the jump
+    sums, when the cell holds no event. The jump coefficient is called once
+    per event cell, on the vectors of the cell's event times and marks, and
+    np.add.at sums each (row, cell) in event order. With ``z`` given, the
+    cell is also recorded there together with its brackets (squared jump
+    norms and ||g||_HS^2 dt), which are computed only then.
     """
     grid = noise.grid
-    m, dt = grid.n_steps, grid.dt
-    t = grid.times
-    p = path_values.shape[0]
-    dim = model.dim
+    dt, times = grid.dt, grid.times.tolist()
     w = model.weights
-    g = model.coeffs.diffusion
-    k = model.coeffs.jump
-    z = SemimartingaleIncrements.zeros(grid, dim, weights=w, batch=(p,))
-    has_jumps = model.marks is not None and model.marks.rate > 0.0 and not k.is_zero
-    for j in range(m):
-        xl = path_values[:, j]
-        if not g.is_zero:
-            cols = g.evaluate(float(t[j]), xl)
-            z.diffusion[:, j] = np.einsum("pkd,pk->pd", cols, noise.dW[:, j])
-            z.hs_sq[:, j] = _hs_sq(cols, w) * dt
-        if has_jumps:
-            z.drift[:, j] = -dt * k.compensator(float(t[j]), xl)
-    if has_jumps:
-        for cell, events in noise.events_by_cell.items():
-            for row, time, xi in events:
-                vec = k.evaluate(time, xi, path_values[row, cell])
-                z.jump_sums[row, cell] += vec
-                z.jump_sq[row, cell] += float(weighted_norm_sq(vec, w))
-    return z
+    g, k = model.coeffs.diffusion, model.coeffs.jump
+    diffuse = not g.is_zero
+    jumps = model.marks is not None and model.marks.rate > 0.0 and not k.is_zero
+    starts = np.searchsorted(noise.jump_cell, np.arange(grid.n_steps + 1)).tolist()
 
+    def assemble(j, xl):
+        t = times[j]
+        comp = gdw = sums = None
+        if diffuse:
+            cols = g.evaluate(t, xl)
+            gdw = np.einsum("pkd,pk->pd", cols, noise.dW[:, j])
+            if z is not None:
+                z.diffusion[:, j] = gdw
+                z.hs_sq[:, j] = hs_norm_sq(cols, w) * dt
+        if jumps:
+            comp = -dt * k.compensator(t, xl)
+            lo, hi = starts[j], starts[j + 1]
+            if lo < hi:
+                rows = noise.jump_row[lo:hi]
+                vecs = k.evaluate(noise.jump_time[lo:hi], noise.jump_mark[lo:hi], xl[rows])
+                sums = np.zeros_like(xl)
+                np.add.at(sums, rows, vecs)
+                if z is not None:
+                    z.jump_sums[:, j] = sums
+                    np.add.at(z.jump_sq[:, j], rows, weighted_norm_sq(vecs, w))
+            if z is not None:
+                z.drift[:, j] = comp
+        return comp, gdw, sums
 
-def _hs_sq(cols: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    if cols.shape[-2] == 0:
-        return np.zeros(cols.shape[:-2])
-    if w is None:
-        return np.einsum("...kd,...kd->...", cols, cols)
-    return np.einsum("...kd,d,...kd->...", cols, np.asarray(w, dtype=float), cols)
+    return assemble
 
 
 # ---------------------------------------------------------------------------
@@ -670,21 +597,21 @@ def picard_solve_batch(
     values = x_prev
     pre: dict[int, np.ndarray] = {}
     for n in range(1, n_max + 1):
-        z = _noise_increments(work, noise, x_prev)
+        # Noise increments along the frozen iterate's left-point values.
+        z = SemimartingaleIncrements.zeros(grid, model.dim, weights=w, batch=(p,))
+        assemble = _cell_assembler(work, noise, z)
+        for j in range(m):
+            assemble(j, x_prev[:, j])
         v_values, v_pre = _convolve(seg, z, np.zeros((p, model.dim)))
         x_next = _mild_core(
             seg, work.coeffs.drift, noise.x0, v_values, grid, w,
             inner_tol, damping, max_inner, max_halvings,
         )
         if check_bound:
-            bound = _apriori_bound(
-                seg, work.coeffs.drift, noise.x0, v_values, grid, w,
-                0.0, work.coeffs.drift.semimonotone_m,
+            _check_apriori_bound(
+                seg, work.coeffs.drift, noise.x0, v_values, x_next, grid, w,
+                0.0, bound_slack, f"{model.name}: iterate {n}",
             )
-            if np.any(np.sqrt(weighted_norm_sq(x_next, w)) > bound * (1.0 + bound_slack) + 1e-9):
-                raise AprioriBoundError(
-                    f"{model.name}: iterate {n} exceeded the a-priori bound"
-                )
         dist = weighted_norm_sq(x_next - x_prev, w).max(axis=1)
         distances.append(dist)
         v_sup.append(weighted_norm_sq(v_values, w).max(axis=1))
@@ -782,52 +709,30 @@ def direct_solve_batch(
         noise = draw_noise(model, grid, master_seed, path_indices)
     seg, w = model.semigroup, model.weights
     f = model.coeffs.drift.evaluate
-    g = model.coeffs.diffusion
-    k = model.coeffs.jump
     m, dt = grid.n_steps, grid.dt
     t = grid.times
     p = noise.n_paths
-    dim = model.dim
-    has_jumps = model.marks is not None and model.marks.rate > 0.0 and not k.is_zero
 
-    values = np.zeros((p, m + 1, dim))
+    values = np.zeros((p, m + 1, model.dim))
     values[:, 0] = noise.x0
     pre: dict[int, np.ndarray] = {}
-    z = SemimartingaleIncrements.zeros(grid, dim, weights=w, batch=(p,)) if record_increments else None
+    z = SemimartingaleIncrements.zeros(grid, model.dim, weights=w, batch=(p,)) if record_increments else None
+    assemble = _cell_assembler(model, noise, z)
     for j in range(m):
         xj = values[:, j]
-        tj = float(t[j])
-        drift_part = f(tj, xj) * dt
-        if has_jumps:
-            drift_part -= dt * k.compensator(tj, xj)
-        if g.is_zero:
-            diff_part = 0.0
-        else:
-            cols = g.evaluate(tj, xj)
-            diff_part = np.einsum("pkd,pk->pd", cols, noise.dW[:, j])
-            if record_increments:
-                z.hs_sq[:, j] = _hs_sq(cols, w) * dt
-        jump_part = None
-        if has_jumps and j in noise.events_by_cell:
-            jump_part = np.zeros((p, dim))
-            for row, time, xi in noise.events_by_cell[j]:
-                vec = k.evaluate(time, xi, xj[row])
-                jump_part[row] += vec
-                if record_increments:
-                    z.jump_sq[row, j] += float(weighted_norm_sq(vec, w))
-        incr = drift_part + diff_part
+        comp, gdw, jump_part = assemble(j, xj)
+        drift_part = f(float(t[j]), xj) * dt
+        if comp is not None:
+            drift_part += comp
+        incr = drift_part + (0.0 if gdw is None else gdw)
         if jump_part is not None:
             stepped = seg.apply(dt, xj + incr + jump_part)
             values[:, j + 1] = stepped
             pre[j + 1] = stepped - seg.apply(dt, jump_part)
         else:
             values[:, j + 1] = seg.apply(dt, xj + incr)
-        if record_increments:
-            z.drift[:, j] = drift_part
-            if not g.is_zero:
-                z.diffusion[:, j] = diff_part
-            if jump_part is not None:
-                z.jump_sums[:, j] = jump_part
+        if z is not None:
+            z.drift[:, j] = drift_part  # f dt joins the recorded compensator drift
     return BatchDirectResult(grid, values, pre, z)
 
 

@@ -1,53 +1,21 @@
-"""Truncated Hilbert state space: bases, coefficient vectors, weighted inner products.
+"""Truncated Hilbert state space: weighted inner products on coefficient arrays.
 
-All heavy numerics downstream run on plain float64 coefficient arrays; the
-types here carry basis bookkeeping and validate dimensions once, at the edges.
-Product spaces are flattened into a single coefficient sequence with labeled
-blocks, so one vector type serves every model.
+All numerics run on plain float64 coefficient arrays whose last axis holds
+the modes; product spaces are flattened into a single coefficient sequence.
+The metric is a vector of per-mode weights (``None`` means unit weights).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
 __all__ = [
-    "DimensionMismatchError",
-    "Basis",
     "WeightedInnerProduct",
-    "SpectralVector",
-    "inner",
-    "norm",
     "weighted_norm_sq",
+    "hs_norm_sq",
 ]
-
-
-class DimensionMismatchError(ValueError):
-    """Two objects do not live on the same basis or dimension."""
-
-
-@dataclass(frozen=True)
-class Basis:
-    """Ordered mode labels of a truncated orthonormal basis.
-
-    Labels are free-form strings (e.g. ``"sin:3"``, ``"v/sin:1"``,
-    ``"hist:17"``); they exist so that flattened product spaces stay
-    self-describing.
-    """
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.labels) < 1:
-            raise ValueError("a basis needs at least one mode")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("basis labels must be unique")
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,88 +40,6 @@ class WeightedInnerProduct:
     def dim(self) -> int:
         return self.weights.shape[0]
 
-    @classmethod
-    def euclidean(cls, dim: int) -> "WeightedInnerProduct":
-        return cls(np.ones(dim))
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralVector:
-    """Element of the truncated space: coefficients in a fixed basis."""
-
-    coeffs: np.ndarray
-    basis: Basis
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1:
-            raise ValueError("coefficients must be a 1-D sequence")
-        if c.shape[0] != self.basis.dim:
-            raise DimensionMismatchError(
-                f"{c.shape[0]} coefficients for a basis of dimension {self.basis.dim}"
-            )
-        object.__setattr__(self, "coeffs", c)
-
-    def __add__(self, other: "SpectralVector") -> "SpectralVector":
-        if self.basis is not other.basis and self.basis != other.basis:
-            raise DimensionMismatchError("vectors live on different bases")
-        return SpectralVector(self.coeffs + other.coeffs, self.basis)
-
-    def __sub__(self, other: "SpectralVector") -> "SpectralVector":
-        if self.basis is not other.basis and self.basis != other.basis:
-            raise DimensionMismatchError("vectors live on different bases")
-        return SpectralVector(self.coeffs - other.coeffs, self.basis)
-
-    def __mul__(self, scalar: float) -> "SpectralVector":
-        return SpectralVector(self.coeffs * float(scalar), self.basis)
-
-    __rmul__ = __mul__
-
-
-VectorLike = Union[SpectralVector, np.ndarray, Sequence[float]]
-WeightsLike = Union[WeightedInnerProduct, np.ndarray, Sequence[float], None]
-
-
-def _coeffs(x: VectorLike) -> np.ndarray:
-    if isinstance(x, SpectralVector):
-        return x.coeffs
-    return np.asarray(x, dtype=float)
-
-
-def _weight_array(w: WeightsLike, dim: int) -> np.ndarray | None:
-    if w is None:
-        return None
-    arr = w.weights if isinstance(w, WeightedInnerProduct) else np.asarray(w, dtype=float)
-    if arr.shape != (dim,):
-        raise DimensionMismatchError(
-            f"weight vector of length {arr.shape} against dimension {dim}"
-        )
-    return arr
-
-
-def inner(x: VectorLike, y: VectorLike, w: WeightsLike = None) -> float:
-    """Weighted inner product sum_k w_k x_k y_k.
-
-    ``w=None`` means unit weights. Mixing vectors from different bases (or a
-    mismatched weight length) raises :class:`DimensionMismatchError`.
-    """
-    if isinstance(x, SpectralVector) and isinstance(y, SpectralVector):
-        if x.basis != y.basis:
-            raise DimensionMismatchError("vectors live on different bases")
-    xc, yc = _coeffs(x), _coeffs(y)
-    if xc.shape != yc.shape:
-        raise DimensionMismatchError(f"shapes {xc.shape} and {yc.shape}")
-    wa = _weight_array(w, xc.shape[-1])
-    if wa is None:
-        return float(np.dot(xc, yc))
-    return float(np.dot(xc * wa, yc))
-
-
-def norm(x: VectorLike, w: WeightsLike = None) -> float:
-    """Weighted norm sqrt(inner(x, x, w)); zero exactly for the zero vector."""
-    val = inner(x, x, w)
-    return float(np.sqrt(val)) if val > 0.0 else 0.0
-
 
 def weighted_norm_sq(values: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     """Squared weighted norm along the last axis of a coefficient array.
@@ -164,3 +50,12 @@ def weighted_norm_sq(values: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     if w is None:
         return np.einsum("...d,...d->...", values, values)
     return np.einsum("...d,d,...d->...", values, np.asarray(w, dtype=float), values)
+
+
+def hs_norm_sq(cols: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Squared Hilbert-Schmidt norm of mode columns, shape (..., modes, dim)."""
+    if cols.shape[-2] == 0:
+        return np.zeros(cols.shape[:-2])
+    if w is None:
+        return np.einsum("...kd,...kd->...", cols, cols)
+    return np.einsum("...kd,d,...kd->...", cols, np.asarray(w, dtype=float), cols)

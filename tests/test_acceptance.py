@@ -32,13 +32,11 @@ from mildsde.models import (
     gaussian_marks,
     stochastic_exponential,
 )
-from mildsde.noise import TimeGrid, sample_prm
+from mildsde.noise import TimeGrid, coarsen_noise, draw_noise
 from mildsde.semigroup import DiagonalSemigroup
 from mildsde.solver import (
     PicardTrace,
-    coarsen_noise,
     direct_solve_batch,
-    draw_noise,
     picard_solve_batch,
     unrescale_values,
 )
@@ -336,22 +334,21 @@ def test_criterion_8_noise_layer():
     target = float(((decay[:, :, None] * g.T[None, :, :]) ** 2).sum() * grid.dt)
     isometry_ok = abs(final_sq.mean() - target) <= 4.0 * se
 
-    # compensated jump integral has mean zero
+    # compensated jump integral has mean zero: the jumps k(t, xi, 1) = xi of
+    # the solvers' noise draw minus the model's own compensator over (0, T]
     marks = gaussian_marks(rate=1.5, std=0.5, mean=0.2)
-    from mildsde.noise import compensate
-
-    h = lambda xi: np.array([xi])
-    totals = np.array(
-        [
-            compensate(sample_prm(marks, HORIZON, s), h, marks, grid).sum()
-            for s in range(10_000)
-        ]
-    )
+    model = build_linear_scalar(a=0.0, sigma=0.0, marks=marks, validate=False)
+    k = model.coeffs.jump
+    noise = draw_noise(model, grid, 81, range(10_000))
+    jumps = k.evaluate(noise.jump_time, noise.jump_mark, np.ones((noise.jump_time.size, 1)))
+    totals = np.bincount(noise.jump_row, weights=jumps[:, 0], minlength=10_000)
+    totals -= HORIZON * k.compensator(0.0, np.ones(1))[0]
     se_m = math.sqrt(marks.rate * marks.mark_second_moment / totals.size)
     mean_ok = abs(totals.mean()) <= 4.0 * se_m
 
     # event count is Poisson(rate * T)
-    counts = np.array([len(sample_prm(marks, HORIZON, 20_000 + s)) for s in range(10_000)])
+    noise = draw_noise(model, grid, 82, range(10_000))
+    counts = np.array([len(events) for events in noise.events_by_path])
     se_c = math.sqrt(marks.rate * HORIZON / counts.size)
     count_ok = abs(counts.mean() - marks.rate * HORIZON) <= 3.0 * se_c
 

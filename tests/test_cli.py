@@ -60,6 +60,19 @@ def test_config_validates_numbers():
         RunConfig(dt=3e-4, horizon=1.0).grid()  # does not divide evenly
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"n_max": 0}, {"dim": 0}, {"model_params": {"jump_rate": -1.0}}],
+    ids=["n_max", "dim", "jump_rate"],
+)
+def test_bad_config_exits_3_with_one_line(tmp_path, capsys, overrides):
+    path, _ = write_config(tmp_path, **overrides)
+    assert main(["picard", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+
+
 def test_main_reports_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -16,8 +16,9 @@ from mildsde.coefficients import (
     zero_diffusion,
     zero_jump,
 )
-from mildsde.models import cbrt_implicit_prox, decreasing_cbrt
+from mildsde.models import build_linear_scalar, cbrt_implicit_prox, decreasing_cbrt
 from mildsde.noise import MarkSpaceSpec
+from mildsde.state_space import hs_norm_sq
 
 
 def make_marks(rate=1.0, std=0.3, mean=0.0):
@@ -86,6 +87,16 @@ def test_semimonotone_linear_ratio():
     rep = check_semimonotone(drift, 4, samples=2000, seed=2)
     assert rep.passed
     assert rep.max_ratio == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_semimonotone_exact_linear_drift_large_constant():
+    # the ratio estimate of an exact linear drift carries ~1e-10 relative
+    # rounding error, which must not fail a declared M of 2000
+    drift = DriftSpec(evaluate=lambda t, x: 2000.0 * x, semimonotone_m=2000.0, growth_d=4e6)
+    rep = check_semimonotone(drift, 1, samples=10_000, seed=0)
+    assert rep.passed
+    assert rep.max_ratio == pytest.approx(2000.0, rel=1e-9)
+    build_linear_scalar(a=2000.0)  # runs the same check; raised before
 
 
 def test_semimonotone_cubic_fails():
@@ -171,7 +182,7 @@ def test_hilbert_schmidt_norm_two_ways():
     cols = rng.standard_normal((modes, dim))
     w = rng.uniform(0.5, 2.0, dim)
     by_columns = sum(float(np.dot(c * w, c)) for c in cols)
-    direct = float(np.einsum("kd,d,kd->", cols, w, cols))
+    direct = float(hs_norm_sq(cols, w))
     assert by_columns == pytest.approx(direct, rel=1e-12)
 
 

@@ -13,13 +13,8 @@ from mildsde.models import (
     stochastic_exponential,
     uniform_marks,
 )
-from mildsde.noise import JumpEvent, TimeGrid
-from mildsde.solver import (
-    ModelValidationError,
-    direct_solve,
-    direct_solve_batch,
-    draw_noise,
-)
+from mildsde.noise import NoiseRealization, TimeGrid, draw_noise
+from mildsde.solver import ModelValidationError, direct_solve, direct_solve_batch
 from mildsde.state_space import weighted_norm_sq
 from tests.test_semigroup import delay_head_oracle
 
@@ -168,9 +163,17 @@ def test_stochastic_exponential_deterministic_limit():
 
 
 def test_stochastic_exponential_single_jump():
-    times = np.linspace(0.0, 1.0, 101)
-    ev = [JumpEvent(0.5, 0.5)]
-    vals = stochastic_exponential(2.0, 0.0, 0.0, 0.0, times, np.zeros(101), ev)
+    # one event at t = 0.5 with mark 0.5, read through the per-path view
+    grid = TimeGrid(1.0, 100)
+    noise = NoiseRealization(
+        grid, np.zeros((1, 100, 0)), np.ones((1, 1)), jump_row=np.array([0]),
+        jump_cell=grid.cell_of(np.array([0.5])), jump_time=np.array([0.5]),
+        jump_mark=np.array([0.5]),
+    )
+    assert noise.events_by_path == [((0.5, 0.5),)]
+    vals = stochastic_exponential(
+        2.0, 0.0, 0.0, 0.0, grid.times, np.zeros(101), noise.events_by_path[0]
+    )
     assert vals[0] == 2.0
     assert vals[49] == pytest.approx(2.0)
     assert vals[-1] == pytest.approx(3.0)

@@ -1,25 +1,56 @@
 import numpy as np
 import pytest
 
+from mildsde.coefficients import (
+    CoefficientSet,
+    DiffusionSpec,
+    DriftSpec,
+    zero_jump,
+)
+from mildsde.models import build_linear_scalar
 from mildsde.noise import (
     LevyPathSpec,
     MarkSpaceSpec,
     TimeGrid,
-    WienerSpec,
-    compensate,
+    draw_noise,
     path_rng,
-    sample_prm,
-    sample_wiener_increments,
 )
+from mildsde.semigroup import DiagonalSemigroup
+from mildsde.solver import ModelSpec, direct_solve_batch
 
 
-def make_marks(rate=2.0, std=0.3, mean=0.0):
+def make_marks(rate=2.0, std=0.3, mean=0.0, declare_mean=True):
     return MarkSpaceSpec(
         rate=rate,
         sample_marks=lambda rng, size: rng.normal(mean, std, size=size),
         mark_second_moment=mean**2 + std**2,
-        mark_mean=mean,
+        mark_mean=mean if declare_mean else None,
     )
+
+
+def wiener_model(modes):
+    """A scalar model whose noise is ``modes`` Wiener channels and no jumps."""
+    return ModelSpec(
+        name="wiener",
+        semigroup=DiagonalSemigroup(np.zeros(1), alpha=0.0),
+        coeffs=CoefficientSet(
+            DriftSpec(evaluate=lambda t, x: 0.0 * x, semimonotone_m=0.0, growth_d=0.0),
+            DiffusionSpec(
+                evaluate=lambda t, x: np.zeros(np.shape(x)[:-1] + (modes, 1)),
+                modes=modes, lipschitz_c=0.0, growth_d=0.0,
+            ),
+            zero_jump(1),
+        ),
+        weights=None,
+        marks=None,
+        x0_sampler=lambda rng: np.zeros(1),
+        horizon=1.0,
+    )
+
+
+def jump_model(marks):
+    """dX = xi X dN-tilde: jumps only, k(t, xi, x) = xi x."""
+    return build_linear_scalar(a=0.0, sigma=0.0, marks=marks, validate=False)
 
 
 def test_grid_basics():
@@ -31,22 +62,25 @@ def test_grid_basics():
     assert grid.cell_of(0.01) == 0
     assert grid.cell_of(0.0101) == 1
     assert grid.cell_of(1.0) == 99
+    # elementwise on arrays, with the same clipping at both ends
+    cells = grid.cell_of(np.array([0.0, 0.01, 0.0101, 1.0]))
+    assert cells.tolist() == [0, 0, 1, 99]
 
 
 def test_wiener_determinism():
-    spec = WienerSpec(3, TimeGrid(1.0, 50))
-    a = sample_wiener_increments(spec, 42)
-    b = sample_wiener_increments(spec, 42)
+    model, grid = wiener_model(3), TimeGrid(1.0, 50)
+    a = draw_noise(model, grid, 42, [0]).dW
+    b = draw_noise(model, grid, 42, [0]).dW
+    assert a.shape == (1, 50, 3)
     assert np.array_equal(a, b)
-    c = sample_wiener_increments(spec, 43)
+    c = draw_noise(model, grid, 43, [0]).dW
     assert not np.array_equal(a, c)
 
 
 def test_wiener_moments():
     # 1e5 increments at dt = 0.01: mean within 4 sigma, variance within 5%
     grid = TimeGrid(10.0, 1000)
-    spec = WienerSpec(100, grid)
-    table = sample_wiener_increments(spec, 7)
+    table = draw_noise(wiener_model(100), grid, 7, [0]).dW
     n = table.size
     dt = grid.dt
     assert abs(table.mean()) <= 4.0 * np.sqrt(dt / n)
@@ -59,65 +93,75 @@ def test_wiener_requires_steps():
 
 
 def test_prm_zero_rate_empty():
-    spec = make_marks(rate=0.0)
-    assert sample_prm(spec, 1.0, 1) == []
+    noise = draw_noise(jump_model(make_marks(rate=0.0)), TimeGrid(1.0, 10), 1, range(4))
+    assert noise.jump_time.size == noise.jump_row.size == 0
+    assert noise.events_by_path == [(), (), (), ()]
 
 
 def test_prm_count_mean():
-    spec = make_marks(rate=2.0)
-    counts = [len(sample_prm(spec, 1.0, seed)) for seed in range(10_000)]
+    noise = draw_noise(jump_model(make_marks(rate=2.0)), TimeGrid(1.0, 10), 0, range(10_000))
+    counts = [len(events) for events in noise.events_by_path]
     # Poisson(2): mean within 3 standard errors of sqrt(2/n)
     assert np.mean(counts) == pytest.approx(2.0, abs=3.0 * np.sqrt(2.0 / 10_000))
 
 
 def test_prm_determinism_and_ordering():
-    spec = make_marks(rate=5.0)
-    a = sample_prm(spec, 2.0, 99)
-    b = sample_prm(spec, 2.0, 99)
-    assert a == b
-    times = [ev.time for ev in a]
-    assert times == sorted(times)
-    assert all(0.0 < t <= 2.0 for t in times)
+    model, grid = jump_model(make_marks(rate=5.0)), TimeGrid(2.0, 40)
+    a = draw_noise(model, grid, 99, range(3))
+    b = draw_noise(model, grid, 99, range(3))
+    for name in ("jump_row", "jump_cell", "jump_time", "jump_mark"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.jump_time.size > 0
+    for events in a.events_by_path:
+        times = [t for t, _ in events]
+        assert times == sorted(times)
+        assert all(0.0 < t <= 2.0 for t in times)
+    # each cell's events form one slice, in (row, time) order
+    assert np.array_equal(a.jump_cell, grid.cell_of(a.jump_time))
+    keys = list(zip(a.jump_cell.tolist(), a.jump_row.tolist(), a.jump_time.tolist()))
+    assert keys == sorted(keys)
 
 
 def test_compensate_zero_map():
-    spec = make_marks(rate=1.0)
+    # a zero jump coefficient contributes no increment, events or not
+    model = jump_model(make_marks(rate=3.0))
+    model.coeffs.jump = zero_jump(1)
     grid = TimeGrid(1.0, 10)
-    events = sample_prm(spec, 1.0, 3)
-    out = compensate(events, lambda xi: np.zeros(2), spec, grid)
-    assert np.array_equal(out, np.zeros((10, 2)))
+    noise = draw_noise(model, grid, 3, range(4))
+    assert noise.jump_time.size > 0
+    z = direct_solve_batch(model, grid, noise=noise, record_increments=True).increments
+    assert not z.total().any() and not z.jump_sq.any()
 
 
 def test_compensate_no_jump_cells_carry_compensator():
-    spec = make_marks(rate=1.0, mean=0.4)
+    marks = make_marks(rate=1.0, mean=0.4, declare_mean=False)
+    model = jump_model(marks)
     grid = TimeGrid(1.0, 10)
-    h = lambda xi: np.array([xi])
-    out = compensate([], h, spec, grid)
-    mean_h = spec.nu_integral(h)
-    assert np.allclose(out, -grid.dt * mean_h)
+    noise = draw_noise(model, grid, 3, range(4))
+    res = direct_solve_batch(model, grid, noise=noise, record_increments=True)
+    z = res.increments
+    empty = np.ones((4, grid.n_steps), dtype=bool)
+    empty[noise.jump_row, noise.jump_cell] = False
+    assert empty.any()
+    comp = -grid.dt * model.coeffs.jump.compensator(0.0, res.values[:, :-1])
+    assert np.array_equal(z.drift[empty], comp[empty])
+    assert not z.jump_sums[empty].any()
     # quadrature mean of the intensity integral tracks rate * mark mean
-    assert mean_h[0] == pytest.approx(spec.rate * 0.4, rel=0.05)
+    assert marks.rate * marks.mean_mark() == pytest.approx(marks.rate * 0.4, rel=0.05)
 
 
 def test_compensated_sum_zero_mean():
-    # Monte Carlo mean of the full compensated integral over many paths
-    spec = make_marks(rate=1.5, std=0.5, mean=0.2)
-    grid = TimeGrid(1.0, 20)
-    h = lambda xi: np.array([xi])
-    totals = np.array(
-        [compensate(sample_prm(spec, 1.0, s), h, spec, grid).sum() for s in range(10_000)]
-    )
+    # Monte Carlo mean of the full compensated integral of k(t, xi, 1) = xi
+    # over many paths, compensated by the model's own compensator
+    marks = make_marks(rate=1.5, std=0.5, mean=0.2)
+    k = jump_model(marks).coeffs.jump
+    noise = draw_noise(jump_model(marks), TimeGrid(1.0, 20), 5, range(10_000))
+    jumps = k.evaluate(noise.jump_time, noise.jump_mark, np.ones((noise.jump_time.size, 1)))
+    totals = np.bincount(noise.jump_row, weights=jumps[:, 0], minlength=10_000)
+    totals -= 1.0 * k.compensator(0.0, np.ones(1))[0]
     # var of one path total ~ rate * E[xi^2] * T
-    se = np.sqrt(spec.rate * spec.mark_second_moment / len(totals))
+    se = np.sqrt(marks.rate * marks.mark_second_moment / len(totals))
     assert abs(totals.mean()) <= 4.0 * se + 0.02 * se
-
-
-def test_nu_integral_cached_per_map():
-    spec = make_marks(rate=1.0)
-    h = lambda xi: np.array([xi * xi])
-    first = spec.nu_integral(h)
-    second = spec.nu_integral(h)
-    assert first is second
 
 
 def test_levy_second_moment():
@@ -168,8 +212,7 @@ def test_wiener_disjoint_increments_uncorrelated():
     # sample correlation between adjacent steps and between modes stays
     # within four standard errors of zero
     grid = TimeGrid(1.0, 2000)
-    spec = WienerSpec(2, grid)
-    table = sample_wiener_increments(spec, 123) / np.sqrt(grid.dt)
+    table = draw_noise(wiener_model(2), grid, 123, [0]).dW[0] / np.sqrt(grid.dt)
     n = grid.n_steps - 1
     lag_corr = np.corrcoef(table[:-1, 0], table[1:, 0])[0, 1]
     mode_corr = np.corrcoef(table[:, 0], table[:, 1])[0, 1]

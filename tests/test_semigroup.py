@@ -43,26 +43,26 @@ def test_identity_at_zero_all_kinds():
         DelayShiftSemigroup(10),
     ]:
         x = rng.standard_normal(seg.dim)
-        assert np.allclose(seg.act(0.0, x), x, rtol=0, atol=1e-14)
+        assert np.allclose(seg.apply(0.0, x), x, rtol=0, atol=1e-14)
 
 
 def test_diagonal_scalar_exponential():
     seg = DiagonalSemigroup([-1.0], alpha=0.0)
-    out = seg.act(1.0, np.array([1.0]))
+    out = seg.apply(1.0, np.array([1.0]))
     assert out[0] == pytest.approx(np.exp(-1.0), rel=1e-15)
 
 
 def test_blockwave_quarter_period():
     # single mode, unit frequency: (1, 0) rotates to (0, -1) at t = pi/2
     seg = BlockWaveSemigroup([1.0])
-    out = seg.act(np.pi / 2.0, np.array([1.0, 0.0]))
+    out = seg.apply(np.pi / 2.0, np.array([1.0, 0.0]))
     assert out == pytest.approx([0.0, -1.0], abs=1e-12)
 
 
 def test_negative_time_rejected():
     seg = DiagonalSemigroup([-1.0], alpha=0.0)
     with pytest.raises(ValueError):
-        seg.act(-0.1, np.array([1.0]))
+        seg.apply(-0.1, np.array([1.0]))
 
 
 @pytest.mark.parametrize(
@@ -186,14 +186,3 @@ def test_tilted_wraps_blockwave():
     x = np.array([1.0, 0.0])
     assert np.allclose(tilted.apply(1.0, x), np.exp(-0.5) * seg.apply(1.0, x))
     assert tilted.shifted(0.5) is seg
-
-
-def test_act_preserves_spectral_vector_type():
-    from mildsde.state_space import Basis, SpectralVector
-
-    seg = DiagonalSemigroup([-1.0, -2.0], alpha=0.0)
-    vec = SpectralVector(np.array([1.0, 1.0]), Basis(("a", "b")))
-    out = seg.act(0.5, vec)
-    assert isinstance(out, SpectralVector)
-    assert out.basis is vec.basis
-    assert np.allclose(out.coeffs, np.exp([-0.5, -1.0]))

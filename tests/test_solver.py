@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,15 +13,14 @@ from mildsde.models import (
     gaussian_marks,
     stochastic_exponential,
 )
-from mildsde.noise import TimeGrid
+from mildsde.noise import TimeGrid, coarsen_noise, draw_noise
 from mildsde.semigroup import DiagonalSemigroup
 from mildsde.solver import (
+    AprioriBoundError,
     ModelSpec,
     PicardDivergenceError,
-    coarsen_noise,
     direct_solve,
     direct_solve_batch,
-    draw_noise,
     picard_solve,
     picard_solve_batch,
     rescale_to_contraction,
@@ -251,6 +252,32 @@ def test_direct_records_replayable_increments():
     assert np.allclose(rebuilt.values, res.values, rtol=1e-10, atol=1e-12)
 
 
+def test_jump_increments_match_per_event_loop():
+    # the per-cell assembly (one vectorized jump-coefficient call, np.add.at)
+    # reproduces a per-event loop bit for bit, also through the array event
+    # times of the contraction rescaling
+    model = rescale_to_contraction(build_delay(
+        history_cells=8, levy=default_levy(rate=20.0, mark_std=0.5, gaussian_variance=0.04),
+        validate=False,
+    ))
+    grid = TimeGrid(1.0, 50)
+    noise = draw_noise(model, grid, 19, range(6))
+    res = direct_solve_batch(model, grid, noise=noise, record_increments=True)
+    k = model.coeffs.jump
+    sums = np.zeros_like(res.increments.jump_sums)
+    sq = np.zeros_like(res.increments.jump_sq)
+    events = zip(noise.jump_row, noise.jump_cell, noise.jump_time, noise.jump_mark)
+    for row, cell, t, xi in events:
+        vec = k.evaluate(float(t), float(xi), res.values[row, cell])
+        sums[row, cell] += vec
+        sq[row, cell] += float(weighted_norm_sq(vec, model.weights))
+    assert np.array_equal(res.increments.jump_sums, sums)
+    assert np.array_equal(res.increments.jump_sq, sq)
+    # several events share a (row, cell) pair
+    pairs = set(zip(noise.jump_row.tolist(), noise.jump_cell.tolist()))
+    assert len(pairs) < noise.jump_row.size
+
+
 def test_cross_integrator_agreement():
     model = build_linear_scalar(
         a=-1.0, sigma=0.5, marks=gaussian_marks(rate=2.0, std=0.2), validate=False
@@ -296,9 +323,24 @@ def test_coarsen_noise_aggregates():
     assert np.allclose(
         coarse.dW[0, 0], fine.dW[0, :4].sum(axis=0), rtol=0, atol=1e-15
     )
-    # same events, re-binned cells
-    for (cf, tf, xf), (cc, tc, xc) in zip(
-        fine.events_by_path[0], coarse.events_by_path[0]
-    ):
-        assert tf == tc and xf == xc
-        assert cc == coarse.grid.cell_of(tf)
+    # same events, re-binned cells, still sorted by (cell, row, time)
+    assert fine.jump_time.size > 0
+    assert coarse.events_by_path == fine.events_by_path
+    assert np.array_equal(coarse.jump_cell, coarse.grid.cell_of(coarse.jump_time))
+    keys = list(zip(coarse.jump_cell.tolist(), coarse.jump_row.tolist(),
+                    coarse.jump_time.tolist()))
+    assert keys == sorted(keys)
+
+
+def test_apriori_bound_error_locates_violation():
+    # a drift growing like exp(5 t) against a declared constant M = 0
+    model = build_linear_scalar(a=5.0, validate=False)
+    model.coeffs.drift.semimonotone_m = 0.0
+    with pytest.raises(AprioriBoundError) as err:
+        picard_solve_batch(model, TimeGrid(1.0, 100), master_seed=0, path_indices=range(3))
+    # the message names the iterate, the earliest t and the path row
+    assert re.fullmatch(
+        r"linear_scalar: iterate 1 exceeded the a-priori bound at t=0\.07, path row 2: "
+        r"norm \S+ vs bound \S+ \(\+5% slack\)",
+        str(err.value),
+    )

@@ -1,81 +1,34 @@
 import numpy as np
 import pytest
 
-from mildsde.state_space import (
-    Basis,
-    DimensionMismatchError,
-    SpectralVector,
-    WeightedInnerProduct,
-    inner,
-    norm,
-)
+from mildsde.state_space import WeightedInnerProduct, weighted_norm_sq
 
 
-@pytest.fixture
-def basis3():
-    return Basis(("sin:1", "sin:2", "sin:3"))
+def norm(x, w=None):
+    return float(np.sqrt(weighted_norm_sq(x, w)))
 
 
-def test_basis_requires_modes():
-    with pytest.raises(ValueError):
-        Basis(())
+def test_orthonormality():
+    e1 = np.array([1.0, 0.0, 0.0])
+    assert weighted_norm_sq(e1, None) == 1.0
 
 
-def test_basis_labels_unique():
-    with pytest.raises(ValueError):
-        Basis(("a", "a"))
-
-
-def test_orthonormality(basis3):
-    e1 = SpectralVector(np.array([1.0, 0.0, 0.0]), basis3)
-    assert inner(e1, e1) == 1.0
-
-
-def test_orthogonality(basis3):
-    e1 = SpectralVector(np.array([1.0, 0.0, 0.0]), basis3)
-    e2 = SpectralVector(np.array([0.0, 1.0, 0.0]), basis3)
-    assert inner(e1, e2) == 0.0
+def test_orthogonality():
+    # distinct modes are orthogonal: their norms add without a cross term
+    e1 = np.array([1.0, 0.0, 0.0])
+    e2 = np.array([0.0, 1.0, 0.0])
+    assert weighted_norm_sq(e1 + e2, None) == 2.0
 
 
 def test_weighted_inner_hand_value():
-    # sum of w_k x_k y_k = 2*1*3 + 1*2*4 = 14
-    b = Basis(("a", "b"))
-    x = SpectralVector(np.array([1.0, 2.0]), b)
-    y = SpectralVector(np.array([3.0, 4.0]), b)
+    # sum of w_k x_k^2 = 2*1*1 + 1*2*2 = 6
     w = WeightedInnerProduct(np.array([2.0, 1.0]))
-    assert inner(x, y, w) == pytest.approx(14.0, abs=0)
+    assert weighted_norm_sq(np.array([1.0, 2.0]), w.weights) == pytest.approx(6.0, abs=0)
 
 
-def test_inner_symmetric_bilinear(basis3):
-    rng = np.random.default_rng(0)
-    w = WeightedInnerProduct(rng.uniform(0.5, 2.0, 3))
-    x = SpectralVector(rng.standard_normal(3), basis3)
-    y = SpectralVector(rng.standard_normal(3), basis3)
-    z = SpectralVector(rng.standard_normal(3), basis3)
-    assert inner(x, y, w) == pytest.approx(inner(y, x, w), rel=1e-14)
-    assert inner(x + z, y, w) == pytest.approx(
-        inner(x, y, w) + inner(z, y, w), rel=1e-12
-    )
-    assert inner(2.5 * x, y, w) == pytest.approx(2.5 * inner(x, y, w), rel=1e-13)
-
-
-def test_basis_mismatch_raises(basis3):
-    other = Basis(("a", "b"))
-    x = SpectralVector(np.zeros(3), basis3)
-    y = SpectralVector(np.zeros(2), other)
-    with pytest.raises(DimensionMismatchError):
-        inner(x, y)
-
-
-def test_weight_length_mismatch_raises(basis3):
-    x = SpectralVector(np.zeros(3), basis3)
-    with pytest.raises(DimensionMismatchError):
-        inner(x, x, np.ones(2))
-
-
-def test_coefficient_length_checked(basis3):
-    with pytest.raises(DimensionMismatchError):
-        SpectralVector(np.zeros(4), basis3)
+def test_weight_length_mismatch_raises():
+    with pytest.raises(ValueError):
+        weighted_norm_sq(np.zeros(3), np.ones(2))
 
 
 def test_weights_positive():
@@ -83,17 +36,16 @@ def test_weights_positive():
         WeightedInnerProduct(np.array([1.0, 0.0]))
 
 
-def test_norm_zero_vector(basis3):
-    assert norm(SpectralVector(np.zeros(3), basis3)) == 0.0
+def test_norm_zero_vector():
+    assert norm(np.zeros(3)) == 0.0
 
 
-def test_norm_unit_mode(basis3):
-    assert norm(SpectralVector(np.array([1.0, 0.0, 0.0]), basis3)) == 1.0
+def test_norm_unit_mode():
+    assert norm(np.array([1.0, 0.0, 0.0])) == 1.0
 
 
 def test_norm_pythagoras():
-    b = Basis(("a", "b"))
-    assert norm(SpectralVector(np.array([3.0, 4.0]), b)) == pytest.approx(5.0, abs=0)
+    assert norm(np.array([3.0, 4.0])) == pytest.approx(5.0, abs=0)
 
 
 def test_cauchy_schwarz_random_pairs():
@@ -111,20 +63,19 @@ def test_cauchy_schwarz_random_pairs():
 
 def test_parallelogram_law():
     rng = np.random.default_rng(8)
-    b = Basis(tuple(f"m{i}" for i in range(12)))
-    w = WeightedInnerProduct(rng.uniform(0.1, 3.0, 12))
-    for _ in range(200):
-        x = SpectralVector(rng.standard_normal(12), b)
-        y = SpectralVector(rng.standard_normal(12), b)
-        lhs = norm(x + y, w) ** 2 + norm(x - y, w) ** 2
-        rhs = 2 * norm(x, w) ** 2 + 2 * norm(y, w) ** 2
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+    w = WeightedInnerProduct(rng.uniform(0.1, 3.0, 12)).weights
+    x = rng.standard_normal((200, 12))
+    y = rng.standard_normal((200, 12))
+    lhs = weighted_norm_sq(x + y, w) + weighted_norm_sq(x - y, w)
+    rhs = 2 * weighted_norm_sq(x, w) + 2 * weighted_norm_sq(y, w)
+    assert np.allclose(lhs, rhs, rtol=1e-12, atol=0)
 
 
 def test_triangle_inequality():
     rng = np.random.default_rng(9)
-    b = Basis(tuple(f"m{i}" for i in range(6)))
-    for _ in range(500):
-        x = SpectralVector(rng.standard_normal(6), b)
-        y = SpectralVector(rng.standard_normal(6), b)
-        assert norm(x + y) <= norm(x) + norm(y) + 1e-12
+    x = rng.standard_normal((500, 6))
+    y = rng.standard_normal((500, 6))
+    lhs = np.sqrt(weighted_norm_sq(x + y, None))
+    rhs = np.sqrt(weighted_norm_sq(x, None)) + np.sqrt(weighted_norm_sq(y, None))
+    assert np.all(lhs <= rhs + 1e-12)
+

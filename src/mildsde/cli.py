@@ -84,6 +84,18 @@ class ConfigError(ValueError):
     pass
 
 
+# RunConfig annotation -> (accepted types, description); bool is never a
+# number here even though Python makes it an int.
+_FIELD_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a finite number"),
+    "float | None": ((int, float), "a finite number or null"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+    "dict": ((dict,), "an object"),
+}
+
+
 @dataclass
 class RunConfig:
     """Complete, self-describing description of one campaign run.
@@ -113,6 +125,17 @@ class RunConfig:
     model_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.type.endswith("| None"):
+                continue
+            types, description = _FIELD_TYPES[f.type]
+            if (
+                not isinstance(value, types)
+                or isinstance(value, bool) != (f.type == "bool")
+                or (isinstance(value, float) and not math.isfinite(value))
+            ):
+                raise ConfigError(f"{f.name} must be {description}, got {value!r}")
         if self.dt <= 0.0:
             raise ConfigError("dt must be > 0")
         if self.horizon <= 0.0:
@@ -131,6 +154,14 @@ class RunConfig:
             raise ConfigError("threads must be >= 1")
         if self.chunk_size < 1:
             raise ConfigError("chunk_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.inner_tol <= 0.0:
+            raise ConfigError("inner_tol must be > 0")
+        if self.damping <= 0.0:
+            raise ConfigError("damping must be > 0")
+        if self.dump_paths < 0:
+            raise ConfigError("dump_paths must be >= 0")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":

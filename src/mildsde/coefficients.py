@@ -279,26 +279,32 @@ def nemitsky_implicit_solver(
         c = np.zeros_like(v)
         c_prev = f_prev = None
         x = bt
-        rn = np.full(b.shape[:-1], np.inf)
         ok = np.zeros(b.shape[:-1], dtype=bool)
+        accept_base = max(tol, dust_scale(dt) / 32.0)
         for _ in range(max_outer):
             u = solve_scalar(v + dte * c, dte)
             pu = scalar_fn(u)
-            x = bt + dte * (pu @ synthesis) / n_quad
+            pu_synth = pu @ synthesis
+            x = bt + dte * pu_synth / n_quad
             r = b + dt * evaluate_f(x) - x
             rn = np.sqrt(np.einsum("...d,...d->...", r, r))
+            ok = rn <= accept_base
             # The residual map is only Holder continuous at zeros of the
             # profile, so a machine-precision candidate can still show a
-            # residual of order dt * (eps * scale)^(1/3). Accept at the
-            # float-resolution floor estimated from a one-ulp perturbation.
-            h = 4e-15 * np.max(np.abs(u), axis=-1, keepdims=True) + 1e-300
-            dphi = (scalar_fn(u + h) - pu) @ synthesis / n_quad
-            floor = dt * np.sqrt(np.einsum("...d,...d->...", dphi, dphi))
-            accept_at = np.maximum(tol, np.maximum(8.0 * floor, dust_scale(dt) / 32.0))
-            ok = rn <= accept_at
-            if np.all(ok):
+            # residual of order dt * (eps * scale)^(1/3). Rows above the base
+            # threshold are also accepted at 8x the float-resolution floor,
+            # estimated from a one-ulp perturbation; rows below it are
+            # accepted whatever the floor, so it is estimated only above.
+            above = ~ok
+            if above.any():
+                ua, pa = u[above], pu[above]
+                h = 4e-15 * np.max(np.abs(ua), axis=-1, keepdims=True) + 1e-300
+                dphi = (scalar_fn(ua + h) - pa) @ synthesis / n_quad
+                floor = dt * np.sqrt(np.einsum("...d,...d->...", dphi, dphi))
+                ok[above] = rn[above] <= 8.0 * floor
+            if ok.all():
                 break
-            g = (pu @ synthesis / n_quad) @ synthesis.T - pu
+            g = (pu_synth / n_quad) @ synthesis.T - pu
             f_cur = g - c
             if c_prev is not None:
                 # The correction map is nearly affine, so one-step Anderson

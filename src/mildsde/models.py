@@ -101,10 +101,14 @@ def cbrt_implicit_prox(v: np.ndarray, p: float) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     disc = np.sqrt(0.25 * v * v + (p ** 3) / 27.0)
-    z3 = 0.5 * v + np.where(v >= 0.0, disc, -disc)
+    # v + 0.0 turns -0.0 into +0.0, so v = -0.0 takes the +disc branch.
+    z3 = 0.5 * v + np.copysign(disc, v + 0.0)
     z = np.cbrt(z3)
-    w = np.where(z != 0.0, z - p / np.where(z != 0.0, 3.0 * z, 1.0), 0.0)
-    return w ** 3
+    # z is +0.0 only when z3 is, and then p / inf = 0 leaves w = +0.0.
+    w = z - p / np.where(z != 0.0, 3.0 * z, np.inf)
+    # w * w * w may differ from w ** 3 by an ulp or two, but np.cbrt maps
+    # both to the same double, so the Nemitsky step's output is unchanged.
+    return w * w * w
 
 
 def _prox_for(f_scalar):

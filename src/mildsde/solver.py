@@ -280,7 +280,7 @@ def _solve_step_equation(drift, t_right, b, dt, w, tol, damping, max_inner):
     solver and finishing stragglers with the damped/secant iteration."""
     if drift.implicit_step is not None:
         out, ok = drift.implicit_step(t_right, b, dt, tol)
-        if np.all(ok):
+        if ok.all():
             return out, ok
         rows = np.nonzero(~ok)[0]
         fixed, ok_rows = _implicit_f_step(
@@ -300,7 +300,7 @@ def _advance_step(seg, drift, x, v_left, v_right, t_right, dt, w, tol, damping,
     on the second half)."""
     b = seg.apply(dt, x - v_left) + v_right
     out, ok = _solve_step_equation(drift, t_right, b, dt, w, tol, damping, max_inner)
-    if np.all(ok):
+    if ok.all():
         return out
     if depth >= max_halvings:
         res = b + dt * drift.evaluate(t_right, out) - out

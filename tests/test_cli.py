@@ -60,11 +60,27 @@ def test_config_validates_numbers():
         RunConfig(dt=3e-4, horizon=1.0).grid()  # does not divide evenly
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [{"n_max": 0}, {"dim": 0}, {"model_params": {"jump_rate": -1.0}}],
-    ids=["n_max", "dim", "jump_rate"],
-)
+BAD_CONFIGS = {
+    "n_max": {"n_max": 0},
+    "dim": {"dim": 0},
+    "jump_rate": {"model_params": {"jump_rate": -1.0}},
+    "inner_tol_str": {"inner_tol": "x"},
+    "paths_float": {"paths": 2.5},
+    "inner_tol_zero": {"inner_tol": 0},
+    "inner_tol_negative": {"inner_tol": -1},
+    "damping_zero": {"damping": 0},
+    "dump_paths_negative": {"dump_paths": -1},
+    "seed_negative": {"seed": -1},
+    "seed_bool": {"seed": True},
+    "dt_nan": {"dt": float("nan")},
+    "bdg_constant_str": {"bdg_constant": "a"},
+    "refine_check_str": {"refine_check": "no"},
+    "out_dir_int": {"out_dir": 5},
+    "model_params_int": {"model_params": 3},
+}
+
+
+@pytest.mark.parametrize("overrides", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
 def test_bad_config_exits_3_with_one_line(tmp_path, capsys, overrides):
     path, _ = write_config(tmp_path, **overrides)
     assert main(["picard", "--config", str(path)]) == 3

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,25 @@ def test_cbrt_prox_all_scales():
         assert res.max() <= 1e-13
 
 
+def test_cbrt_prox_cube_ulp():
+    # The prox cubes by multiplication; against the closed form cubed with
+    # pow it may move an ulp or two, never past np.cbrt, so the Nemitsky
+    # step (which only ever takes cbrt of the prox) keeps its bits.
+    rng = np.random.default_rng(11)
+    v = np.concatenate(
+        [10.0 ** rng.uniform(-300, 2, 500) * rng.choice([-1, 1], 500), [0.0, -0.0]]
+    )
+    for p in (1e-3, 1e-1):
+        disc = np.sqrt(0.25 * v * v + (p ** 3) / 27.0)
+        z = np.cbrt(0.5 * v + np.where(v >= 0.0, disc, -disc))
+        w = np.where(z != 0.0, z - p / np.where(z != 0.0, 3.0 * z, 1.0), 0.0)
+        reference = w ** 3
+        u = cbrt_implicit_prox(v, p)
+        np.testing.assert_array_max_ulp(u, reference, maxulp=2)
+        assert np.array_equal(np.signbit(u), np.signbit(reference))
+        assert np.cbrt(u).tobytes() == np.cbrt(reference).tobytes()
+
+
 def test_nemitsky_implicit_solver_accuracy():
     dim = 8
     step = nemitsky_implicit_solver(
@@ -221,6 +242,31 @@ def test_nemitsky_implicit_solver_accuracy():
         res = b + dt * (decreasing_cbrt(x @ synth.T) @ synth) / 16 - x
         # accepted at the tolerance or at the dust/float floor, both tiny
         assert np.linalg.norm(res, axis=1).max() <= 1e-6
+
+
+def test_nemitsky_step_bits():
+    # SHA-256 of (x, ok) from the cube-root Nemitsky step on seeded batches
+    # (four scales plus an all-zero row, two linear shifts, two step sizes).
+    # How the prox forms its cube and which rows get a floor estimate are
+    # speed choices; a digest change means the step's numerics changed.
+    dim = 8
+    digest = hashlib.sha256()
+    for shift in (0.0, 0.5):
+        step = nemitsky_implicit_solver(
+            decreasing_cbrt, dim, growth=(1.0, 1.0), linear_shift=shift,
+            scalar_prox=cbrt_implicit_prox,
+        )
+        rng = np.random.default_rng(21)
+        for dt in (1e-3, 1e-2):
+            for scale in (1.0, 1e-2, 1e-5, 1e-9):
+                b = rng.standard_normal((7, dim)) * scale
+                b[3] = 0.0
+                x, ok = step(0.0, b, dt, 1e-8)
+                digest.update(np.ascontiguousarray(x).tobytes())
+                digest.update(np.ascontiguousarray(ok).tobytes())
+    assert digest.hexdigest() == (
+        "7ec36a16fc394b757b29b0c863357ff13e9de177614e0177ae476e6b944fa347"
+    )
 
 
 def test_pointwise_solver_exact():

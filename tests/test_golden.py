@@ -33,7 +33,14 @@ CASES = {
         dict(BASE, example="delay", dim=6, paths=6, seed=12, n_max=3, chunk_size=4,
              model_params=dict(JUMPS, levy_gaussian_variance=0.09)),
         0,
-        "7e04a984d0bc374a52fb7ed55825c2fbf42e09fafab06d76d5f5d2f8e01abb14",
+        "efc5d7e4f5434be362ff9b5c49b9c1c0e7e20dc41cd45485a7cecb16c7684eaf",
+    ),
+    "picard-hyperbolic": (
+        "picard",
+        dict(BASE, example="hyperbolic", dim=4, paths=6, seed=17, n_max=3, chunk_size=4,
+             model_params=dict(JUMPS, levy_drift=0.3, levy_gaussian_variance=0.04)),
+        0,
+        "18697db1df442d4e89ce6946b6bce98335995dd417fb076b7f0c2c6b55dc36b9",
     ),
     "ito-check-delay": (
         "ito-check",

@@ -12,13 +12,13 @@ Subcommands
 * ``hypothesis-check`` coefficient-contract checkers on the configured model
 * ``simulate``         direct-solver path dump
 
-Runs are reproducible: paths draw their noise from (seed, path index), chunk
-boundaries are fixed by ``chunk_size`` independently of ``threads``, and
-chunk results are reduced in index order, so outputs are byte-identical for a
-fixed (config, seed) regardless of the thread count.
+Runs are reproducible: paths draw their noise from (seed, path index), the
+chunks of ``chunk_size`` paths are run in index order and their results
+concatenated in that order, so outputs are byte-identical for a fixed
+(config, seed).
 
 Exit codes: 0 all diagnostics pass; 2 diagnostic failure; 3 configuration
-error; 4 solver divergence or nonconvergence.
+or usage error; 4 solver divergence or nonconvergence.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,9 +49,7 @@ from .models import (
 )
 from .noise import TimeGrid, coarsen_noise, draw_noise
 from .solver import (
-    InnerIterationError,
     ModelSpec,
-    PicardDivergenceError,
     PicardTrace,
     SolverError,
     direct_solve_batch,
@@ -113,7 +110,6 @@ class RunConfig:
     paths: int = 200
     seed: int = 0
     n_max: int = 10
-    threads: int = 1
     chunk_size: int = 64
     out_dir: str = "out"
     inner_tol: float = 1e-8
@@ -150,8 +146,6 @@ class RunConfig:
             raise ConfigError(
                 f"unknown example {self.example!r}; choices {sorted(EXAMPLE_BUILDERS)}"
             )
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.chunk_size < 1:
             raise ConfigError("chunk_size must be >= 1")
         if self.seed < 0:
@@ -162,6 +156,8 @@ class RunConfig:
             raise ConfigError("damping must be > 0")
         if self.dump_paths < 0:
             raise ConfigError("dump_paths must be >= 0")
+        if self.ito_tol_coeff is not None and self.ito_tol_coeff < 0.0:
+            raise ConfigError("ito_tol_coeff must be >= 0")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -333,18 +329,10 @@ def _write_csv(path: Path, schema: str, header: list[str], rows):
             )
 
 
-def _chunk_ranges(paths: int, chunk_size: int) -> list[range]:
-    return [range(s, min(s + chunk_size, paths)) for s in range(0, paths, chunk_size)]
-
-
-def _run_chunks(fn, paths: int, chunk_size: int, threads: int) -> list:
-    """Apply fn to fixed path-index chunks; results come back in chunk order
-    regardless of scheduling, so reductions are thread-count independent."""
-    ranges = _chunk_ranges(paths, chunk_size)
-    if threads <= 1 or len(ranges) == 1:
-        return [fn(r) for r in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, ranges))
+def _run_chunks(fn, paths: int, chunk_size: int) -> list:
+    """Apply fn to the fixed path-index chunks in order. The chunk boundaries
+    bound memory and, through the batch-wide implicit step, the numerics."""
+    return [fn(range(s, min(s + chunk_size, paths))) for s in range(0, paths, chunk_size)]
 
 
 def _mean_se(samples: np.ndarray, axis=-1) -> tuple[np.ndarray, np.ndarray]:
@@ -377,7 +365,7 @@ def run_picard_campaign(config: RunConfig) -> RunSummary:
         norms = np.sqrt(weighted_norm_sq(res.values, model.weights))
         return res.distances, res.x_sup_sq, res.v_sup_sq, x0_sq, norms
 
-    results = _run_chunks(chunk, config.paths, config.chunk_size, config.threads)
+    results = _run_chunks(chunk, config.paths, config.chunk_size)
     distances = np.concatenate([r[0] for r in results], axis=1)
     x_sup = np.concatenate([r[1] for r in results], axis=1)
     v_sup = np.concatenate([r[2] for r in results], axis=1)
@@ -498,7 +486,7 @@ def run_ito_check(config: RunConfig) -> RunSummary:
             fine_mask = np.zeros(len(path_range), dtype=bool)
         return rep.slack, rep.violation_mask(), fine_mask
 
-    results = _run_chunks(chunk, config.paths, config.chunk_size, config.threads)
+    results = _run_chunks(chunk, config.paths, config.chunk_size)
     slack = np.concatenate([r[0] for r in results], axis=0)
     coarse_mask = np.concatenate([r[1] for r in results])
     fine_mask = np.concatenate([r[2] for r in results])
@@ -542,6 +530,15 @@ def run_benchmark_oracle(config: RunConfig) -> RunSummary:
     t_start = time.perf_counter()
     p = dict(config.model_params)
     exponents = p.pop("dt_exponents", list(range(6, 13)))
+    if not (
+        isinstance(exponents, list)
+        and all(type(e) is int and e >= 0 for e in exponents)
+        and len(set(exponents)) >= 2
+    ):
+        raise ConfigError(
+            "dt_exponents must be a list of at least two distinct integers >= 0, "
+            f"got {exponents!r}"
+        )
     config = dataclasses.replace(config, example="linear_scalar", model_params=p)
     model = model_from_config(config)
     a = p.get("a", -1.0)
@@ -570,7 +567,7 @@ def run_benchmark_oracle(config: RunConfig) -> RunSummary:
             return errs
 
         errs = np.concatenate(
-            _run_chunks(chunk, config.paths, config.chunk_size, config.threads)
+            _run_chunks(chunk, config.paths, config.chunk_size)
         )
         rms.append(math.sqrt(float(errs.mean())))
 
@@ -660,7 +657,7 @@ def run_simulate(config: RunConfig) -> RunSummary:
         return res.values
 
     values = np.concatenate(
-        _run_chunks(chunk, config.paths, config.chunk_size, config.threads), axis=0
+        _run_chunks(chunk, config.paths, config.chunk_size), axis=0
     )
     k = min(config.dump_paths, config.paths)
     rows = []
@@ -697,28 +694,30 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error: one line, exit 3."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="mildsde", description="simulation and verification campaigns"
-    )
+    parser = _Parser(prog="mildsde", description="simulation and verification campaigns")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", help="JSON config file")
         cmd.add_argument("--seed", type=int, help="master seed override")
         cmd.add_argument("--out", help="output directory override")
-        cmd.add_argument("--threads", type=int, help="worker thread override")
-    args = parser.parse_args(argv)
 
     try:
+        args = parser.parse_args(argv)
         config = RunConfig.from_file(args.config) if args.config else RunConfig()
         overrides = {}
         if args.seed is not None:
             overrides["seed"] = args.seed
         if args.out is not None:
             overrides["out_dir"] = args.out
-        if args.threads is not None:
-            overrides["threads"] = args.threads
         if overrides:
             config = dataclasses.replace(config, **overrides)
     except ConfigError as exc:
@@ -730,9 +729,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PicardDivergenceError, InnerIterationError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

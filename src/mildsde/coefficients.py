@@ -289,19 +289,6 @@ def nemitsky_implicit_solver(
             r = b + dt * evaluate_f(x) - x
             rn = np.sqrt(np.einsum("...d,...d->...", r, r))
             ok = rn <= accept_base
-            # The residual map is only Holder continuous at zeros of the
-            # profile, so a machine-precision candidate can still show a
-            # residual of order dt * (eps * scale)^(1/3). Rows above the base
-            # threshold are also accepted at 8x the float-resolution floor,
-            # estimated from a one-ulp perturbation; rows below it are
-            # accepted whatever the floor, so it is estimated only above.
-            above = ~ok
-            if above.any():
-                ua, pa = u[above], pu[above]
-                h = 4e-15 * np.max(np.abs(ua), axis=-1, keepdims=True) + 1e-300
-                dphi = (scalar_fn(ua + h) - pa) @ synthesis / n_quad
-                floor = dt * np.sqrt(np.einsum("...d,...d->...", dphi, dphi))
-                ok[above] = rn[above] <= 8.0 * floor
             if ok.all():
                 break
             g = (pu_synth / n_quad) @ synthesis.T - pu

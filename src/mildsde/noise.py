@@ -3,8 +3,8 @@ frozen realizations both solvers read.
 
 All randomness flows through numpy Generators. Per-path streams are derived
 from (master seed, path index) via SeedSequence spawn keys, so paths are
-reproducible independently of batching or thread count. A realization keeps
-its jumps once, as flat arrays sorted by (cell, row, time).
+reproducible independently of batching. A realization keeps its jumps once,
+as flat arrays sorted by (cell, row, time).
 """
 
 from __future__ import annotations
@@ -258,8 +258,8 @@ def draw_noise(
 ) -> NoiseRealization:
     """Draw (x0, Wiener table, jump events) for each path index.
 
-    Streams depend only on (master_seed, path_index), so batching and thread
-    count never change a path's realization. Draw order per path is fixed:
+    Streams depend only on (master_seed, path_index), so batching never
+    changes a path's realization. Draw order per path is fixed:
     initial state, Wiener increments, jump count, jump times, marks.
     """
     path_indices = list(path_indices)

@@ -9,8 +9,9 @@ Three structural families are implemented, each exact on its truncation:
   a uniform grid over (-1, 0], realized as the exact matrix exponential of the
   upwind-discretized transport generator with distributed-delay feedback.
 
-Growth bounds alpha are declared by the caller and verified by sampling
-(:func:`check_contraction`), never inferred.
+Growth bounds alpha are declared by the caller, never inferred.
+:func:`check_contraction` tests a declared bound by sampling when called;
+no model builder or campaign calls it.
 """
 
 from __future__ import annotations

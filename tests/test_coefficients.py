@@ -240,15 +240,15 @@ def test_nemitsky_implicit_solver_accuracy():
         x, ok = step(0.0, b, dt, 1e-9)
         assert ok.all()
         res = b + dt * (decreasing_cbrt(x @ synth.T) @ synth) / 16 - x
-        # accepted at the tolerance or at the dust/float floor, both tiny
+        # accepted at the tolerance or at dust_scale(dt) / 32, both tiny
         assert np.linalg.norm(res, axis=1).max() <= 1e-6
 
 
 def test_nemitsky_step_bits():
     # SHA-256 of (x, ok) from the cube-root Nemitsky step on seeded batches
     # (four scales plus an all-zero row, two linear shifts, two step sizes).
-    # How the prox forms its cube and which rows get a floor estimate are
-    # speed choices; a digest change means the step's numerics changed.
+    # How the prox forms its cube is a speed choice; a digest change means
+    # the step's numerics changed.
     dim = 8
     digest = hashlib.sha256()
     for shift in (0.0, 0.5):

@@ -154,17 +154,21 @@ class SemimartingaleIncrements:
 
 
 def _convolve(
-    semigroup: Semigroup, z: SemimartingaleIncrements, x0: np.ndarray
+    semigroup: Semigroup,
+    z: SemimartingaleIncrements,
+    x0: np.ndarray,
+    increments: np.ndarray,
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Core recursion; returns values (..., m+1, dim) and per-index left limits
-    for every index whose cell realized a jump (batched over leading axes)."""
+    """Core recursion driven by ``increments`` (``z.total()``, which callers
+    that also need it build once); returns values (..., m+1, dim) and
+    per-index left limits for every index whose cell realized a jump
+    (batched over leading axes)."""
     grid = z.grid
     m, dt = grid.n_steps, grid.dt
     x0 = np.asarray(x0, dtype=float)
     batch = np.broadcast_shapes(x0.shape[:-1], z.drift.shape[:-2])
     values = np.zeros(batch + (m + 1, x0.shape[-1]))
     values[..., 0, :] = x0
-    increments = z.total()
     jump_cells = np.nonzero(np.any(z.jump_sq > 0.0, axis=tuple(range(z.jump_sq.ndim - 1))))[0]
     jump_cells = set(int(c) for c in jump_cells)
     pre = {}
@@ -187,7 +191,7 @@ def stochastic_convolution(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape[-1] != z.drift.shape[-1]:
         raise ValueError("initial condition dimension does not match increments")
-    values, pre = _convolve(semigroup, z, x0)
+    values, pre = _convolve(semigroup, z, x0, z.total())
     return CadlagPath(z.grid, values, pre)
 
 
@@ -250,10 +254,10 @@ def ito_inequality_check(
     w = weights if weights is not None else z.weights
     grid = z.grid
     m, dt = grid.n_steps, grid.dt
-    values, _ = _convolve(semigroup, z, np.asarray(x0, dtype=float))
+    increments = z.total()
+    values, _ = _convolve(semigroup, z, np.asarray(x0, dtype=float), increments)
     lhs = weighted_norm_sq(values, w)
 
-    increments = z.total()
     bracket = z.hs_sq + z.jump_sq
     if w is None:
         pairing = 2.0 * np.einsum("...d,...d->...", values[..., :-1, :], increments)

@@ -602,7 +602,7 @@ def picard_solve_batch(
         assemble = _cell_assembler(work, noise, z)
         for j in range(m):
             assemble(j, x_prev[:, j])
-        v_values, v_pre = _convolve(seg, z, np.zeros((p, model.dim)))
+        v_values, v_pre = _convolve(seg, z, np.zeros((p, model.dim)), z.total())
         x_next = _mild_core(
             seg, work.coeffs.drift, noise.x0, v_values, grid, w,
             inner_tol, damping, max_inner, max_halvings,

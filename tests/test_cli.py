@@ -207,6 +207,19 @@ def test_benchmark_with_noise_and_jumps(tmp_path):
     assert summary.stats["fitted_order"] >= 0.45
 
 
+def test_benchmark_stat_names_the_checked_grid(tmp_path):
+    # without 10 in dt_exponents the finest listed grid is checked and named
+    path, _ = write_config(
+        tmp_path, example="linear_scalar", paths=16, model_params={"dt_exponents": [8, 6]},
+    )
+    summary = run_benchmark_oracle(RunConfig.from_file(str(path)))
+    assert set(summary.stats) == {"fitted_order", "rms_dt_2e-8"}
+    rows = (tmp_path / "out" / "benchmark.csv").read_text().splitlines()[2:]
+    rms = {int(row.split(",")[0]): float(row.split(",")[2]) for row in rows}
+    assert summary.stats["rms_dt_2e-8"] == rms[8]
+    assert summary.checks["absolute_error"] == (rms[8] < 1e-2)
+
+
 def test_hypothesis_check_command(tmp_path):
     path, _ = write_config(tmp_path, example="hyperbolic", dim=6)
     assert main(["hypothesis-check", "--config", str(path)]) == 0

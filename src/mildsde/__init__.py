@@ -11,25 +11,19 @@ bound, and the contraction-rescaling equivalence.
 
 __version__ = "0.1.0"
 
-from .state_space import WeightedInnerProduct
 from .semigroup import (
     BlockWaveSemigroup,
-    ContractionReport,
     DelayShiftSemigroup,
     DiagonalSemigroup,
-    TiltedSemigroup,
-    check_contraction,
 )
 from .noise import (
     LevyPathSpec,
     MarkSpaceSpec,
     NoiseRealization,
     TimeGrid,
-    TruncatedMarkSpace,
     coarsen_noise,
     draw_noise,
     path_rng,
-    truncate_small_jumps,
 )
 from .coefficients import (
     AliasingError,
@@ -41,14 +35,12 @@ from .coefficients import (
     check_semimonotone,
     nemitsky_sine,
     zero_diffusion,
-    zero_jump,
 )
 from .convolution import (
     CadlagPath,
     ItoCheckReport,
     SemimartingaleIncrements,
     ito_inequality_check,
-    quadratic_variation,
     stochastic_convolution,
 )
 from .solver import (
@@ -59,12 +51,9 @@ from .solver import (
     PicardDivergenceError,
     PicardTrace,
     SolverError,
-    direct_solve,
     direct_solve_batch,
-    picard_solve,
     picard_solve_batch,
     rescale_to_contraction,
-    solve_deterministic_mild,
     unrescale_values,
 )
 from . import models

@@ -89,12 +89,27 @@ class ConfigError(ValueError):
 # number here even though Python makes it an int.
 _FIELD_TYPES = {
     "int": ((int,), "an integer"),
+    "int | None": ((int,), "an integer or null"),
     "float": ((int, float), "a finite number"),
     "float | None": ((int, float), "a finite number or null"),
     "bool": ((bool,), "true or false"),
     "str": ((str,), "a string"),
     "dict": ((dict,), "an object"),
 }
+
+
+def _check_type(name: str, value, annotation: str):
+    """Raise ConfigError unless value has the type an annotation of
+    _FIELD_TYPES names."""
+    if value is None and annotation.endswith("| None"):
+        return
+    types, description = _FIELD_TYPES[annotation]
+    if (
+        not isinstance(value, types)
+        or isinstance(value, bool) != (annotation == "bool")
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
+        raise ConfigError(f"{name} must be {description}, got {value!r}")
 
 
 @dataclass
@@ -126,16 +141,7 @@ class RunConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.type.endswith("| None"):
-                continue
-            types, description = _FIELD_TYPES[f.type]
-            if (
-                not isinstance(value, types)
-                or isinstance(value, bool) != (f.type == "bool")
-                or (isinstance(value, float) and not math.isfinite(value))
-            ):
-                raise ConfigError(f"{f.name} must be {description}, got {value!r}")
+            _check_type(f.name, getattr(self, f.name), f.type)
         if self.dt <= 0.0:
             raise ConfigError("dt must be > 0")
         if self.horizon <= 0.0:
@@ -210,63 +216,71 @@ def model_from_config(config: RunConfig, validate: bool = True) -> ModelSpec:
 
 def _build_model(config: RunConfig, validate: bool) -> ModelSpec:
     p = dict(config.model_params)
+
+    def take(key, default, annotation="float"):
+        """Pop a model parameter; each must be a finite number unless its
+        annotation says otherwise."""
+        value = p.pop(key, default)
+        _check_type(f"model_params.{key}", value, annotation)
+        return value
+
     common = dict(horizon=config.horizon, validate=validate)
     if config.ito_tol_coeff is not None:
         common["ito_tol_coeff"] = config.ito_tol_coeff
     name = config.example
     if name == "reaction_diffusion":
         marks = gaussian_marks(
-            rate=p.pop("jump_rate", 1.0),
-            std=p.pop("mark_std", 0.3),
-            mean=p.pop("mark_mean", 0.0),
+            rate=take("jump_rate", 1.0),
+            std=take("mark_std", 0.3),
+            mean=take("mark_mean", 0.0),
         )
         return build_reaction_diffusion(
             dim=config.dim,
             marks=marks,
-            eta=p.pop("eta", 0.0),
-            n_quad=p.pop("n_quad", None),
-            x0_amplitude=p.pop("x0_amplitude", 1.0),
+            eta=take("eta", 0.0),
+            n_quad=take("n_quad", None, "int | None"),
+            x0_amplitude=take("x0_amplitude", 1.0),
             **common,
             **_reject_leftover(name, p),
         )
     if name == "hyperbolic":
         levy = default_levy(
-            rate=p.pop("jump_rate", 1.0),
-            mark_std=p.pop("mark_std", 0.3),
-            mark_mean=p.pop("mark_mean", 0.0),
-            drift=p.pop("levy_drift", 0.0),
-            gaussian_variance=p.pop("levy_gaussian_variance", 0.0),
+            rate=take("jump_rate", 1.0),
+            mark_std=take("mark_std", 0.3),
+            mark_mean=take("mark_mean", 0.0),
+            drift=take("levy_drift", 0.0),
+            gaussian_variance=take("levy_gaussian_variance", 0.0),
         )
         return build_hyperbolic(
             n_modes=config.dim,
             levy=levy,
-            n_quad=p.pop("n_quad", None),
-            x0_amplitude=p.pop("x0_amplitude", 1.0),
+            n_quad=take("n_quad", None, "int | None"),
+            x0_amplitude=take("x0_amplitude", 1.0),
             **common,
             **_reject_leftover(name, p),
         )
     if name == "delay":
         levy = default_levy(
-            rate=p.pop("jump_rate", 1.0),
-            mark_std=p.pop("mark_std", 0.3),
-            mark_mean=p.pop("mark_mean", 0.0),
-            drift=p.pop("levy_drift", 0.0),
-            gaussian_variance=p.pop("levy_gaussian_variance", 0.0),
+            rate=take("jump_rate", 1.0),
+            mark_std=take("mark_std", 0.3),
+            mark_mean=take("mark_mean", 0.0),
+            drift=take("levy_drift", 0.0),
+            gaussian_variance=take("levy_gaussian_variance", 0.0),
         )
         return build_delay(
             history_cells=config.dim, levy=levy, **common, **_reject_leftover(name, p)
         )
     if name == "linear_scalar":
         marks = gaussian_marks(
-            rate=p.pop("jump_rate", 2.0),
-            std=p.pop("mark_std", 0.2),
-            mean=p.pop("mark_mean", 0.0),
+            rate=take("jump_rate", 2.0),
+            std=take("mark_std", 0.2),
+            mean=take("mark_mean", 0.0),
         )
         return build_linear_scalar(
-            a=p.pop("a", -1.0),
-            sigma=p.pop("sigma", 0.5),
+            a=take("a", -1.0),
+            sigma=take("sigma", 0.5),
             marks=marks,
-            x0=p.pop("x0", 1.0),
+            x0=take("x0", 1.0),
             **common,
             **_reject_leftover(name, p),
         )

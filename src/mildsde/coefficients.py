@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .noise import MarkSpaceSpec
-from .state_space import WeightedInnerProduct, hs_norm_sq, weighted_norm_sq
+from .state_space import hs_norm_sq, weighted_norm_sq
 
 __all__ = [
     "AliasingError",
@@ -31,7 +31,6 @@ __all__ = [
     "JumpCoeffSpec",
     "CoefficientSet",
     "zero_diffusion",
-    "zero_jump",
     "nemitsky_sine",
     "bracketed_scalar_implicit",
     "nemitsky_implicit_solver",
@@ -125,19 +124,6 @@ def zero_diffusion(dim: int) -> DiffusionSpec:
         return np.zeros(x.shape[:-1] + (0, dim))
 
     return DiffusionSpec(evaluate=evaluate, modes=0, lipschitz_c=0.0, growth_d=0.0)
-
-
-def zero_jump(dim: int) -> JumpCoeffSpec:
-    def evaluate(t, xi, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def compensator(t, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    return JumpCoeffSpec(
-        evaluate=evaluate, compensator=compensator,
-        lipschitz_c=0.0, growth_d=0.0, is_zero=True,
-    )
 
 
 def sine_quadrature(n_modes: int, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
@@ -364,7 +350,7 @@ def _sample_pairs(rng, samples, dim, radius):
 def check_semimonotone(
     drift: DriftSpec,
     dim: int,
-    weights: WeightedInnerProduct | np.ndarray | None = None,
+    weights: np.ndarray | None = None,
     samples: int = 10_000,
     radius: float = 3.0,
     t_max: float = 1.0,
@@ -375,17 +361,16 @@ def check_semimonotone(
         raise ValueError("samples must be >= 1")
     if radius <= 0.0:
         raise ValueError("radius must be > 0")
-    w = weights.weights if isinstance(weights, WeightedInnerProduct) else weights
     rng = np.random.default_rng(seed)
     xs, ys = _sample_pairs(rng, samples, dim, radius)
     max_ratio = -np.inf
     for t in rng.uniform(0.0, t_max, size=4):
         df = drift.evaluate(float(t), xs) - drift.evaluate(float(t), ys)
         dx = xs - ys
-        num = np.einsum("...d,...d->...", df, dx) if w is None else np.einsum(
-            "...d,d,...d->...", df, np.asarray(w, dtype=float), dx
+        num = np.einsum("...d,...d->...", df, dx) if weights is None else np.einsum(
+            "...d,d,...d->...", df, np.asarray(weights, dtype=float), dx
         )
-        den = weighted_norm_sq(dx, w)
+        den = weighted_norm_sq(dx, weights)
         ok = den > 0
         if np.any(ok):
             max_ratio = max(max_ratio, float(np.max(num[ok] / den[ok])))
@@ -420,7 +405,7 @@ class GrowthReport:
 def check_lipschitz_growth(
     coeffs: CoefficientSet,
     dim: int,
-    weights: WeightedInnerProduct | np.ndarray | None = None,
+    weights: np.ndarray | None = None,
     marks: MarkSpaceSpec | None = None,
     samples: int = 10_000,
     radius: float = 3.0,
@@ -437,12 +422,11 @@ def check_lipschitz_growth(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    w = weights.weights if isinstance(weights, WeightedInnerProduct) else weights
     rng = np.random.default_rng(seed)
     xs, ys = _sample_pairs(rng, samples, dim, radius)
     t = float(rng.uniform(0.0, t_max))
 
-    dx_sq = weighted_norm_sq(xs - ys, w)
+    dx_sq = weighted_norm_sq(xs - ys, weights)
     ok = dx_sq > 0
 
     # Diffusion Lipschitz ratio over all pairs.
@@ -452,8 +436,8 @@ def check_lipschitz_growth(
     else:
         gx = coeffs.diffusion.evaluate(t, xs)
         gy = coeffs.diffusion.evaluate(t, ys)
-        g_ratio = float(np.max(hs_norm_sq(gx - gy, w)[ok] / dx_sq[ok]))
-        g_growth = hs_norm_sq(gx, w)
+        g_ratio = float(np.max(hs_norm_sq(gx - gy, weights)[ok] / dx_sq[ok]))
+        g_growth = hs_norm_sq(gx, weights)
 
     # Jump Lipschitz and growth via mark-node quadrature on a subsample.
     if coeffs.jump.is_zero or marks is None or marks.rate == 0.0:
@@ -474,8 +458,8 @@ def check_lipschitz_growth(
         for xi in nodes:
             kx = coeffs.jump.evaluate(t, float(xi), xsub)
             ky = coeffs.jump.evaluate(t, float(xi), ysub)
-            xi_diff += weighted_norm_sq(kx - ky, w)
-            xi_growth += weighted_norm_sq(kx, w)
+            xi_diff += weighted_norm_sq(kx - ky, weights)
+            xi_growth += weighted_norm_sq(kx, weights)
         xi_diff *= marks.rate / n_nodes
         xi_growth *= marks.rate / n_nodes
         ok_sub = dx_sq[:n_pairs] > 0
@@ -483,8 +467,8 @@ def check_lipschitz_growth(
         k_growth = np.concatenate([xi_growth, np.zeros(samples - n_pairs)])
 
     fx = coeffs.drift.evaluate(t, xs)
-    growth_num = weighted_norm_sq(fx, w) + g_growth + k_growth
-    growth_max = float(np.max(growth_num / (1.0 + weighted_norm_sq(xs, w))))
+    growth_num = weighted_norm_sq(fx, weights) + g_growth + k_growth
+    growth_max = float(np.max(growth_num / (1.0 + weighted_norm_sq(xs, weights))))
 
     combined = g_ratio + k_ratio
     return GrowthReport(

@@ -1,5 +1,5 @@
-"""Quadrature of convolution integrals against a semigroup, quadratic
-variation bookkeeping, and the pathwise energy-inequality checker.
+"""Quadrature of convolution integrals against a semigroup and the pathwise
+energy-inequality checker.
 
 Convention: on the uniform grid the left-point convolution sum
 
@@ -7,15 +7,14 @@ Convention: on the uniform grid the left-point convolution sum
 
 is evaluated through the exact recursion X_{j+1} = S_dt (X_j + dZ_j), so a
 path costs one semigroup application per step. Jump events are binned into
-the cell (t_j, t_{j+1}] and execute at its right endpoint, after the
-left-limit snapshot, which keeps integrands predictable at grid resolution.
-All functions accept a leading batch axis on states and increments.
+the cell (t_j, t_{j+1}] and execute at its right endpoint, which keeps
+integrands predictable at grid resolution. All functions accept a leading
+batch axis on states and increments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "CadlagPath",
     "SemimartingaleIncrements",
     "stochastic_convolution",
-    "quadratic_variation",
     "ito_inequality_check",
     "ItoCheckReport",
 ]
@@ -35,17 +33,11 @@ __all__ = [
 
 @dataclass(eq=False)
 class CadlagPath:
-    """Right-continuous path on a grid with left-limit marks at jump points.
-
-    ``values[j]`` is the (post-jump) state at t_j. ``pre_jump[j]`` stores the
-    left limit at t_j for indices where a jump executed; elsewhere the path is
-    treated as piecewise constant, so the left limit at t_j defaults to
-    ``values[j-1]``.
-    """
+    """Right-continuous path on a grid; ``values[j]`` is the (post-jump)
+    state at t_j."""
 
     grid: TimeGrid
     values: np.ndarray
-    pre_jump: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -54,23 +46,6 @@ class CadlagPath:
                 f"path has {self.values.shape[-2]} rows for a grid of "
                 f"{self.grid.n_steps + 1} points"
             )
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[-1]
-
-    def left_limit(self, j: int) -> np.ndarray:
-        if j in self.pre_jump:
-            return self.pre_jump[j]
-        if j == 0:
-            return self.values[0]
-        return self.values[j - 1]
-
-    def jump_at(self, j: int) -> np.ndarray:
-        """Jump executed at t_j (zero vector when none is marked)."""
-        if j in self.pre_jump:
-            return self.values[j] - self.pre_jump[j]
-        return np.zeros_like(self.values[j])
 
 
 @dataclass(eq=False)
@@ -88,7 +63,7 @@ class SemimartingaleIncrements:
 
     ``jump_sq`` is exact pathwise; ``hs_sq`` is the expectation form of the
     Wiener quadratic variation, so the accumulated bracket below is the mixed
-    estimator. ``weights`` records the inner product the scalars refer to.
+    estimator.
     """
 
     grid: TimeGrid
@@ -97,7 +72,6 @@ class SemimartingaleIncrements:
     jump_sums: np.ndarray
     jump_sq: np.ndarray
     hs_sq: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         m = self.grid.n_steps
@@ -108,7 +82,7 @@ class SemimartingaleIncrements:
                 raise ValueError(f"{name} does not match the grid ({m} cells)")
 
     @classmethod
-    def zeros(cls, grid: TimeGrid, dim: int, weights=None, batch: tuple = ()):
+    def zeros(cls, grid: TimeGrid, dim: int, batch: tuple = ()):
         m = grid.n_steps
         return cls(
             grid,
@@ -117,36 +91,7 @@ class SemimartingaleIncrements:
             jump_sums=np.zeros(batch + (m, dim)),
             jump_sq=np.zeros(batch + (m,)),
             hs_sq=np.zeros(batch + (m,)),
-            weights=weights,
         )
-
-    @classmethod
-    def from_parts(
-        cls,
-        grid: TimeGrid,
-        dim: int,
-        drift: np.ndarray | None = None,
-        diffusion: np.ndarray | None = None,
-        jump_vectors: dict[int, Sequence[np.ndarray]] | None = None,
-        hs_sq: np.ndarray | None = None,
-        weights=None,
-    ):
-        """Single-path constructor; jump vectors are listed per cell index."""
-        m = grid.n_steps
-        out = cls.zeros(grid, dim, weights=weights)
-        if drift is not None:
-            out.drift = np.asarray(drift, dtype=float).reshape(m, dim)
-        if diffusion is not None:
-            out.diffusion = np.asarray(diffusion, dtype=float).reshape(m, dim)
-        if hs_sq is not None:
-            out.hs_sq = np.asarray(hs_sq, dtype=float).reshape(m)
-        if jump_vectors:
-            for cell, vecs in jump_vectors.items():
-                for v in vecs:
-                    v = np.asarray(v, dtype=float)
-                    out.jump_sums[cell] += v
-                    out.jump_sq[cell] += float(weighted_norm_sq(v, weights))
-        return out
 
     def total(self) -> np.ndarray:
         """Raw increments dZ_i = drift + diffusion + jumps, per cell."""
@@ -154,30 +99,19 @@ class SemimartingaleIncrements:
 
 
 def _convolve(
-    semigroup: Semigroup,
-    z: SemimartingaleIncrements,
-    x0: np.ndarray,
-    increments: np.ndarray,
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    semigroup: Semigroup, grid: TimeGrid, x0: np.ndarray, increments: np.ndarray
+) -> np.ndarray:
     """Core recursion driven by ``increments`` (``z.total()``, which callers
-    that also need it build once); returns values (..., m+1, dim) and
-    per-index left limits for every index whose cell realized a jump
-    (batched over leading axes)."""
-    grid = z.grid
+    that also need it build once); returns values (..., m+1, dim), batched
+    over leading axes."""
     m, dt = grid.n_steps, grid.dt
     x0 = np.asarray(x0, dtype=float)
-    batch = np.broadcast_shapes(x0.shape[:-1], z.drift.shape[:-2])
+    batch = np.broadcast_shapes(x0.shape[:-1], increments.shape[:-2])
     values = np.zeros(batch + (m + 1, x0.shape[-1]))
     values[..., 0, :] = x0
-    jump_cells = np.nonzero(np.any(z.jump_sq > 0.0, axis=tuple(range(z.jump_sq.ndim - 1))))[0]
-    jump_cells = set(int(c) for c in jump_cells)
-    pre = {}
     for j in range(m):
-        stepped = semigroup.apply(dt, values[..., j, :] + increments[..., j, :])
-        values[..., j + 1, :] = stepped
-        if j in jump_cells:
-            pre[j + 1] = stepped - semigroup.apply(dt, z.jump_sums[..., j, :])
-    return values, pre
+        values[..., j + 1, :] = semigroup.apply(dt, values[..., j, :] + increments[..., j, :])
+    return values
 
 
 def stochastic_convolution(
@@ -191,20 +125,7 @@ def stochastic_convolution(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape[-1] != z.drift.shape[-1]:
         raise ValueError("initial condition dimension does not match increments")
-    values, pre = _convolve(semigroup, z, x0, z.total())
-    return CadlagPath(z.grid, values, pre)
-
-
-def quadratic_variation(z: SemimartingaleIncrements) -> np.ndarray:
-    """Accumulated bracket path on grid points, [Z]_0 = 0, nondecreasing.
-
-    Mixed estimator: realized squared jumps (exact pathwise) plus the
-    expectation-form Wiener contribution ||g||_HS^2 dt per cell.
-    """
-    per_cell = z.hs_sq + z.jump_sq
-    out = np.zeros(per_cell.shape[:-1] + (z.grid.n_steps + 1,))
-    np.cumsum(per_cell, axis=-1, out=out[..., 1:])
-    return out
+    return CadlagPath(z.grid, _convolve(semigroup, z.grid, x0, z.total()))
 
 
 @dataclass(eq=False)
@@ -220,10 +141,6 @@ class ItoCheckReport:
     slack: np.ndarray
     tolerance: float
     violation: bool
-
-    @property
-    def min_slack(self) -> float:
-        return float(self.slack.min())
 
     def violation_mask(self) -> np.ndarray:
         """Per-path violation flags (any grid point below -tolerance)."""
@@ -251,19 +168,18 @@ def ito_inequality_check(
     inequality into an approximate one, so the tolerance scales like
     tol_coeff * sqrt(dt); the coefficient is calibrated per model.
     """
-    w = weights if weights is not None else z.weights
     grid = z.grid
     m, dt = grid.n_steps, grid.dt
     increments = z.total()
-    values, _ = _convolve(semigroup, z, np.asarray(x0, dtype=float), increments)
-    lhs = weighted_norm_sq(values, w)
+    values = _convolve(semigroup, grid, np.asarray(x0, dtype=float), increments)
+    lhs = weighted_norm_sq(values, weights)
 
     bracket = z.hs_sq + z.jump_sq
-    if w is None:
+    if weights is None:
         pairing = 2.0 * np.einsum("...d,...d->...", values[..., :-1, :], increments)
     else:
         pairing = 2.0 * np.einsum(
-            "...d,d,...d->...", values[..., :-1, :], np.asarray(w, dtype=float), increments
+            "...d,d,...d->...", values[..., :-1, :], np.asarray(weights, dtype=float), increments
         )
     per_cell = pairing + bracket
 
@@ -272,7 +188,7 @@ def ito_inequality_check(
     for j in range(m):
         run[..., j + 1] = growth * (run[..., j] + per_cell[..., j])
 
-    x0_sq = np.asarray(weighted_norm_sq(np.asarray(x0, dtype=float), w))
+    x0_sq = np.asarray(weighted_norm_sq(np.asarray(x0, dtype=float), weights))
     rhs = np.exp(2.0 * alpha * grid.times) * x0_sq[..., None]
     slack = (rhs + run - lhs).reshape(lhs.shape)
     tol = tol_coeff * np.sqrt(dt)

@@ -40,14 +40,12 @@ from .solver import ModelSpec
 __all__ = [
     "EXAMPLE_BUILDERS",
     "gaussian_marks",
-    "uniform_marks",
     "default_levy",
     "decreasing_cbrt",
     "build_reaction_diffusion",
     "build_hyperbolic",
     "build_delay",
     "build_linear_scalar",
-    "build_example",
 ]
 
 
@@ -62,17 +60,6 @@ def gaussian_marks(
         mark_mean=mean,
         description=f"normal({mean}, {std}^2)",
         quadrature_samples=quadrature_samples,
-    )
-
-
-def uniform_marks(rate: float, half_width: float) -> MarkSpaceSpec:
-    """Symmetric uniform marks on [-a, a]; second moment a^2/3."""
-    return MarkSpaceSpec(
-        rate=rate,
-        sample_marks=lambda rng, size: rng.uniform(-half_width, half_width, size=size),
-        mark_second_moment=half_width * half_width / 3.0,
-        mark_mean=0.0,
-        description=f"uniform(-{half_width}, {half_width})",
     )
 
 
@@ -226,7 +213,7 @@ def build_hyperbolic(
     if levy is None:
         levy = default_levy()
     lam = (np.arange(1, n_modes + 1) * np.pi) ** 2
-    seg = BlockWaveSemigroup(lam, alpha=0.0)
+    seg = BlockWaveSemigroup(lam)
     dim = 2 * n_modes
     weights = seg.energy_weights()
     u_sl, v_sl = slice(0, n_modes), slice(n_modes, dim)
@@ -521,13 +508,3 @@ EXAMPLE_BUILDERS = {
     "linear_scalar": build_linear_scalar,
 }
 
-
-def build_example(name: str, **kwargs) -> ModelSpec:
-    """Builder lookup by name; unknown names raise KeyError with choices."""
-    try:
-        builder = EXAMPLE_BUILDERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown example {name!r}; choices: {sorted(EXAMPLE_BUILDERS)}"
-        ) from None
-    return builder(**kwargs)

@@ -23,8 +23,6 @@ __all__ = [
     "TimeGrid",
     "MarkSpaceSpec",
     "LevyPathSpec",
-    "TruncatedMarkSpace",
-    "truncate_small_jumps",
     "path_rng",
     "NoiseRealization",
     "draw_noise",
@@ -117,75 +115,6 @@ class MarkSpaceSpec:
         return float(np.mean(self.quadrature_nodes()))
 
 
-@dataclass(eq=False)
-class TruncatedMarkSpace:
-    """Finite-activity truncation of an infinite-activity jump measure.
-
-    ``spec`` keeps the jumps with |mark| > epsilon; ``discarded_variance`` is
-    the second moment of the removed small jumps, quantifying the truncation
-    error (the driving process is square integrable, so it is finite).
-    """
-
-    spec: MarkSpaceSpec
-    epsilon: float
-    discarded_variance: float
-
-
-def truncate_small_jumps(
-    density: Callable[[np.ndarray], np.ndarray],
-    epsilon: float,
-    support: float = 50.0,
-    grid_points: int = 4001,
-) -> TruncatedMarkSpace:
-    """Build a finite-activity mark space from a jump density by removing
-    jumps with |mark| <= epsilon.
-
-    The density is tabulated on symmetric log-spaced grids over
-    [-support, -tiny] and [tiny, support]; the retained mass, moments and the
-    inverse-CDF sampler come from trapezoidal quadrature, and the discarded
-    small-jump variance is reported alongside. The density must be integrable
-    against min(1, mark^2).
-    """
-    if epsilon <= 0.0:
-        raise ValueError("truncation level must be > 0")
-    tiny = epsilon * 1e-8
-    half = np.geomspace(tiny, support, grid_points)
-    xs = np.concatenate([-half[::-1], half])
-    qs = np.asarray(density(xs), dtype=float)
-    if np.any(qs < 0.0):
-        raise ValueError("jump density must be nonnegative")
-
-    def trapz(values, mask):
-        v = np.where(mask, values, 0.0)
-        return float(np.trapezoid(v, xs))
-
-    kept = np.abs(xs) > epsilon
-    rate = trapz(qs, kept)
-    if rate <= 0.0:
-        raise ValueError("no mass beyond the truncation level")
-    mean = trapz(xs * qs, kept) / rate
-    second = trapz(xs * xs * qs, kept) / rate
-    discarded = trapz(xs * xs * qs, ~kept)
-
-    cdf = np.concatenate([[0.0], np.cumsum(
-        np.where(kept, qs, 0.0)[1:] * np.diff(xs)
-        + 0.5 * np.diff(np.where(kept, qs, 0.0)) * np.diff(xs)
-    )])
-    cdf /= cdf[-1]
-
-    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.interp(rng.uniform(0.0, 1.0, size=size), cdf, xs)
-
-    spec = MarkSpaceSpec(
-        rate=rate,
-        sample_marks=sample,
-        mark_second_moment=second,
-        mark_mean=mean,
-        description=f"truncated density (epsilon={epsilon})",
-    )
-    return TruncatedMarkSpace(spec=spec, epsilon=epsilon, discarded_variance=discarded)
-
-
 @dataclass(frozen=True, eq=False)
 class LevyPathSpec:
     """Square integrable scalar jump process: drift + Gaussian part + jumps.
@@ -201,14 +130,6 @@ class LevyPathSpec:
     def __post_init__(self):
         if self.gaussian_variance < 0.0:
             raise ValueError("gaussian variance must be >= 0")
-
-    def second_moment(self) -> float:
-        """E[Z_1^2] for the centered-jump convention (compensated jumps)."""
-        return (
-            self.drift**2
-            + self.gaussian_variance
-            + self.jumps.rate * self.jumps.mark_second_moment
-        )
 
 
 @dataclass(eq=False)

@@ -10,41 +10,29 @@ Three structural families are implemented, each exact on its truncation:
   upwind-discretized transport generator with distributed-delay feedback.
 
 Growth bounds alpha are declared by the caller, never inferred.
-:func:`check_contraction` tests a declared bound by sampling when called;
-no model builder or campaign calls it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
-
-from .state_space import WeightedInnerProduct, weighted_norm_sq
 
 __all__ = [
     "Semigroup",
     "DiagonalSemigroup",
     "BlockWaveSemigroup",
     "DelayShiftSemigroup",
-    "TiltedSemigroup",
-    "ContractionReport",
-    "check_contraction",
 ]
 
 
 class Semigroup:
-    """Common interface: apply S_t, apply the generator, shift exponentially."""
+    """Common interface: apply S_t, shift exponentially."""
 
     dim: int
     alpha: float
 
     def apply(self, t: float, x: np.ndarray) -> np.ndarray:
         """Apply S_t along the last axis of ``x``; any leading batch shape."""
-        raise NotImplementedError
-
-    def generator(self, x: np.ndarray) -> np.ndarray:
-        """Apply the (truncated) generator A along the last axis of ``x``."""
         raise NotImplementedError
 
     def shifted(self, delta: float) -> "Semigroup":
@@ -80,9 +68,6 @@ class DiagonalSemigroup(Semigroup):
         t = _check_time(t)
         return np.asarray(x, dtype=float) * self._factor(t)
 
-    def generator(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) * self.eigenvalues
-
     def shifted(self, delta: float) -> "DiagonalSemigroup":
         if delta == 0.0:
             return self
@@ -99,10 +84,13 @@ class BlockWaveSemigroup(Semigroup):
         [ -w sin(w t)     cos(w t)   ],   w = sqrt(lam),
 
     which conserves lam*u^2 + v^2 exactly, so the group is unitary in the
-    weighted norm returned by :meth:`energy_weights`.
+    weighted norm returned by :meth:`energy_weights` and its growth bound
+    alpha is 0.
     """
 
-    def __init__(self, laplacian_eigenvalues, alpha: float = 0.0):
+    alpha = 0.0
+
+    def __init__(self, laplacian_eigenvalues):
         lam = np.asarray(laplacian_eigenvalues, dtype=float)
         if lam.ndim != 1 or lam.size < 1 or not np.all(lam > 0):
             raise ValueError("need a non-empty sequence of positive eigenvalues")
@@ -110,7 +98,6 @@ class BlockWaveSemigroup(Semigroup):
         self.omega = np.sqrt(lam)
         self.n_modes = lam.size
         self.dim = 2 * lam.size
-        self.alpha = float(alpha)
         self._factors: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def energy_weights(self) -> np.ndarray:
@@ -133,18 +120,6 @@ class BlockWaveSemigroup(Semigroup):
         out[..., : self.n_modes] = c * u + (s / self.omega) * v
         out[..., self.n_modes :] = -(self.omega * s) * u + c * v
         return out
-
-    def generator(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        out[..., : self.n_modes] = x[..., self.n_modes :]
-        out[..., self.n_modes :] = -self.lam * x[..., : self.n_modes]
-        return out
-
-    def shifted(self, delta: float) -> Semigroup:
-        if delta == 0.0:
-            return self
-        return TiltedSemigroup(self, delta)
 
 
 class DelayShiftSemigroup(Semigroup):
@@ -207,85 +182,9 @@ class DelayShiftSemigroup(Semigroup):
     def apply(self, t: float, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.matrix(t).T
 
-    def generator(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self._matrix.T
-
     def shifted(self, delta: float) -> "DelayShiftSemigroup":
         if delta == 0.0:
             return self
         return DelayShiftSemigroup(
             self.history_cells, alpha=self.alpha + delta, shift=self.shift + delta
         )
-
-
-class TiltedSemigroup(Semigroup):
-    """exp(delta*t) times a base semigroup; closes families under rescaling."""
-
-    def __init__(self, base: Semigroup, delta: float):
-        self.base = base
-        self.delta = float(delta)
-        self.dim = base.dim
-        self.alpha = base.alpha + self.delta
-
-    def apply(self, t: float, x: np.ndarray) -> np.ndarray:
-        t = _check_time(t)
-        return np.exp(self.delta * t) * self.base.apply(t, x)
-
-    def generator(self, x: np.ndarray) -> np.ndarray:
-        return self.base.generator(x) + self.delta * np.asarray(x, dtype=float)
-
-    def shifted(self, delta: float) -> Semigroup:
-        if self.delta + delta == 0.0:
-            return self.base
-        return TiltedSemigroup(self.base, self.delta + delta)
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    """Result of sampling the growth bound ||S_t x|| <= exp(alpha t) ||x||."""
-
-    alpha: float
-    max_amplification: float   # max over samples of ||S_t x|| / ||x||
-    max_bound_ratio: float     # max of ||S_t x|| / (exp(alpha t) ||x||)
-    samples: int
-    violation: bool
-
-
-def check_contraction(
-    semigroup: Semigroup,
-    samples: int,
-    t_max: float,
-    weights: WeightedInnerProduct | np.ndarray | None = None,
-    seed: int = 0,
-) -> ContractionReport:
-    """Sample random (t, x) and compare ||S_t x|| against exp(alpha t) ||x||.
-
-    The violation flag is set as soon as one sample exceeds the declared bound
-    by more than a 1e-9 relative allowance.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    w = weights.weights if isinstance(weights, WeightedInnerProduct) else weights
-    rng = np.random.default_rng(seed)
-    n_times = min(samples, 64)
-    per_time = max(1, samples // n_times)
-    ts = rng.uniform(0.0, t_max, size=n_times)
-    max_amp = 0.0
-    max_ratio = 0.0
-    total = 0
-    for t in ts:
-        x = rng.standard_normal((per_time, semigroup.dim))
-        nx = np.sqrt(weighted_norm_sq(x, w))
-        ny = np.sqrt(weighted_norm_sq(semigroup.apply(float(t), x), w))
-        amp = ny / nx
-        max_amp = max(max_amp, float(amp.max()))
-        ratio = amp / np.exp(semigroup.alpha * t)
-        max_ratio = max(max_ratio, float(ratio.max()))
-        total += per_time
-    return ContractionReport(
-        alpha=semigroup.alpha,
-        max_amplification=max_amp,
-        max_bound_ratio=max_ratio,
-        samples=total,
-        violation=bool(max_ratio > 1.0 + 1e-9),
-    )

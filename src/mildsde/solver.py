@@ -4,7 +4,7 @@ one-pass exponential Euler integrator for cross-validation.
 
 The outer loop freezes one noise realization per path (same Wiener table,
 same jump events) across all iterations: iterate n builds its forcing from the
-left limits of iterate n-1 on that same realization, then solves the
+left-point values of iterate n-1 on that same realization, then solves the
 deterministic equation
 
     X_t = S_t X0 + integral S_{t-s} f(s, X_s) ds + V_t
@@ -12,7 +12,7 @@ deterministic equation
 per time step with a semi-implicit rule: implicit in f (the per-step equation
 x = b + dt f(t, x) is uniquely solvable for dt * M < 1 when f is
 semimonotone), explicit in V. Everything is vectorized over a leading path
-axis; the public single-path entry points wrap the batch cores.
+axis.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .coefficients import (
     check_lipschitz_growth,
     check_semimonotone,
 )
-from .convolution import CadlagPath, SemimartingaleIncrements, _convolve
+from .convolution import SemimartingaleIncrements, _convolve
 from .noise import MarkSpaceSpec, NoiseRealization, TimeGrid, draw_noise
 from .semigroup import Semigroup
 from .state_space import hs_norm_sq, weighted_norm_sq
@@ -45,13 +45,10 @@ __all__ = [
     "ModelSpec",
     "rescale_to_contraction",
     "unrescale_values",
-    "solve_deterministic_mild",
     "PicardTrace",
     "BatchPicardResult",
-    "picard_solve",
     "picard_solve_batch",
     "BatchDirectResult",
-    "direct_solve",
     "direct_solve_batch",
 ]
 
@@ -329,9 +326,6 @@ def _mild_core(seg, drift, x0, v_values, grid, w, tol, damping, max_inner,
     t = grid.times
     x0 = np.asarray(x0, dtype=float)
     batch = np.broadcast_shapes(x0.shape[:-1], v_values.shape[:-2])
-    squeeze = batch == ()
-    if squeeze:
-        batch = (1,)
     dim = x0.shape[-1]
     v_b = np.broadcast_to(v_values, batch + (m + 1, dim))
     values = np.zeros(batch + (m + 1, dim))
@@ -341,7 +335,7 @@ def _mild_core(seg, drift, x0, v_values, grid, w, tol, damping, max_inner,
             seg, drift, values[:, j, :], v_b[:, j, :], v_b[:, j + 1, :],
             float(t[j + 1]), dt, w, tol, damping, max_inner, 0, max_halvings,
         )
-    return values[0] if squeeze else values
+    return values
 
 
 def _apriori_bound(seg, drift, x0, v_values, grid, w, alpha, m_const):
@@ -382,54 +376,6 @@ def _check_apriori_bound(seg, drift, x0, v_values, values, grid, w, alpha, slack
         f"{row}: norm {actual[row, j]:.6g} vs bound {bound[row, j]:.6g} "
         f"(+{slack:.0%} slack)"
     )
-
-
-def solve_deterministic_mild(
-    semigroup: Semigroup,
-    drift: DriftSpec,
-    x0: np.ndarray,
-    forcing: CadlagPath,
-    weights: np.ndarray | None = None,
-    inner_tol: float = 1e-8,
-    damping: float = 1.0,
-    max_inner: int = 200,
-    max_halvings: int = 6,
-    check_bound: bool = True,
-    bound_slack: float = 0.05,
-) -> CadlagPath:
-    """Solve X_t = S_t X0 + integral S_{t-s} f(s, X_s) ds + V_t on V's grid.
-
-    Each step solves its implicit equation to residual ``inner_tol`` with
-    damped fixed-point iteration, halving the step when the iteration stalls;
-    exhaustion raises :class:`InnerIterationError` with diagnostics. When
-    ``check_bound`` is set, the a-priori growth bound is verified as a
-    postcondition up to a relative ``bound_slack`` (covering quadrature
-    error); violations raise :class:`AprioriBoundError`.
-
-    The forcing's jump marks carry over: X and V share their discontinuities
-    because X - V is continuous in time.
-    """
-    grid = forcing.grid
-    x0 = np.asarray(x0, dtype=float)
-    squeeze = x0.ndim == 1 and forcing.values.ndim == 2
-    x0_b = x0[None] if squeeze else x0
-    v_b = forcing.values[None] if squeeze else forcing.values
-    values = _mild_core(
-        semigroup, drift, x0_b, v_b, grid, weights,
-        inner_tol, damping, max_inner, max_halvings,
-    )
-    if squeeze:
-        values = values[0]
-    if check_bound:
-        _check_apriori_bound(
-            semigroup, drift, x0, forcing.values, values, grid, weights,
-            semigroup.alpha, bound_slack, "deterministic mild solve",
-        )
-    pre = {
-        j: values[..., j, :] - (forcing.values[j] - forcing.pre_jump[j])
-        for j in forcing.pre_jump
-    }
-    return CadlagPath(grid, values, pre)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +450,6 @@ class PicardTrace:
     converged: bool
     tol: float
 
-    @property
-    def n_iterations(self) -> int:
-        return len(self.distances)
-
     @staticmethod
     def predicted_bound(c0: float, c1: float, horizon: float, n) -> np.ndarray:
         """C0 C1^n T^n / n!, the proven decay of the iteration distances."""
@@ -522,7 +464,6 @@ class BatchPicardResult:
 
     grid: TimeGrid
     values: np.ndarray                 # (paths, m+1, dim), original gauge
-    pre_jump: dict[int, np.ndarray]    # left limits at jump indices
     distances: np.ndarray              # (iters, paths)
     x_sup_sq: np.ndarray               # (iters+1, paths)
     v_sup_sq: np.ndarray               # (iters, paths)
@@ -594,15 +535,13 @@ def picard_solve_batch(
     x_sup: list[np.ndarray] = [weighted_norm_sq(x_prev, w).max(axis=1)]
     v_sup: list[np.ndarray] = []
     converged = False
-    values = x_prev
-    pre: dict[int, np.ndarray] = {}
     for n in range(1, n_max + 1):
         # Noise increments along the frozen iterate's left-point values.
-        z = SemimartingaleIncrements.zeros(grid, model.dim, weights=w, batch=(p,))
+        z = SemimartingaleIncrements.zeros(grid, model.dim, batch=(p,))
         assemble = _cell_assembler(work, noise, z)
         for j in range(m):
             assemble(j, x_prev[:, j])
-        v_values, v_pre = _convolve(seg, z, np.zeros((p, model.dim)), z.total())
+        v_values = _convolve(seg, grid, np.zeros((p, model.dim)), z.total())
         x_next = _mild_core(
             seg, work.coeffs.drift, noise.x0, v_values, grid, w,
             inner_tol, damping, max_inner, max_halvings,
@@ -616,9 +555,6 @@ def picard_solve_batch(
         distances.append(dist)
         v_sup.append(weighted_norm_sq(v_values, w).max(axis=1))
         x_sup.append(weighted_norm_sq(x_next, w).max(axis=1))
-        # X inherits V's discontinuities: X - V is continuous in time.
-        values = x_next
-        pre = {j: x_next[:, j] - (v_values[:, j] - v_pre[j]) for j in v_pre}
         x_prev = x_next
         mean_dist = float(dist.mean())
         if mean_dist < tol and not run_all:
@@ -638,16 +574,13 @@ def picard_solve_batch(
     if not converged and distances and float(distances[-1].mean()) < tol:
         converged = True
 
-    out_values = values
-    out_pre = pre
+    # Map the final iterate back to the original gauge.
+    out_values = x_prev
     if alpha != 0.0:
-        factor = np.exp(alpha * grid.times)[:, None]
-        out_values = values * factor
-        out_pre = {j: pre[j] * math.exp(alpha * grid.times[j]) for j in pre}
+        out_values = x_prev * np.exp(alpha * grid.times)[:, None]
     return BatchPicardResult(
         grid=grid,
         values=out_values,
-        pre_jump=out_pre,
         distances=np.array(distances) if distances else np.zeros((0, p)),
         x_sup_sq=np.array(x_sup),
         v_sup_sq=np.array(v_sup) if v_sup else np.zeros((0, p)),
@@ -655,24 +588,6 @@ def picard_solve_batch(
         tol=tol,
         alpha=alpha,
     )
-
-
-def picard_solve(
-    model: ModelSpec,
-    seed: int,
-    grid: TimeGrid,
-    n_max: int = 10,
-    tol: float = 1e-14,
-    damping: float = 1.0,
-    **kwargs,
-) -> tuple[CadlagPath, PicardTrace]:
-    """Single-path successive approximation; see :func:`picard_solve_batch`."""
-    res = picard_solve_batch(
-        model, grid, master_seed=seed, path_indices=[0],
-        n_max=n_max, tol=tol, damping=damping, **kwargs,
-    )
-    path = CadlagPath(grid, res.values[0], {j: v[0] for j, v in res.pre_jump.items()})
-    return path, res.trace(0)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +598,6 @@ def picard_solve(
 class BatchDirectResult:
     grid: TimeGrid
     values: np.ndarray
-    pre_jump: dict[int, np.ndarray]
     increments: SemimartingaleIncrements | None
 
 
@@ -707,7 +621,7 @@ def direct_solve_batch(
         if path_indices is None:
             path_indices = range(1)
         noise = draw_noise(model, grid, master_seed, path_indices)
-    seg, w = model.semigroup, model.weights
+    seg = model.semigroup
     f = model.coeffs.drift.evaluate
     m, dt = grid.n_steps, grid.dt
     t = grid.times
@@ -715,8 +629,7 @@ def direct_solve_batch(
 
     values = np.zeros((p, m + 1, model.dim))
     values[:, 0] = noise.x0
-    pre: dict[int, np.ndarray] = {}
-    z = SemimartingaleIncrements.zeros(grid, model.dim, weights=w, batch=(p,)) if record_increments else None
+    z = SemimartingaleIncrements.zeros(grid, model.dim, batch=(p,)) if record_increments else None
     assemble = _cell_assembler(model, noise, z)
     for j in range(m):
         xj = values[:, j]
@@ -725,30 +638,11 @@ def direct_solve_batch(
         if comp is not None:
             drift_part += comp
         incr = drift_part + (0.0 if gdw is None else gdw)
+        x = xj + incr
         if jump_part is not None:
-            stepped = seg.apply(dt, xj + incr + jump_part)
-            values[:, j + 1] = stepped
-            pre[j + 1] = stepped - seg.apply(dt, jump_part)
-        else:
-            values[:, j + 1] = seg.apply(dt, xj + incr)
+            x += jump_part  # (X_j + incr) + jumps: the CSV digests pin this order
+        values[:, j + 1] = seg.apply(dt, x)
         if z is not None:
             z.drift[:, j] = drift_part  # f dt joins the recorded compensator drift
-    return BatchDirectResult(grid, values, pre, z)
+    return BatchDirectResult(grid, values, z)
 
-
-def direct_solve(
-    model: ModelSpec,
-    seed: int,
-    grid: TimeGrid,
-    noise: NoiseRealization | None = None,
-    record_increments: bool = False,
-):
-    """Single-path exponential Euler run; see :func:`direct_solve_batch`."""
-    res = direct_solve_batch(
-        model, grid, master_seed=seed, path_indices=[0],
-        noise=noise, record_increments=record_increments,
-    )
-    path = CadlagPath(grid, res.values[0], {j: v[0] for j, v in res.pre_jump.items()})
-    if record_increments:
-        return path, res.increments
-    return path

@@ -7,38 +7,12 @@ The metric is a vector of per-mode weights (``None`` means unit weights).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "WeightedInnerProduct",
     "weighted_norm_sq",
     "hs_norm_sq",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class WeightedInnerProduct:
-    """Per-mode metric weights; all strictly positive.
-
-    ``weights[k]`` multiplies the product of the k-th coefficients, so the
-    all-ones instance is the plain Euclidean (Parseval) inner product.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1:
-            raise ValueError("weights must be a 1-D sequence")
-        if not np.all(w > 0.0):
-            raise ValueError("all inner-product weights must be > 0")
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[0]
 
 
 def weighted_norm_sq(values: np.ndarray, w: np.ndarray | None) -> np.ndarray:

@@ -86,6 +86,13 @@ BAD_CONFIGS = {
     "model_params_int": ("picard", {"model_params": 3}),
     "ito_tol_coeff_negative": ("picard", {"ito_tol_coeff": -1}),
     "threads_removed": ("picard", {"threads": 2}),
+    "jump_rate_str": ("picard", {"model_params": {"jump_rate": "abc"}}),
+    "jump_rate_null": ("picard", {"model_params": {"jump_rate": None}}),
+    "jump_rate_bool": ("picard", {"model_params": {"jump_rate": True}}),
+    "mark_std_list": ("picard", {"model_params": {"mark_std": [1]}}),
+    "eta_str": ("picard", {"model_params": {"eta": "x"}}),
+    "x0_amplitude_null": ("picard", {"model_params": {"x0_amplitude": None}}),
+    "n_quad_float": ("picard", {"model_params": {"n_quad": 9.5}}),
     "dt_exponents_empty": _oracle_exponents([]),
     "dt_exponents_str": _oracle_exponents("x"),
     "dt_exponents_negative": _oracle_exponents([-1, 2]),

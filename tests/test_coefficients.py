@@ -16,11 +16,13 @@ from mildsde.coefficients import (
     pointwise_implicit_solver,
     sine_quadrature,
     zero_diffusion,
-    zero_jump,
 )
 from mildsde.models import build_linear_scalar, cbrt_implicit_prox, decreasing_cbrt
 from mildsde.noise import MarkSpaceSpec
 from mildsde.state_space import hs_norm_sq
+
+
+NO_JUMPS = JumpCoeffSpec(None, None, lipschitz_c=0.0, growth_d=0.0, is_zero=True)
 
 
 def make_marks(rate=1.0, std=0.3, mean=0.0):
@@ -128,7 +130,7 @@ def test_growth_zero_coefficients():
     coeffs = CoefficientSet(
         DriftSpec(evaluate=lambda t, x: 0.0 * x, semimonotone_m=0.0, growth_d=0.0),
         zero_diffusion(dim),
-        zero_jump(dim),
+        NO_JUMPS,
     )
     rep = check_lipschitz_growth(coeffs, dim, samples=2000, seed=5)
     assert rep.passed
@@ -172,7 +174,7 @@ def test_affine_drift_growth_bound():
             growth_d=bound,
         ),
         zero_diffusion(dim),
-        zero_jump(dim),
+        NO_JUMPS,
     )
     rep = check_lipschitz_growth(coeffs, dim, samples=10_000, seed=8)
     assert rep.passed_growth

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from mildsde.convolution import (
-    CadlagPath,
     SemimartingaleIncrements,
     ito_inequality_check,
-    quadratic_variation,
     stochastic_convolution,
 )
 from mildsde.noise import TimeGrid
@@ -30,7 +28,8 @@ def test_trivial_semigroup_wiener_path():
     grid = TimeGrid(1.0, 100)
     rng = np.random.default_rng(0)
     dw = rng.standard_normal((100, 1)) * np.sqrt(grid.dt)
-    z = SemimartingaleIncrements.from_parts(grid, 1, diffusion=dw)
+    z = SemimartingaleIncrements.zeros(grid, 1)
+    z.diffusion = dw
     path = stochastic_convolution(identity_semigroup(1), z, np.array([2.0]))
     expected = 2.0 + np.concatenate([[0.0], np.cumsum(dw[:, 0])])
     assert np.allclose(path.values[:, 0], expected, rtol=0, atol=1e-14)
@@ -40,9 +39,8 @@ def scalar_ode_error(n_steps):
     # dX = dt forcing against exp(-t) relaxation: closed form 1 - exp(-t) + exp(-t) x0
     grid = TimeGrid(1.0, n_steps)
     seg = DiagonalSemigroup([-1.0], alpha=0.0)
-    z = SemimartingaleIncrements.from_parts(
-        grid, 1, drift=np.full((n_steps, 1), grid.dt)
-    )
+    z = SemimartingaleIncrements.zeros(grid, 1)
+    z.drift[:] = grid.dt
     x0 = np.array([0.25])
     path = stochastic_convolution(seg, z, x0)
     exact = (1.0 - np.exp(-grid.times)) + np.exp(-grid.times) * x0[0]
@@ -56,64 +54,18 @@ def test_deterministic_convolution_first_order():
     assert e1 / e2 == pytest.approx(2.0, rel=0.15)
 
 
-def test_quadratic_variation_zero():
-    grid = TimeGrid(1.0, 10)
-    z = SemimartingaleIncrements.zeros(grid, 2)
-    assert np.array_equal(quadratic_variation(z), np.zeros(11))
-
-
-def test_quadratic_variation_pure_jumps_exact():
-    grid = TimeGrid(1.0, 10)
-    h1 = np.array([0.3, -0.4])
-    h2 = np.array([1.0, 2.0])
-    z = SemimartingaleIncrements.from_parts(
-        grid, 2, jump_vectors={2: [h1], 7: [h2]}
-    )
-    qv = quadratic_variation(z)
-    total = float(h1 @ h1 + h2 @ h2)
-    assert qv[-1] == pytest.approx(total, rel=1e-15)
-    assert np.all(np.diff(qv) >= 0.0)
-    assert qv[0] == 0.0
-
-
-def test_expected_bracket_matches_horizon():
-    # one Wiener mode with unit coefficient: E[Z]_T = T, within 3 percent
-    grid = TimeGrid(1.0, 50)
-    rng = np.random.default_rng(1)
-    totals = []
-    for _ in range(10_000):
-        dw = rng.standard_normal((50, 1)) * np.sqrt(grid.dt)
-        z = SemimartingaleIncrements.from_parts(
-            grid, 1, diffusion=dw, hs_sq=np.full(50, grid.dt)
-        )
-        totals.append(quadratic_variation(z)[-1])
-    # the mixed estimator's Wiener part is its expectation form, so this is
-    # exact by construction; the realized-jump part is exercised above
-    assert np.mean(totals) == pytest.approx(1.0, rel=0.03)
-
-
-def test_cadlag_left_limits():
-    grid = TimeGrid(1.0, 4)
-    values = np.array([[0.0], [1.0], [3.0], [3.0], [3.0]])
-    path = CadlagPath(grid, values, pre_jump={2: np.array([1.5])})
-    assert path.left_limit(2)[0] == 1.5
-    assert path.jump_at(2)[0] == pytest.approx(1.5)
-    assert path.left_limit(3)[0] == 3.0  # piecewise-constant extension
-    assert path.jump_at(3)[0] == 0.0
-    assert path.left_limit(0)[0] == 0.0
-
-
 def test_convolution_marks_jump_cells():
     grid = TimeGrid(1.0, 10)
     seg = DiagonalSemigroup([-1.0], alpha=0.0)
-    z = SemimartingaleIncrements.from_parts(
-        grid, 1, jump_vectors={4: [np.array([2.0])]}
-    )
-    path = stochastic_convolution(seg, z, np.array([1.0]))
-    assert 5 in path.pre_jump
-    jump = path.values[5] - path.pre_jump[5]
-    # the jump propagates by one cell of the semigroup from its source cell
-    assert jump[0] == pytest.approx(2.0 * np.exp(-grid.dt), rel=1e-12)
+    z = SemimartingaleIncrements.zeros(grid, 1)
+    without = stochastic_convolution(seg, z, np.array([1.0]))
+    z.jump_sums[4] = 2.0
+    z.jump_sq[4] = 4.0
+    with_jump = stochastic_convolution(seg, z, np.array([1.0]))
+    jump = with_jump.values - without.values
+    # a jump in cell 4 executes at t_5, propagated by one cell of the semigroup
+    assert jump[4, 0] == 0.0
+    assert jump[5, 0] == pytest.approx(2.0 * np.exp(-grid.dt), rel=1e-12)
 
 
 def test_ito_check_contraction_only():
@@ -133,9 +85,9 @@ def test_ito_identity_case_small_slack():
     grid = TimeGrid(1.0, 400)
     rng = np.random.default_rng(2)
     dw = rng.standard_normal((400, 1)) * np.sqrt(grid.dt)
-    z = SemimartingaleIncrements.from_parts(
-        grid, 1, diffusion=dw, hs_sq=np.full(400, grid.dt)
-    )
+    z = SemimartingaleIncrements.zeros(grid, 1)
+    z.diffusion = dw
+    z.hs_sq[:] = grid.dt
     rep = ito_inequality_check(identity_semigroup(1), 0.0, np.array([1.0]), z, tol_coeff=2.0)
     assert np.abs(rep.slack).max() <= 10.0 * np.sqrt(grid.dt)
     assert not rep.violation
@@ -163,7 +115,6 @@ def test_ito_check_wave_random_forcing_rate():
             jump_sums=np.zeros((batch, grid.n_steps, seg.dim)),
             jump_sq=np.zeros((batch, grid.n_steps)),
             hs_sq=hs,
-            weights=w,
         )
         x0 = np.zeros((batch, seg.dim))
         x0[:, 0] = 1.0
@@ -239,6 +190,7 @@ def test_batch_matches_single_path():
     x0 = rng.standard_normal((3, 2))
     batch_path = stochastic_convolution(seg, z_batch, x0)
     for p in range(3):
-        z_one = SemimartingaleIncrements.from_parts(grid, 2, drift=drift[p])
+        z_one = SemimartingaleIncrements.zeros(grid, 2)
+        z_one.drift = drift[p]
         single = stochastic_convolution(seg, z_one, x0[p])
         assert np.allclose(batch_path.values[p], single.values, rtol=0, atol=1e-14)

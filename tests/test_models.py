@@ -3,18 +3,17 @@ import pytest
 
 from mildsde.coefficients import check_lipschitz_growth, check_semimonotone
 from mildsde.models import (
+    EXAMPLE_BUILDERS,
     build_delay,
-    build_example,
     build_hyperbolic,
     build_linear_scalar,
     build_reaction_diffusion,
     default_levy,
     gaussian_marks,
     stochastic_exponential,
-    uniform_marks,
 )
 from mildsde.noise import NoiseRealization, TimeGrid, draw_noise
-from mildsde.solver import ModelValidationError, direct_solve, direct_solve_batch
+from mildsde.solver import ModelValidationError, direct_solve_batch
 from mildsde.state_space import weighted_norm_sq
 from tests.test_semigroup import delay_head_oracle
 
@@ -34,10 +33,10 @@ def test_reaction_diffusion_pure_heat_mode():
         x0=np.eye(6)[0], validate=False,
     )
     grid = TimeGrid(1.0, 200)
-    path = direct_solve(model, seed=0, grid=grid)
+    values = direct_solve_batch(model, grid, master_seed=0, path_indices=[0]).values[0]
     exact = np.exp(-np.pi**2 * grid.times)
-    assert np.allclose(path.values[:, 0], exact, rtol=1e-12, atol=1e-13)
-    assert np.abs(path.values[:, 1:]).max() == 0.0
+    assert np.allclose(values[:, 0], exact, rtol=1e-12, atol=1e-13)
+    assert np.abs(values[:, 1:]).max() == 0.0
 
 
 def test_reaction_diffusion_eta_shifts_declared_constant():
@@ -61,8 +60,8 @@ def test_hyperbolic_free_single_mode_energy():
         x0_position=np.eye(4)[0], validate=False,
     )
     grid = TimeGrid(1.0, 500)
-    path = direct_solve(model, seed=0, grid=grid)
-    energy = weighted_norm_sq(path.values, model.weights)
+    values = direct_solve_batch(model, grid, master_seed=0, path_indices=[0]).values[0]
+    energy = weighted_norm_sq(values, model.weights)
     assert np.abs(energy / energy[0] - 1.0).max() <= 1e-10
 
 
@@ -129,8 +128,7 @@ def test_delay_free_flow_matches_method_of_steps():
             f_scalar=lambda u: 0.0 * u, f_growth=(0.0, 0.0), validate=False,
         )
         grid = TimeGrid(horizon, n_steps)
-        path = direct_solve(model, seed=0, grid=grid)
-        return path.values[:, 0]
+        return direct_solve_batch(model, grid, master_seed=0, path_indices=[0]).values[0, :, 0]
 
     heads = run(64, 256)
     ref = oracle[:: 4096 // 256]
@@ -179,17 +177,10 @@ def test_stochastic_exponential_single_jump():
     assert vals[-1] == pytest.approx(3.0)
 
 
-def test_uniform_marks_second_moment():
-    marks = uniform_marks(rate=1.0, half_width=0.6)
-    draws = marks.sample_marks(np.random.default_rng(0), 200_000)
-    assert draws.var() == pytest.approx(marks.mark_second_moment, rel=0.02)
-
-
 def test_builder_registry():
-    model = build_example("delay", history_cells=8, validate=False)
+    model = EXAMPLE_BUILDERS["delay"](history_cells=8, validate=False)
     assert model.name == "delay"
-    with pytest.raises(KeyError):
-        build_example("unknown")
+    assert sorted(EXAMPLE_BUILDERS) == ["delay", "hyperbolic", "linear_scalar", "reaction_diffusion"]
 
 
 def test_reaction_diffusion_single_mode_reduces_to_linear_oracle():

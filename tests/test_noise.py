@@ -1,22 +1,14 @@
 import numpy as np
 import pytest
 
-from mildsde.coefficients import (
-    CoefficientSet,
-    DiffusionSpec,
-    DriftSpec,
-    zero_jump,
-)
+from mildsde.coefficients import CoefficientSet, DiffusionSpec, DriftSpec, JumpCoeffSpec
 from mildsde.models import build_linear_scalar
-from mildsde.noise import (
-    LevyPathSpec,
-    MarkSpaceSpec,
-    TimeGrid,
-    draw_noise,
-    path_rng,
-)
+from mildsde.noise import MarkSpaceSpec, TimeGrid, draw_noise, path_rng
 from mildsde.semigroup import DiagonalSemigroup
 from mildsde.solver import ModelSpec, direct_solve_batch
+
+
+NO_JUMPS = JumpCoeffSpec(None, None, lipschitz_c=0.0, growth_d=0.0, is_zero=True)
 
 
 def make_marks(rate=2.0, std=0.3, mean=0.0, declare_mean=True):
@@ -39,7 +31,7 @@ def wiener_model(modes):
                 evaluate=lambda t, x: np.zeros(np.shape(x)[:-1] + (modes, 1)),
                 modes=modes, lipschitz_c=0.0, growth_d=0.0,
             ),
-            zero_jump(1),
+            NO_JUMPS,
         ),
         weights=None,
         marks=None,
@@ -125,7 +117,7 @@ def test_prm_determinism_and_ordering():
 def test_compensate_zero_map():
     # a zero jump coefficient contributes no increment, events or not
     model = jump_model(make_marks(rate=3.0))
-    model.coeffs.jump = zero_jump(1)
+    model.coeffs.jump = NO_JUMPS
     grid = TimeGrid(1.0, 10)
     noise = draw_noise(model, grid, 3, range(4))
     assert noise.jump_time.size > 0
@@ -164,48 +156,12 @@ def test_compensated_sum_zero_mean():
     assert abs(totals.mean()) <= 4.0 * se + 0.02 * se
 
 
-def test_levy_second_moment():
-    spec = LevyPathSpec(drift=0.5, gaussian_variance=0.25, jumps=make_marks(2.0, 0.3))
-    assert spec.second_moment() == pytest.approx(0.25 + 0.25 + 2.0 * 0.09)
-
-
 def test_path_rng_stable_streams():
     a = path_rng(1234, 7).standard_normal(5)
     b = path_rng(1234, 7).standard_normal(5)
     c = path_rng(1234, 8).standard_normal(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_truncate_small_jumps_analytic_oracles():
-    from mildsde.noise import truncate_small_jumps
-
-    # power-law density |x|^{-1-alpha}: retained mass 2 eps^-alpha / alpha,
-    # discarded small-jump variance 2 eps^{2-alpha} / (2-alpha)
-    alpha, eps = 1.2, 0.1
-    tr = truncate_small_jumps(
-        lambda x: np.abs(x) ** (-1 - alpha), eps, support=200.0, grid_points=8001
-    )
-    assert tr.spec.rate == pytest.approx(2 * eps**-alpha / alpha, rel=5e-3)
-    assert tr.discarded_variance == pytest.approx(
-        2 * eps ** (2 - alpha) / (2 - alpha), rel=5e-3
-    )
-    # sampler law: empirical quantiles track the tabulated distribution
-    draws = tr.spec.sample_marks(np.random.default_rng(1), 100_000)
-    assert np.all(np.abs(draws) >= eps * 0.9)
-    # symmetric density: median near zero mass split, quartiles symmetric
-    q25, q75 = np.quantile(draws, [0.25, 0.75])
-    assert q25 == pytest.approx(-q75, rel=0.05)
-    # tail probability beyond 1.0: (eps^-a - 1) / ... analytic ratio
-    p_tail = 2 * 1.0**-alpha / alpha / tr.spec.rate
-    assert (np.abs(draws) > 1.0).mean() == pytest.approx(p_tail, rel=0.05)
-
-
-def test_truncate_small_jumps_rejects_bad_input():
-    from mildsde.noise import truncate_small_jumps
-
-    with pytest.raises(ValueError):
-        truncate_small_jumps(lambda x: np.abs(x) ** -2.0, 0.0)
 
 
 def test_wiener_disjoint_increments_uncorrelated():

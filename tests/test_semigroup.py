@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from mildsde.semigroup import (
-    BlockWaveSemigroup,
-    DelayShiftSemigroup,
-    DiagonalSemigroup,
-    TiltedSemigroup,
-    check_contraction,
-)
+from mildsde.semigroup import BlockWaveSemigroup, DelayShiftSemigroup, DiagonalSemigroup
+from mildsde.state_space import weighted_norm_sq
 
 
 def delay_head_oracle(history_fn, horizon, n_fine):
@@ -97,22 +92,6 @@ def test_blockwave_energy_per_mode_exact():
             assert e1 == pytest.approx(e0, rel=1e-12)
 
 
-def test_generator_first_order_limit():
-    rng = np.random.default_rng(5)
-    for seg in [
-        DiagonalSemigroup([-2.0, 0.5], alpha=0.5),
-        BlockWaveSemigroup([4.0]),
-        DelayShiftSemigroup(8),
-    ]:
-        x = rng.standard_normal(seg.dim)
-        ax = seg.generator(x)
-        errs = []
-        for h in (1e-3, 5e-4):
-            errs.append(np.linalg.norm((seg.apply(h, x) - x) / h - ax))
-        assert errs[0] <= 0.1 * (1 + np.linalg.norm(ax))
-        assert errs[1] <= 0.75 * errs[0] + 1e-12
-
-
 def test_delay_head_matches_method_of_steps():
     history = lambda th: np.sin(np.pi * th)
     horizon = 1.0
@@ -141,34 +120,38 @@ def test_delay_head_matches_method_of_steps():
     assert errors[64] < 0.02
 
 
+def max_bound_ratio(seg, t_max, weights=None, seed=0):
+    """Largest sampled ||S_t x|| / (exp(alpha t) ||x||) over 64 random times
+    in [0, t_max] with 32 random states each."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for t in rng.uniform(0.0, t_max, size=64):
+        x = rng.standard_normal((32, seg.dim))
+        amp = np.sqrt(weighted_norm_sq(seg.apply(t, x), weights) / weighted_norm_sq(x, weights))
+        worst = max(worst, float(amp.max()) / np.exp(seg.alpha * t))
+    return worst
+
+
 def test_contraction_diagonal_negative_spectrum():
     seg = DiagonalSemigroup([-1.0, -3.0, -0.1], alpha=0.0)
-    rep = check_contraction(seg, samples=2000, t_max=2.0, seed=1)
-    assert not rep.violation
-    assert rep.max_amplification <= 1.0 + 1e-12
+    assert max_bound_ratio(seg, t_max=2.0, seed=1) <= 1.0 + 1e-12
 
 
 def test_contraction_blockwave_weighted_energy_norm():
     seg = BlockWaveSemigroup((np.arange(1, 6) * np.pi) ** 2)
-    rep = check_contraction(
-        seg, samples=2000, t_max=2.0, weights=seg.energy_weights(), seed=2
-    )
-    assert not rep.violation
-    assert rep.max_bound_ratio == pytest.approx(1.0, abs=1e-9)
+    ratio = max_bound_ratio(seg, t_max=2.0, weights=seg.energy_weights(), seed=2)
+    assert ratio == pytest.approx(1.0, abs=1e-9)
 
 
 def test_contraction_violation_detected():
-    seg = DiagonalSemigroup([0.5], alpha=0.0)  # growth exceeds declared bound
-    rep = check_contraction(seg, samples=500, t_max=1.0, seed=3)
-    assert rep.violation
+    # the sampler above sees growth beyond the declared bound
+    seg = DiagonalSemigroup([0.5], alpha=0.0)
+    assert max_bound_ratio(seg, t_max=1.0, seed=3) > 1.0 + 1e-9
 
 
 def test_delay_growth_bound_in_natural_weights():
     seg = DelayShiftSemigroup(16, alpha=1.0)
-    rep = check_contraction(
-        seg, samples=2000, t_max=1.0, weights=seg.natural_weights(), seed=4
-    )
-    assert not rep.violation
+    assert max_bound_ratio(seg, t_max=1.0, weights=seg.natural_weights(), seed=4) <= 1.0 + 1e-9
 
 
 def test_shifted_diagonal_absorbs_tilt():
@@ -178,11 +161,3 @@ def test_shifted_diagonal_absorbs_tilt():
     assert shifted.eigenvalues[0] == pytest.approx(0.0, abs=0)
     assert shifted.alpha == 0.0
 
-
-def test_tilted_wraps_blockwave():
-    seg = BlockWaveSemigroup([1.0])
-    tilted = seg.shifted(-0.5)
-    assert isinstance(tilted, TiltedSemigroup)
-    x = np.array([1.0, 0.0])
-    assert np.allclose(tilted.apply(1.0, x), np.exp(-0.5) * seg.apply(1.0, x))
-    assert tilted.shifted(0.5) is seg

@@ -3,8 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from mildsde.coefficients import CoefficientSet, DriftSpec, zero_diffusion, zero_jump
-from mildsde.convolution import CadlagPath, stochastic_convolution
+from mildsde.coefficients import (
+    CoefficientSet,
+    DriftSpec,
+    JumpCoeffSpec,
+    nemitsky_implicit_solver,
+    zero_diffusion,
+)
+from mildsde.convolution import stochastic_convolution
 from mildsde.models import (
     build_delay,
     build_linear_scalar,
@@ -19,12 +25,12 @@ from mildsde.solver import (
     AprioriBoundError,
     ModelSpec,
     PicardDivergenceError,
-    direct_solve,
+    _check_apriori_bound,
+    _mild_core,
+    _solve_step_equation,
     direct_solve_batch,
-    picard_solve,
     picard_solve_batch,
     rescale_to_contraction,
-    solve_deterministic_mild,
     unrescale_values,
 )
 from mildsde.state_space import weighted_norm_sq
@@ -52,7 +58,7 @@ def test_rescale_shifts_diagonal_spectrum():
         name="toy", semigroup=seg,
         coeffs=CoefficientSet(
             DriftSpec(evaluate=lambda t, x: 0.0 * x, semimonotone_m=0.0, growth_d=0.0),
-            zero_diffusion(1), zero_jump(1),
+            zero_diffusion(1), JumpCoeffSpec(None, None, 0.0, 0.0, is_zero=True),
         ),
         weights=None, marks=None,
         x0_sampler=lambda rng: np.array([1.0]), horizon=1.0,
@@ -80,29 +86,34 @@ def test_rescale_solution_equivalence_shared_noise():
 
 
 # ---------------------------------------------------------------------------
-# deterministic mild solve
+# deterministic mild solve (the generic inner solver and its a-priori check)
+
+
+def mild_solve(seg, drift, x0, v_values):
+    """One path through the batched core at the default tolerances."""
+    grid = TimeGrid(1.0, v_values.shape[0] - 1)
+    return _mild_core(seg, drift, x0[None], v_values[None], grid, None, 1e-8, 1.0, 200, 6)[0]
 
 
 def test_mild_solve_no_drift_is_orbit_plus_forcing():
     grid = TimeGrid(1.0, 120)
     seg = DiagonalSemigroup([-1.0, -2.0], alpha=0.0)
     rng = np.random.default_rng(0)
-    v = CadlagPath(grid, np.cumsum(rng.standard_normal((121, 2)), axis=0) * 0.01)
-    v.values[0] = 0.0
+    v = np.cumsum(rng.standard_normal((121, 2)), axis=0) * 0.01
+    v[0] = 0.0
     drift = DriftSpec(evaluate=lambda t, x: 0.0 * x, semimonotone_m=0.0, growth_d=0.0)
     x0 = np.array([1.0, -1.0])
-    path = solve_deterministic_mild(seg, drift, x0, v)
+    values = mild_solve(seg, drift, x0, v)
     orbit = np.exp(np.outer(grid.times, seg.eigenvalues)) * x0
-    assert np.allclose(path.values, orbit + v.values, rtol=0, atol=1e-10)
+    assert np.allclose(values, orbit + v, rtol=0, atol=1e-10)
 
 
 def linear_decay_error(n_steps):
     grid = TimeGrid(1.0, n_steps)
     seg = DiagonalSemigroup([0.0], alpha=0.0)
-    v = CadlagPath(grid, np.zeros((n_steps + 1, 1)))
     drift = DriftSpec(evaluate=lambda t, x: -x, semimonotone_m=-1.0, growth_d=1.0)
-    path = solve_deterministic_mild(seg, drift, np.array([1.0]), v)
-    return np.abs(path.values[:, 0] - np.exp(-grid.times)).max()
+    values = mild_solve(seg, drift, np.array([1.0]), np.zeros((n_steps + 1, 1)))
+    return np.abs(values[:, 0] - np.exp(-grid.times)).max()
 
 
 def test_mild_solve_linear_ode_first_order():
@@ -113,31 +124,43 @@ def test_mild_solve_linear_ode_first_order():
 
 
 def test_mild_solve_apriori_bound_postcondition():
-    # the growth bound is checked on every run; cube-root drift with forcing
+    # cube-root drift with forcing stays inside the a-priori growth bound
     grid = TimeGrid(1.0, 300)
     model = rd_model(dim=6)
     rng = np.random.default_rng(1)
-    forcing = CadlagPath(
-        grid, np.cumsum(rng.standard_normal((301, 6)), axis=0) * 0.02
+    forcing = np.cumsum(rng.standard_normal((301, 6)), axis=0) * 0.02
+    forcing[0] = 0.0
+    x0 = np.full(6, 0.3)
+    drift = model.coeffs.drift
+    values = mild_solve(model.semigroup, drift, x0, forcing)
+    assert values.shape == (301, 6)
+    _check_apriori_bound(
+        model.semigroup, drift, x0[None], forcing[None], values[None], grid, None,
+        model.semigroup.alpha, 0.05, "mild solve",
     )
-    forcing.values[0] = 0.0
-    path = solve_deterministic_mild(
-        model.semigroup, model.coeffs.drift, np.full(6, 0.3), forcing,
-        check_bound=True,
-    )
-    assert path.values.shape == (301, 6)
 
 
-def test_mild_solve_inherits_forcing_jumps():
-    grid = TimeGrid(1.0, 10)
-    seg = DiagonalSemigroup([0.0], alpha=0.0)
-    values = np.zeros((11, 1))
-    values[5:] = 2.0
-    v = CadlagPath(grid, values, pre_jump={5: np.array([0.0])})
-    drift = DriftSpec(evaluate=lambda t, x: 0.0 * x, semimonotone_m=0.0, growth_d=0.0)
-    path = solve_deterministic_mild(seg, drift, np.array([0.0]), v)
-    assert 5 in path.pre_jump
-    assert path.values[5, 0] - path.pre_jump[5][0] == pytest.approx(2.0)
+def test_nemitsky_fallback_rows_reach_tolerance():
+    # one outer sweep of the Nemitsky step leaves the unit-scale rows of a
+    # smooth decreasing drift above tolerance; the damped iteration must
+    # finish exactly those rows and leave the accepted ones untouched
+    dim, dt, tol = 8, 1e-3, 1e-8
+    phi = lambda u: -np.tanh(4.0 * u)
+    drift = build_reaction_diffusion(
+        dim=dim, f_scalar=phi, f_growth=(1.0, 0.0), validate=False
+    ).coeffs.drift
+    drift.implicit_step = step = nemitsky_implicit_solver(
+        phi, dim, growth=(1.0, 0.0), max_outer=1
+    )
+    rng = np.random.default_rng(31)
+    b = rng.standard_normal((8, dim)) * np.repeat([1.0, 1e-9], 4)[:, None]
+    first, first_ok = step(1.0, b, dt, tol)
+    assert not first_ok.all() and first_ok.any()
+    out, ok = _solve_step_equation(drift, 1.0, b, dt, None, tol, 1.0, 200)
+    assert ok.all()
+    assert np.array_equal(out[first_ok], first[first_ok])
+    res = b + dt * drift.evaluate(1.0, out) - out
+    assert np.linalg.norm(res[~first_ok], axis=1).max() <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +173,8 @@ def test_picard_deterministic_settles_immediately():
         dim=6, marks=gaussian_marks(rate=0.0, std=0.0), validate=False
     )
     grid = TimeGrid(1.0, 200)
-    path, trace = picard_solve(model, seed=0, grid=grid, n_max=4)
+    res = picard_solve_batch(model, grid, master_seed=0, path_indices=[0], n_max=4)
+    trace = res.trace(0)
     assert trace.distances[0] > 0.0
     assert trace.distances[1] == 0.0
     assert trace.converged
@@ -177,7 +201,7 @@ def test_picard_trace_shapes_and_moments():
     assert res.v_sup_sq.shape == (5, 4)
     assert np.all(res.x_sup_sq >= 0.0)
     trace = res.trace()
-    assert trace.n_iterations == 5
+    assert len(trace.distances) == 5
     bound = trace.predicted_bound(1.0, 2.0, 1.0, np.arange(3))
     assert bound == pytest.approx([1.0, 2.0, 2.0])
 
@@ -185,10 +209,12 @@ def test_picard_trace_shapes_and_moments():
 def test_picard_same_seed_reproducible():
     model = rd_model()
     grid = TimeGrid(1.0, 150)
-    p1, t1 = picard_solve(model, seed=5, grid=grid, n_max=4, run_all=True)
-    p2, t2 = picard_solve(model, seed=5, grid=grid, n_max=4, run_all=True)
-    assert np.array_equal(p1.values, p2.values)
-    assert np.array_equal(t1.distances, t2.distances)
+    r1, r2 = (
+        picard_solve_batch(model, grid, master_seed=5, path_indices=[0], n_max=4, run_all=True)
+        for _ in range(2)
+    )
+    assert np.array_equal(r1.values, r2.values)
+    assert np.array_equal(r1.distances, r2.distances)
 
 
 def test_uniqueness_under_damping_variants():
@@ -217,11 +243,11 @@ def test_direct_free_flow_is_orbit():
         f_scalar=lambda u: 0.0 * u, f_growth=(0.0, 0.0), validate=False,
     )
     grid = TimeGrid(1.0, 100)
-    path = direct_solve(model, seed=0, grid=grid)
+    res = direct_solve_batch(model, grid, master_seed=0, path_indices=[0])
     mu = model.semigroup.eigenvalues
     x0 = model.x0_sampler(None)
     exact = np.exp(np.outer(grid.times, mu)) * x0
-    assert np.allclose(path.values, exact, rtol=1e-12, atol=1e-13)
+    assert np.allclose(res.values[0], exact, rtol=1e-12, atol=1e-13)
 
 
 def test_direct_matches_stochastic_exponential():

@@ -554,21 +554,17 @@ def run_ito_check(config: RunConfig) -> RunSummary:
     tol_coeff = config.ito_tol_coeff if config.ito_tol_coeff is not None else model.ito_tol_coeff
     out = Path(config.out_dir)
 
+    def energy_check(g, nz):
+        res = direct_solve_batch(model, g, noise=nz, energy=True)
+        return ito_inequality_check(
+            model.semigroup.alpha, g, res.norms_sq, res.per_cell, tol_coeff=tol_coeff
+        )
+
     def chunk(path_range):
         noise_fine = draw_noise(model, grid=fine, master_seed=config.seed, path_indices=path_range)
-        noise = coarsen_noise(noise_fine, 2)
-        out_c = direct_solve_batch(model, grid, noise=noise, record_increments=True)
-        rep = ito_inequality_check(
-            model.semigroup, model.semigroup.alpha, noise.x0, out_c.increments,
-            tol_coeff=tol_coeff, weights=model.weights,
-        )
+        rep = energy_check(grid, coarsen_noise(noise_fine, 2))
         if config.refine_check:
-            out_f = direct_solve_batch(model, fine, noise=noise_fine, record_increments=True)
-            rep_f = ito_inequality_check(
-                model.semigroup, model.semigroup.alpha, noise_fine.x0, out_f.increments,
-                tol_coeff=tol_coeff, weights=model.weights,
-            )
-            fine_mask = rep_f.violation_mask()
+            fine_mask = energy_check(fine, noise_fine).violation_mask()
         else:
             fine_mask = np.zeros(len(path_range), dtype=bool)
         return rep.slack, rep.violation_mask(), fine_mask

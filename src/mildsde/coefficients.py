@@ -330,7 +330,6 @@ def pointwise_implicit_solver(
 class SemimonotoneReport:
     declared_m: float
     max_ratio: float
-    samples: int
     passed: bool
 
 
@@ -378,7 +377,6 @@ def check_semimonotone(
     return SemimonotoneReport(
         declared_m=m,
         max_ratio=max_ratio,
-        samples=samples,
         passed=bool(max_ratio <= m + 1e-9 * max(1.0, abs(m))),
     )
 
@@ -391,9 +389,6 @@ class GrowthReport:
     growth_max: float
     declared_c: float
     declared_d: float
-    samples: int
-    jump_pairs: int
-    jump_nodes: int
     passed_lipschitz: bool
     passed_growth: bool
 
@@ -443,8 +438,6 @@ def check_lipschitz_growth(
     if coeffs.jump.is_zero or marks is None or marks.rate == 0.0:
         k_ratio = 0.0
         k_growth = np.zeros(samples)
-        n_pairs = 0
-        n_nodes = 0
     else:
         n_pairs = min(jump_pairs, samples)
         rng_nodes = np.random.default_rng(
@@ -478,9 +471,6 @@ def check_lipschitz_growth(
         growth_max=growth_max,
         declared_c=coeffs.lipschitz_c,
         declared_d=coeffs.growth_d,
-        samples=samples,
-        jump_pairs=n_pairs,
-        jump_nodes=n_nodes,
         passed_lipschitz=bool(
             g_ratio <= coeffs.diffusion.lipschitz_c * (1 + 1e-9) + 1e-12
             and k_ratio <= coeffs.jump.lipschitz_c * (1 + 0.05) + 1e-12

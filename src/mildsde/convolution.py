@@ -10,6 +10,10 @@ path costs one semigroup application per step. Jump events are binned into
 the cell (t_j, t_{j+1}] and execute at its right endpoint, which keeps
 integrands predictable at grid resolution. All functions accept a leading
 batch axis on states and increments.
+
+The energy checker does not rebuild X: it takes ||X_j||^2 and the per-cell
+terms 2 <X_j, dZ_j> + d[Z]_j that the Euler solver accumulates on the path it
+returns, and only forms the discounted right-hand side and the slack.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import numpy as np
 
 from .noise import TimeGrid
 from .semigroup import Semigroup
-from .state_space import weighted_norm_sq
 
 __all__ = [
     "CadlagPath",
@@ -57,28 +60,19 @@ class SemimartingaleIncrements:
     * ``drift``      (P?, m, dim)  finite-variation part (includes compensators)
     * ``diffusion``  (P?, m, dim)  Wiener-martingale part g dW
     * ``jump_sums``  (P?, m, dim)  sum of realized jump vectors per cell
-    * ``jump_sq``    (P?, m)       sum of squared weighted jump norms per cell
-    * ``hs_sq``      (P?, m)       squared weighted Hilbert-Schmidt norm of the
-                                   diffusion coefficient times dt
-
-    ``jump_sq`` is exact pathwise; ``hs_sq`` is the expectation form of the
-    Wiener quadratic variation, so the accumulated bracket below is the mixed
-    estimator.
     """
 
     grid: TimeGrid
     drift: np.ndarray
     diffusion: np.ndarray
     jump_sums: np.ndarray
-    jump_sq: np.ndarray
-    hs_sq: np.ndarray
 
     def __post_init__(self):
         m = self.grid.n_steps
-        for name in ("drift", "diffusion", "jump_sums", "jump_sq", "hs_sq"):
+        for name in ("drift", "diffusion", "jump_sums"):
             arr = np.asarray(getattr(self, name), dtype=float)
             setattr(self, name, arr)
-            if arr.shape[-2 if name not in ("jump_sq", "hs_sq") else -1] != m:
+            if arr.shape[-2] != m:
                 raise ValueError(f"{name} does not match the grid ({m} cells)")
 
     @classmethod
@@ -89,8 +83,6 @@ class SemimartingaleIncrements:
             drift=np.zeros(batch + (m, dim)),
             diffusion=np.zeros(batch + (m, dim)),
             jump_sums=np.zeros(batch + (m, dim)),
-            jump_sq=np.zeros(batch + (m,)),
-            hs_sq=np.zeros(batch + (m,)),
         )
 
     def total(self) -> np.ndarray:
@@ -101,9 +93,8 @@ class SemimartingaleIncrements:
 def _convolve(
     semigroup: Semigroup, grid: TimeGrid, x0: np.ndarray, increments: np.ndarray
 ) -> np.ndarray:
-    """Core recursion driven by ``increments`` (``z.total()``, which callers
-    that also need it build once); returns values (..., m+1, dim), batched
-    over leading axes."""
+    """Core recursion driven by the raw per-cell ``increments`` dZ_j;
+    returns values (..., m+1, dim), batched over leading axes."""
     m, dt = grid.n_steps, grid.dt
     x0 = np.asarray(x0, dtype=float)
     batch = np.broadcast_shapes(x0.shape[:-1], increments.shape[:-2])
@@ -148,49 +139,33 @@ class ItoCheckReport:
 
 
 def ito_inequality_check(
-    semigroup: Semigroup,
     alpha: float,
-    x0: np.ndarray,
-    z: SemimartingaleIncrements,
+    grid: TimeGrid,
+    norms_sq: np.ndarray,
+    per_cell: np.ndarray,
     tol_coeff: float = 1.0,
-    weights: np.ndarray | None = None,
 ) -> ItoCheckReport:
     """Check ||X_t||^2 against the discounted energy bound along the path.
 
-    X is reconstructed from (semigroup, x0, z) by the same quadrature the
-    solvers use; the right-hand side accumulates
+    ``norms_sq`` (..., m+1) holds ||X_{t_j}||^2 and ``per_cell`` (..., m) the
+    cell terms 2 <X_{t_i}, dZ_i> + d[Z]_i (mixed bracket estimator), both
+    taken from the path the Euler solver returned
+    (``direct_solve_batch(..., energy=True)``). The right-hand side is
 
-        exp(2 alpha t) ||X0||^2
-        + 2 sum_i exp(2 alpha (t - t_i)) <X_{t_i}, dZ_i>
-        + sum_i exp(2 alpha (t - t_i)) d[Z]_i
+        exp(2 alpha t) ||X0||^2 + sum_i exp(2 alpha (t - t_i)) per_cell_i
 
-    with the mixed bracket estimator. Discretization turns the exact
+    accumulated by a discounted running sum. Discretization turns the exact
     inequality into an approximate one, so the tolerance scales like
     tol_coeff * sqrt(dt); the coefficient is calibrated per model.
     """
-    grid = z.grid
     m, dt = grid.n_steps, grid.dt
-    increments = z.total()
-    values = _convolve(semigroup, grid, np.asarray(x0, dtype=float), increments)
-    lhs = weighted_norm_sq(values, weights)
-
-    bracket = z.hs_sq + z.jump_sq
-    if weights is None:
-        pairing = 2.0 * np.einsum("...d,...d->...", values[..., :-1, :], increments)
-    else:
-        pairing = 2.0 * np.einsum(
-            "...d,d,...d->...", values[..., :-1, :], np.asarray(weights, dtype=float), increments
-        )
-    per_cell = pairing + bracket
-
     growth = np.exp(2.0 * alpha * dt)
     run = np.zeros(per_cell.shape[:-1] + (m + 1,))
     for j in range(m):
         run[..., j + 1] = growth * (run[..., j] + per_cell[..., j])
 
-    x0_sq = np.asarray(weighted_norm_sq(np.asarray(x0, dtype=float), weights))
-    rhs = np.exp(2.0 * alpha * grid.times) * x0_sq[..., None]
-    slack = (rhs + run - lhs).reshape(lhs.shape)
+    rhs = np.exp(2.0 * alpha * grid.times) * norms_sq[..., :1]
+    slack = rhs + run - norms_sq
     tol = tol_coeff * np.sqrt(dt)
     return ItoCheckReport(
         times=grid.times,

@@ -58,7 +58,6 @@ def gaussian_marks(
         sample_marks=lambda rng, size: rng.normal(mean, std, size=size),
         mark_second_moment=mean * mean + std * std,
         mark_mean=mean,
-        description=f"normal({mean}, {std}^2)",
         quadrature_samples=quadrature_samples,
     )
 

@@ -88,7 +88,6 @@ class MarkSpaceSpec:
     sample_marks: Callable[[np.random.Generator, int], np.ndarray]
     mark_second_moment: float
     mark_mean: float | None = None
-    description: str = ""
     quadrature_samples: int = 10_000
     _nodes: np.ndarray | None = field(default=None, repr=False, compare=False)
 

@@ -31,7 +31,7 @@ from .coefficients import (
     check_lipschitz_growth,
     check_semimonotone,
 )
-from .convolution import SemimartingaleIncrements, _convolve
+from .convolution import _convolve
 from .noise import MarkSpaceSpec, NoiseRealization, TimeGrid, draw_noise
 from .semigroup import Semigroup
 from .state_space import hs_norm_sq, weighted_norm_sq
@@ -382,17 +382,17 @@ def _check_apriori_bound(seg, drift, x0, v_values, values, grid, w, alpha, slack
 # Noise increments, shared by both solvers
 
 
-def _cell_assembler(model: ModelSpec, noise: NoiseRealization, z=None):
+def _cell_assembler(model: ModelSpec, noise: NoiseRealization, brackets: bool = False):
     """Per-cell noise increments g(s, X_{s-}) dW + k dN-tilde on one realization.
 
     ``assemble(j, xl)`` freezes every coefficient at the cell's left-point
     state ``xl`` (paths, dim) and returns (compensator drift -dt * comp,
-    g dW, jump sums), each None when its channel is absent or, for the jump
-    sums, when the cell holds no event. The jump coefficient is called once
-    per event cell, on the vectors of the cell's event times and marks, and
-    np.add.at sums each (row, cell) in event order. With ``z`` given, the
-    cell is also recorded there together with its brackets (squared jump
-    norms and ||g||_HS^2 dt), which are computed only then.
+    g dW, jump sums, bracket), each None when its channel is absent or, for
+    the jump sums, when the cell holds no event. The jump coefficient is
+    called once per event cell, on the vectors of the cell's event times and
+    marks, and np.add.at sums each (row, cell) in event order. The bracket
+    ||g||_HS^2 dt + sum of squared jump norms, shape (paths,), is computed
+    only with ``brackets`` set and is None otherwise.
     """
     grid = noise.grid
     dt, times = grid.dt, grid.times.tolist()
@@ -405,12 +405,12 @@ def _cell_assembler(model: ModelSpec, noise: NoiseRealization, z=None):
     def assemble(j, xl):
         t = times[j]
         comp = gdw = sums = None
+        hs_sq = jump_sq = 0.0
         if diffuse:
             cols = g.evaluate(t, xl)
             gdw = np.einsum("pkd,pk->pd", cols, noise.dW[:, j])
-            if z is not None:
-                z.diffusion[:, j] = gdw
-                z.hs_sq[:, j] = hs_norm_sq(cols, w) * dt
+            if brackets:
+                hs_sq = hs_norm_sq(cols, w) * dt
         if jumps:
             comp = -dt * k.compensator(t, xl)
             lo, hi = starts[j], starts[j + 1]
@@ -419,12 +419,13 @@ def _cell_assembler(model: ModelSpec, noise: NoiseRealization, z=None):
                 vecs = k.evaluate(noise.jump_time[lo:hi], noise.jump_mark[lo:hi], xl[rows])
                 sums = np.zeros_like(xl)
                 np.add.at(sums, rows, vecs)
-                if z is not None:
-                    z.jump_sums[:, j] = sums
-                    np.add.at(z.jump_sq[:, j], rows, weighted_norm_sq(vecs, w))
-            if z is not None:
-                z.drift[:, j] = comp
-        return comp, gdw, sums
+                if brackets:
+                    jump_sq = np.zeros(len(xl))
+                    np.add.at(jump_sq, rows, weighted_norm_sq(vecs, w))
+        bracket = None
+        if brackets:
+            bracket = np.zeros(len(xl)) + hs_sq + jump_sq
+        return comp, gdw, sums, bracket
 
     return assemble
 
@@ -469,7 +470,6 @@ class BatchPicardResult:
     v_sup_sq: np.ndarray               # (iters, paths)
     converged: bool
     tol: float
-    alpha: float
 
     def trace(self, row: int | None = None) -> PicardTrace:
         """Single-path trace, or the across-path mean trace when row is None."""
@@ -536,12 +536,19 @@ def picard_solve_batch(
     v_sup: list[np.ndarray] = []
     converged = False
     for n in range(1, n_max + 1):
-        # Noise increments along the frozen iterate's left-point values.
-        z = SemimartingaleIncrements.zeros(grid, model.dim, batch=(p,))
-        assemble = _cell_assembler(work, noise, z)
+        # Noise increments along the frozen iterate's left-point values,
+        # summed as drift + diffusion + jumps.
+        dz = np.zeros((p, m, model.dim))
+        assemble = _cell_assembler(work, noise)
         for j in range(m):
-            assemble(j, x_prev[:, j])
-        v_values = _convolve(seg, grid, np.zeros((p, model.dim)), z.total())
+            comp, gdw, sums, _ = assemble(j, x_prev[:, j])
+            if comp is not None:
+                dz[:, j] = comp
+            if gdw is not None:
+                dz[:, j] += gdw
+            if sums is not None:
+                dz[:, j] += sums
+        v_values = _convolve(seg, grid, np.zeros((p, model.dim)), dz)
         x_next = _mild_core(
             seg, work.coeffs.drift, noise.x0, v_values, grid, w,
             inner_tol, damping, max_inner, max_halvings,
@@ -586,7 +593,6 @@ def picard_solve_batch(
         v_sup_sq=np.array(v_sup) if v_sup else np.zeros((0, p)),
         converged=converged,
         tol=tol,
-        alpha=alpha,
     )
 
 
@@ -596,9 +602,14 @@ def picard_solve_batch(
 
 @dataclass(eq=False)
 class BatchDirectResult:
+    """Euler path values plus, when the energy terms were requested,
+    ``norms_sq`` (paths, m+1) = ||X_j||^2 and ``per_cell`` (paths, m) =
+    2 <X_j, dZ_j> + d[Z]_j, both read off the returned values."""
+
     grid: TimeGrid
     values: np.ndarray
-    increments: SemimartingaleIncrements | None
+    norms_sq: np.ndarray | None = None
+    per_cell: np.ndarray | None = None
 
 
 def direct_solve_batch(
@@ -607,15 +618,17 @@ def direct_solve_batch(
     master_seed: int = 0,
     path_indices=None,
     noise: NoiseRealization | None = None,
-    record_increments: bool = False,
+    energy: bool = False,
 ) -> BatchDirectResult:
     """One-pass exponential Euler scheme applied to the integral equation.
 
     Per cell: X_{j+1} = S_dt (X_j + f dt + g dW + jumps - compensator dt),
     with every coefficient frozen at the cell's left endpoint. On the same
     noise realization this is the cross-check for the iterated solver. With
-    ``record_increments`` the realized semimartingale increments are returned
-    for replay through the energy-inequality checker.
+    ``energy`` the step loop also accumulates the terms of the energy
+    inequality on the path it returns: the pairing 2 <X_j, dZ_j> of each
+    cell's raw increment dZ_j = (f dt - compensator dt + g dW) + jumps with
+    its left-point state, plus the cell's bracket (see ``_cell_assembler``).
     """
     if noise is None:
         if path_indices is None:
@@ -623,17 +636,18 @@ def direct_solve_batch(
         noise = draw_noise(model, grid, master_seed, path_indices)
     seg = model.semigroup
     f = model.coeffs.drift.evaluate
+    w = model.weights
     m, dt = grid.n_steps, grid.dt
     t = grid.times
     p = noise.n_paths
 
     values = np.zeros((p, m + 1, model.dim))
     values[:, 0] = noise.x0
-    z = SemimartingaleIncrements.zeros(grid, model.dim, batch=(p,)) if record_increments else None
-    assemble = _cell_assembler(model, noise, z)
+    per_cell = np.zeros((p, m)) if energy else None
+    assemble = _cell_assembler(model, noise, brackets=energy)
     for j in range(m):
         xj = values[:, j]
-        comp, gdw, jump_part = assemble(j, xj)
+        comp, gdw, jump_part, bracket = assemble(j, xj)
         drift_part = f(float(t[j]), xj) * dt
         if comp is not None:
             drift_part += comp
@@ -642,7 +656,12 @@ def direct_solve_batch(
         if jump_part is not None:
             x += jump_part  # (X_j + incr) + jumps: the CSV digests pin this order
         values[:, j + 1] = seg.apply(dt, x)
-        if z is not None:
-            z.drift[:, j] = drift_part  # f dt joins the recorded compensator drift
-    return BatchDirectResult(grid, values, z)
-
+        if energy:
+            dz = incr if jump_part is None else incr + jump_part
+            if w is None:
+                pairing = np.einsum("pd,pd->p", xj, dz)
+            else:
+                pairing = np.einsum("pd,d,pd->p", xj, w, dz)
+            per_cell[:, j] = 2.0 * pairing + bracket
+    norms_sq = weighted_norm_sq(values, w) if energy else None
+    return BatchDirectResult(grid, values, norms_sq, per_cell)

@@ -186,10 +186,10 @@ def test_criterion_3_ito_inequality():
             noise_fine = draw_noise(model, fine, 777, rows)
             noise = coarsen_noise(noise_fine, 2)
             for tag, g, nz in (("dt", GRID, noise), ("dt/2", fine, noise_fine)):
-                out = direct_solve_batch(model, g, noise=nz, record_increments=True)
+                out = direct_solve_batch(model, g, noise=nz, energy=True)
                 rep = ito_inequality_check(
-                    model.semigroup, model.semigroup.alpha, nz.x0, out.increments,
-                    tol_coeff=model.ito_tol_coeff, weights=model.weights,
+                    model.semigroup.alpha, g, out.norms_sq, out.per_cell,
+                    tol_coeff=model.ito_tol_coeff,
                 )
                 rates[tag] = rates.get(tag, 0) + int(rep.violation_mask().sum())
         rate = rates["dt"] / 1000.0
@@ -323,8 +323,6 @@ def test_criterion_8_noise_layer():
         drift=np.zeros((paths, grid.n_steps, 2)),
         diffusion=np.einsum("kd,pjk->pjd", g, dw),
         jump_sums=np.zeros((paths, grid.n_steps, 2)),
-        jump_sq=np.zeros((paths, grid.n_steps)),
-        hs_sq=np.zeros((paths, grid.n_steps)),
     )
     conv = stochastic_convolution(seg, z, np.zeros((paths, 2)))
     final_sq = (conv.values[:, -1, :] ** 2).sum(axis=1)

@@ -8,10 +8,19 @@ from mildsde.convolution import (
 )
 from mildsde.noise import TimeGrid
 from mildsde.semigroup import BlockWaveSemigroup, DiagonalSemigroup
+from mildsde.state_space import weighted_norm_sq
 
 
 def identity_semigroup(dim):
     return DiagonalSemigroup(np.zeros(dim), alpha=0.0)
+
+
+def energy_terms(seg, z, x0, bracket, weights=None):
+    """||X_j||^2 and 2 <X_j, dZ_j> + bracket_j along the path z drives from x0."""
+    values = stochastic_convolution(seg, z, x0).values
+    w = np.ones(values.shape[-1]) if weights is None else weights
+    pairing = np.einsum("...d,d,...d->...", values[..., :-1, :], w, z.total())
+    return weighted_norm_sq(values, weights), 2.0 * pairing + bracket
 
 
 def test_zero_forcing_reproduces_semigroup_orbit():
@@ -60,7 +69,6 @@ def test_convolution_marks_jump_cells():
     z = SemimartingaleIncrements.zeros(grid, 1)
     without = stochastic_convolution(seg, z, np.array([1.0]))
     z.jump_sums[4] = 2.0
-    z.jump_sq[4] = 4.0
     with_jump = stochastic_convolution(seg, z, np.array([1.0]))
     jump = with_jump.values - without.values
     # a jump in cell 4 executes at t_5, propagated by one cell of the semigroup
@@ -72,7 +80,8 @@ def test_ito_check_contraction_only():
     grid = TimeGrid(1.0, 100)
     seg = DiagonalSemigroup([-2.0], alpha=0.0)
     z = SemimartingaleIncrements.zeros(grid, 1)
-    rep = ito_inequality_check(seg, 0.0, np.array([1.5]), z, tol_coeff=1.0)
+    terms = energy_terms(seg, z, np.array([1.5]), 0.0)
+    rep = ito_inequality_check(0.0, grid, *terms, tol_coeff=1.0)
     assert not rep.violation
     # slack equals the dissipated energy, nonnegative and increasing
     assert rep.slack[0] == 0.0
@@ -87,8 +96,8 @@ def test_ito_identity_case_small_slack():
     dw = rng.standard_normal((400, 1)) * np.sqrt(grid.dt)
     z = SemimartingaleIncrements.zeros(grid, 1)
     z.diffusion = dw
-    z.hs_sq[:] = grid.dt
-    rep = ito_inequality_check(identity_semigroup(1), 0.0, np.array([1.0]), z, tol_coeff=2.0)
+    terms = energy_terms(identity_semigroup(1), z, np.array([1.0]), grid.dt)
+    rep = ito_inequality_check(0.0, grid, *terms, tol_coeff=2.0)
     assert np.abs(rep.slack).max() <= 10.0 * np.sqrt(grid.dt)
     assert not rep.violation
 
@@ -113,14 +122,13 @@ def test_ito_check_wave_random_forcing_rate():
             drift=np.zeros((batch, grid.n_steps, seg.dim)),
             diffusion=diffusion,
             jump_sums=np.zeros((batch, grid.n_steps, seg.dim)),
-            jump_sq=np.zeros((batch, grid.n_steps)),
-            hs_sq=hs,
         )
         x0 = np.zeros((batch, seg.dim))
         x0[:, 0] = 1.0
         # tolerance coefficient calibrated to this forcing's bracket scale
         # (0.64 per unit time, far stronger than the shipped wave model)
-        rep = ito_inequality_check(seg, 0.0, x0, z, tol_coeff=4.0, weights=w)
+        terms = energy_terms(seg, z, x0, hs, weights=w)
+        rep = ito_inequality_check(0.0, grid, *terms, tol_coeff=4.0)
         violations += int(rep.violation_mask().sum())
     assert violations / paths <= 0.01
 
@@ -139,8 +147,6 @@ def test_ito_isometry_stochastic_convolution():
         drift=np.zeros((paths, grid.n_steps, 2)),
         diffusion=diffusion,
         jump_sums=np.zeros((paths, grid.n_steps, 2)),
-        jump_sq=np.zeros((paths, grid.n_steps)),
-        hs_sq=np.zeros((paths, grid.n_steps)),
     )
     path = stochastic_convolution(seg, z, np.zeros((paths, 2)))
     final_sq = (path.values[:, -1, :] ** 2).sum(axis=1)
@@ -165,8 +171,6 @@ def test_martingale_mean_zero():
         drift=np.zeros((paths, grid.n_steps, 1)),
         diffusion=dw,
         jump_sums=np.zeros((paths, grid.n_steps, 1)),
-        jump_sq=np.zeros((paths, grid.n_steps)),
-        hs_sq=np.zeros((paths, grid.n_steps)),
     )
     path = stochastic_convolution(seg, z, np.zeros((paths, 1)))
     final = path.values[:, -1, 0]
@@ -184,8 +188,6 @@ def test_batch_matches_single_path():
         drift=drift,
         diffusion=np.zeros((3, 30, 2)),
         jump_sums=np.zeros((3, 30, 2)),
-        jump_sq=np.zeros((3, 30)),
-        hs_sq=np.zeros((3, 30)),
     )
     x0 = rng.standard_normal((3, 2))
     batch_path = stochastic_convolution(seg, z_batch, x0)

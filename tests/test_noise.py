@@ -5,7 +5,7 @@ from mildsde.coefficients import CoefficientSet, DiffusionSpec, DriftSpec, JumpC
 from mildsde.models import build_linear_scalar
 from mildsde.noise import MarkSpaceSpec, TimeGrid, draw_noise, path_rng
 from mildsde.semigroup import DiagonalSemigroup
-from mildsde.solver import ModelSpec, direct_solve_batch
+from mildsde.solver import ModelSpec, _cell_assembler, direct_solve_batch
 
 
 NO_JUMPS = JumpCoeffSpec(None, None, lipschitz_c=0.0, growth_d=0.0, is_zero=True)
@@ -121,8 +121,12 @@ def test_compensate_zero_map():
     grid = TimeGrid(1.0, 10)
     noise = draw_noise(model, grid, 3, range(4))
     assert noise.jump_time.size > 0
-    z = direct_solve_batch(model, grid, noise=noise, record_increments=True).increments
-    assert not z.total().any() and not z.jump_sq.any()
+    res = direct_solve_batch(model, grid, noise=noise)
+    assemble = _cell_assembler(model, noise, brackets=True)
+    for j in range(grid.n_steps):
+        *parts, bracket = assemble(j, res.values[:, j])
+        assert not any(part is not None and part.any() for part in parts)
+        assert not bracket.any()
 
 
 def test_compensate_no_jump_cells_carry_compensator():
@@ -130,14 +134,18 @@ def test_compensate_no_jump_cells_carry_compensator():
     model = jump_model(marks)
     grid = TimeGrid(1.0, 10)
     noise = draw_noise(model, grid, 3, range(4))
-    res = direct_solve_batch(model, grid, noise=noise, record_increments=True)
-    z = res.increments
+    res = direct_solve_batch(model, grid, noise=noise)
     empty = np.ones((4, grid.n_steps), dtype=bool)
     empty[noise.jump_row, noise.jump_cell] = False
     assert empty.any()
-    comp = -grid.dt * model.coeffs.jump.compensator(0.0, res.values[:, :-1])
-    assert np.array_equal(z.drift[empty], comp[empty])
-    assert not z.jump_sums[empty].any()
+    assemble = _cell_assembler(model, noise, brackets=True)
+    for j in range(grid.n_steps):
+        xj = res.values[:, j]
+        comp, _, sums, _ = assemble(j, xj)
+        rows = empty[:, j]
+        expected = -grid.dt * model.coeffs.jump.compensator(0.0, xj)
+        assert np.array_equal(comp[rows], expected[rows])
+        assert sums is None or not sums[rows].any()
     # quadrature mean of the intensity integral tracks rate * mark mean
     assert marks.rate * marks.mean_mark() == pytest.approx(marks.rate * 0.4, rel=0.05)
 

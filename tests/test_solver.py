@@ -10,7 +10,6 @@ from mildsde.coefficients import (
     nemitsky_implicit_solver,
     zero_diffusion,
 )
-from mildsde.convolution import stochastic_convolution
 from mildsde.models import (
     build_delay,
     build_linear_scalar,
@@ -25,6 +24,7 @@ from mildsde.solver import (
     AprioriBoundError,
     ModelSpec,
     PicardDivergenceError,
+    _cell_assembler,
     _check_apriori_bound,
     _mild_core,
     _solve_step_equation,
@@ -33,7 +33,7 @@ from mildsde.solver import (
     rescale_to_contraction,
     unrescale_values,
 )
-from mildsde.state_space import weighted_norm_sq
+from mildsde.state_space import hs_norm_sq, weighted_norm_sq
 
 
 def rd_model(dim=6, rate=2.0, std=0.5, mean=0.1, **kw):
@@ -269,36 +269,66 @@ def test_direct_matches_stochastic_exponential():
     assert rms <= 0.5 * np.sqrt(grid.dt)
 
 
-def test_direct_records_replayable_increments():
-    model = rd_model(dim=5)
+def delay_model(rate=20.0):
+    return rescale_to_contraction(build_delay(
+        history_cells=8, levy=default_levy(rate=rate, mark_std=0.5, gaussian_variance=0.04),
+        validate=False,
+    ))
+
+
+@pytest.mark.parametrize("which", ["reaction_diffusion", "delay"])
+def test_direct_energy_terms_read_the_returned_path(which):
+    model = rd_model(dim=5) if which == "reaction_diffusion" else delay_model(rate=2.0)
     grid = TimeGrid(1.0, 100)
     noise = draw_noise(model, grid, 23, range(3))
-    res = direct_solve_batch(model, grid, noise=noise, record_increments=True)
-    rebuilt = stochastic_convolution(model.semigroup, res.increments, noise.x0)
-    assert np.allclose(rebuilt.values, res.values, rtol=1e-10, atol=1e-12)
+    res = direct_solve_batch(model, grid, noise=noise, energy=True)
+    plain = direct_solve_batch(model, grid, noise=noise)
+    assert plain.norms_sq is None and plain.per_cell is None
+    assert np.array_equal(res.values, plain.values)
+    # the energy check reads the path the solver returned, bit for bit
+    assert np.array_equal(res.norms_sq, weighted_norm_sq(res.values, model.weights))
+    # per cell: 2 <X_j, dZ_j> + bracket, dZ_j summed from the assembler's parts
+    w = np.ones(model.dim) if model.weights is None else model.weights
+    f = model.coeffs.drift.evaluate
+    assemble = _cell_assembler(model, noise, brackets=True)
+    expected = np.zeros((3, grid.n_steps))
+    for j in range(grid.n_steps):
+        xj = res.values[:, j]
+        *parts, bracket = assemble(j, xj)
+        dz = f(float(grid.times[j]), xj) * grid.dt
+        for part in parts:
+            if part is not None:
+                dz = dz + part
+        expected[:, j] = 2.0 * np.einsum("pd,d,pd->p", xj, w, dz) + bracket
+    assert np.allclose(res.per_cell, expected, rtol=1e-12, atol=0.0)
 
 
 def test_jump_increments_match_per_event_loop():
     # the per-cell assembly (one vectorized jump-coefficient call, np.add.at)
     # reproduces a per-event loop bit for bit, also through the array event
-    # times of the contraction rescaling
-    model = rescale_to_contraction(build_delay(
-        history_cells=8, levy=default_levy(rate=20.0, mark_std=0.5, gaussian_variance=0.04),
-        validate=False,
-    ))
+    # times of the contraction rescaling; so does the bracket's jump part
+    model = delay_model()
     grid = TimeGrid(1.0, 50)
     noise = draw_noise(model, grid, 19, range(6))
-    res = direct_solve_batch(model, grid, noise=noise, record_increments=True)
-    k = model.coeffs.jump
-    sums = np.zeros_like(res.increments.jump_sums)
-    sq = np.zeros_like(res.increments.jump_sq)
+    res = direct_solve_batch(model, grid, noise=noise)
+    k, g = model.coeffs.jump, model.coeffs.diffusion
+    sums = np.zeros_like(res.values[:, :-1])
+    sq = np.zeros(sums.shape[:-1])
     events = zip(noise.jump_row, noise.jump_cell, noise.jump_time, noise.jump_mark)
     for row, cell, t, xi in events:
         vec = k.evaluate(float(t), float(xi), res.values[row, cell])
         sums[row, cell] += vec
         sq[row, cell] += float(weighted_norm_sq(vec, model.weights))
-    assert np.array_equal(res.increments.jump_sums, sums)
-    assert np.array_equal(res.increments.jump_sq, sq)
+    assemble = _cell_assembler(model, noise, brackets=True)
+    for j in range(grid.n_steps):
+        xj = res.values[:, j]
+        _, _, cell_sums, bracket = assemble(j, xj)
+        if cell_sums is None:
+            assert not sums[:, j].any()
+        else:
+            assert np.array_equal(cell_sums, sums[:, j])
+        hs = hs_norm_sq(g.evaluate(float(grid.times[j]), xj), model.weights) * grid.dt
+        assert np.array_equal(bracket, hs + sq[:, j])
     # several events share a (row, cell) pair
     pairs = set(zip(noise.jump_row.tolist(), noise.jump_cell.tolist()))
     assert len(pairs) < noise.jump_row.size

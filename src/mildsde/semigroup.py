@@ -15,7 +15,6 @@ Growth bounds alpha are declared by the caller, never inferred.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "Semigroup",
@@ -141,6 +140,12 @@ class DelayShiftSemigroup(Semigroup):
     def __init__(self, history_cells: int, alpha: float = 1.0, shift: float = 0.0):
         if history_cells < 1:
             raise ValueError("need at least one history cell")
+        # Only this semigroup needs scipy: importing it here keeps it out of
+        # every other campaign, and a delay campaign pays for it while it
+        # builds its model, before any chunk runs.
+        from scipy.linalg import expm
+
+        self._expm = expm
         self.history_cells = int(history_cells)
         self.dim = 1 + self.history_cells
         self.alpha = float(alpha)
@@ -175,7 +180,7 @@ class DelayShiftSemigroup(Semigroup):
         t = _check_time(t)
         e = self._expms.get(t)
         if e is None:
-            e = scipy.linalg.expm(t * self._matrix)
+            e = self._expm(t * self._matrix)
             self._expms[t] = e
         return e
 

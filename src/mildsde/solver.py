@@ -338,32 +338,39 @@ def _mild_core(seg, drift, x0, v_values, grid, w, tol, damping, max_inner,
     return values
 
 
-def _apriori_bound(seg, drift, x0, v_values, grid, w, alpha, m_const):
+def _free_orbit(seg, x0, grid):
+    """The free path S_{t_j} X0 on the grid, shape (paths, m+1, dim)."""
+    orbit = np.zeros((len(x0), grid.n_steps + 1, x0.shape[-1]))
+    orbit[:, 0] = x0
+    for j in range(grid.n_steps):
+        orbit[:, j + 1] = seg.apply(grid.dt, orbit[:, j])
+    return orbit
+
+
+def _apriori_bound(drift, free, v_values, grid, w, alpha, m_const):
     """Growth bound ||X0|| + ||V(t)|| + int exp((alpha+M)(t-s)) ||f(s, S_s X0 + V_s)|| ds,
-    accumulated by the left-point rule on the grid."""
+    accumulated by the left-point rule on the grid; ``free`` is the free path
+    S_t X0 (see ``_free_orbit``)."""
     m, dt = grid.n_steps, grid.dt
     t = grid.times
-    x0 = np.asarray(x0, dtype=float)
-    x0n = np.sqrt(weighted_norm_sq(x0, w))
-    free = np.zeros_like(v_values[..., 0, :]) + x0
+    x0n = np.sqrt(weighted_norm_sq(free[..., 0, :], w))
     growth = math.exp((alpha + m_const) * dt)
-    batch = np.broadcast_shapes(x0.shape[:-1], v_values.shape[:-2])
+    batch = np.broadcast_shapes(free.shape[:-2], v_values.shape[:-2])
     bound = np.zeros(batch + (m + 1,))
     bound[..., 0] = x0n
     acc = np.zeros(batch)
     for j in range(m):
-        fn = np.sqrt(weighted_norm_sq(drift.evaluate(float(t[j]), free + v_values[..., j, :]), w))
+        fn = np.sqrt(weighted_norm_sq(drift.evaluate(float(t[j]), free[..., j, :] + v_values[..., j, :]), w))
         acc = growth * (acc + fn * dt)
         bound[..., j + 1] = x0n + np.sqrt(weighted_norm_sq(v_values[..., j + 1, :], w)) + acc
-        free = seg.apply(dt, free)
     return bound
 
 
-def _check_apriori_bound(seg, drift, x0, v_values, values, grid, w, alpha, slack, label):
+def _check_apriori_bound(drift, free, v_values, values, grid, w, alpha, slack, label):
     """Raise :class:`AprioriBoundError` when ||X(t)|| exceeds the a-priori
     bound by more than the relative ``slack``, naming the earliest such t and
     the first path row that exceeds it there."""
-    bound = _apriori_bound(seg, drift, x0, v_values, grid, w, alpha, drift.semimonotone_m)
+    bound = _apriori_bound(drift, free, v_values, grid, w, alpha, drift.semimonotone_m)
     actual = np.atleast_2d(np.sqrt(weighted_norm_sq(values, w)))
     bound = np.broadcast_to(bound, actual.shape)
     over = actual > bound * (1.0 + slack) + 1e-9
@@ -522,14 +529,11 @@ def picard_solve_batch(
     alpha = model.semigroup.alpha
     work = rescale_to_contraction(model)
     seg, w = work.semigroup, work.weights
-    m, dt = grid.n_steps, grid.dt
+    m = grid.n_steps
     p = noise.n_paths
 
-    # X^0 = S_t X0.
-    x_prev = np.zeros((p, m + 1, model.dim))
-    x_prev[:, 0] = noise.x0
-    for j in range(m):
-        x_prev[:, j + 1] = seg.apply(dt, x_prev[:, j])
+    # X^0 = S_t X0, also the free path of every iterate's a-priori bound.
+    free = x_prev = _free_orbit(seg, noise.x0, grid)
 
     distances: list[np.ndarray] = []
     x_sup: list[np.ndarray] = [weighted_norm_sq(x_prev, w).max(axis=1)]
@@ -555,7 +559,7 @@ def picard_solve_batch(
         )
         if check_bound:
             _check_apriori_bound(
-                seg, work.coeffs.drift, noise.x0, v_values, x_next, grid, w,
+                work.coeffs.drift, free, v_values, x_next, grid, w,
                 0.0, bound_slack, f"{model.name}: iterate {n}",
             )
         dist = weighted_norm_sq(x_next - x_prev, w).max(axis=1)
@@ -602,9 +606,10 @@ def picard_solve_batch(
 
 @dataclass(eq=False)
 class BatchDirectResult:
-    """Euler path values plus, when the energy terms were requested,
-    ``norms_sq`` (paths, m+1) = ||X_j||^2 and ``per_cell`` (paths, m) =
-    2 <X_j, dZ_j> + d[Z]_j, both read off the returned values."""
+    """Euler path values (paths, m+1, dim); with the energy terms requested,
+    only the terminal state (paths, 1, dim) plus ``norms_sq`` (paths, m+1) =
+    ||X_j||^2 and ``per_cell`` (paths, m) = 2 <X_j, dZ_j> + d[Z]_j, both read
+    off the states the step loop advanced."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -625,10 +630,11 @@ def direct_solve_batch(
     Per cell: X_{j+1} = S_dt (X_j + f dt + g dW + jumps - compensator dt),
     with every coefficient frozen at the cell's left endpoint. On the same
     noise realization this is the cross-check for the iterated solver. With
-    ``energy`` the step loop also accumulates the terms of the energy
-    inequality on the path it returns: the pairing 2 <X_j, dZ_j> of each
-    cell's raw increment dZ_j = (f dt - compensator dt + g dW) + jumps with
-    its left-point state, plus the cell's bracket (see ``_cell_assembler``).
+    ``energy`` the step loop keeps no path: it records ||X_j||^2 of each
+    state and the pairing 2 <X_j, dZ_j> of each cell's raw increment
+    dZ_j = (f dt - compensator dt + g dW) + jumps with its left-point state,
+    plus the cell's bracket (see ``_cell_assembler``), and returns only the
+    terminal state.
     """
     if noise is None:
         if path_indices is None:
@@ -641,27 +647,37 @@ def direct_solve_batch(
     t = grid.times
     p = noise.n_paths
 
-    values = np.zeros((p, m + 1, model.dim))
-    values[:, 0] = noise.x0
-    per_cell = np.zeros((p, m)) if energy else None
+    x = noise.x0
+    values = norms_sq = per_cell = None
+    if energy:
+        norms_sq = np.zeros((p, m + 1))
+        norms_sq[:, 0] = weighted_norm_sq(x, w)
+        per_cell = np.zeros((p, m))
+    else:
+        values = np.zeros((p, m + 1, model.dim))
+        values[:, 0] = x
     assemble = _cell_assembler(model, noise, brackets=energy)
     for j in range(m):
-        xj = values[:, j]
-        comp, gdw, jump_part, bracket = assemble(j, xj)
-        drift_part = f(float(t[j]), xj) * dt
+        comp, gdw, jump_part, bracket = assemble(j, x)
+        drift_part = f(float(t[j]), x) * dt
         if comp is not None:
             drift_part += comp
         incr = drift_part + (0.0 if gdw is None else gdw)
-        x = xj + incr
+        y = x + incr
         if jump_part is not None:
-            x += jump_part  # (X_j + incr) + jumps: the CSV digests pin this order
-        values[:, j + 1] = seg.apply(dt, x)
+            y += jump_part  # (X_j + incr) + jumps: the CSV digests pin this order
+        x_next = seg.apply(dt, y)
         if energy:
             dz = incr if jump_part is None else incr + jump_part
             if w is None:
-                pairing = np.einsum("pd,pd->p", xj, dz)
+                pairing = np.einsum("pd,pd->p", x, dz)
             else:
-                pairing = np.einsum("pd,d,pd->p", xj, w, dz)
+                pairing = np.einsum("pd,d,pd->p", x, w, dz)
             per_cell[:, j] = 2.0 * pairing + bracket
-    norms_sq = weighted_norm_sq(values, w) if energy else None
+            norms_sq[:, j + 1] = weighted_norm_sq(x_next, w)
+        else:
+            values[:, j + 1] = x_next
+        x = x_next
+    if energy:
+        values = x[:, None, :]
     return BatchDirectResult(grid, values, norms_sq, per_cell)

@@ -1,10 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from mildsde.cli import (
     ConfigError,
     RunConfig,
+    _fitted_order_se,
     main,
     model_from_config,
     run_benchmark_oracle,
@@ -220,11 +226,53 @@ def test_benchmark_stat_names_the_checked_grid(tmp_path):
         tmp_path, example="linear_scalar", paths=16, model_params={"dt_exponents": [8, 6]},
     )
     summary = run_benchmark_oracle(RunConfig.from_file(str(path)))
-    assert set(summary.stats) == {"fitted_order", "rms_dt_2e-8"}
+    assert set(summary.stats) == {"fitted_order", "fitted_order_se", "rms_dt_2e-8"}
     rows = (tmp_path / "out" / "benchmark.csv").read_text().splitlines()[2:]
     rms = {int(row.split(",")[0]): float(row.split(",")[2]) for row in rows}
     assert summary.stats["rms_dt_2e-8"] == rms[8]
     assert summary.checks["absolute_error"] == (rms[8] < 1e-2)
+
+
+def test_fitted_order_se_by_hand():
+    # x = -6, -7, -8: mean -7, sum (x - mean)^2 = 2, so c = (0.5, 0, -0.5);
+    # se(log2 rms_k) = se_k / (2 mean_k ln 2) = (0.05, 0.1, 0.1) / ln 2
+    se = _fitted_order_se([-6.0, -7.0, -8.0], [4.0, 1.0, 0.25], [0.4, 0.2, 0.05])
+    by_hand = math.sqrt(0.25 * 0.05**2 + 0.25 * 0.1**2) / math.log(2.0)
+    assert se == pytest.approx(by_hand, rel=1e-14)
+
+
+SCIPY_PROBE = """
+import json, sys
+from mildsde.cli import main
+from mildsde.models import build_delay, default_levy
+
+base = {"dt": 0.02, "horizon": 1.0, "paths": 3, "chunk_size": 2, "seed": 1}
+runs = {
+    "picard": dict(base, example="reaction_diffusion", dim=4, n_max=2),
+    "benchmark": dict(base, example="linear_scalar", model_params={"dt_exponents": [4, 5]}),
+    "simulate": dict(base, example="hyperbolic", dim=3),
+}
+for command, config in runs.items():
+    path = f"{sys.argv[1]}/{command}.json"
+    with open(path, "w") as fh:
+        json.dump(dict(config, out_dir=f"{sys.argv[1]}/{command}"), fh)
+    main([command, "--config", path])
+before = "scipy" in sys.modules
+build_delay(history_cells=4, levy=default_levy(), validate=False)
+print(json.dumps([before, "scipy" in sys.modules]))
+"""
+
+
+def test_scipy_is_imported_by_the_delay_model_alone(tmp_path):
+    # a fresh interpreter: the test process may already hold scipy
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, True]
 
 
 def test_hypothesis_check_command(tmp_path):

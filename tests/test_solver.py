@@ -26,6 +26,7 @@ from mildsde.solver import (
     PicardDivergenceError,
     _cell_assembler,
     _check_apriori_bound,
+    _free_orbit,
     _mild_core,
     _solve_step_equation,
     direct_solve_batch,
@@ -135,8 +136,8 @@ def test_mild_solve_apriori_bound_postcondition():
     values = mild_solve(model.semigroup, drift, x0, forcing)
     assert values.shape == (301, 6)
     _check_apriori_bound(
-        model.semigroup, drift, x0[None], forcing[None], values[None], grid, None,
-        model.semigroup.alpha, 0.05, "mild solve",
+        drift, _free_orbit(model.semigroup, x0[None], grid), forcing[None], values[None],
+        grid, None, model.semigroup.alpha, 0.05, "mild solve",
     )
 
 
@@ -284,16 +285,17 @@ def test_direct_energy_terms_read_the_returned_path(which):
     res = direct_solve_batch(model, grid, noise=noise, energy=True)
     plain = direct_solve_batch(model, grid, noise=noise)
     assert plain.norms_sq is None and plain.per_cell is None
-    assert np.array_equal(res.values, plain.values)
-    # the energy check reads the path the solver returned, bit for bit
-    assert np.array_equal(res.norms_sq, weighted_norm_sq(res.values, model.weights))
+    # the energy pass keeps only the terminal state of the path it advanced
+    assert np.array_equal(res.values, plain.values[:, -1:])
+    # and its norms are those of the kept path, bit for bit
+    assert np.array_equal(res.norms_sq, weighted_norm_sq(plain.values, model.weights))
     # per cell: 2 <X_j, dZ_j> + bracket, dZ_j summed from the assembler's parts
     w = np.ones(model.dim) if model.weights is None else model.weights
     f = model.coeffs.drift.evaluate
     assemble = _cell_assembler(model, noise, brackets=True)
     expected = np.zeros((3, grid.n_steps))
     for j in range(grid.n_steps):
-        xj = res.values[:, j]
+        xj = plain.values[:, j]
         *parts, bracket = assemble(j, xj)
         dz = f(float(grid.times[j]), xj) * grid.dt
         for part in parts:

@@ -37,9 +37,7 @@ from .coefficients import (
     zero_diffusion,
 )
 from .convolution import (
-    CadlagPath,
     ItoCheckReport,
-    SemimartingaleIncrements,
     ito_inequality_check,
     stochastic_convolution,
 )
@@ -49,10 +47,10 @@ from .solver import (
     ModelSpec,
     ModelValidationError,
     PicardDivergenceError,
-    PicardTrace,
     SolverError,
     direct_solve_batch,
     picard_solve_batch,
+    predicted_bound,
     rescale_to_contraction,
     unrescale_values,
 )

@@ -54,10 +54,10 @@ from .models import (
 from .noise import TimeGrid, coarsen_noise, draw_noise
 from .solver import (
     ModelSpec,
-    PicardTrace,
     SolverError,
     direct_solve_batch,
     picard_solve_batch,
+    predicted_bound,
 )
 from .state_space import weighted_norm_sq
 
@@ -441,16 +441,19 @@ def run_picard_campaign(config: RunConfig) -> RunSummary:
     model = model_from_config(config)
     grid = config.grid()
     out = Path(config.out_dir)
+    k = min(config.dump_paths, config.paths)
 
     def chunk(path_range):
+        # of the path norms, only the rows the CSV dumps leave a chunk
         noise = draw_noise(model, grid, config.seed, path_range)
         res = picard_solve_batch(
-            model, grid, noise=noise, n_max=config.n_max, run_all=True,
-            damping=config.damping, inner_tol=config.inner_tol,
+            model, noise, n_max=config.n_max, damping=config.damping,
+            inner_tol=config.inner_tol,
         )
         x0_sq = weighted_norm_sq(noise.x0, model.weights)
         norms = np.sqrt(weighted_norm_sq(res.values, model.weights))
-        return res.distances, res.x_sup_sq, res.v_sup_sq, x0_sq, norms
+        return (res.distances, res.x_sup_sq, res.v_sup_sq, x0_sq,
+                norms[: max(0, k - path_range.start)].copy())
 
     results = _run_chunks(chunk, config.paths, config.chunk_size)
     distances = np.concatenate([r[0] for r in results], axis=1)
@@ -467,7 +470,7 @@ def run_picard_campaign(config: RunConfig) -> RunSummary:
     d_const = model.coeffs.growth_d
     c1 = 2.0 * c_const * (1.0 + 2.0 * config.bdg_constant**2) * math.exp(4.0 * m_const * horizon)
     c0 = float(e_mean[0])
-    bounds = PicardTrace.predicted_bound(c0, c1, horizon, np.arange(n_iters))
+    bounds = predicted_bound(c0, c1, horizon, np.arange(n_iters))
 
     # Rate diagnostics: consecutive decay against 2 C1 T / (n + 1), and
     # monotone decrease from the second distance on (ties allowed once the
@@ -516,7 +519,6 @@ def run_picard_campaign(config: RunConfig) -> RunSummary:
         ["n", "x_sup_sq_mean", "x_sup_sq_se", "v_sup_sq_mean", "v_sup_sq_se",
          "bound_rhs", "margin", "passed"], moment_rows,
     )
-    k = min(config.dump_paths, config.paths)
     path_rows = [
         (float(grid.times[j]), *[float(norms[p, j]) for p in range(k)])
         for j in range(grid.n_steps + 1)
@@ -554,17 +556,17 @@ def run_ito_check(config: RunConfig) -> RunSummary:
     tol_coeff = config.ito_tol_coeff if config.ito_tol_coeff is not None else model.ito_tol_coeff
     out = Path(config.out_dir)
 
-    def energy_check(g, nz):
-        res = direct_solve_batch(model, g, noise=nz, energy=True)
+    def energy_check(nz):
+        res = direct_solve_batch(model, nz, energy=True)
         return ito_inequality_check(
-            model.semigroup.alpha, g, res.norms_sq, res.per_cell, tol_coeff=tol_coeff
+            model.semigroup.alpha, nz.grid, res.norms_sq, res.per_cell, tol_coeff=tol_coeff
         )
 
     def chunk(path_range):
         noise_fine = draw_noise(model, grid=fine, master_seed=config.seed, path_indices=path_range)
-        rep = energy_check(grid, coarsen_noise(noise_fine, 2))
+        rep = energy_check(coarsen_noise(noise_fine, 2))
         if config.refine_check:
-            fine_mask = energy_check(fine, noise_fine).violation_mask()
+            fine_mask = energy_check(noise_fine).violation_mask()
         else:
             fine_mask = np.zeros(len(path_range), dtype=bool)
         return rep.slack, rep.violation_mask(), fine_mask
@@ -638,7 +640,7 @@ def run_benchmark_oracle(config: RunConfig) -> RunSummary:
     model = model_from_config(config)
     a = p.get("a", -1.0)
     sigma = p.get("sigma", 0.5)
-    nu_mean = model.marks.rate * model.marks.mean_mark() if model.marks else 0.0
+    nu_mean = model.marks.rate * model.marks.mark_mean if model.marks else 0.0
     x0 = p.get("x0", 1.0)
     out = Path(config.out_dir)
 
@@ -652,7 +654,7 @@ def run_benchmark_oracle(config: RunConfig) -> RunSummary:
             noise = draw_noise(
                 model, grid, config.seed, [offset + i for i in path_range]
             )
-            res = direct_solve_batch(model, grid, noise=noise)
+            res = direct_solve_batch(model, noise)
             errs = np.zeros(len(path_range))
             for row in range(len(path_range)):
                 w_path = np.concatenate([[0.0], np.cumsum(noise.dW[row, :, 0])]) if noise.dW.shape[2] else np.zeros(grid.n_steps + 1)
@@ -757,7 +759,7 @@ def run_simulate(config: RunConfig) -> RunSummary:
     def chunk(path_range):
         # only the rows the CSV dumps and the terminal states leave a chunk
         noise = draw_noise(model, grid, config.seed, path_range)
-        values = direct_solve_batch(model, grid, noise=noise).values
+        values = direct_solve_batch(model, noise).values
         return values[: max(0, k - path_range.start)].copy(), values[:, -1].copy()
 
     results = _run_chunks(chunk, config.paths, config.chunk_size)

@@ -333,12 +333,19 @@ class SemimonotoneReport:
     passed: bool
 
 
-def _sample_pairs(rng, samples, dim, radius):
-    """Half independent wide pairs, half tight perturbation pairs; the tight
-    pairs probe local slopes that wide sampling misses."""
+# Sampling radius of the checkers' state pairs.
+_RADIUS = 3.0
+# Pairs on which the jump intensity integrals are taken.
+_JUMP_PAIRS = 256
+
+
+def _sample_pairs(rng, samples, dim):
+    """Half independent wide pairs, half tight perturbation pairs, at scale
+    ``_RADIUS``; the tight pairs probe local slopes that wide sampling
+    misses."""
     n_wide = samples // 2
     n_tight = samples - n_wide
-    scale = radius / np.sqrt(dim)
+    scale = _RADIUS / np.sqrt(dim)
     xw = rng.standard_normal((n_wide, dim)) * scale
     yw = rng.standard_normal((n_wide, dim)) * scale
     xt = rng.standard_normal((n_tight, dim)) * scale
@@ -351,17 +358,14 @@ def check_semimonotone(
     dim: int,
     weights: np.ndarray | None = None,
     samples: int = 10_000,
-    radius: float = 3.0,
     t_max: float = 1.0,
     seed: int = 0,
 ) -> SemimonotoneReport:
     """Sample pairs and compare <f(t,x)-f(t,y), x-y> / ||x-y||^2 to declared M."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if radius <= 0.0:
-        raise ValueError("radius must be > 0")
     rng = np.random.default_rng(seed)
-    xs, ys = _sample_pairs(rng, samples, dim, radius)
+    xs, ys = _sample_pairs(rng, samples, dim)
     max_ratio = -np.inf
     for t in rng.uniform(0.0, t_max, size=4):
         df = drift.evaluate(float(t), xs) - drift.evaluate(float(t), ys)
@@ -403,22 +407,20 @@ def check_lipschitz_growth(
     weights: np.ndarray | None = None,
     marks: MarkSpaceSpec | None = None,
     samples: int = 10_000,
-    radius: float = 3.0,
     t_max: float = 1.0,
     seed: int = 0,
-    jump_pairs: int = 256,
     jump_nodes: int = 4096,
 ) -> GrowthReport:
     """Empirical maxima of the Lipschitz and growth ratios versus declared C, D.
 
     The diffusion and growth ratios use the full pair sample; intensity
-    integrals over the mark space use Monte Carlo nodes on a pair subsample
-    (``jump_pairs`` x ``jump_nodes``) to keep the cost bounded.
+    integrals over the mark space use ``jump_nodes`` Monte Carlo nodes on a
+    subsample of ``_JUMP_PAIRS`` pairs to keep the cost bounded.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    xs, ys = _sample_pairs(rng, samples, dim, radius)
+    xs, ys = _sample_pairs(rng, samples, dim)
     t = float(rng.uniform(0.0, t_max))
 
     dx_sq = weighted_norm_sq(xs - ys, weights)
@@ -439,7 +441,7 @@ def check_lipschitz_growth(
         k_ratio = 0.0
         k_growth = np.zeros(samples)
     else:
-        n_pairs = min(jump_pairs, samples)
+        n_pairs = min(_JUMP_PAIRS, samples)
         rng_nodes = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(1,))
         )

@@ -26,75 +26,22 @@ from .noise import TimeGrid
 from .semigroup import Semigroup
 
 __all__ = [
-    "CadlagPath",
-    "SemimartingaleIncrements",
     "stochastic_convolution",
     "ito_inequality_check",
     "ItoCheckReport",
 ]
 
 
-@dataclass(eq=False)
-class CadlagPath:
-    """Right-continuous path on a grid; ``values[j]`` is the (post-jump)
-    state at t_j."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape[-2] != self.grid.n_steps + 1:
-            raise ValueError(
-                f"path has {self.values.shape[-2]} rows for a grid of "
-                f"{self.grid.n_steps + 1} points"
-            )
-
-
-@dataclass(eq=False)
-class SemimartingaleIncrements:
-    """Per-cell decomposition of a cadlag semimartingale forcing.
-
-    Shapes carry an optional leading batch axis P:
-
-    * ``drift``      (P?, m, dim)  finite-variation part (includes compensators)
-    * ``diffusion``  (P?, m, dim)  Wiener-martingale part g dW
-    * ``jump_sums``  (P?, m, dim)  sum of realized jump vectors per cell
-    """
-
-    grid: TimeGrid
-    drift: np.ndarray
-    diffusion: np.ndarray
-    jump_sums: np.ndarray
-
-    def __post_init__(self):
-        m = self.grid.n_steps
-        for name in ("drift", "diffusion", "jump_sums"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            setattr(self, name, arr)
-            if arr.shape[-2] != m:
-                raise ValueError(f"{name} does not match the grid ({m} cells)")
-
-    @classmethod
-    def zeros(cls, grid: TimeGrid, dim: int, batch: tuple = ()):
-        m = grid.n_steps
-        return cls(
-            grid,
-            drift=np.zeros(batch + (m, dim)),
-            diffusion=np.zeros(batch + (m, dim)),
-            jump_sums=np.zeros(batch + (m, dim)),
-        )
-
-    def total(self) -> np.ndarray:
-        """Raw increments dZ_i = drift + diffusion + jumps, per cell."""
-        return self.drift + self.diffusion + self.jump_sums
-
-
-def _convolve(
+def stochastic_convolution(
     semigroup: Semigroup, grid: TimeGrid, x0: np.ndarray, increments: np.ndarray
 ) -> np.ndarray:
-    """Core recursion driven by the raw per-cell ``increments`` dZ_j;
-    returns values (..., m+1, dim), batched over leading axes."""
+    """Left-point quadrature of S_t X0 + integral of S_{t-s} dZ_s, driven by
+    the raw per-cell ``increments`` dZ_j (..., m, dim); returns the values
+    (..., m+1, dim), batched over leading axes.
+
+    For diagonal semigroups the propagation factors are exact, so with zero
+    increments the result is S_{t_j} X0 to floating point accuracy.
+    """
     m, dt = grid.n_steps, grid.dt
     x0 = np.asarray(x0, dtype=float)
     batch = np.broadcast_shapes(x0.shape[:-1], increments.shape[:-2])
@@ -105,33 +52,17 @@ def _convolve(
     return values
 
 
-def stochastic_convolution(
-    semigroup: Semigroup, z: SemimartingaleIncrements, x0: np.ndarray
-) -> CadlagPath:
-    """Left-point quadrature of S_t X0 + integral of S_{t-s} dZ_s.
-
-    For diagonal semigroups the propagation factors are exact, so with z = 0
-    the result is S_{t_j} X0 to floating point accuracy.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape[-1] != z.drift.shape[-1]:
-        raise ValueError("initial condition dimension does not match increments")
-    return CadlagPath(z.grid, _convolve(semigroup, z.grid, x0, z.total()))
-
-
 @dataclass(eq=False)
 class ItoCheckReport:
     """Pathwise slack of the energy inequality along the grid.
 
     ``slack[j] = RHS(t_j) - ||X(t_j)||^2`` where RHS carries the exp(2 alpha
-    (t - s)) discounting; the violation flag fires when any slack drops below
-    -tolerance. Shapes keep the batch axis when the inputs carried one.
+    (t - s)) discounting; a path violates the inequality when any slack drops
+    below -tolerance. Shapes keep the batch axis when the inputs carried one.
     """
 
-    times: np.ndarray
     slack: np.ndarray
     tolerance: float
-    violation: bool
 
     def violation_mask(self) -> np.ndarray:
         """Per-path violation flags (any grid point below -tolerance)."""
@@ -166,10 +97,4 @@ def ito_inequality_check(
 
     rhs = np.exp(2.0 * alpha * grid.times) * norms_sq[..., :1]
     slack = rhs + run - norms_sq
-    tol = tol_coeff * np.sqrt(dt)
-    return ItoCheckReport(
-        times=grid.times,
-        slack=slack,
-        tolerance=float(tol),
-        violation=bool(np.any(slack < -tol)),
-    )
+    return ItoCheckReport(slack=slack, tolerance=float(tol_coeff * np.sqrt(dt)))

@@ -49,16 +49,13 @@ __all__ = [
 ]
 
 
-def gaussian_marks(
-    rate: float, std: float, mean: float = 0.0, quadrature_samples: int = 10_000
-) -> MarkSpaceSpec:
-    """Gaussian mark law; second moment mean^2 + std^2 is exact."""
+def gaussian_marks(rate: float, std: float, mean: float = 0.0) -> MarkSpaceSpec:
+    """Gaussian mark law; its mean and second moment mean^2 + std^2 are exact."""
     return MarkSpaceSpec(
         rate=rate,
         sample_marks=lambda rng, size: rng.normal(mean, std, size=size),
         mark_second_moment=mean * mean + std * std,
         mark_mean=mean,
-        quadrature_samples=quadrature_samples,
     )
 
 
@@ -133,7 +130,6 @@ def build_reaction_diffusion(
     horizon: float = 1.0,
     ito_tol_coeff: float = 2.0,
     validate: bool = True,
-    validation_samples: int = 10_000,
 ) -> ModelSpec:
     """Reaction-diffusion system on (0,1) with multiplicative jump noise.
 
@@ -162,7 +158,7 @@ def build_reaction_diffusion(
         ),
     )
     c_k = marks.rate * marks.mark_second_moment
-    nu_mean = marks.rate * marks.mean_mark()
+    nu_mean = marks.rate * marks.mark_mean
     jump = JumpCoeffSpec(
         evaluate=_mark_times_state,
         compensator=lambda t, x: nu_mean * np.asarray(x, dtype=float),
@@ -183,7 +179,7 @@ def build_reaction_diffusion(
         ito_tol_coeff=ito_tol_coeff,
     )
     if validate:
-        model.validate(samples=validation_samples)
+        model.validate()
     return model
 
 
@@ -198,7 +194,6 @@ def build_hyperbolic(
     horizon: float = 1.0,
     ito_tol_coeff: float = 2.0,
     validate: bool = True,
-    validation_samples: int = 10_000,
 ) -> ModelSpec:
     """Second-order wave system with friction and multiplicative jump noise.
 
@@ -273,7 +268,7 @@ def build_hyperbolic(
         out[..., v_sl] = np.asarray(xi)[..., None] * x[..., u_sl]
         return out
 
-    nu_mean = marks.rate * marks.mean_mark()
+    nu_mean = marks.rate * marks.mark_mean
 
     def jump_comp(t, x):
         x = np.asarray(x, dtype=float)
@@ -301,7 +296,7 @@ def build_hyperbolic(
         ito_tol_coeff=ito_tol_coeff,
     )
     if validate:
-        model.validate(samples=validation_samples)
+        model.validate()
     return model
 
 
@@ -314,7 +309,6 @@ def build_delay(
     horizon: float = 1.0,
     ito_tol_coeff: float = 2.0,
     validate: bool = True,
-    validation_samples: int = 10_000,
 ) -> ModelSpec:
     """Distributed-delay scalar equation lifted to head x history.
 
@@ -373,7 +367,7 @@ def build_delay(
         out[..., 0] = xi * x[..., 0]
         return out
 
-    nu_mean = marks.rate * marks.mean_mark()
+    nu_mean = marks.rate * marks.mark_mean
 
     def jump_comp(t, x):
         x = np.asarray(x, dtype=float)
@@ -402,7 +396,7 @@ def build_delay(
         ito_tol_coeff=ito_tol_coeff,
     )
     if validate:
-        model.validate(samples=validation_samples)
+        model.validate()
     return model
 
 
@@ -414,7 +408,6 @@ def build_linear_scalar(
     horizon: float = 1.0,
     ito_tol_coeff: float = 2.0,
     validate: bool = True,
-    validation_samples: int = 10_000,
 ) -> ModelSpec:
     """Scalar linear model dX = a X dt + sigma X dW + xi X dN-tilde.
 
@@ -448,7 +441,7 @@ def build_linear_scalar(
     else:
         diffusion = zero_diffusion(1)
     c_k = marks.rate * marks.mark_second_moment
-    nu_mean = marks.rate * marks.mean_mark()
+    nu_mean = marks.rate * marks.mark_mean
     jump = JumpCoeffSpec(
         evaluate=_mark_times_state,
         compensator=lambda t, x: nu_mean * np.asarray(x, dtype=float),
@@ -468,7 +461,7 @@ def build_linear_scalar(
         ito_tol_coeff=ito_tol_coeff,
     )
     if validate:
-        model.validate(samples=validation_samples)
+        model.validate()
     return model
 
 

@@ -10,7 +10,7 @@ as flat arrays sorted by (cell, row, time).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
@@ -28,10 +28,6 @@ __all__ = [
     "draw_noise",
     "coarsen_noise",
 ]
-
-# Fixed entropy for the quadrature node stream of mark-space integrals, so the
-# quadrature estimates agree across processes and runs.
-_QUADRATURE_ENTROPY = 0x6D61726B
 
 
 @dataclass(frozen=True)
@@ -77,41 +73,21 @@ class MarkSpaceSpec:
 
     ``rate`` is the total mass of the intensity measure (jumps arrive as a
     Poisson process with this rate); ``sample_marks(rng, size)`` draws marks
-    from the normalized intensity. ``mark_second_moment`` is the declared
-    second moment of a single mark under that normalized law; ``mark_mean``
-    may be declared when a closed form is known (used for exact compensators),
-    otherwise it is estimated by Monte Carlo quadrature over a node set drawn
-    once per instance from a fixed stream.
+    from the normalized intensity. ``mark_mean`` and ``mark_second_moment``
+    are the declared first and second moments of a single mark under that
+    normalized law; the compensators are built from the mean.
     """
 
     rate: float
     sample_marks: Callable[[np.random.Generator, int], np.ndarray]
     mark_second_moment: float
-    mark_mean: float | None = None
-    quadrature_samples: int = 10_000
-    _nodes: np.ndarray | None = field(default=None, repr=False, compare=False)
+    mark_mean: float
 
     def __post_init__(self):
         if self.rate < 0.0:
             raise ValueError("intensity mass must be >= 0")
         if self.mark_second_moment < 0.0:
             raise ValueError("second moment must be finite and >= 0")
-
-    def quadrature_nodes(self) -> np.ndarray:
-        if self._nodes is None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=_QUADRATURE_ENTROPY)
-            )
-            self._nodes = np.asarray(self.sample_marks(rng, self.quadrature_samples))
-        return self._nodes
-
-    def mean_mark(self) -> float:
-        """Declared mark mean if present, else the quadrature estimate."""
-        if self.mark_mean is not None:
-            return float(self.mark_mean)
-        if self.rate == 0.0:
-            return 0.0
-        return float(np.mean(self.quadrature_nodes()))
 
 
 @dataclass(frozen=True, eq=False)

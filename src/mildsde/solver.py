@@ -31,8 +31,8 @@ from .coefficients import (
     check_lipschitz_growth,
     check_semimonotone,
 )
-from .convolution import _convolve
-from .noise import MarkSpaceSpec, NoiseRealization, TimeGrid, draw_noise
+from .convolution import stochastic_convolution
+from .noise import MarkSpaceSpec, NoiseRealization
 from .semigroup import Semigroup
 from .state_space import hs_norm_sq, weighted_norm_sq
 
@@ -45,7 +45,7 @@ __all__ = [
     "ModelSpec",
     "rescale_to_contraction",
     "unrescale_values",
-    "PicardTrace",
+    "predicted_bound",
     "BatchPicardResult",
     "picard_solve_batch",
     "BatchDirectResult",
@@ -63,10 +63,6 @@ class InnerIterationError(SolverError):
 
 class PicardDivergenceError(SolverError):
     """Iteration distances failed to decrease; hypothesis violation or grid too coarse."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
 
 
 class AprioriBoundError(SolverError):
@@ -104,15 +100,11 @@ class ModelSpec:
     def wiener_modes(self) -> int:
         return self.coeffs.diffusion.modes
 
-    def validate(self, samples: int = 10_000, radius: float = 3.0, seed: int = 0):
+    def validate(self):
         """Run both coefficient checkers; raise on any failed contract."""
-        mono = check_semimonotone(
-            self.coeffs.drift, self.dim, self.weights,
-            samples=samples, radius=radius, t_max=self.horizon, seed=seed,
-        )
+        mono = check_semimonotone(self.coeffs.drift, self.dim, self.weights, t_max=self.horizon)
         growth = check_lipschitz_growth(
-            self.coeffs, self.dim, self.weights, self.marks,
-            samples=samples, radius=radius, t_max=self.horizon, seed=seed,
+            self.coeffs, self.dim, self.weights, self.marks, t_max=self.horizon
         )
         if not mono.passed:
             raise ModelValidationError(
@@ -218,8 +210,16 @@ def unrescale_values(values: np.ndarray, times: np.ndarray, alpha: float) -> np.
 # ---------------------------------------------------------------------------
 # Deterministic mild solve
 
+# Cap on the inner iterations of one step solve.
+_MAX_INNER = 200
+# Relative slack of the a-priori bound check.
+_BOUND_SLACK = 0.05
+# Mean iteration distance below which the divergence guard ignores
+# non-decreasing distances: they then sit at the inner solver's float floor.
+_DIVERGENCE_FLOOR = 1e-14
 
-def _implicit_f_step(f, t_next, b, dt, w, tol, damping, max_inner):
+
+def _implicit_f_step(f, t_next, b, dt, w, tol, damping):
     """Solve x = b + dt f(t_next, x), batched over rows of b.
 
     Damped fixed-point iteration accelerated by a secant step scale estimated
@@ -238,7 +238,7 @@ def _implicit_f_step(f, t_next, b, dt, w, tol, damping, max_inner):
     have_prev = np.zeros(p, dtype=bool)
     s_max = 10.0
     idx = np.nonzero(rn > tol)[0]
-    for _ in range(max_inner):
+    for _ in range(_MAX_INNER):
         if idx.size == 0:
             break
         xs, rs = x[idx], r[idx]
@@ -272,7 +272,7 @@ def _implicit_f_step(f, t_next, b, dt, w, tol, damping, max_inner):
     return x, rn <= tol
 
 
-def _solve_step_equation(drift, t_right, b, dt, w, tol, damping, max_inner):
+def _solve_step_equation(drift, t_right, b, dt, w, tol, damping):
     """Solve x = b + dt f(t, x) on batched rows, preferring the drift's own
     solver and finishing stragglers with the damped/secant iteration."""
     if drift.implicit_step is not None:
@@ -280,23 +280,21 @@ def _solve_step_equation(drift, t_right, b, dt, w, tol, damping, max_inner):
         if ok.all():
             return out, ok
         rows = np.nonzero(~ok)[0]
-        fixed, ok_rows = _implicit_f_step(
-            drift.evaluate, t_right, b[rows], dt, w, tol, damping, max_inner
-        )
+        fixed, ok_rows = _implicit_f_step(drift.evaluate, t_right, b[rows], dt, w, tol, damping)
         out[rows] = fixed
         ok = ok.copy()
         ok[rows] = ok_rows
         return out, ok
-    return _implicit_f_step(drift.evaluate, t_right, b, dt, w, tol, damping, max_inner)
+    return _implicit_f_step(drift.evaluate, t_right, b, dt, w, tol, damping)
 
 
 def _advance_step(seg, drift, x, v_left, v_right, t_right, dt, w, tol, damping,
-                  max_inner, depth, max_halvings):
+                  depth, max_halvings):
     """One implicit step; rows whose inner iteration fails are re-run on a
     bisected cell (the forcing is piecewise constant, so its increment lands
     on the second half)."""
     b = seg.apply(dt, x - v_left) + v_right
-    out, ok = _solve_step_equation(drift, t_right, b, dt, w, tol, damping, max_inner)
+    out, ok = _solve_step_equation(drift, t_right, b, dt, w, tol, damping)
     if ok.all():
         return out
     if depth >= max_halvings:
@@ -310,17 +308,16 @@ def _advance_step(seg, drift, x, v_left, v_right, t_right, dt, w, tol, damping,
     half = 0.5 * dt
     mid = _advance_step(
         seg, drift, x[rows], v_left[rows], v_left[rows], t_right - half, half, w,
-        tol, damping, max_inner, depth + 1, max_halvings,
+        tol, damping, depth + 1, max_halvings,
     )
     out[rows] = _advance_step(
         seg, drift, mid, v_left[rows], v_right[rows], t_right, half, w,
-        tol, damping, max_inner, depth + 1, max_halvings,
+        tol, damping, depth + 1, max_halvings,
     )
     return out
 
 
-def _mild_core(seg, drift, x0, v_values, grid, w, tol, damping, max_inner,
-               max_halvings):
+def _mild_core(seg, drift, x0, v_values, grid, w, tol, damping, max_halvings):
     """Batched deterministic mild solve; v_values broadcast to (P, m+1, dim)."""
     m, dt = grid.n_steps, grid.dt
     t = grid.times
@@ -333,28 +330,19 @@ def _mild_core(seg, drift, x0, v_values, grid, w, tol, damping, max_inner,
     for j in range(m):
         values[:, j + 1, :] = _advance_step(
             seg, drift, values[:, j, :], v_b[:, j, :], v_b[:, j + 1, :],
-            float(t[j + 1]), dt, w, tol, damping, max_inner, 0, max_halvings,
+            float(t[j + 1]), dt, w, tol, damping, 0, max_halvings,
         )
     return values
 
 
-def _free_orbit(seg, x0, grid):
-    """The free path S_{t_j} X0 on the grid, shape (paths, m+1, dim)."""
-    orbit = np.zeros((len(x0), grid.n_steps + 1, x0.shape[-1]))
-    orbit[:, 0] = x0
-    for j in range(grid.n_steps):
-        orbit[:, j + 1] = seg.apply(grid.dt, orbit[:, j])
-    return orbit
-
-
-def _apriori_bound(drift, free, v_values, grid, w, alpha, m_const):
-    """Growth bound ||X0|| + ||V(t)|| + int exp((alpha+M)(t-s)) ||f(s, S_s X0 + V_s)|| ds,
-    accumulated by the left-point rule on the grid; ``free`` is the free path
-    S_t X0 (see ``_free_orbit``)."""
+def _apriori_bound(drift, free, v_values, grid, w):
+    """Growth bound ||X0|| + ||V(t)|| + int exp(M (t-s)) ||f(s, S_s X0 + V_s)|| ds
+    of a contraction semigroup, accumulated by the left-point rule on the
+    grid; ``free`` is the free path S_t X0."""
     m, dt = grid.n_steps, grid.dt
     t = grid.times
     x0n = np.sqrt(weighted_norm_sq(free[..., 0, :], w))
-    growth = math.exp((alpha + m_const) * dt)
+    growth = math.exp(drift.semimonotone_m * dt)
     batch = np.broadcast_shapes(free.shape[:-2], v_values.shape[:-2])
     bound = np.zeros(batch + (m + 1,))
     bound[..., 0] = x0n
@@ -366,14 +354,14 @@ def _apriori_bound(drift, free, v_values, grid, w, alpha, m_const):
     return bound
 
 
-def _check_apriori_bound(drift, free, v_values, values, grid, w, alpha, slack, label):
+def _check_apriori_bound(drift, free, v_values, values, grid, w, label):
     """Raise :class:`AprioriBoundError` when ||X(t)|| exceeds the a-priori
-    bound by more than the relative ``slack``, naming the earliest such t and
-    the first path row that exceeds it there."""
-    bound = _apriori_bound(drift, free, v_values, grid, w, alpha, drift.semimonotone_m)
+    bound by more than the relative ``_BOUND_SLACK``, naming the earliest
+    such t and the first path row that exceeds it there."""
+    bound = _apriori_bound(drift, free, v_values, grid, w)
     actual = np.atleast_2d(np.sqrt(weighted_norm_sq(values, w)))
     bound = np.broadcast_to(bound, actual.shape)
-    over = actual > bound * (1.0 + slack) + 1e-9
+    over = actual > bound * (1.0 + _BOUND_SLACK) + 1e-9
     if not over.any():
         return
     j = int(np.argmax(over.any(axis=0)))
@@ -381,7 +369,7 @@ def _check_apriori_bound(drift, free, v_values, values, grid, w, alpha, slack, l
     raise AprioriBoundError(
         f"{label} exceeded the a-priori bound at t={grid.times[j]:.6g}, path row "
         f"{row}: norm {actual[row, j]:.6g} vs bound {bound[row, j]:.6g} "
-        f"(+{slack:.0%} slack)"
+        f"(+{_BOUND_SLACK:.0%} slack)"
     )
 
 
@@ -441,109 +429,66 @@ def _cell_assembler(model: ModelSpec, noise: NoiseRealization, brackets: bool = 
 # Picard iteration
 
 
-@dataclass(eq=False)
-class PicardTrace:
-    """Per-iteration record of one solve (or aggregated means over paths).
-
-    ``distances[n]`` tracks sup_{t <= T} ||X^{n+1} - X^n||^2, so index 0 holds
-    the seed distance whose mean is the C0 of the predicted bound
-    C0 C1^n t^n / n!. ``x_sup_sq[n]`` holds sup ||X^n||^2 for n = 0..N;
-    ``v_sup_sq[n-1]`` holds sup ||V^n||^2 for n = 1..N. Quantities are
-    measured in the contraction gauge when the model was rescaled.
-    """
-
-    distances: np.ndarray
-    x_sup_sq: np.ndarray
-    v_sup_sq: np.ndarray
-    converged: bool
-    tol: float
-
-    @staticmethod
-    def predicted_bound(c0: float, c1: float, horizon: float, n) -> np.ndarray:
-        """C0 C1^n T^n / n!, the proven decay of the iteration distances."""
-        return np.array(
-            [c0 * (c1 * horizon) ** int(v) / math.factorial(int(v)) for v in np.atleast_1d(n)]
-        )
+def predicted_bound(c0: float, c1: float, horizon: float, n) -> np.ndarray:
+    """C0 C1^n T^n / n!, the proven decay of the iteration distances."""
+    return np.array(
+        [c0 * (c1 * horizon) ** int(v) / math.factorial(int(v)) for v in np.atleast_1d(n)]
+    )
 
 
 @dataclass(eq=False)
 class BatchPicardResult:
-    """Batched outcome: final iterate values plus per-path trace arrays."""
+    """Final iterate values plus per-path records of the iteration.
 
-    grid: TimeGrid
-    values: np.ndarray                 # (paths, m+1, dim), original gauge
+    ``distances[n]`` holds sup_{t <= T} ||X^{n+1} - X^n||^2, so index 0 holds
+    the seed distance whose mean is the C0 of :func:`predicted_bound`;
+    ``x_sup_sq[n]`` holds sup ||X^n||^2 for n = 0..N and ``v_sup_sq[n-1]``
+    holds sup ||V^n||^2 for n = 1..N. These records are measured in the
+    contraction gauge when the model was rescaled; ``values`` are mapped back
+    to the original gauge.
+    """
+
+    values: np.ndarray                 # (paths, m+1, dim)
     distances: np.ndarray              # (iters, paths)
     x_sup_sq: np.ndarray               # (iters+1, paths)
     v_sup_sq: np.ndarray               # (iters, paths)
-    converged: bool
-    tol: float
-
-    def trace(self, row: int | None = None) -> PicardTrace:
-        """Single-path trace, or the across-path mean trace when row is None."""
-        if row is None:
-            return PicardTrace(
-                distances=self.distances.mean(axis=1),
-                x_sup_sq=self.x_sup_sq.mean(axis=1),
-                v_sup_sq=self.v_sup_sq.mean(axis=1),
-                converged=self.converged,
-                tol=self.tol,
-            )
-        return PicardTrace(
-            distances=self.distances[:, row],
-            x_sup_sq=self.x_sup_sq[:, row],
-            v_sup_sq=self.v_sup_sq[:, row],
-            converged=self.converged,
-            tol=self.tol,
-        )
 
 
 def picard_solve_batch(
     model: ModelSpec,
-    grid: TimeGrid,
-    master_seed: int = 0,
-    path_indices=None,
-    noise: NoiseRealization | None = None,
+    noise: NoiseRealization,
     n_max: int = 10,
-    tol: float = 1e-14,
     damping: float = 1.0,
     inner_tol: float = 1e-8,
-    max_inner: int = 200,
     max_halvings: int = 6,
-    check_bound: bool = True,
-    bound_slack: float = 0.05,
-    run_all: bool = False,
 ) -> BatchPicardResult:
-    """Successive approximation on a batch of frozen noise realizations.
+    """Successive approximation on a batch of frozen noise realizations, on
+    the noise's grid.
 
     The model is rescaled to a contraction internally when its growth bound is
-    nonzero; returned values are mapped back to the original gauge while the
-    trace stays in the contraction gauge (where the proven bounds live).
-    Stops at ``n_max`` iterations or when the mean iteration distance falls
-    below ``tol`` (never early when ``run_all`` is set); three consecutive
+    nonzero. All ``n_max`` iterates are run. Every iterate must stay inside
+    its a-priori bound (:class:`AprioriBoundError`), and three consecutive
     non-decreasing distances raise :class:`PicardDivergenceError`.
     """
-    if noise is None:
-        if path_indices is None:
-            path_indices = range(1)
-        noise = draw_noise(model, grid, master_seed, path_indices)
     alpha = model.semigroup.alpha
     work = rescale_to_contraction(model)
     seg, w = work.semigroup, work.weights
-    m = grid.n_steps
-    p = noise.n_paths
+    grid = noise.grid
+    m, p, dim = grid.n_steps, noise.n_paths, model.dim
 
     # X^0 = S_t X0, also the free path of every iterate's a-priori bound.
-    free = x_prev = _free_orbit(seg, noise.x0, grid)
+    free = x_prev = stochastic_convolution(
+        seg, grid, noise.x0, np.broadcast_to(0.0, (p, m, dim))
+    )
 
     distances: list[np.ndarray] = []
     x_sup: list[np.ndarray] = [weighted_norm_sq(x_prev, w).max(axis=1)]
     v_sup: list[np.ndarray] = []
-    converged = False
+    assemble = _cell_assembler(work, noise)
     for n in range(1, n_max + 1):
         # Noise increments along the frozen iterate's left-point values,
         # summed as drift + diffusion + jumps.
-        dz = np.zeros((p, m, model.dim))
-        assemble = _cell_assembler(work, noise)
+        dz = np.zeros((p, m, dim))
         for j in range(m):
             comp, gdw, sums, _ = assemble(j, x_prev[:, j])
             if comp is not None:
@@ -552,51 +497,36 @@ def picard_solve_batch(
                 dz[:, j] += gdw
             if sums is not None:
                 dz[:, j] += sums
-        v_values = _convolve(seg, grid, np.zeros((p, model.dim)), dz)
+        v_values = stochastic_convolution(seg, grid, np.zeros((p, dim)), dz)
         x_next = _mild_core(
             seg, work.coeffs.drift, noise.x0, v_values, grid, w,
-            inner_tol, damping, max_inner, max_halvings,
+            inner_tol, damping, max_halvings,
         )
-        if check_bound:
-            _check_apriori_bound(
-                work.coeffs.drift, free, v_values, x_next, grid, w,
-                0.0, bound_slack, f"{model.name}: iterate {n}",
-            )
+        _check_apriori_bound(
+            work.coeffs.drift, free, v_values, x_next, grid, w,
+            f"{model.name}: iterate {n}",
+        )
         dist = weighted_norm_sq(x_next - x_prev, w).max(axis=1)
         distances.append(dist)
         v_sup.append(weighted_norm_sq(v_values, w).max(axis=1))
         x_sup.append(weighted_norm_sq(x_next, w).max(axis=1))
         x_prev = x_next
-        mean_dist = float(dist.mean())
-        if mean_dist < tol and not run_all:
-            converged = True
-            break
         if len(distances) >= 3:
             d3 = [float(d.mean()) for d in distances[-3:]]
             # The growth factor guards against false positives when distances
             # plateau at the inner-solver floor.
-            if d3[2] >= d3[1] >= d3[0] and d3[2] > tol and d3[2] > 1.5 * d3[0]:
+            if d3[2] >= d3[1] >= d3[0] and d3[2] > _DIVERGENCE_FLOOR and d3[2] > 1.5 * d3[0]:
                 raise PicardDivergenceError(
                     f"{model.name}: iteration distances non-decreasing over three "
                     f"iterations ({d3[0]:.3g}, {d3[1]:.3g}, {d3[2]:.3g}); "
-                    "hypothesis violation or grid too coarse",
-                    trace=np.array([float(d.mean()) for d in distances]),
+                    "hypothesis violation or grid too coarse"
                 )
-    if not converged and distances and float(distances[-1].mean()) < tol:
-        converged = True
 
-    # Map the final iterate back to the original gauge.
-    out_values = x_prev
-    if alpha != 0.0:
-        out_values = x_prev * np.exp(alpha * grid.times)[:, None]
     return BatchPicardResult(
-        grid=grid,
-        values=out_values,
-        distances=np.array(distances) if distances else np.zeros((0, p)),
+        values=unrescale_values(x_prev, grid.times, alpha),
+        distances=np.array(distances),
         x_sup_sq=np.array(x_sup),
-        v_sup_sq=np.array(v_sup) if v_sup else np.zeros((0, p)),
-        converged=converged,
-        tol=tol,
+        v_sup_sq=np.array(v_sup),
     )
 
 
@@ -611,38 +541,30 @@ class BatchDirectResult:
     ||X_j||^2 and ``per_cell`` (paths, m) = 2 <X_j, dZ_j> + d[Z]_j, both read
     off the states the step loop advanced."""
 
-    grid: TimeGrid
     values: np.ndarray
     norms_sq: np.ndarray | None = None
     per_cell: np.ndarray | None = None
 
 
 def direct_solve_batch(
-    model: ModelSpec,
-    grid: TimeGrid,
-    master_seed: int = 0,
-    path_indices=None,
-    noise: NoiseRealization | None = None,
-    energy: bool = False,
+    model: ModelSpec, noise: NoiseRealization, energy: bool = False
 ) -> BatchDirectResult:
     """One-pass exponential Euler scheme applied to the integral equation.
 
     Per cell: X_{j+1} = S_dt (X_j + f dt + g dW + jumps - compensator dt),
-    with every coefficient frozen at the cell's left endpoint. On the same
-    noise realization this is the cross-check for the iterated solver. With
+    with every coefficient frozen at the cell's left endpoint, on the noise's
+    grid. On the same noise realization this is the cross-check for the
+    iterated solver. With
     ``energy`` the step loop keeps no path: it records ||X_j||^2 of each
     state and the pairing 2 <X_j, dZ_j> of each cell's raw increment
     dZ_j = (f dt - compensator dt + g dW) + jumps with its left-point state,
     plus the cell's bracket (see ``_cell_assembler``), and returns only the
     terminal state.
     """
-    if noise is None:
-        if path_indices is None:
-            path_indices = range(1)
-        noise = draw_noise(model, grid, master_seed, path_indices)
     seg = model.semigroup
     f = model.coeffs.drift.evaluate
     w = model.weights
+    grid = noise.grid
     m, dt = grid.n_steps, grid.dt
     t = grid.times
     p = noise.n_paths
@@ -680,4 +602,4 @@ def direct_solve_batch(
         x = x_next
     if energy:
         values = x[:, None, :]
-    return BatchDirectResult(grid, values, norms_sq, per_cell)
+    return BatchDirectResult(values, norms_sq, per_cell)

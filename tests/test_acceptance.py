@@ -21,7 +21,7 @@ from mildsde.coefficients import (
     nemitsky_sine,
     zero_diffusion,
 )
-from mildsde.convolution import SemimartingaleIncrements, ito_inequality_check, stochastic_convolution
+from mildsde.convolution import ito_inequality_check, stochastic_convolution
 from mildsde.models import (
     build_delay,
     build_hyperbolic,
@@ -35,9 +35,9 @@ from mildsde.models import (
 from mildsde.noise import TimeGrid, coarsen_noise, draw_noise
 from mildsde.semigroup import DiagonalSemigroup
 from mildsde.solver import (
-    PicardTrace,
     direct_solve_batch,
     picard_solve_batch,
+    predicted_bound,
     unrescale_values,
 )
 from mildsde.state_space import weighted_norm_sq
@@ -72,7 +72,7 @@ def picard_data():
     for start in range(0, 500, 64):
         rows = range(start, min(start + 64, 500))
         noise = draw_noise(model, GRID, 20260810, rows)
-        res = picard_solve_batch(model, GRID, noise=noise, n_max=10, run_all=True)
+        res = picard_solve_batch(model, noise, n_max=10)
         distances.append(res.distances)
         x_sup.append(res.x_sup_sq)
         v_sup.append(res.v_sup_sq)
@@ -97,7 +97,7 @@ def test_criterion_1_picard_rate(picard_data):
     )
     mono_ok = all(e[n + 1] <= e[n] or e[n + 1] <= 1e-30 for n in range(2, 9))
     # the factorial decay law itself, with C0 the first distance estimate
-    bounds = PicardTrace.predicted_bound(e[0], c1, HORIZON, np.arange(len(e)))
+    bounds = predicted_bound(e[0], c1, HORIZON, np.arange(len(e)))
     bound_ok = bool(np.all(e <= bounds * (1.0 + 1e-12)))
     report(
         1, "picard-rate", ratio_ok and mono_ok and bound_ok,
@@ -146,15 +146,14 @@ def test_criterion_2_uniqueness():
         model.coeffs.diffusion,
         model.coeffs.jump,
     )
-    kwargs = dict(grid=GRID, n_max=6, run_all=True)
     num = 0.0
     den = 0.0
     for start in range(0, 128, 64):
         rows = range(start, min(start + 64, 128))
         noise = draw_noise(model, GRID, 99, rows)
-        res_a = picard_solve_batch(model, noise=noise, damping=1.0, **kwargs)
+        res_a = picard_solve_batch(model, noise, n_max=6, damping=1.0)
         res_b = picard_solve_batch(
-            variant, noise=noise, damping=0.5, inner_tol=1e-6, max_halvings=8, **kwargs
+            variant, noise, n_max=6, damping=0.5, inner_tol=1e-6, max_halvings=8
         )
         num += weighted_norm_sq(res_a.values - res_b.values, model.weights).max(axis=1).sum()
         den += weighted_norm_sq(res_a.values, model.weights).max(axis=1).sum()
@@ -186,7 +185,7 @@ def test_criterion_3_ito_inequality():
             noise_fine = draw_noise(model, fine, 777, rows)
             noise = coarsen_noise(noise_fine, 2)
             for tag, g, nz in (("dt", GRID, noise), ("dt/2", fine, noise_fine)):
-                out = direct_solve_batch(model, g, noise=nz, energy=True)
+                out = direct_solve_batch(model, nz, energy=True)
                 rep = ito_inequality_check(
                     model.semigroup.alpha, g, out.norms_sq, out.per_cell,
                     tol_coeff=model.ito_tol_coeff,
@@ -215,7 +214,7 @@ def test_criterion_4_closed_form_oracle():
         for start in range(0, paths, 100):
             rows = [lvl * paths + start + i for i in range(min(100, paths - start))]
             noise = draw_noise(model, grid, 4242, rows)
-            res = direct_solve_batch(model, grid, noise=noise)
+            res = direct_solve_batch(model, noise)
             for p in range(len(rows)):
                 w_path = np.concatenate([[0.0], np.cumsum(noise.dW[p, :, 0])])
                 exact = stochastic_exponential(
@@ -247,10 +246,10 @@ def test_criterion_6_rescaling():
     # dt vs dt/2 self-distance of each integrator
     noise_fine = draw_noise(model, fine, 31, range(200))
     noise = coarsen_noise(noise_fine, 2)
-    orig = direct_solve_batch(model, GRID, noise=noise)
-    orig_fine = direct_solve_batch(model, fine, noise=noise_fine)
-    resc = direct_solve_batch(tilde, GRID, noise=noise)
-    resc_fine = direct_solve_batch(tilde, fine, noise=noise_fine)
+    orig = direct_solve_batch(model, noise)
+    orig_fine = direct_solve_batch(model, noise_fine)
+    resc = direct_solve_batch(tilde, noise)
+    resc_fine = direct_solve_batch(tilde, noise_fine)
     mapped = unrescale_values(resc.values, GRID.times, alpha)
     mapped_fine = unrescale_values(resc_fine.values, fine.times, alpha)
 
@@ -265,7 +264,7 @@ def test_criterion_6_rescaling():
 
     # statistics on disjoint path blocks within three standard errors
     noise_b = draw_noise(model, GRID, 32, range(200, 400))
-    resc_b = direct_solve_batch(tilde, GRID, noise=noise_b)
+    resc_b = direct_solve_batch(tilde, noise_b)
     mapped_b = unrescale_values(resc_b.values, GRID.times, alpha)
     stat_a = np.sqrt(weighted_norm_sq(orig.values[:, -1, :], model.weights))
     stat_b = np.sqrt(weighted_norm_sq(mapped_b[:, -1, :], model.weights))
@@ -318,14 +317,10 @@ def test_criterion_8_noise_layer():
     rng = np.random.default_rng(80)
     paths = 10_000
     dw = rng.standard_normal((paths, grid.n_steps, 2)) * math.sqrt(grid.dt)
-    z = SemimartingaleIncrements(
-        grid,
-        drift=np.zeros((paths, grid.n_steps, 2)),
-        diffusion=np.einsum("kd,pjk->pjd", g, dw),
-        jump_sums=np.zeros((paths, grid.n_steps, 2)),
+    conv = stochastic_convolution(
+        seg, grid, np.zeros((paths, 2)), np.einsum("kd,pjk->pjd", g, dw)
     )
-    conv = stochastic_convolution(seg, z, np.zeros((paths, 2)))
-    final_sq = (conv.values[:, -1, :] ** 2).sum(axis=1)
+    final_sq = (conv[:, -1, :] ** 2).sum(axis=1)
     se = final_sq.std(ddof=1) / math.sqrt(paths)
     t_left = grid.times[:-1]
     decay = np.exp(np.outer(grid.horizon - t_left, seg.eigenvalues))

@@ -20,10 +20,10 @@ from tests.test_semigroup import delay_head_oracle
 
 def test_all_builders_pass_checkers_at_full_samples():
     # the construction invariant: checkers at 10^4 samples before returning
-    build_reaction_diffusion(dim=12, validation_samples=10_000)
-    build_hyperbolic(n_modes=8, validation_samples=10_000)
-    build_delay(history_cells=16, validation_samples=10_000)
-    build_linear_scalar(validation_samples=10_000)
+    build_reaction_diffusion(dim=12)
+    build_hyperbolic(n_modes=8)
+    build_delay(history_cells=16)
+    build_linear_scalar()
 
 
 def test_reaction_diffusion_pure_heat_mode():
@@ -33,14 +33,14 @@ def test_reaction_diffusion_pure_heat_mode():
         x0=np.eye(6)[0], validate=False,
     )
     grid = TimeGrid(1.0, 200)
-    values = direct_solve_batch(model, grid, master_seed=0, path_indices=[0]).values[0]
+    values = direct_solve_batch(model, draw_noise(model, grid, 0, [0])).values[0]
     exact = np.exp(-np.pi**2 * grid.times)
     assert np.allclose(values[:, 0], exact, rtol=1e-12, atol=1e-13)
     assert np.abs(values[:, 1:]).max() == 0.0
 
 
 def test_reaction_diffusion_eta_shifts_declared_constant():
-    model = build_reaction_diffusion(dim=8, eta=0.5, validation_samples=10_000)
+    model = build_reaction_diffusion(dim=8, eta=0.5)
     assert model.coeffs.semimonotone_m == 0.5
     rep = check_semimonotone(model.coeffs.drift, 8, samples=10_000, seed=1)
     assert rep.passed
@@ -60,7 +60,7 @@ def test_hyperbolic_free_single_mode_energy():
         x0_position=np.eye(4)[0], validate=False,
     )
     grid = TimeGrid(1.0, 500)
-    values = direct_solve_batch(model, grid, master_seed=0, path_indices=[0]).values[0]
+    values = direct_solve_batch(model, draw_noise(model, grid, 0, [0])).values[0]
     energy = weighted_norm_sq(values, model.weights)
     assert np.abs(energy / energy[0] - 1.0).max() <= 1e-10
 
@@ -78,7 +78,7 @@ def test_hyperbolic_friction_dissipates_energy():
     model.x0_sampler = lambda r: r.standard_normal(model.dim) * 0.0  # unused
     noise = draw_noise(model, grid, 3, range(paths))
     noise.x0[:] = x0
-    res = direct_solve_batch(model, grid, noise=noise)
+    res = direct_solve_batch(model, noise)
     energy = weighted_norm_sq(res.values, model.weights)
     assert np.all(np.diff(energy, axis=1) <= 1e-9 * (1 + energy[:, :1]))
     assert energy[:, -1].mean() < energy[:, 0].mean()
@@ -128,7 +128,7 @@ def test_delay_free_flow_matches_method_of_steps():
             f_scalar=lambda u: 0.0 * u, f_growth=(0.0, 0.0), validate=False,
         )
         grid = TimeGrid(horizon, n_steps)
-        return direct_solve_batch(model, grid, master_seed=0, path_indices=[0]).values[0, :, 0]
+        return direct_solve_batch(model, draw_noise(model, grid, 0, [0])).values[0, :, 0]
 
     heads = run(64, 256)
     ref = oracle[:: 4096 // 256]
@@ -193,7 +193,7 @@ def test_reaction_diffusion_single_mode_reduces_to_linear_oracle():
     )
     grid = TimeGrid(1.0, 2048)
     noise = draw_noise(model, grid, 55, range(64))
-    res = direct_solve_batch(model, grid, noise=noise)
+    res = direct_solve_batch(model, noise)
     a_eff = 0.5 - np.pi**2
     rel_errs = []
     for p in range(64):

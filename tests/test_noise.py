@@ -11,12 +11,12 @@ from mildsde.solver import ModelSpec, _cell_assembler, direct_solve_batch
 NO_JUMPS = JumpCoeffSpec(None, None, lipschitz_c=0.0, growth_d=0.0, is_zero=True)
 
 
-def make_marks(rate=2.0, std=0.3, mean=0.0, declare_mean=True):
+def make_marks(rate=2.0, std=0.3, mean=0.0):
     return MarkSpaceSpec(
         rate=rate,
         sample_marks=lambda rng, size: rng.normal(mean, std, size=size),
         mark_second_moment=mean**2 + std**2,
-        mark_mean=mean if declare_mean else None,
+        mark_mean=mean,
     )
 
 
@@ -121,7 +121,7 @@ def test_compensate_zero_map():
     grid = TimeGrid(1.0, 10)
     noise = draw_noise(model, grid, 3, range(4))
     assert noise.jump_time.size > 0
-    res = direct_solve_batch(model, grid, noise=noise)
+    res = direct_solve_batch(model, noise)
     assemble = _cell_assembler(model, noise, brackets=True)
     for j in range(grid.n_steps):
         *parts, bracket = assemble(j, res.values[:, j])
@@ -130,11 +130,11 @@ def test_compensate_zero_map():
 
 
 def test_compensate_no_jump_cells_carry_compensator():
-    marks = make_marks(rate=1.0, mean=0.4, declare_mean=False)
+    marks = make_marks(rate=1.0, mean=0.4)
     model = jump_model(marks)
     grid = TimeGrid(1.0, 10)
     noise = draw_noise(model, grid, 3, range(4))
-    res = direct_solve_batch(model, grid, noise=noise)
+    res = direct_solve_batch(model, noise)
     empty = np.ones((4, grid.n_steps), dtype=bool)
     empty[noise.jump_row, noise.jump_cell] = False
     assert empty.any()
@@ -146,8 +146,6 @@ def test_compensate_no_jump_cells_carry_compensator():
         expected = -grid.dt * model.coeffs.jump.compensator(0.0, xj)
         assert np.array_equal(comp[rows], expected[rows])
         assert sums is None or not sums[rows].any()
-    # quadrature mean of the intensity integral tracks rate * mark mean
-    assert marks.rate * marks.mean_mark() == pytest.approx(marks.rate * 0.4, rel=0.05)
 
 
 def test_compensated_sum_zero_mean():

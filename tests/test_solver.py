@@ -18,19 +18,21 @@ from mildsde.models import (
     gaussian_marks,
     stochastic_exponential,
 )
+from mildsde.convolution import stochastic_convolution
 from mildsde.noise import TimeGrid, coarsen_noise, draw_noise
 from mildsde.semigroup import DiagonalSemigroup
 from mildsde.solver import (
     AprioriBoundError,
+    InnerIterationError,
     ModelSpec,
     PicardDivergenceError,
     _cell_assembler,
     _check_apriori_bound,
-    _free_orbit,
     _mild_core,
     _solve_step_equation,
     direct_solve_batch,
     picard_solve_batch,
+    predicted_bound,
     rescale_to_contraction,
     unrescale_values,
 )
@@ -75,9 +77,9 @@ def test_rescale_solution_equivalence_shared_noise():
     )
     grid = TimeGrid(1.0, 400)
     noise = draw_noise(model, grid, 11, range(8))
-    orig = direct_solve_batch(model, grid, noise=noise)
+    orig = direct_solve_batch(model, noise)
     tilde = rescale_to_contraction(model)
-    resc = direct_solve_batch(tilde, grid, noise=noise)
+    resc = direct_solve_batch(tilde, noise)
     mapped = unrescale_values(resc.values, grid.times, model.semigroup.alpha)
     diff = np.sqrt(weighted_norm_sq(orig.values - mapped, model.weights)).max()
     scale = np.sqrt(weighted_norm_sq(orig.values, model.weights)).max()
@@ -93,7 +95,7 @@ def test_rescale_solution_equivalence_shared_noise():
 def mild_solve(seg, drift, x0, v_values):
     """One path through the batched core at the default tolerances."""
     grid = TimeGrid(1.0, v_values.shape[0] - 1)
-    return _mild_core(seg, drift, x0[None], v_values[None], grid, None, 1e-8, 1.0, 200, 6)[0]
+    return _mild_core(seg, drift, x0[None], v_values[None], grid, None, 1e-8, 1.0, 6)[0]
 
 
 def test_mild_solve_no_drift_is_orbit_plus_forcing():
@@ -135,10 +137,8 @@ def test_mild_solve_apriori_bound_postcondition():
     drift = model.coeffs.drift
     values = mild_solve(model.semigroup, drift, x0, forcing)
     assert values.shape == (301, 6)
-    _check_apriori_bound(
-        drift, _free_orbit(model.semigroup, x0[None], grid), forcing[None], values[None],
-        grid, None, model.semigroup.alpha, 0.05, "mild solve",
-    )
+    free = stochastic_convolution(model.semigroup, grid, x0[None], np.zeros((1, 300, 6)))
+    _check_apriori_bound(drift, free, forcing[None], values[None], grid, None, "mild solve")
 
 
 def test_nemitsky_fallback_rows_reach_tolerance():
@@ -157,11 +157,36 @@ def test_nemitsky_fallback_rows_reach_tolerance():
     b = rng.standard_normal((8, dim)) * np.repeat([1.0, 1e-9], 4)[:, None]
     first, first_ok = step(1.0, b, dt, tol)
     assert not first_ok.all() and first_ok.any()
-    out, ok = _solve_step_equation(drift, 1.0, b, dt, None, tol, 1.0, 200)
+    out, ok = _solve_step_equation(drift, 1.0, b, dt, None, tol, 1.0)
     assert ok.all()
     assert np.array_equal(out[first_ok], first[first_ok])
     res = b + dt * drift.evaluate(1.0, out) - out
     assert np.linalg.norm(res[~first_ok], axis=1).max() <= tol
+
+
+def test_stalled_rows_are_bisected_until_they_reach_tolerance():
+    # the generic iteration for x = b + dt f(x) with f(x) = 1.5 x contracts
+    # only for dt * 1.5 < 1: at dt = 1 every row with b != 0 stalls, and one
+    # halving (dt * 1.5 = 0.75) solves it
+    grid, tol = TimeGrid(1.0, 1), 1e-8
+    seg = DiagonalSemigroup([0.0], alpha=0.0)
+    drift = DriftSpec(evaluate=lambda t, x: 1.5 * x, semimonotone_m=1.5, growth_d=2.25)
+    x0 = np.array([[0.0], [1.0], [-0.3]])
+    _, ok = _solve_step_equation(drift, 1.0, x0, grid.dt, None, tol, 1.0)
+    assert ok.tolist() == [True, False, False]
+    v = np.zeros((1, 2, 1))
+    values = _mild_core(seg, drift, x0, v, grid, None, tol, 1.0, 1)
+    # two half steps x -> x / (1 - 0.75), each to tol, so within 4 tol + 16 tol
+    assert values[0, -1, 0] == 0.0
+    assert np.abs(values[1:, -1] - 16.0 * x0[1:]).max() <= 20.0 * tol
+    with pytest.raises(InnerIterationError) as err:
+        _mild_core(seg, drift, x0, v, grid, None, tol, 1.0, 0)
+    match = re.fullmatch(
+        r"inner iteration stalled at t=1 after 0 halvings "
+        r"\(worst residual (\S+), tol 1e-08\)",
+        str(err.value),
+    )
+    assert match and float(match.group(1)) > tol
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +199,9 @@ def test_picard_deterministic_settles_immediately():
         dim=6, marks=gaussian_marks(rate=0.0, std=0.0), validate=False
     )
     grid = TimeGrid(1.0, 200)
-    res = picard_solve_batch(model, grid, master_seed=0, path_indices=[0], n_max=4)
-    trace = res.trace(0)
-    assert trace.distances[0] > 0.0
-    assert trace.distances[1] == 0.0
-    assert trace.converged
+    res = picard_solve_batch(model, draw_noise(model, grid, 0, [0]), n_max=4)
+    assert res.distances[0, 0] > 0.0
+    assert np.all(res.distances[1:, 0] == 0.0)
 
 
 def test_picard_divergence_detected():
@@ -186,24 +209,18 @@ def test_picard_divergence_detected():
     model = rd_model(dim=4, rate=20.0, std=8.0, mean=0.0)
     grid = TimeGrid(1.0, 100)
     with pytest.raises(PicardDivergenceError):
-        picard_solve_batch(
-            model, grid, master_seed=1, path_indices=range(8), n_max=10, run_all=True
-        )
+        picard_solve_batch(model, draw_noise(model, grid, 1, range(8)), n_max=10)
 
 
 def test_picard_trace_shapes_and_moments():
     model = rd_model()
     grid = TimeGrid(1.0, 200)
-    res = picard_solve_batch(
-        model, grid, master_seed=2, path_indices=range(4), n_max=5, run_all=True
-    )
+    res = picard_solve_batch(model, draw_noise(model, grid, 2, range(4)), n_max=5)
     assert res.distances.shape == (5, 4)
     assert res.x_sup_sq.shape == (6, 4)
     assert res.v_sup_sq.shape == (5, 4)
     assert np.all(res.x_sup_sq >= 0.0)
-    trace = res.trace()
-    assert len(trace.distances) == 5
-    bound = trace.predicted_bound(1.0, 2.0, 1.0, np.arange(3))
+    bound = predicted_bound(1.0, 2.0, 1.0, np.arange(3))
     assert bound == pytest.approx([1.0, 2.0, 2.0])
 
 
@@ -211,7 +228,7 @@ def test_picard_same_seed_reproducible():
     model = rd_model()
     grid = TimeGrid(1.0, 150)
     r1, r2 = (
-        picard_solve_batch(model, grid, master_seed=5, path_indices=[0], n_max=4, run_all=True)
+        picard_solve_batch(model, draw_noise(model, grid, 5, [0]), n_max=4)
         for _ in range(2)
     )
     assert np.array_equal(r1.values, r2.values)
@@ -221,14 +238,9 @@ def test_picard_same_seed_reproducible():
 def test_uniqueness_under_damping_variants():
     model = rd_model()
     grid = TimeGrid(1.0, 250)
-    res_a = picard_solve_batch(
-        model, grid, master_seed=3, path_indices=range(32), n_max=6,
-        run_all=True, damping=1.0,
-    )
-    res_b = picard_solve_batch(
-        model, grid, master_seed=3, path_indices=range(32), n_max=6,
-        run_all=True, damping=0.5,
-    )
+    noise = draw_noise(model, grid, 3, range(32))
+    res_a = picard_solve_batch(model, noise, n_max=6, damping=1.0)
+    res_b = picard_solve_batch(model, noise, n_max=6, damping=0.5)
     num = weighted_norm_sq(res_a.values - res_b.values, model.weights).max(axis=1).mean()
     den = weighted_norm_sq(res_a.values, model.weights).max(axis=1).mean()
     assert num <= 1e-6 * den
@@ -244,7 +256,7 @@ def test_direct_free_flow_is_orbit():
         f_scalar=lambda u: 0.0 * u, f_growth=(0.0, 0.0), validate=False,
     )
     grid = TimeGrid(1.0, 100)
-    res = direct_solve_batch(model, grid, master_seed=0, path_indices=[0])
+    res = direct_solve_batch(model, draw_noise(model, grid, 0, [0]))
     mu = model.semigroup.eigenvalues
     x0 = model.x0_sampler(None)
     exact = np.exp(np.outer(grid.times, mu)) * x0
@@ -257,7 +269,7 @@ def test_direct_matches_stochastic_exponential():
     )
     grid = TimeGrid(1.0, 1024)
     noise = draw_noise(model, grid, 17, range(64))
-    res = direct_solve_batch(model, grid, noise=noise)
+    res = direct_solve_batch(model, noise)
     errs = []
     for p in range(64):
         w_path = np.concatenate([[0.0], np.cumsum(noise.dW[p, :, 0])])
@@ -282,8 +294,8 @@ def test_direct_energy_terms_read_the_returned_path(which):
     model = rd_model(dim=5) if which == "reaction_diffusion" else delay_model(rate=2.0)
     grid = TimeGrid(1.0, 100)
     noise = draw_noise(model, grid, 23, range(3))
-    res = direct_solve_batch(model, grid, noise=noise, energy=True)
-    plain = direct_solve_batch(model, grid, noise=noise)
+    res = direct_solve_batch(model, noise, energy=True)
+    plain = direct_solve_batch(model, noise)
     assert plain.norms_sq is None and plain.per_cell is None
     # the energy pass keeps only the terminal state of the path it advanced
     assert np.array_equal(res.values, plain.values[:, -1:])
@@ -312,7 +324,7 @@ def test_jump_increments_match_per_event_loop():
     model = delay_model()
     grid = TimeGrid(1.0, 50)
     noise = draw_noise(model, grid, 19, range(6))
-    res = direct_solve_batch(model, grid, noise=noise)
+    res = direct_solve_batch(model, noise)
     k, g = model.coeffs.jump, model.coeffs.diffusion
     sums = np.zeros_like(res.values[:, :-1])
     sq = np.zeros(sums.shape[:-1])
@@ -344,8 +356,8 @@ def test_cross_integrator_agreement():
     def distance(n_steps):
         grid = TimeGrid(1.0, n_steps)
         noise = draw_noise(model, grid, 29, range(64))
-        pic = picard_solve_batch(model, grid, noise=noise, n_max=8)
-        direct = direct_solve_batch(model, grid, noise=noise)
+        pic = picard_solve_batch(model, noise, n_max=8)
+        direct = direct_solve_batch(model, noise)
         return np.sqrt(
             weighted_norm_sq(pic.values - direct.values, None).max(axis=1).mean()
         )
@@ -395,7 +407,7 @@ def test_apriori_bound_error_locates_violation():
     model = build_linear_scalar(a=5.0, validate=False)
     model.coeffs.drift.semimonotone_m = 0.0
     with pytest.raises(AprioriBoundError) as err:
-        picard_solve_batch(model, TimeGrid(1.0, 100), master_seed=0, path_indices=range(3))
+        picard_solve_batch(model, draw_noise(model, TimeGrid(1.0, 100), 0, range(3)))
     # the message names the iterate, the earliest t and the path row
     assert re.fullmatch(
         r"linear_scalar: iterate 1 exceeded the a-priori bound at t=0\.07, path row 2: "

@@ -17,7 +17,6 @@ from .semigroup import (
     DiagonalSemigroup,
 )
 from .noise import (
-    LevyPathSpec,
     MarkSpaceSpec,
     NoiseRealization,
     TimeGrid,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -40,17 +41,8 @@ from pathlib import Path
 import numpy as np
 
 from .coefficients import check_lipschitz_growth, check_semimonotone
-from .convolution import ito_inequality_check
-from .models import (
-    EXAMPLE_BUILDERS,
-    build_delay,
-    build_hyperbolic,
-    build_linear_scalar,
-    build_reaction_diffusion,
-    default_levy,
-    gaussian_marks,
-    stochastic_exponential,
-)
+from .convolution import ITO_TOL_COEFF, ito_inequality_check
+from .models import EXAMPLE_BUILDERS, stochastic_exponential
 from .noise import TimeGrid, coarsen_noise, draw_noise
 from .solver import (
     ModelSpec,
@@ -116,10 +108,11 @@ def _check_type(name: str, value, annotation: str):
 class RunConfig:
     """Complete, self-describing description of one campaign run.
 
-    ``model_params`` carries example-specific knobs (jump_rate, mark_std,
-    mark_mean, eta, levy_drift, levy_gaussian_variance, x0_amplitude, n_quad,
-    a, sigma, x0). All other fields are common. The config round-trips
-    losslessly through JSON.
+    ``model_params`` carries example-specific knobs: the keywords of the
+    example's builder listed in ``_MODEL_PARAMS``, whose defaults are the
+    builder's. ``ito_tol_coeff`` None means ``convolution.ITO_TOL_COEFF``.
+    All other fields are common. The config round-trips losslessly through
+    JSON.
     """
 
     example: str = "reaction_diffusion"
@@ -203,94 +196,50 @@ class RunConfig:
         return TimeGrid(self.horizon, n)
 
 
+# example -> (the builder argument that receives config.dim, the names
+# model_params may set). Each name's type and default are those of the
+# builder's parameter of that name.
+_JUMPS = ("jump_rate", "mark_std", "mark_mean")
+_LEVY = _JUMPS + ("levy_drift", "levy_gaussian_variance")
+_MODEL_PARAMS = {
+    "reaction_diffusion": ("dim", _JUMPS + ("eta", "n_quad", "x0_amplitude")),
+    "hyperbolic": ("n_modes", _LEVY + ("n_quad", "x0_amplitude")),
+    "delay": ("history_cells", _LEVY),
+    "linear_scalar": (None, _JUMPS + ("a", "sigma", "x0")),
+}
+
+
+def _model_kwargs(config: RunConfig) -> dict:
+    """The builder keywords config.model_params sets, each at its given
+    value or at the builder's default, and each of the builder's type."""
+    _, names = _MODEL_PARAMS[config.example]
+    unknown = set(config.model_params) - set(names)
+    if unknown:
+        raise ConfigError(f"unknown model_params for {config.example}: {sorted(unknown)}")
+    params = inspect.signature(EXAMPLE_BUILDERS[config.example]).parameters
+    kwargs = {}
+    for name in names:
+        value = config.model_params.get(name, params[name].default)
+        _check_type(f"model_params.{name}", value, params[name].annotation)
+        kwargs[name] = value
+    return kwargs
+
+
 def model_from_config(config: RunConfig, validate: bool = True) -> ModelSpec:
     """Build the configured example; a value its builder rejects is a
     configuration error."""
+    dim_arg, _ = _MODEL_PARAMS[config.example]
     try:
-        return _build_model(config, validate)
+        kwargs = _model_kwargs(config)
+        if dim_arg is not None:
+            kwargs[dim_arg] = config.dim
+        return EXAMPLE_BUILDERS[config.example](
+            **kwargs, horizon=config.horizon, validate=validate
+        )
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{config.example}: {exc}") from exc
-
-
-def _build_model(config: RunConfig, validate: bool) -> ModelSpec:
-    p = dict(config.model_params)
-
-    def take(key, default, annotation="float"):
-        """Pop a model parameter; each must be a finite number unless its
-        annotation says otherwise."""
-        value = p.pop(key, default)
-        _check_type(f"model_params.{key}", value, annotation)
-        return value
-
-    common = dict(horizon=config.horizon, validate=validate)
-    if config.ito_tol_coeff is not None:
-        common["ito_tol_coeff"] = config.ito_tol_coeff
-    name = config.example
-    if name == "reaction_diffusion":
-        marks = gaussian_marks(
-            rate=take("jump_rate", 1.0),
-            std=take("mark_std", 0.3),
-            mean=take("mark_mean", 0.0),
-        )
-        return build_reaction_diffusion(
-            dim=config.dim,
-            marks=marks,
-            eta=take("eta", 0.0),
-            n_quad=take("n_quad", None, "int | None"),
-            x0_amplitude=take("x0_amplitude", 1.0),
-            **common,
-            **_reject_leftover(name, p),
-        )
-    if name == "hyperbolic":
-        levy = default_levy(
-            rate=take("jump_rate", 1.0),
-            mark_std=take("mark_std", 0.3),
-            mark_mean=take("mark_mean", 0.0),
-            drift=take("levy_drift", 0.0),
-            gaussian_variance=take("levy_gaussian_variance", 0.0),
-        )
-        return build_hyperbolic(
-            n_modes=config.dim,
-            levy=levy,
-            n_quad=take("n_quad", None, "int | None"),
-            x0_amplitude=take("x0_amplitude", 1.0),
-            **common,
-            **_reject_leftover(name, p),
-        )
-    if name == "delay":
-        levy = default_levy(
-            rate=take("jump_rate", 1.0),
-            mark_std=take("mark_std", 0.3),
-            mark_mean=take("mark_mean", 0.0),
-            drift=take("levy_drift", 0.0),
-            gaussian_variance=take("levy_gaussian_variance", 0.0),
-        )
-        return build_delay(
-            history_cells=config.dim, levy=levy, **common, **_reject_leftover(name, p)
-        )
-    if name == "linear_scalar":
-        marks = gaussian_marks(
-            rate=take("jump_rate", 2.0),
-            std=take("mark_std", 0.2),
-            mean=take("mark_mean", 0.0),
-        )
-        return build_linear_scalar(
-            a=take("a", -1.0),
-            sigma=take("sigma", 0.5),
-            marks=marks,
-            x0=take("x0", 1.0),
-            **common,
-            **_reject_leftover(name, p),
-        )
-    raise ConfigError(f"unknown example {name!r}")
-
-
-def _reject_leftover(name: str, params: dict) -> dict:
-    if params:
-        raise ConfigError(f"unknown model_params for {name}: {sorted(params)}")
-    return {}
 
 
 @dataclass
@@ -553,7 +502,7 @@ def run_ito_check(config: RunConfig) -> RunSummary:
     model = model_from_config(config)
     grid = config.grid()
     fine = grid.refine(2)
-    tol_coeff = config.ito_tol_coeff if config.ito_tol_coeff is not None else model.ito_tol_coeff
+    tol_coeff = config.ito_tol_coeff if config.ito_tol_coeff is not None else ITO_TOL_COEFF
     out = Path(config.out_dir)
 
     def energy_check(nz):
@@ -638,10 +587,9 @@ def run_benchmark_oracle(config: RunConfig) -> RunSummary:
         )
     config = dataclasses.replace(config, example="linear_scalar", model_params=p)
     model = model_from_config(config)
-    a = p.get("a", -1.0)
-    sigma = p.get("sigma", 0.5)
-    nu_mean = model.marks.rate * model.marks.mark_mean if model.marks else 0.0
-    x0 = p.get("x0", 1.0)
+    params = _model_kwargs(config)
+    a, sigma, x0 = params["a"], params["sigma"], params["x0"]
+    nu_mean = model.marks.rate * model.marks.mark_mean
     out = Path(config.out_dir)
 
     rms = []

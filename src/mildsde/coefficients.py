@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .noise import MarkSpaceSpec
-from .state_space import hs_norm_sq, weighted_norm_sq
+from .state_space import hs_norm_sq, weighted_inner, weighted_norm_sq
 
 __all__ = [
     "AliasingError",
@@ -87,14 +87,14 @@ class JumpCoeffSpec:
 
     ``lipschitz_c`` bounds the intensity integral of ||k(t,xi,x)-k(t,xi,y)||^2
     by lipschitz_c * ||x-y||^2; ``growth_d`` bounds the intensity integral of
-    ||k(t,xi,x)||^2 by growth_d * (1 + ||x||^2).
+    ||k(t,xi,x)||^2 by growth_d * (1 + ||x||^2). It acts only when the
+    model's mark space has a positive rate.
     """
 
     evaluate: Callable[..., np.ndarray]  # k(t, xi, x); see the module docstring
     compensator: Callable[[float, np.ndarray], np.ndarray]
     lipschitz_c: float
     growth_d: float
-    is_zero: bool = False
 
 
 @dataclass(eq=False)
@@ -370,9 +370,7 @@ def check_semimonotone(
     for t in rng.uniform(0.0, t_max, size=4):
         df = drift.evaluate(float(t), xs) - drift.evaluate(float(t), ys)
         dx = xs - ys
-        num = np.einsum("...d,...d->...", df, dx) if weights is None else np.einsum(
-            "...d,d,...d->...", df, np.asarray(weights, dtype=float), dx
-        )
+        num = weighted_inner(df, dx, weights)
         den = weighted_norm_sq(dx, weights)
         ok = den > 0
         if np.any(ok):
@@ -437,7 +435,7 @@ def check_lipschitz_growth(
         g_growth = hs_norm_sq(gx, weights)
 
     # Jump Lipschitz and growth via mark-node quadrature on a subsample.
-    if coeffs.jump.is_zero or marks is None or marks.rate == 0.0:
+    if marks is None or marks.rate == 0.0:
         k_ratio = 0.0
         k_growth = np.zeros(samples)
     else:

@@ -26,10 +26,14 @@ from .noise import TimeGrid
 from .semigroup import Semigroup
 
 __all__ = [
+    "ITO_TOL_COEFF",
     "stochastic_convolution",
     "ito_inequality_check",
     "ItoCheckReport",
 ]
+
+# Coefficient c of the energy check's tolerance c * sqrt(dt).
+ITO_TOL_COEFF = 2.0
 
 
 def stochastic_convolution(
@@ -74,7 +78,7 @@ def ito_inequality_check(
     grid: TimeGrid,
     norms_sq: np.ndarray,
     per_cell: np.ndarray,
-    tol_coeff: float = 1.0,
+    tol_coeff: float = ITO_TOL_COEFF,
 ) -> ItoCheckReport:
     """Check ||X_t||^2 against the discounted energy bound along the path.
 
@@ -87,9 +91,14 @@ def ito_inequality_check(
 
     accumulated by a discounted running sum. Discretization turns the exact
     inequality into an approximate one, so the tolerance scales like
-    tol_coeff * sqrt(dt); the coefficient is calibrated per model.
+    tol_coeff * sqrt(dt). ``grid`` must be the grid the terms were taken on.
     """
     m, dt = grid.n_steps, grid.dt
+    if norms_sq.shape[-1] != m + 1 or per_cell.shape[-1] != m:
+        raise ValueError(
+            f"energy terms of {norms_sq.shape[-1]} points and {per_cell.shape[-1]} "
+            f"cells do not fit a grid of {m} steps"
+        )
     growth = np.exp(2.0 * alpha * dt)
     run = np.zeros(per_cell.shape[:-1] + (m + 1,))
     for j in range(m):

@@ -33,14 +33,13 @@ from .coefficients import (
     pointwise_implicit_solver,
     zero_diffusion,
 )
-from .noise import LevyPathSpec, MarkSpaceSpec
+from .noise import MarkSpaceSpec
 from .semigroup import BlockWaveSemigroup, DelayShiftSemigroup, DiagonalSemigroup
 from .solver import ModelSpec
 
 __all__ = [
     "EXAMPLE_BUILDERS",
     "gaussian_marks",
-    "default_levy",
     "decreasing_cbrt",
     "build_reaction_diffusion",
     "build_hyperbolic",
@@ -51,22 +50,13 @@ __all__ = [
 
 def gaussian_marks(rate: float, std: float, mean: float = 0.0) -> MarkSpaceSpec:
     """Gaussian mark law; its mean and second moment mean^2 + std^2 are exact."""
+    if std < 0.0:
+        raise ValueError("mark std must be >= 0")
     return MarkSpaceSpec(
         rate=rate,
         sample_marks=lambda rng, size: rng.normal(mean, std, size=size),
         mark_second_moment=mean * mean + std * std,
         mark_mean=mean,
-    )
-
-
-def default_levy(
-    rate: float = 1.0, mark_std: float = 0.3, mark_mean: float = 0.0,
-    drift: float = 0.0, gaussian_variance: float = 0.0,
-) -> LevyPathSpec:
-    return LevyPathSpec(
-        drift=drift,
-        gaussian_variance=gaussian_variance,
-        jumps=gaussian_marks(rate, mark_std, mark_mean),
     )
 
 
@@ -109,18 +99,11 @@ def _mark_times_state(t, xi, x):
     return np.asarray(xi)[..., None] * np.asarray(x, dtype=float)
 
 
-def _constant_sampler(x0: np.ndarray):
-    x0 = np.asarray(x0, dtype=float)
-
-    def sampler(rng: np.random.Generator) -> np.ndarray:
-        return x0
-
-    return sampler
-
-
 def build_reaction_diffusion(
     dim: int = 32,
-    marks: MarkSpaceSpec | None = None,
+    jump_rate: float = 1.0,
+    mark_std: float = 0.3,
+    mark_mean: float = 0.0,
     f_scalar: Callable[[np.ndarray], np.ndarray] = decreasing_cbrt,
     eta: float = 0.0,
     f_growth: tuple[float, float] = (1.0, 1.0),
@@ -128,18 +111,17 @@ def build_reaction_diffusion(
     x0: np.ndarray | None = None,
     x0_amplitude: float = 1.0,
     horizon: float = 1.0,
-    ito_tol_coeff: float = 2.0,
     validate: bool = True,
 ) -> ModelSpec:
     """Reaction-diffusion system on (0,1) with multiplicative jump noise.
 
     Dirichlet Laplacian spectrum mu_k = -(k pi)^2 (diagonal, contraction),
     drift = pointwise f + eta * identity with declared constant max(eta, 0),
-    no Wiener term, jump coefficient xi * u. ``f_growth = (a, b)`` declares
-    |f_scalar(s)| <= a + b|s| and feeds the growth constant.
+    no Wiener term, jump coefficient xi * u with Gaussian marks of the given
+    rate, std and mean. ``f_growth = (a, b)`` declares |f_scalar(s)| <= a +
+    b|s| and feeds the growth constant.
     """
-    if marks is None:
-        marks = gaussian_marks(rate=1.0, std=0.3)
+    marks = gaussian_marks(jump_rate, mark_std, mark_mean)
     ks = np.arange(1, dim + 1)
     seg = DiagonalSemigroup(-((ks * np.pi) ** 2), alpha=0.0)
     nem = nemitsky_sine(f_scalar, dim, n_quad)
@@ -172,11 +154,8 @@ def build_reaction_diffusion(
         coeffs=coeffs,
         weights=None,
         marks=marks,
-        x0_sampler=_constant_sampler(
-            x0 if x0 is not None else _default_profile(dim, x0_amplitude)
-        ),
+        x0=np.asarray(x0, dtype=float) if x0 is not None else _default_profile(dim, x0_amplitude),
         horizon=horizon,
-        ito_tol_coeff=ito_tol_coeff,
     )
     if validate:
         model.validate()
@@ -185,34 +164,39 @@ def build_reaction_diffusion(
 
 def build_hyperbolic(
     n_modes: int = 16,
-    levy: LevyPathSpec | None = None,
+    jump_rate: float = 1.0,
+    mark_std: float = 0.3,
+    mark_mean: float = 0.0,
+    levy_drift: float = 0.0,
+    levy_gaussian_variance: float = 0.0,
     f_scalar: Callable[[np.ndarray], np.ndarray] = decreasing_cbrt,
     f_growth: tuple[float, float] = (1.0, 1.0),
     n_quad: int | None = None,
     x0_position: np.ndarray | None = None,
     x0_amplitude: float = 1.0,
     horizon: float = 1.0,
-    ito_tol_coeff: float = 2.0,
     validate: bool = True,
 ) -> ModelSpec:
     """Second-order wave system with friction and multiplicative jump noise.
 
     State is [position modes, velocity modes] with energy weights
     (lam_k on positions, 1 on velocities), in which the free group is unitary.
-    The scalar driving process acts through the position: its jump part gives
-    k(xi, (u, v)) = (0, xi * u), its Gaussian part a diffusion column
-    (0, std * u), its drift a velocity forcing gamma * u. Initial velocity is
-    zero.
+    The scalar driving process (drift gamma = ``levy_drift``, Gaussian part
+    of variance ``levy_gaussian_variance``, Gaussian-mark jumps) acts through
+    the position: its jump part gives k(xi, (u, v)) = (0, xi * u), its
+    Gaussian part a diffusion column (0, std * u), its drift a velocity
+    forcing gamma * u. Initial velocity is zero.
     """
-    if levy is None:
-        levy = default_levy()
+    marks = gaussian_marks(jump_rate, mark_std, mark_mean)
+    if levy_gaussian_variance < 0.0:
+        raise ValueError("gaussian variance must be >= 0")
     lam = (np.arange(1, n_modes + 1) * np.pi) ** 2
     seg = BlockWaveSemigroup(lam)
     dim = 2 * n_modes
     weights = seg.energy_weights()
     u_sl, v_sl = slice(0, n_modes), slice(n_modes, dim)
     nem = nemitsky_sine(f_scalar, n_modes, n_quad)
-    gamma = levy.drift
+    gamma = levy_drift
     lam_min = float(lam[0])
 
     def drift_eval(t, x):
@@ -243,7 +227,7 @@ def build_hyperbolic(
         implicit_step=implicit_step,
     )
 
-    g_std = math.sqrt(levy.gaussian_variance)
+    g_std = math.sqrt(levy_gaussian_variance)
     if g_std > 0.0:
         def diffusion_eval(t, x):
             x = np.asarray(x, dtype=float)
@@ -254,13 +238,11 @@ def build_hyperbolic(
         diffusion = DiffusionSpec(
             evaluate=diffusion_eval,
             modes=1,
-            lipschitz_c=levy.gaussian_variance / lam_min,
-            growth_d=levy.gaussian_variance / lam_min,
+            lipschitz_c=levy_gaussian_variance / lam_min,
+            growth_d=levy_gaussian_variance / lam_min,
         )
     else:
         diffusion = zero_diffusion(dim)
-
-    marks = levy.jumps
 
     def jump_eval(t, xi, x):
         x = np.asarray(x, dtype=float)
@@ -280,7 +262,6 @@ def build_hyperbolic(
     jump = JumpCoeffSpec(
         evaluate=jump_eval, compensator=jump_comp,
         lipschitz_c=c_k, growth_d=c_k,
-        is_zero=marks.rate == 0.0,
     )
     coeffs = CoefficientSet(drift, diffusion, jump)
     upos = x0_position if x0_position is not None else _default_profile(n_modes, x0_amplitude)
@@ -291,9 +272,8 @@ def build_hyperbolic(
         coeffs=coeffs,
         weights=weights,
         marks=marks,
-        x0_sampler=_constant_sampler(x0),
+        x0=x0,
         horizon=horizon,
-        ito_tol_coeff=ito_tol_coeff,
     )
     if validate:
         model.validate()
@@ -302,12 +282,15 @@ def build_hyperbolic(
 
 def build_delay(
     history_cells: int = 32,
-    levy: LevyPathSpec | None = None,
+    jump_rate: float = 1.0,
+    mark_std: float = 0.3,
+    mark_mean: float = 0.0,
+    levy_drift: float = 0.0,
+    levy_gaussian_variance: float = 0.0,
     f_scalar: Callable[[np.ndarray], np.ndarray] = decreasing_cbrt,
     f_growth: tuple[float, float] = (1.0, 1.0),
     history: Callable[[np.ndarray], np.ndarray] | None = None,
     horizon: float = 1.0,
-    ito_tol_coeff: float = 2.0,
     validate: bool = True,
 ) -> ModelSpec:
     """Distributed-delay scalar equation lifted to head x history.
@@ -315,17 +298,18 @@ def build_delay(
     The free flow integrates the history over the unit lag window, which obeys
     the growth bound exp(t) in the natural weighted norm (so this model
     exercises the contraction rescaling). Drift acts on the head only; the
-    driving process multiplies the head. Default initial history is
-    sin(pi * theta) on (-1, 0], whose head value is zero.
+    driving process (as in ``build_hyperbolic``) multiplies the head. Default
+    initial history is sin(pi * theta) on (-1, 0], whose head value is zero.
     """
-    if levy is None:
-        levy = default_levy()
+    marks = gaussian_marks(jump_rate, mark_std, mark_mean)
+    if levy_gaussian_variance < 0.0:
+        raise ValueError("gaussian variance must be >= 0")
     if history is None:
         history = lambda theta: np.sin(np.pi * theta)
     seg = DelayShiftSemigroup(history_cells, alpha=1.0)
     dim = seg.dim
     weights = seg.natural_weights()
-    gamma = levy.drift
+    gamma = levy_drift
 
     def drift_eval(t, x):
         x = np.asarray(x, dtype=float)
@@ -344,7 +328,7 @@ def build_delay(
         ),
     )
 
-    g_std = math.sqrt(levy.gaussian_variance)
+    g_std = math.sqrt(levy_gaussian_variance)
     if g_std > 0.0:
         def diffusion_eval(t, x):
             x = np.asarray(x, dtype=float)
@@ -354,12 +338,10 @@ def build_delay(
 
         diffusion = DiffusionSpec(
             evaluate=diffusion_eval, modes=1,
-            lipschitz_c=levy.gaussian_variance, growth_d=levy.gaussian_variance,
+            lipschitz_c=levy_gaussian_variance, growth_d=levy_gaussian_variance,
         )
     else:
         diffusion = zero_diffusion(dim)
-
-    marks = levy.jumps
 
     def jump_eval(t, xi, x):
         x = np.asarray(x, dtype=float)
@@ -379,7 +361,6 @@ def build_delay(
     jump = JumpCoeffSpec(
         evaluate=jump_eval, compensator=jump_comp,
         lipschitz_c=c_k, growth_d=c_k,
-        is_zero=marks.rate == 0.0,
     )
     coeffs = CoefficientSet(drift, diffusion, jump)
     lags = seg.history_lags()
@@ -391,9 +372,8 @@ def build_delay(
         coeffs=coeffs,
         weights=weights,
         marks=marks,
-        x0_sampler=_constant_sampler(x0),
+        x0=x0,
         horizon=horizon,
-        ito_tol_coeff=ito_tol_coeff,
     )
     if validate:
         model.validate()
@@ -403,10 +383,11 @@ def build_delay(
 def build_linear_scalar(
     a: float = -1.0,
     sigma: float = 0.5,
-    marks: MarkSpaceSpec | None = None,
+    jump_rate: float = 2.0,
+    mark_std: float = 0.2,
+    mark_mean: float = 0.0,
     x0: float = 1.0,
     horizon: float = 1.0,
-    ito_tol_coeff: float = 2.0,
     validate: bool = True,
 ) -> ModelSpec:
     """Scalar linear model dX = a X dt + sigma X dW + xi X dN-tilde.
@@ -415,8 +396,7 @@ def build_linear_scalar(
     stochastic exponential closed form applies directly. Declared constants:
     M = a, C = sigma^2 + rate * E[xi^2], matching growth.
     """
-    if marks is None:
-        marks = gaussian_marks(rate=2.0, std=0.2)
+    marks = gaussian_marks(jump_rate, mark_std, mark_mean)
     seg = DiagonalSemigroup(np.zeros(1), alpha=0.0)
 
     def implicit_step(t, b, dt, tol):
@@ -447,7 +427,6 @@ def build_linear_scalar(
         compensator=lambda t, x: nu_mean * np.asarray(x, dtype=float),
         lipschitz_c=c_k,
         growth_d=c_k,
-        is_zero=marks.rate == 0.0,
     )
     coeffs = CoefficientSet(drift, diffusion, jump)
     model = ModelSpec(
@@ -456,9 +435,8 @@ def build_linear_scalar(
         coeffs=coeffs,
         weights=None,
         marks=marks,
-        x0_sampler=_constant_sampler(np.array([float(x0)])),
+        x0=np.array([float(x0)]),
         horizon=horizon,
-        ito_tol_coeff=ito_tol_coeff,
     )
     if validate:
         model.validate()

@@ -22,7 +22,6 @@ if TYPE_CHECKING:
 __all__ = [
     "TimeGrid",
     "MarkSpaceSpec",
-    "LevyPathSpec",
     "path_rng",
     "NoiseRealization",
     "draw_noise",
@@ -90,29 +89,12 @@ class MarkSpaceSpec:
             raise ValueError("second moment must be finite and >= 0")
 
 
-@dataclass(frozen=True, eq=False)
-class LevyPathSpec:
-    """Square integrable scalar jump process: drift + Gaussian part + jumps.
-
-    The Gaussian part is routed to the Wiener channel of a model and the jump
-    part to its Poisson channel, so one driving process covers both.
-    """
-
-    drift: float
-    gaussian_variance: float
-    jumps: MarkSpaceSpec
-
-    def __post_init__(self):
-        if self.gaussian_variance < 0.0:
-            raise ValueError("gaussian variance must be >= 0")
-
-
 @dataclass(eq=False)
 class NoiseRealization:
     """Frozen noise for a batch of paths on one grid.
 
-    ``dW`` has shape (paths, n_steps, modes) and ``x0`` holds the sampled
-    initial states, drawn from the same per-path streams. Jump event e hits
+    ``dW`` has shape (paths, n_steps, modes) and ``x0`` (paths, dim) holds
+    one initial state per row, a copy of the model's. Jump event e hits
     path row ``jump_row[e]`` at time ``jump_time[e]`` with mark
     ``jump_mark[e]``, binned into cell ``jump_cell[e]``; events are sorted by
     (cell, row, time), so each cell's events form one contiguous slice.
@@ -152,11 +134,12 @@ def _binned(grid, dW, x0, row, time, mark) -> NoiseRealization:
 def draw_noise(
     model: ModelSpec, grid: TimeGrid, master_seed: int, path_indices
 ) -> NoiseRealization:
-    """Draw (x0, Wiener table, jump events) for each path index.
+    """Draw (Wiener table, jump events) for each path index; every row
+    starts from a copy of ``model.x0``.
 
     Streams depend only on (master_seed, path_index), so batching never
     changes a path's realization. Draw order per path is fixed:
-    initial state, Wiener increments, jump count, jump times, marks.
+    Wiener increments, jump count, jump times, marks.
     """
     path_indices = list(path_indices)
     p, m = len(path_indices), grid.n_steps
@@ -165,11 +148,11 @@ def draw_noise(
     rate = marks.rate if marks is not None else 0.0
     dW = np.zeros((p, m, modes))
     x0 = np.zeros((p, model.dim))
+    x0[:] = model.x0
     counts, times, draws = [], [np.zeros(0)], [np.zeros(0)]
     sqrt_dt = math.sqrt(grid.dt)
     for row, idx in enumerate(path_indices):
         rng = path_rng(master_seed, idx)
-        x0[row] = np.asarray(model.x0_sampler(rng), dtype=float)
         if modes > 0:
             dW[row] = rng.standard_normal((m, modes)) * sqrt_dt
         count = int(rng.poisson(rate * grid.horizon)) if rate > 0.0 else 0

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .coefficients import (
 from .convolution import stochastic_convolution
 from .noise import MarkSpaceSpec, NoiseRealization
 from .semigroup import Semigroup
-from .state_space import hs_norm_sq, weighted_norm_sq
+from .state_space import hs_norm_sq, weighted_inner, weighted_norm_sq
 
 __all__ = [
     "SolverError",
@@ -77,10 +76,8 @@ class ModelValidationError(SolverError):
 class ModelSpec:
     """Complete problem description on the truncated space.
 
-    ``weights`` fixes the inner product every norm below refers to;
-    ``x0_sampler(rng)`` draws the initial state; ``ito_tol_coeff`` is the
-    calibrated coefficient of the sqrt(dt) tolerance used by the energy
-    inequality checker for this model.
+    ``weights`` fixes the inner product every norm below refers to; ``x0``
+    (dim,) is the initial state every path starts from.
     """
 
     name: str
@@ -88,9 +85,8 @@ class ModelSpec:
     coeffs: CoefficientSet
     weights: np.ndarray | None
     marks: MarkSpaceSpec | None
-    x0_sampler: Callable[[np.random.Generator], np.ndarray]
+    x0: np.ndarray
     horizon: float
-    ito_tol_coeff: float = 1.0
 
     @property
     def dim(self) -> int:
@@ -190,7 +186,6 @@ def rescale_to_contraction(model: ModelSpec) -> ModelSpec:
         compensator=_conjugate(c.jump.compensator, alpha),
         lipschitz_c=c.jump.lipschitz_c,
         growth_d=c.jump.growth_d * growth_factor,
-        is_zero=c.jump.is_zero,
     )
     return replace(
         model,
@@ -247,9 +242,7 @@ def _implicit_f_step(f, t_next, b, dt, w, tol, damping):
         if np.any(prev):
             dx = xs - xp[idx]
             dr = rs - rp[idx]
-            denom = -np.einsum("pd,pd->p", dx, dr) if w is None else -np.einsum(
-                "pd,d,pd->p", dx, w, dr
-            )
+            denom = -weighted_inner(dx, dr, w)
             num = weighted_norm_sq(dx, w)
             safe = prev & (denom > 1e-300)
             s_bb = np.where(safe, num / np.where(safe, denom, 1.0), s)
@@ -394,7 +387,7 @@ def _cell_assembler(model: ModelSpec, noise: NoiseRealization, brackets: bool = 
     w = model.weights
     g, k = model.coeffs.diffusion, model.coeffs.jump
     diffuse = not g.is_zero
-    jumps = model.marks is not None and model.marks.rate > 0.0 and not k.is_zero
+    jumps = not (model.marks is None or model.marks.rate == 0.0)
     starts = np.searchsorted(noise.jump_cell, np.arange(grid.n_steps + 1)).tolist()
 
     def assemble(j, xl):
@@ -591,11 +584,7 @@ def direct_solve_batch(
         x_next = seg.apply(dt, y)
         if energy:
             dz = incr if jump_part is None else incr + jump_part
-            if w is None:
-                pairing = np.einsum("pd,pd->p", x, dz)
-            else:
-                pairing = np.einsum("pd,d,pd->p", x, w, dz)
-            per_cell[:, j] = 2.0 * pairing + bracket
+            per_cell[:, j] = 2.0 * weighted_inner(x, dz, w) + bracket
             norms_sq[:, j + 1] = weighted_norm_sq(x_next, w)
         else:
             values[:, j + 1] = x_next

@@ -10,9 +10,18 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "weighted_inner",
     "weighted_norm_sq",
     "hs_norm_sq",
 ]
+
+
+def weighted_inner(a: np.ndarray, b: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Weighted inner product <a, b> along the last axis; leading axes
+    broadcast."""
+    if w is None:
+        return np.einsum("...d,...d->...", a, b)
+    return np.einsum("...d,d,...d->...", a, np.asarray(w, dtype=float), b)
 
 
 def weighted_norm_sq(values: np.ndarray, w: np.ndarray | None) -> np.ndarray:
@@ -21,9 +30,7 @@ def weighted_norm_sq(values: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     Batch helper used by the solvers; accepts any leading shape.
     """
     values = np.asarray(values, dtype=float)
-    if w is None:
-        return np.einsum("...d,...d->...", values, values)
-    return np.einsum("...d,d,...d->...", values, np.asarray(w, dtype=float), values)
+    return weighted_inner(values, values, w)
 
 
 def hs_norm_sq(cols: np.ndarray, w: np.ndarray | None) -> np.ndarray:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from mildsde.cli import main
+from mildsde.cli import _run_chunks, main
 from mildsde.coefficients import (
     CoefficientSet,
     DriftSpec,
@@ -28,7 +28,6 @@ from mildsde.models import (
     build_linear_scalar,
     build_reaction_diffusion,
     decreasing_cbrt,
-    default_levy,
     gaussian_marks,
     stochastic_exponential,
 )
@@ -58,25 +57,24 @@ GRID = TimeGrid(HORIZON, 1000)  # dt = 1e-3
 
 def rd_acceptance_model():
     return build_reaction_diffusion(
-        dim=8,
-        marks=gaussian_marks(rate=2.0, std=0.5, mean=0.1),
-        validate=False,
+        dim=8, jump_rate=2.0, mark_std=0.5, mark_mean=0.1, validate=False,
     )
 
 
 @pytest.fixture(scope="module")
 def picard_data():
-    """Shared iteration campaign: 500 paths, 10 iterations, frozen noise."""
+    """Shared iteration campaign: 500 paths in chunks of 64, 10 iterations,
+    frozen noise. The chunks run on every usable core through the CLI's
+    chunk runner, which returns them in chunk order."""
     model = rd_acceptance_model()
-    distances, x_sup, v_sup, x0_sq = [], [], [], []
-    for start in range(0, 500, 64):
-        rows = range(start, min(start + 64, 500))
+
+    def chunk(rows):
         noise = draw_noise(model, GRID, 20260810, rows)
         res = picard_solve_batch(model, noise, n_max=10)
-        distances.append(res.distances)
-        x_sup.append(res.x_sup_sq)
-        v_sup.append(res.v_sup_sq)
-        x0_sq.append(weighted_norm_sq(noise.x0, model.weights))
+        x0_sq = weighted_norm_sq(noise.x0, model.weights)
+        return res.distances, res.x_sup_sq, res.v_sup_sq, x0_sq
+
+    distances, x_sup, v_sup, x0_sq = zip(*_run_chunks(chunk, 500, 64))
     return {
         "model": model,
         "distances": np.concatenate(distances, axis=1),
@@ -146,17 +144,23 @@ def test_criterion_2_uniqueness():
         model.coeffs.diffusion,
         model.coeffs.jump,
     )
-    num = 0.0
-    den = 0.0
-    for start in range(0, 128, 64):
-        rows = range(start, min(start + 64, 128))
+
+    def chunk(rows):
         noise = draw_noise(model, GRID, 99, rows)
         res_a = picard_solve_batch(model, noise, n_max=6, damping=1.0)
         res_b = picard_solve_batch(
             variant, noise, n_max=6, damping=0.5, inner_tol=1e-6, max_halvings=8
         )
-        num += weighted_norm_sq(res_a.values - res_b.values, model.weights).max(axis=1).sum()
-        den += weighted_norm_sq(res_a.values, model.weights).max(axis=1).sum()
+        return (
+            weighted_norm_sq(res_a.values - res_b.values, model.weights).max(axis=1).sum(),
+            weighted_norm_sq(res_a.values, model.weights).max(axis=1).sum(),
+        )
+
+    num = 0.0
+    den = 0.0
+    for chunk_num, chunk_den in _run_chunks(chunk, 128, 64):
+        num += chunk_num
+        den += chunk_den
     rel = num / den
     report(2, "uniqueness-solver-variants", rel <= 1e-6, f"relative distance {rel:.3g}")
 
@@ -165,34 +169,33 @@ def test_criterion_3_ito_inequality():
     cases = {
         "reaction_diffusion": rd_acceptance_model(),
         "hyperbolic": build_hyperbolic(
-            n_modes=8,
-            levy=default_levy(rate=1.0, mark_std=0.3, gaussian_variance=0.09),
+            n_modes=8, jump_rate=1.0, mark_std=0.3, levy_gaussian_variance=0.09,
             validate=False,
         ),
         "delay": build_delay(
-            history_cells=24,
-            levy=default_levy(rate=1.0, mark_std=0.3),
-            validate=False,
+            history_cells=24, jump_rate=1.0, mark_std=0.3, validate=False,
         ),
     }
+    fine = GRID.refine(2)
     all_ok = True
     details = []
     for name, model in cases.items():
-        fine = GRID.refine(2)
-        rates = {}
-        for start in range(0, 1000, 100):
-            rows = range(start, min(start + 100, 1000))
+
+        def chunk(rows, model=model):
+            # violation counts at dt and at dt/2 on one shared realization
             noise_fine = draw_noise(model, fine, 777, rows)
-            noise = coarsen_noise(noise_fine, 2)
-            for tag, g, nz in (("dt", GRID, noise), ("dt/2", fine, noise_fine)):
+            counts = []
+            for nz in (coarsen_noise(noise_fine, 2), noise_fine):
                 out = direct_solve_batch(model, nz, energy=True)
                 rep = ito_inequality_check(
-                    model.semigroup.alpha, g, out.norms_sq, out.per_cell,
-                    tol_coeff=model.ito_tol_coeff,
+                    model.semigroup.alpha, nz.grid, out.norms_sq, out.per_cell
                 )
-                rates[tag] = rates.get(tag, 0) + int(rep.violation_mask().sum())
-        rate = rates["dt"] / 1000.0
-        rate_half = rates["dt/2"] / 1000.0
+                counts.append(int(rep.violation_mask().sum()))
+            return counts
+
+        violations, violations_half = map(sum, zip(*_run_chunks(chunk, 1000, 100)))
+        rate = violations / 1000.0
+        rate_half = violations_half / 1000.0
         se = math.sqrt(max(rate * (1 - rate), 1e-3) / 1000.0)
         ok = rate <= 0.01 and rate_half <= rate + 2.0 * se
         all_ok &= ok
@@ -202,8 +205,7 @@ def test_criterion_3_ito_inequality():
 
 def test_criterion_4_closed_form_oracle():
     model = build_linear_scalar(
-        a=-1.0, sigma=0.5, marks=gaussian_marks(rate=2.0, std=0.2), x0=1.0,
-        validate=False,
+        a=-1.0, sigma=0.5, jump_rate=2.0, mark_std=0.2, x0=1.0, validate=False,
     )
     paths = 400
     rms = []
@@ -232,9 +234,7 @@ def test_criterion_4_closed_form_oracle():
 
 
 def test_criterion_6_rescaling():
-    model = build_delay(
-        history_cells=24, levy=default_levy(rate=1.0, mark_std=0.3), validate=False
-    )
+    model = build_delay(history_cells=24, jump_rate=1.0, mark_std=0.3, validate=False)
     alpha = model.semigroup.alpha
     assert alpha == 1.0
     from mildsde.solver import rescale_to_contraction
@@ -329,8 +329,10 @@ def test_criterion_8_noise_layer():
 
     # compensated jump integral has mean zero: the jumps k(t, xi, 1) = xi of
     # the solvers' noise draw minus the model's own compensator over (0, T]
-    marks = gaussian_marks(rate=1.5, std=0.5, mean=0.2)
-    model = build_linear_scalar(a=0.0, sigma=0.0, marks=marks, validate=False)
+    model = build_linear_scalar(
+        a=0.0, sigma=0.0, jump_rate=1.5, mark_std=0.5, mark_mean=0.2, validate=False
+    )
+    marks = model.marks
     k = model.coeffs.jump
     noise = draw_noise(model, grid, 81, range(10_000))
     jumps = k.evaluate(noise.jump_time, noise.jump_mark, np.ones((noise.jump_time.size, 1)))

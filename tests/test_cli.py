@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -8,8 +9,11 @@ from pathlib import Path
 import pytest
 
 from mildsde.cli import (
+    _FIELD_TYPES,
+    _MODEL_PARAMS,
     ConfigError,
     RunConfig,
+    _check_type,
     _fitted_order_se,
     main,
     model_from_config,
@@ -17,6 +21,7 @@ from mildsde.cli import (
     run_ito_check,
     run_picard_campaign,
 )
+from mildsde.models import EXAMPLE_BUILDERS
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -55,6 +60,20 @@ def test_config_rejects_unknown_model_params():
     cfg = RunConfig(example="delay", model_params={"no_such_knob": 1})
     with pytest.raises(ConfigError):
         model_from_config(cfg)
+
+
+@pytest.mark.parametrize("example", sorted(EXAMPLE_BUILDERS))
+def test_model_params_schema_matches_the_builder(example):
+    # every settable name is a builder parameter whose annotation the config
+    # type rule knows and whose default passes that rule
+    assert set(_MODEL_PARAMS) == set(EXAMPLE_BUILDERS)
+    dim_arg, names = _MODEL_PARAMS[example]
+    params = inspect.signature(EXAMPLE_BUILDERS[example]).parameters
+    assert dim_arg is None or dim_arg in params
+    for name in names:
+        assert name in params
+        assert params[name].annotation in _FIELD_TYPES
+        _check_type(name, params[name].default, params[name].annotation)
 
 
 def test_config_validates_numbers():
@@ -96,6 +115,7 @@ BAD_CONFIGS = {
     "jump_rate_null": ("picard", {"model_params": {"jump_rate": None}}),
     "jump_rate_bool": ("picard", {"model_params": {"jump_rate": True}}),
     "mark_std_list": ("picard", {"model_params": {"mark_std": [1]}}),
+    "mark_std_negative": ("hypothesis-check", {"model_params": {"mark_std": -1.0}}),
     "eta_str": ("picard", {"model_params": {"eta": "x"}}),
     "x0_amplitude_null": ("picard", {"model_params": {"x0_amplitude": None}}),
     "n_quad_float": ("picard", {"model_params": {"n_quad": 9.5}}),
@@ -244,7 +264,7 @@ def test_fitted_order_se_by_hand():
 SCIPY_PROBE = """
 import json, sys
 from mildsde.cli import main
-from mildsde.models import build_delay, default_levy
+from mildsde.models import build_delay
 
 base = {"dt": 0.02, "horizon": 1.0, "paths": 3, "chunk_size": 2, "seed": 1}
 runs = {
@@ -258,7 +278,7 @@ for command, config in runs.items():
         json.dump(dict(config, out_dir=f"{sys.argv[1]}/{command}"), fh)
     main([command, "--config", path])
 before = "scipy" in sys.modules
-build_delay(history_cells=4, levy=default_levy(), validate=False)
+build_delay(history_cells=4, validate=False)
 print(json.dumps([before, "scipy" in sys.modules]))
 """
 

@@ -22,7 +22,7 @@ from mildsde.noise import MarkSpaceSpec
 from mildsde.state_space import hs_norm_sq
 
 
-NO_JUMPS = JumpCoeffSpec(None, None, lipschitz_c=0.0, growth_d=0.0, is_zero=True)
+NO_JUMPS = JumpCoeffSpec(None, None, lipschitz_c=0.0, growth_d=0.0)
 
 
 def make_marks(rate=1.0, std=0.3, mean=0.0):

@@ -78,6 +78,21 @@ def test_ito_check_contraction_only():
     assert np.all(np.diff(rep.slack) >= -1e-14)
 
 
+def test_ito_check_rejects_terms_from_another_grid():
+    # terms taken on the dt/2 grid do not fit the dt grid, in either array
+    grid = TimeGrid(1.0, 100)
+    fine = grid.refine(2)
+    terms = energy_terms(identity_semigroup(1), fine, np.array([1.0]), np.zeros((200, 1)), 0.0)
+    with pytest.raises(ValueError, match="do not fit a grid of 100 steps"):
+        ito_inequality_check(0.0, grid, *terms)
+    with pytest.raises(ValueError):  # the norms fit, the cell terms do not
+        ito_inequality_check(0.0, grid, terms[0][::2], terms[1])
+    with pytest.raises(ValueError):  # the cell terms fit, the norms do not
+        ito_inequality_check(0.0, grid, terms[0], terms[1][::2])
+    rep = ito_inequality_check(0.0, fine, *terms)
+    assert rep.tolerance == 2.0 * np.sqrt(fine.dt)
+
+
 def test_ito_identity_case_small_slack():
     # trivial semigroup: the inequality is the pathwise energy identity up to
     # the expectation-form Wiener bracket, so slack is mean-zero noise

@@ -8,8 +8,6 @@ from mildsde.models import (
     build_hyperbolic,
     build_linear_scalar,
     build_reaction_diffusion,
-    default_levy,
-    gaussian_marks,
     stochastic_exponential,
 )
 from mildsde.noise import NoiseRealization, TimeGrid, draw_noise
@@ -28,7 +26,7 @@ def test_all_builders_pass_checkers_at_full_samples():
 
 def test_reaction_diffusion_pure_heat_mode():
     model = build_reaction_diffusion(
-        dim=6, marks=gaussian_marks(rate=0.0, std=0.0),
+        dim=6, jump_rate=0.0, mark_std=0.0,
         f_scalar=lambda u: 0.0 * u, f_growth=(0.0, 0.0),
         x0=np.eye(6)[0], validate=False,
     )
@@ -55,7 +53,7 @@ def test_reaction_diffusion_misdeclared_constant_rejected():
 
 def test_hyperbolic_free_single_mode_energy():
     model = build_hyperbolic(
-        n_modes=4, levy=default_levy(rate=0.0, mark_std=0.0),
+        n_modes=4, jump_rate=0.0, mark_std=0.0,
         f_scalar=lambda u: 0.0 * u, f_growth=(0.0, 0.0),
         x0_position=np.eye(4)[0], validate=False,
     )
@@ -67,15 +65,12 @@ def test_hyperbolic_free_single_mode_energy():
 
 def test_hyperbolic_friction_dissipates_energy():
     # cube-root velocity friction, no noise: energy non-increasing pathwise
-    model = build_hyperbolic(
-        n_modes=6, levy=default_levy(rate=0.0, mark_std=0.0), validate=False
-    )
+    model = build_hyperbolic(n_modes=6, jump_rate=0.0, mark_std=0.0, validate=False)
     grid = TimeGrid(1.0, 400)
     rng = np.random.default_rng(2)
     paths = 64
     x0 = np.zeros((paths, model.dim))
     x0[:, :6] = rng.standard_normal((paths, 6)) * 0.5
-    model.x0_sampler = lambda r: r.standard_normal(model.dim) * 0.0  # unused
     noise = draw_noise(model, grid, 3, range(paths))
     noise.x0[:] = x0
     res = direct_solve_batch(model, noise)
@@ -88,8 +83,7 @@ def test_hyperbolic_jump_lipschitz_constant_value():
     # linear jump coefficient through the position block: the intensity ratio
     # peaks at rate * E[xi^2] / lam_min, attained along the lowest position
     # mode; random pairs stay below it
-    levy = default_levy(rate=2.0, mark_std=0.3)
-    model = build_hyperbolic(n_modes=6, levy=levy, validate=False)
+    model = build_hyperbolic(n_modes=6, jump_rate=2.0, mark_std=0.3, validate=False)
     rep = check_lipschitz_growth(
         model.coeffs, model.dim, model.weights, model.marks,
         samples=2000, seed=4, jump_nodes=20_000,
@@ -113,7 +107,7 @@ def test_hyperbolic_jump_lipschitz_constant_value():
 
 def test_delay_initial_history_head_value():
     model = build_delay(history_cells=16, validate=False)
-    x0 = model.x0_sampler(np.random.default_rng(0))
+    x0 = model.x0
     assert x0[0] == pytest.approx(0.0, abs=1e-15)  # sin(pi * 0)
     assert x0[-1] == pytest.approx(np.sin(np.pi * 0.0), abs=1e-15)
 
@@ -124,7 +118,7 @@ def test_delay_free_flow_matches_method_of_steps():
 
     def run(cells, n_steps):
         model = build_delay(
-            history_cells=cells, levy=default_levy(rate=0.0, mark_std=0.0),
+            history_cells=cells, jump_rate=0.0, mark_std=0.0,
             f_scalar=lambda u: 0.0 * u, f_growth=(0.0, 0.0), validate=False,
         )
         grid = TimeGrid(horizon, n_steps)
@@ -186,9 +180,8 @@ def test_builder_registry():
 def test_reaction_diffusion_single_mode_reduces_to_linear_oracle():
     # one retained mode with linear jump coefficient: the generator and the
     # eta shift combine into a scalar linear model with a = eta - pi^2
-    marks = gaussian_marks(rate=2.0, std=0.2)
     model = build_reaction_diffusion(
-        dim=1, marks=marks, f_scalar=lambda u: 0.0 * u, f_growth=(0.0, 0.0),
+        dim=1, jump_rate=2.0, mark_std=0.2, f_scalar=lambda u: 0.0 * u, f_growth=(0.0, 0.0),
         eta=0.5, x0=np.array([1.0]), validate=False,
     )
     grid = TimeGrid(1.0, 2048)

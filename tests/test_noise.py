@@ -3,21 +3,12 @@ import pytest
 
 from mildsde.coefficients import CoefficientSet, DiffusionSpec, DriftSpec, JumpCoeffSpec
 from mildsde.models import build_linear_scalar
-from mildsde.noise import MarkSpaceSpec, TimeGrid, draw_noise, path_rng
+from mildsde.noise import TimeGrid, draw_noise, path_rng
 from mildsde.semigroup import DiagonalSemigroup
 from mildsde.solver import ModelSpec, _cell_assembler, direct_solve_batch
 
 
-NO_JUMPS = JumpCoeffSpec(None, None, lipschitz_c=0.0, growth_d=0.0, is_zero=True)
-
-
-def make_marks(rate=2.0, std=0.3, mean=0.0):
-    return MarkSpaceSpec(
-        rate=rate,
-        sample_marks=lambda rng, size: rng.normal(mean, std, size=size),
-        mark_second_moment=mean**2 + std**2,
-        mark_mean=mean,
-    )
+NO_JUMPS = JumpCoeffSpec(None, None, lipschitz_c=0.0, growth_d=0.0)
 
 
 def wiener_model(modes):
@@ -35,14 +26,16 @@ def wiener_model(modes):
         ),
         weights=None,
         marks=None,
-        x0_sampler=lambda rng: np.zeros(1),
+        x0=np.zeros(1),
         horizon=1.0,
     )
 
 
-def jump_model(marks):
-    """dX = xi X dN-tilde: jumps only, k(t, xi, x) = xi x."""
-    return build_linear_scalar(a=0.0, sigma=0.0, marks=marks, validate=False)
+def jump_model(rate=2.0, std=0.3, mean=0.0):
+    """dX = xi X dN-tilde: jumps only, k(t, xi, x) = xi x, Gaussian marks."""
+    return build_linear_scalar(
+        a=0.0, sigma=0.0, jump_rate=rate, mark_std=std, mark_mean=mean, validate=False
+    )
 
 
 def test_grid_basics():
@@ -85,20 +78,20 @@ def test_wiener_requires_steps():
 
 
 def test_prm_zero_rate_empty():
-    noise = draw_noise(jump_model(make_marks(rate=0.0)), TimeGrid(1.0, 10), 1, range(4))
+    noise = draw_noise(jump_model(rate=0.0), TimeGrid(1.0, 10), 1, range(4))
     assert noise.jump_time.size == noise.jump_row.size == 0
     assert noise.events_by_path == [(), (), (), ()]
 
 
 def test_prm_count_mean():
-    noise = draw_noise(jump_model(make_marks(rate=2.0)), TimeGrid(1.0, 10), 0, range(10_000))
+    noise = draw_noise(jump_model(rate=2.0), TimeGrid(1.0, 10), 0, range(10_000))
     counts = [len(events) for events in noise.events_by_path]
     # Poisson(2): mean within 3 standard errors of sqrt(2/n)
     assert np.mean(counts) == pytest.approx(2.0, abs=3.0 * np.sqrt(2.0 / 10_000))
 
 
 def test_prm_determinism_and_ordering():
-    model, grid = jump_model(make_marks(rate=5.0)), TimeGrid(2.0, 40)
+    model, grid = jump_model(rate=5.0), TimeGrid(2.0, 40)
     a = draw_noise(model, grid, 99, range(3))
     b = draw_noise(model, grid, 99, range(3))
     for name in ("jump_row", "jump_cell", "jump_time", "jump_mark"):
@@ -115,9 +108,14 @@ def test_prm_determinism_and_ordering():
 
 
 def test_compensate_zero_map():
-    # a zero jump coefficient contributes no increment, events or not
-    model = jump_model(make_marks(rate=3.0))
-    model.coeffs.jump = NO_JUMPS
+    # a jump coefficient that evaluates to zero contributes no increment,
+    # events or not
+    model = jump_model(rate=3.0)
+    model.coeffs.jump = JumpCoeffSpec(
+        evaluate=lambda t, xi, x: 0.0 * np.asarray(x),
+        compensator=lambda t, x: 0.0 * np.asarray(x),
+        lipschitz_c=0.0, growth_d=0.0,
+    )
     grid = TimeGrid(1.0, 10)
     noise = draw_noise(model, grid, 3, range(4))
     assert noise.jump_time.size > 0
@@ -130,8 +128,7 @@ def test_compensate_zero_map():
 
 
 def test_compensate_no_jump_cells_carry_compensator():
-    marks = make_marks(rate=1.0, mean=0.4)
-    model = jump_model(marks)
+    model = jump_model(rate=1.0, mean=0.4)
     grid = TimeGrid(1.0, 10)
     noise = draw_noise(model, grid, 3, range(4))
     res = direct_solve_batch(model, noise)
@@ -151,9 +148,9 @@ def test_compensate_no_jump_cells_carry_compensator():
 def test_compensated_sum_zero_mean():
     # Monte Carlo mean of the full compensated integral of k(t, xi, 1) = xi
     # over many paths, compensated by the model's own compensator
-    marks = make_marks(rate=1.5, std=0.5, mean=0.2)
-    k = jump_model(marks).coeffs.jump
-    noise = draw_noise(jump_model(marks), TimeGrid(1.0, 20), 5, range(10_000))
+    model = jump_model(rate=1.5, std=0.5, mean=0.2)
+    marks, k = model.marks, model.coeffs.jump
+    noise = draw_noise(model, TimeGrid(1.0, 20), 5, range(10_000))
     jumps = k.evaluate(noise.jump_time, noise.jump_mark, np.ones((noise.jump_time.size, 1)))
     totals = np.bincount(noise.jump_row, weights=jumps[:, 0], minlength=10_000)
     totals -= 1.0 * k.compensator(0.0, np.ones(1))[0]

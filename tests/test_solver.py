@@ -14,8 +14,6 @@ from mildsde.models import (
     build_delay,
     build_linear_scalar,
     build_reaction_diffusion,
-    default_levy,
-    gaussian_marks,
     stochastic_exponential,
 )
 from mildsde.convolution import stochastic_convolution
@@ -41,7 +39,7 @@ from mildsde.state_space import hs_norm_sq, weighted_norm_sq
 
 def rd_model(dim=6, rate=2.0, std=0.5, mean=0.1, **kw):
     return build_reaction_diffusion(
-        dim=dim, marks=gaussian_marks(rate=rate, std=std, mean=mean),
+        dim=dim, jump_rate=rate, mark_std=std, mark_mean=mean,
         validate=False, **kw,
     )
 
@@ -61,10 +59,10 @@ def test_rescale_shifts_diagonal_spectrum():
         name="toy", semigroup=seg,
         coeffs=CoefficientSet(
             DriftSpec(evaluate=lambda t, x: 0.0 * x, semimonotone_m=0.0, growth_d=0.0),
-            zero_diffusion(1), JumpCoeffSpec(None, None, 0.0, 0.0, is_zero=True),
+            zero_diffusion(1), JumpCoeffSpec(None, None, 0.0, 0.0),
         ),
         weights=None, marks=None,
-        x0_sampler=lambda rng: np.array([1.0]), horizon=1.0,
+        x0=np.array([1.0]), horizon=1.0,
     )
     tilde = rescale_to_contraction(model)
     assert tilde.semigroup.alpha == 0.0
@@ -72,9 +70,7 @@ def test_rescale_shifts_diagonal_spectrum():
 
 
 def test_rescale_solution_equivalence_shared_noise():
-    model = build_delay(
-        history_cells=16, levy=default_levy(rate=1.0, mark_std=0.3), validate=False
-    )
+    model = build_delay(history_cells=16, jump_rate=1.0, mark_std=0.3, validate=False)
     grid = TimeGrid(1.0, 400)
     noise = draw_noise(model, grid, 11, range(8))
     orig = direct_solve_batch(model, noise)
@@ -196,7 +192,7 @@ def test_stalled_rows_are_bisected_until_they_reach_tolerance():
 def test_picard_deterministic_settles_immediately():
     # no noise channels: the first iterate is already the fixed point
     model = build_reaction_diffusion(
-        dim=6, marks=gaussian_marks(rate=0.0, std=0.0), validate=False
+        dim=6, jump_rate=0.0, mark_std=0.0, validate=False
     )
     grid = TimeGrid(1.0, 200)
     res = picard_solve_batch(model, draw_noise(model, grid, 0, [0]), n_max=4)
@@ -252,20 +248,20 @@ def test_uniqueness_under_damping_variants():
 
 def test_direct_free_flow_is_orbit():
     model = build_reaction_diffusion(
-        dim=5, marks=gaussian_marks(rate=0.0, std=0.0),
+        dim=5, jump_rate=0.0, mark_std=0.0,
         f_scalar=lambda u: 0.0 * u, f_growth=(0.0, 0.0), validate=False,
     )
     grid = TimeGrid(1.0, 100)
     res = direct_solve_batch(model, draw_noise(model, grid, 0, [0]))
     mu = model.semigroup.eigenvalues
-    x0 = model.x0_sampler(None)
+    x0 = model.x0
     exact = np.exp(np.outer(grid.times, mu)) * x0
     assert np.allclose(res.values[0], exact, rtol=1e-12, atol=1e-13)
 
 
 def test_direct_matches_stochastic_exponential():
     model = build_linear_scalar(
-        a=-1.0, sigma=0.5, marks=gaussian_marks(rate=2.0, std=0.2), validate=False
+        a=-1.0, sigma=0.5, jump_rate=2.0, mark_std=0.2, validate=False
     )
     grid = TimeGrid(1.0, 1024)
     noise = draw_noise(model, grid, 17, range(64))
@@ -284,7 +280,7 @@ def test_direct_matches_stochastic_exponential():
 
 def delay_model(rate=20.0):
     return rescale_to_contraction(build_delay(
-        history_cells=8, levy=default_levy(rate=rate, mark_std=0.5, gaussian_variance=0.04),
+        history_cells=8, jump_rate=rate, mark_std=0.5, levy_gaussian_variance=0.04,
         validate=False,
     ))
 
@@ -350,7 +346,7 @@ def test_jump_increments_match_per_event_loop():
 
 def test_cross_integrator_agreement():
     model = build_linear_scalar(
-        a=-1.0, sigma=0.5, marks=gaussian_marks(rate=2.0, std=0.2), validate=False
+        a=-1.0, sigma=0.5, jump_rate=2.0, mark_std=0.2, validate=False
     )
 
     def distance(n_steps):

@@ -253,6 +253,12 @@ class RunSummary:
     stats: dict
     wall_clock_s: float
 
+    def __post_init__(self):
+        # an example whose builder takes no dimension runs at dim 1, and
+        # the summary reports the config the run used
+        if _MODEL_PARAMS[self.config.example][0] is None:
+            self.config = dataclasses.replace(self.config, dim=1)
+
     def to_text(self) -> str:
         lines = [
             "schema = mildsde-summary-v1",
@@ -602,7 +608,7 @@ def run_benchmark_oracle(config: RunConfig) -> RunSummary:
             noise = draw_noise(
                 model, grid, config.seed, [offset + i for i in path_range]
             )
-            res = direct_solve_batch(model, noise)
+            res = direct_solve_batch(model, noise, path=False)
             errs = np.zeros(len(path_range))
             for row in range(len(path_range)):
                 w_path = np.concatenate([[0.0], np.cumsum(noise.dW[row, :, 0])]) if noise.dW.shape[2] else np.zeros(grid.n_steps + 1)

@@ -98,6 +98,8 @@ class NoiseRealization:
     path row ``jump_row[e]`` at time ``jump_time[e]`` with mark
     ``jump_mark[e]``, binned into cell ``jump_cell[e]``; events are sorted by
     (cell, row, time), so each cell's events form one contiguous slice.
+    ``path_index`` (paths,) holds each row's global path index, the stream
+    index :func:`draw_noise` drew it from; without one, rows count from 0.
     """
 
     grid: TimeGrid
@@ -107,6 +109,11 @@ class NoiseRealization:
     jump_cell: np.ndarray
     jump_time: np.ndarray
     jump_mark: np.ndarray
+    path_index: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.path_index is None:
+            self.path_index = np.arange(self.n_paths)
 
     @property
     def n_paths(self) -> int:
@@ -122,13 +129,15 @@ class NoiseRealization:
         return [tuple(pairs[s:e]) for s, e in zip([0] + ends[:-1], ends)]
 
 
-def _binned(grid, dW, x0, row, time, mark) -> NoiseRealization:
+def _binned(grid, dW, x0, row, time, mark, path_index) -> NoiseRealization:
     """Realization with its events binned on ``grid`` and sorted by (cell,
     row); the sort is stable, so events of one row and cell keep their given
     order, which must be time order."""
     cell = grid.cell_of(time)
     order = np.lexsort((row, cell))
-    return NoiseRealization(grid, dW, x0, row[order], cell[order], time[order], mark[order])
+    return NoiseRealization(
+        grid, dW, x0, row[order], cell[order], time[order], mark[order], path_index
+    )
 
 
 def draw_noise(
@@ -161,7 +170,10 @@ def draw_noise(
             draws.append(np.asarray(marks.sample_marks(rng, count), dtype=float))
         counts.append(count)
     rows = np.repeat(np.arange(p), counts)
-    return _binned(grid, dW, x0, rows, np.concatenate(times), np.concatenate(draws))
+    return _binned(
+        grid, dW, x0, rows, np.concatenate(times), np.concatenate(draws),
+        np.array(path_indices, dtype=int),
+    )
 
 
 def coarsen_noise(noise: NoiseRealization, factor: int) -> NoiseRealization:
@@ -177,5 +189,6 @@ def coarsen_noise(noise: NoiseRealization, factor: int) -> NoiseRealization:
     p, _, modes = noise.dW.shape
     dW = noise.dW.reshape(p, coarse.n_steps, factor, modes).sum(axis=2)
     return _binned(
-        coarse, dW, noise.x0, noise.jump_row, noise.jump_time, noise.jump_mark
+        coarse, dW, noise.x0, noise.jump_row, noise.jump_time, noise.jump_mark,
+        noise.path_index,
     )

@@ -6,7 +6,7 @@ Three structural families are implemented, each exact on its truncation:
 * ``BlockWaveSemigroup``: per-mode 2x2 rotation-like blocks of the second
   order wave system (position, velocity), unitary in the energy-weighted norm.
 * ``DelayShiftSemigroup``: head value coupled to a shifting history segment on
-  a uniform grid over (-1, 0], realized as the exact matrix exponential of the
+  a uniform grid over (-1, 0], realized as the matrix exponential of the
   upwind-discretized transport generator with distributed-delay feedback.
 
 Growth bounds alpha are declared by the caller, never inferred.
@@ -37,6 +37,68 @@ class Semigroup:
     def shifted(self, delta: float) -> "Semigroup":
         """The semigroup exp(delta*t) S_t, with growth bound alpha + delta."""
         raise NotImplementedError
+
+
+# Diagonal Pade approximants r_m of exp: degree m -> (the 1-norm theta_m up
+# to which r_m(A) is exp(A) to unit roundoff in double precision, the
+# numerator coefficients b_0..b_m). Higham, "The scaling and squaring method
+# for the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 2005;
+# the thetas as tabulated by Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 2009.
+_PADE = {
+    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    7: (9.504178996162932e-1,
+        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    9: (2.097847961257068e0,
+        (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+         2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    13: (5.371920351148152e0,
+         (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+          33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+}
+
+
+def _pade_degree(norm: float) -> tuple[int, int]:
+    """The lowest Pade degree whose theta bounds ``norm``, and the number s of
+    squarings that bring norm / 2**s down to theta_13 when none does."""
+    for m, (theta, _) in _PADE.items():
+        if norm <= theta:
+            return m, 0
+    s = 0
+    while norm > _PADE[13][0]:
+        norm *= 0.5
+        s += 1
+    return 13, s
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square matrix by scaling and squaring of the diagonal Pade
+    approximant r_m = (V - U)^-1 (V + U), with U the odd and V the even part
+    of its numerator."""
+    m, s = _pade_degree(float(np.linalg.norm(a, 1)))
+    b = _PADE[m][1]
+    a = a * 0.5**s
+    ident = np.eye(len(a))
+    a2 = a @ a
+    if m < 13:
+        # even powers I, A^2, .., A^(m-1)
+        even = [ident, a2]
+        while len(even) <= m // 2:
+            even.append(even[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(even))
+        v = sum(b[2 * k] * p for k, p in enumerate(even))
+    else:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def _check_time(t: float) -> float:
@@ -132,20 +194,15 @@ class DelayShiftSemigroup(Semigroup):
         head' = sum_i v_i * h            (distributed delay over (-1, 0])
         v'    = upwind shift toward lag 0, boundary fed by the head,
 
-    and S_t = expm(t * A) exactly, so the one-parameter law holds to floating
-    point accuracy. An optional scalar ``shift`` adds delta*I to the generator
-    (used by the contraction rescaling).
+    and S_t = expm(t * A), by a Pade approximant accurate to unit roundoff,
+    so the one-parameter law holds to floating point accuracy. An optional
+    scalar ``shift`` adds delta*I to the generator (used by the contraction
+    rescaling).
     """
 
     def __init__(self, history_cells: int, alpha: float = 1.0, shift: float = 0.0):
         if history_cells < 1:
             raise ValueError("need at least one history cell")
-        # Only this semigroup needs scipy: importing it here keeps it out of
-        # every other campaign, and a delay campaign pays for it while it
-        # builds its model, before any chunk runs.
-        from scipy.linalg import expm
-
-        self._expm = expm
         self.history_cells = int(history_cells)
         self.dim = 1 + self.history_cells
         self.alpha = float(alpha)
@@ -180,7 +237,7 @@ class DelayShiftSemigroup(Semigroup):
         t = _check_time(t)
         e = self._expms.get(t)
         if e is None:
-            e = self._expm(t * self._matrix)
+            e = _expm(t * self._matrix)
             self._expms[t] = e
         return e
 

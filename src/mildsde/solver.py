@@ -347,10 +347,11 @@ def _apriori_bound(drift, free, v_values, grid, w):
     return bound
 
 
-def _check_apriori_bound(drift, free, v_values, values, grid, w, label):
+def _check_apriori_bound(drift, free, v_values, values, grid, w, label, path_index=None):
     """Raise :class:`AprioriBoundError` when ||X(t)|| exceeds the a-priori
     bound by more than the relative ``_BOUND_SLACK``, naming the earliest
-    such t and the first path row that exceeds it there."""
+    such t and the first path row that exceeds it there, by its entry of
+    ``path_index`` (the global path indices of the rows) when given."""
     bound = _apriori_bound(drift, free, v_values, grid, w)
     actual = np.atleast_2d(np.sqrt(weighted_norm_sq(values, w)))
     bound = np.broadcast_to(bound, actual.shape)
@@ -359,9 +360,10 @@ def _check_apriori_bound(drift, free, v_values, values, grid, w, label):
         return
     j = int(np.argmax(over.any(axis=0)))
     row = int(np.argmax(over[:, j]))
+    path = row if path_index is None else int(path_index[row])
     raise AprioriBoundError(
         f"{label} exceeded the a-priori bound at t={grid.times[j]:.6g}, path row "
-        f"{row}: norm {actual[row, j]:.6g} vs bound {bound[row, j]:.6g} "
+        f"{path}: norm {actual[row, j]:.6g} vs bound {bound[row, j]:.6g} "
         f"(+{_BOUND_SLACK:.0%} slack)"
     )
 
@@ -497,7 +499,7 @@ def picard_solve_batch(
         )
         _check_apriori_bound(
             work.coeffs.drift, free, v_values, x_next, grid, w,
-            f"{model.name}: iterate {n}",
+            f"{model.name}: iterate {n}", noise.path_index,
         )
         dist = weighted_norm_sq(x_next - x_prev, w).max(axis=1)
         distances.append(dist)
@@ -529,10 +531,10 @@ def picard_solve_batch(
 
 @dataclass(eq=False)
 class BatchDirectResult:
-    """Euler path values (paths, m+1, dim); with the energy terms requested,
-    only the terminal state (paths, 1, dim) plus ``norms_sq`` (paths, m+1) =
-    ||X_j||^2 and ``per_cell`` (paths, m) = 2 <X_j, dZ_j> + d[Z]_j, both read
-    off the states the step loop advanced."""
+    """Euler path values (paths, m+1, dim), or only the terminal state
+    (paths, 1, dim) when no path was kept; with the energy terms requested,
+    also ``norms_sq`` (paths, m+1) = ||X_j||^2 and ``per_cell`` (paths, m) =
+    2 <X_j, dZ_j> + d[Z]_j, both read off the states the step loop advanced."""
 
     values: np.ndarray
     norms_sq: np.ndarray | None = None
@@ -540,19 +542,19 @@ class BatchDirectResult:
 
 
 def direct_solve_batch(
-    model: ModelSpec, noise: NoiseRealization, energy: bool = False
+    model: ModelSpec, noise: NoiseRealization, energy: bool = False, path: bool = True
 ) -> BatchDirectResult:
     """One-pass exponential Euler scheme applied to the integral equation.
 
     Per cell: X_{j+1} = S_dt (X_j + f dt + g dW + jumps - compensator dt),
     with every coefficient frozen at the cell's left endpoint, on the noise's
     grid. On the same noise realization this is the cross-check for the
-    iterated solver. With
-    ``energy`` the step loop keeps no path: it records ||X_j||^2 of each
-    state and the pairing 2 <X_j, dZ_j> of each cell's raw increment
+    iterated solver. The step loop keeps the path only with ``path`` set and
+    ``energy`` unset, and otherwise returns only the terminal state. With
+    ``energy`` it records ||X_j||^2 of each state and the pairing
+    2 <X_j, dZ_j> of each cell's raw increment
     dZ_j = (f dt - compensator dt + g dW) + jumps with its left-point state,
-    plus the cell's bracket (see ``_cell_assembler``), and returns only the
-    terminal state.
+    plus the cell's bracket (see ``_cell_assembler``).
     """
     seg = model.semigroup
     f = model.coeffs.drift.evaluate
@@ -563,12 +565,13 @@ def direct_solve_batch(
     p = noise.n_paths
 
     x = noise.x0
+    keep = path and not energy
     values = norms_sq = per_cell = None
     if energy:
         norms_sq = np.zeros((p, m + 1))
         norms_sq[:, 0] = weighted_norm_sq(x, w)
         per_cell = np.zeros((p, m))
-    else:
+    if keep:
         values = np.zeros((p, m + 1, model.dim))
         values[:, 0] = x
     assemble = _cell_assembler(model, noise, brackets=energy)
@@ -586,9 +589,9 @@ def direct_solve_batch(
             dz = incr if jump_part is None else incr + jump_part
             per_cell[:, j] = 2.0 * weighted_inner(x, dz, w) + bracket
             norms_sq[:, j + 1] = weighted_norm_sq(x_next, w)
-        else:
+        if keep:
             values[:, j + 1] = x_next
         x = x_next
-    if energy:
+    if not keep:
         values = x[:, None, :]
     return BatchDirectResult(values, norms_sq, per_cell)

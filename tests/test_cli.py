@@ -261,38 +261,44 @@ def test_fitted_order_se_by_hand():
     assert se == pytest.approx(by_hand, rel=1e-14)
 
 
-SCIPY_PROBE = """
+NO_SCIPY_PROBE = """
 import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 from mildsde.cli import main
-from mildsde.models import build_delay
 
 base = {"dt": 0.02, "horizon": 1.0, "paths": 3, "chunk_size": 2, "seed": 1}
-runs = {
-    "picard": dict(base, example="reaction_diffusion", dim=4, n_max=2),
-    "benchmark": dict(base, example="linear_scalar", model_params={"dt_exponents": [4, 5]}),
-    "simulate": dict(base, example="hyperbolic", dim=3),
-}
-for command, config in runs.items():
-    path = f"{sys.argv[1]}/{command}.json"
+delay = dict(base, example="delay", dim=4, model_params={"jump_rate": 2.0})
+runs = [
+    ("picard", dict(base, example="reaction_diffusion", dim=4, n_max=2)),
+    ("picard", dict(delay, n_max=2)),
+    ("ito-check", delay),
+    ("benchmark", dict(base, example="linear_scalar", model_params={
+        "a": -1.0, "sigma": 0.0, "jump_rate": 0.0, "dt_exponents": [4, 5]})),
+    ("hypothesis-check", dict(delay, paths=1)),
+    ("simulate", dict(base, example="hyperbolic", dim=3)),
+]
+codes = []
+for i, (command, config) in enumerate(runs):
+    path = f"{sys.argv[1]}/{i}.json"
     with open(path, "w") as fh:
-        json.dump(dict(config, out_dir=f"{sys.argv[1]}/{command}"), fh)
-    main([command, "--config", path])
-before = "scipy" in sys.modules
-build_delay(history_cells=4, validate=False)
-print(json.dumps([before, "scipy" in sys.modules]))
+        json.dump(dict(config, out_dir=f"{sys.argv[1]}/{i}"), fh)
+    codes.append(main([command, "--config", path]))
+loaded = sorted(name for name, mod in sys.modules.items()
+                if name.split(".")[0] == "scipy" and mod is not None)
+print(json.dumps([codes, loaded]))
 """
 
 
-def test_scipy_is_imported_by_the_delay_model_alone(tmp_path):
+def test_no_campaign_imports_scipy(tmp_path):
     # a fresh interpreter: the test process may already hold scipy
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
+        [sys.executable, "-c", NO_SCIPY_PROBE, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [False, True]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * 6, []]
 
 
 def test_hypothesis_check_command(tmp_path):
@@ -309,6 +315,22 @@ def test_simulate_dumps_paths(tmp_path):
     assert lines[1].split(",")[:2] == ["path", "t"]
     # 2 dumped paths x 501 grid points
     assert len(lines) == 2 + 2 * 501
+
+
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_scalar_example_reports_dim_1(tmp_path, command):
+    # linear_scalar's builder takes no dimension, so the run is scalar
+    # whatever config.dim says, and the summary reports the dim it ran at
+    path, _ = write_config(
+        tmp_path, example="linear_scalar", dim=16, paths=4,
+        model_params={"dt_exponents": [4, 5]} if command == "benchmark" else {},
+    )
+    main([command, "--config", str(path)])
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert "config.dim = 1" in summary
+    if command == "simulate":
+        header = (tmp_path / "out" / "simulate_paths.csv").read_text().splitlines()[1]
+        assert header == "path,t,x0"
 
 
 def test_cli_overrides(tmp_path):

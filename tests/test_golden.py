@@ -33,7 +33,7 @@ CASES = {
         dict(BASE, example="delay", dim=6, paths=6, seed=12, n_max=3, chunk_size=4,
              model_params=dict(JUMPS, levy_gaussian_variance=0.09)),
         0,
-        "efc5d7e4f5434be362ff9b5c49b9c1c0e7e20dc41cd45485a7cecb16c7684eaf",
+        "4674b6d724c9ec40d3e4edaa33cc1e8aa283bdbf5b0b28d2dbc1510cae7c92fb",
     ),
     "picard-hyperbolic": (
         "picard",
@@ -47,7 +47,7 @@ CASES = {
         dict(BASE, example="delay", dim=8, paths=16, seed=13,
              model_params=dict(JUMPS, levy_gaussian_variance=0.25)),
         0,
-        "e34e5d900c1e615796f75bef8fe2c14f1c6c76194d01bc711d17e380ab68243e",
+        "c13851f5ab3996ebf86692399b3ff12464510c77401ce9f86c9c90086fbe249b",
     ),
     "benchmark-linear": (
         "benchmark",

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from mildsde.semigroup import BlockWaveSemigroup, DelayShiftSemigroup, DiagonalSemigroup
+from mildsde.semigroup import (
+    _PADE,
+    BlockWaveSemigroup,
+    DelayShiftSemigroup,
+    DiagonalSemigroup,
+    _expm,
+    _pade_degree,
+)
 from mildsde.state_space import weighted_norm_sq
 
 
@@ -161,3 +168,63 @@ def test_shifted_diagonal_absorbs_tilt():
     assert shifted.eigenvalues[0] == pytest.approx(0.0, abs=0)
     assert shifted.alpha == 0.0
 
+
+
+# ---------------------------------------------------------------------------
+# the matrix exponential behind DelayShiftSemigroup
+
+# history cells and times of the checks below: together they reach every
+# Pade degree, and t = 1 and t = 3 need squarings at every cell count
+EXPM_CELLS = (6, 8, 12, 16, 24, 32, 40, 48, 64)
+EXPM_TIMES = (2.5e-4, 1e-2, 0.2, 1.0, 3.0)
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b, 1) / np.linalg.norm(b, 1)
+
+
+def test_pade_degree_at_each_theta_boundary():
+    thetas = [theta for theta, _ in _PADE.values()]
+    degrees = list(_PADE)
+    for m, theta, above in zip(degrees, thetas, degrees[1:] + [13]):
+        assert _pade_degree(theta) == (m, 0)
+        assert _pade_degree(np.nextafter(theta, np.inf)) == (above, 0 if m < 13 else 1)
+    theta13 = thetas[-1]
+    assert _pade_degree(0.0) == (3, 0)
+    assert _pade_degree(2.0 * theta13) == (13, 1)
+    assert _pade_degree(np.nextafter(2.0 * theta13, np.inf)) == (13, 2)
+    assert _pade_degree(1000.0 * theta13) == (13, 10)
+
+
+@pytest.mark.parametrize("lam", [-1e-3, 5e-3, -0.1, 0.4, -1.5, 2.0, -4.0, 5.0, -40.0, 30.0])
+def test_expm_of_a_jordan_block(lam):
+    # exp([[l, 1], [0, l]]) = exp(l) [[1, 1], [0, 1]], at every degree
+    out = _expm(np.array([[lam, 1.0], [0.0, lam]]))
+    assert rel_err(out, np.exp(lam) * np.array([[1.0, 1.0], [0.0, 1.0]])) <= 1e-13
+
+
+def test_expm_shift_identity():
+    # expm(t (A + delta I)) = exp(delta t) expm(t A)
+    for cells in EXPM_CELLS:
+        plain = DelayShiftSemigroup(cells)
+        for delta in (-1.0, 0.5):
+            shifted = DelayShiftSemigroup(cells, shift=delta)
+            for t in EXPM_TIMES:
+                assert rel_err(shifted.matrix(t), np.exp(delta * t) * plain.matrix(t)) <= 1e-13
+
+
+def test_expm_doubling_through_squaring():
+    seg = DelayShiftSemigroup(32)
+    t = 1.0
+    assert _pade_degree(np.linalg.norm(t * seg._matrix, 1))[1] > 0
+    half = seg.matrix(t)
+    assert rel_err(seg.matrix(2.0 * t), half @ half) <= 1e-13
+
+
+def test_expm_matches_scipy():
+    linalg = pytest.importorskip("scipy.linalg")
+    for cells in EXPM_CELLS:
+        for shift in (0.0, -1.0):
+            gen = DelayShiftSemigroup(cells, shift=shift)._matrix
+            for t in EXPM_TIMES:
+                assert rel_err(_expm(t * gen), linalg.expm(t * gen)) <= 1e-13

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,6 +314,15 @@ def test_direct_energy_terms_read_the_returned_path(which):
     assert np.allclose(res.per_cell, expected, rtol=1e-12, atol=0.0)
 
 
+def test_direct_without_path_keeps_the_terminal_state():
+    model = delay_model(rate=2.0)
+    noise = draw_noise(model, TimeGrid(1.0, 50), 29, range(3))
+    full = direct_solve_batch(model, noise)
+    last = direct_solve_batch(model, noise, path=False)
+    assert last.values.shape == (3, 1, model.dim)
+    assert np.array_equal(last.values, full.values[:, -1:])
+
+
 def test_jump_increments_match_per_event_loop():
     # the per-cell assembly (one vectorized jump-coefficient call, np.add.at)
     # reproduces a per-event loop bit for bit, also through the array event
@@ -410,3 +420,19 @@ def test_apriori_bound_error_locates_violation():
         r"norm \S+ vs bound \S+ \(\+5% slack\)",
         str(err.value),
     )
+
+
+def test_apriori_bound_error_names_the_global_path():
+    # the paths of chunk 3 of 64: the message names the failing row by its
+    # global path index, the row's index within the batch plus 192
+    model = build_linear_scalar(a=5.0, validate=False)
+    model.coeffs.drift.semimonotone_m = 0.0
+    noise = draw_noise(model, TimeGrid(1.0, 100), 0, range(192, 196))
+    assert noise.path_index.tolist() == [192, 193, 194, 195]
+    messages = []
+    for nz in (noise, replace(noise, path_index=None)):
+        with pytest.raises(AprioriBoundError) as err:
+            picard_solve_batch(model, nz)
+        messages.append(str(err.value))
+    row = int(re.search(r"path row (\d+):", messages[1]).group(1))
+    assert messages[0] == messages[1].replace(f"path row {row}:", f"path row {192 + row}:")

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -302,23 +303,46 @@ def _write_csv(path: Path, schema: str, header: list[str], rows):
             )
 
 
-def _run_chunks(fn, paths: int, chunk_size: int) -> list:
+def _run_chunks(fn, paths: int, chunk_size: int, stacked: bool = False) -> list:
     """Apply fn to the fixed path-index chunks; return the results in chunk
     order. The chunk boundaries bound memory and, through the batch-wide
-    implicit step, the numerics.
+    implicit step and the row blocks of every matrix product, the numerics.
+
+    Without ``stacked``, fn maps one chunk's path range to its result. With
+    ``stacked``, fn maps a batch, a list of chunk ranges of one length, to a
+    tuple of arrays whose leading axis runs over the batch's rows in order,
+    or over a leading part of them. Each process then solves its share's
+    full chunks as one batch and a short last chunk as a batch of its own,
+    and the arrays are cut back into one tuple per chunk.
 
     With n = min(chunks, usable cores) >= 2, the chunks are dealt into n
     fixed, interleaved shares (share k holds chunks k, k + n, ...). n - 1
     forked helpers run shares 1..n-1 while this process runs share 0, so
-    chunk 0 always runs here. A share stops at its first failing chunk; once
+    chunk 0 always runs here. A share stops at its first failing chunk or
+    batch, whose exception stands in the place of its first chunk; once
     every share is in, the failure with the lowest chunk index is raised,
     which is the one the serial loop raises. No helper outlives the call.
     """
     ranges = [range(s, min(s + chunk_size, paths)) for s in range(0, paths, chunk_size)]
+    if stacked:
+        run_share = functools.partial(_run_stacked, fn, chunk_size)
+    else:
+        run_share = functools.partial(_run_share, fn)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n = min(len(ranges), cores)
     if n < 2 or not hasattr(os, "fork"):
-        return [fn(r) for r in ranges]
+        results = run_share(ranges)
+    else:
+        results = _run_forked(run_share, ranges, n)
+    for value in results:
+        if isinstance(value, Exception):
+            raise value
+    return results
+
+
+def _run_forked(run_share, ranges, n: int) -> list:
+    """run_share over n interleaved shares of ranges, shares 1..n-1 on forked
+    helpers and share 0 here; the results, in the order of ranges."""
     results = [None] * len(ranges)
     helpers = []  # (pid, read end of the pipe that carries its share's results)
     try:
@@ -326,10 +350,10 @@ def _run_chunks(fn, paths: int, chunk_size: int) -> list:
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _helper(fn, ranges[k::n], write_fd, [read_fd] + [fd for _, fd in helpers])
+                _helper(run_share, ranges[k::n], write_fd, [read_fd] + [fd for _, fd in helpers])
             os.close(write_fd)
             helpers.append((pid, read_fd))
-        results[0::n] = _run_share(fn, ranges[0::n])
+        results[0::n] = run_share(ranges[0::n])
         for k, (pid, read_fd) in enumerate(helpers, start=1):
             with open(read_fd, "rb", closefd=False) as pipe:
                 try:
@@ -343,9 +367,6 @@ def _run_chunks(fn, paths: int, chunk_size: int) -> list:
             os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    for value in results:
-        if isinstance(value, Exception):
-            raise value
     return results
 
 
@@ -362,7 +383,29 @@ def _run_share(fn, ranges) -> list:
     return out
 
 
-def _helper(fn, ranges, write_fd: int, inherited_fds: list):
+def _run_stacked(fn, chunk_size: int, ranges) -> list:
+    """fn over the full chunks of ranges as one batch, then over a short
+    last chunk; each batch's row arrays cut back into chunk results. A
+    failing batch's exception stands in the place of its first chunk, and
+    later chunks stay None."""
+    full = [r for r in ranges if len(r) == chunk_size]
+    batches = ([full] if full else []) + [[r] for r in ranges if len(r) < chunk_size]
+    out = [None] * len(ranges)
+    done = 0
+    for batch in batches:
+        try:
+            arrays = fn(batch)
+        except Exception as exc:  # raised by _run_chunks in chunk order
+            out[done] = exc
+            break
+        size = len(batch[0])
+        for i in range(len(batch)):
+            out[done + i] = tuple(a[i * size : (i + 1) * size] for a in arrays)
+        done += len(batch)
+    return out
+
+
+def _helper(run_share, ranges, write_fd: int, inherited_fds: list):
     """Body of a forked helper: run its share, pickle the results into the
     pipe and exit. It never returns into the caller's stack, and it skips
     the exit handlers and stream flushes it inherited."""
@@ -371,7 +414,7 @@ def _helper(fn, ranges, write_fd: int, inherited_fds: list):
         for fd in inherited_fds:
             os.close(fd)
         with open(write_fd, "wb") as pipe:
-            pickle.dump(_run_share(fn, ranges), pipe, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(run_share(ranges), pipe, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)
@@ -511,22 +554,30 @@ def run_ito_check(config: RunConfig) -> RunSummary:
     tol_coeff = config.ito_tol_coeff if config.ito_tol_coeff is not None else ITO_TOL_COEFF
     out = Path(config.out_dir)
 
-    def energy_check(nz):
-        res = direct_solve_batch(model, nz, energy=True)
-        return ito_inequality_check(
-            model.semigroup.alpha, nz.grid, res.norms_sq, res.per_cell, tol_coeff=tol_coeff
+    def energy_check(nz, chunk_size, keep_slack):
+        # the solver feeds the check cell by cell; no energy term is stored
+        norm0_sq = weighted_norm_sq(nz.x0, model.weights)
+        rep = ito_inequality_check(
+            model.semigroup.alpha, nz.grid, norm0_sq[:, None], np.zeros((nz.n_paths, 0)),
+            tol_coeff=tol_coeff, keep_slack=keep_slack,
         )
+        direct_solve_batch(model, nz, energy=rep, chunk_size=chunk_size)
+        return rep
 
-    def chunk(path_range):
-        noise_fine = draw_noise(model, grid=fine, master_seed=config.seed, path_indices=path_range)
-        rep = energy_check(coarsen_noise(noise_fine, 2))
+    def batch(ranges):
+        noise_fine = draw_noise(
+            model, grid=fine, master_seed=config.seed,
+            path_indices=[i for r in ranges for i in r],
+        )
+        c = len(ranges[0])
+        rep = energy_check(coarsen_noise(noise_fine, 2), c, keep_slack=True)
         if config.refine_check:
-            fine_mask = energy_check(noise_fine).violation_mask()
+            fine_mask = energy_check(noise_fine, c, keep_slack=False).violation_mask()
         else:
-            fine_mask = np.zeros(len(path_range), dtype=bool)
+            fine_mask = np.zeros(noise_fine.n_paths, dtype=bool)
         return rep.slack, rep.violation_mask(), fine_mask
 
-    results = _run_chunks(chunk, config.paths, config.chunk_size)
+    results = _run_chunks(batch, config.paths, config.chunk_size, stacked=True)
     slack = np.concatenate([r[0] for r in results], axis=0)
     coarse_mask = np.concatenate([r[1] for r in results])
     fine_mask = np.concatenate([r[2] for r in results])
@@ -603,23 +654,25 @@ def run_benchmark_oracle(config: RunConfig) -> RunSummary:
     for lvl_index, lvl in enumerate(exponents):
         grid = TimeGrid(config.horizon, 2**lvl)
 
-        def chunk(path_range, grid=grid, lvl_index=lvl_index):
+        def batch(ranges, grid=grid, lvl_index=lvl_index):
             offset = lvl_index * config.paths
             noise = draw_noise(
-                model, grid, config.seed, [offset + i for i in path_range]
+                model, grid, config.seed, [offset + i for r in ranges for i in r]
             )
-            res = direct_solve_batch(model, noise, path=False)
-            errs = np.zeros(len(path_range))
-            for row in range(len(path_range)):
-                w_path = np.concatenate([[0.0], np.cumsum(noise.dW[row, :, 0])]) if noise.dW.shape[2] else np.zeros(grid.n_steps + 1)
-                exact = stochastic_exponential(
-                    x0, a, sigma, nu_mean, grid.times, w_path, noise.events_by_path[row]
-                )
-                errs[row] = (res.values[row, -1, 0] - exact[-1]) ** 2
-            return errs
+            res = direct_solve_batch(model, noise, path=False, chunk_size=len(ranges[0]))
+            p = noise.n_paths
+            w_end = noise.wiener_at_horizon()[:, 0] if noise.wiener is not None else np.zeros(p)
+            # the closed form on the two points (0, T) is its value at T on the grid
+            exact = stochastic_exponential(
+                x0, a, sigma, nu_mean, grid.times[[0, -1]],
+                np.column_stack([np.zeros(p), w_end]), noise.events_by_path,
+            )
+            # a numpy scalar's ** 2 goes through pow, which can round unlike
+            # the array square; the benchmark CSV keeps the scalar form
+            return (np.array([d ** 2 for d in res.terminal[:, 0] - exact[:, -1]]),)
 
         errs = np.concatenate(
-            _run_chunks(chunk, config.paths, config.chunk_size)
+            [r[0] for r in _run_chunks(batch, config.paths, config.chunk_size, stacked=True)]
         )
         rms.append(math.sqrt(float(errs.mean())))
         mean_sq.append(_mean_se(errs))
@@ -710,13 +763,14 @@ def run_simulate(config: RunConfig) -> RunSummary:
     out = Path(config.out_dir)
     k = min(config.dump_paths, config.paths)
 
-    def chunk(path_range):
-        # only the rows the CSV dumps and the terminal states leave a chunk
-        noise = draw_noise(model, grid, config.seed, path_range)
-        values = direct_solve_batch(model, noise).values
-        return values[: max(0, k - path_range.start)].copy(), values[:, -1].copy()
+    def batch(ranges):
+        # only the rows the CSV dumps and the terminal states leave a batch
+        noise = draw_noise(model, grid, config.seed, [i for r in ranges for i in r])
+        kept = int(np.count_nonzero(noise.path_index < k))
+        res = direct_solve_batch(model, noise, path_rows=kept, chunk_size=len(ranges[0]))
+        return res.values, res.terminal
 
-    results = _run_chunks(chunk, config.paths, config.chunk_size)
+    results = _run_chunks(batch, config.paths, config.chunk_size, stacked=True)
     dumped = np.concatenate([r[0] for r in results], axis=0)
     rows = []
     for p in range(k):

@@ -456,18 +456,24 @@ def stochastic_exponential(
 
     X_t = x0 exp((a - sigma^2/2 - nu_mean) t + sigma W_t) prod_{s<=t} (1+xi_s)
     where nu_mean is the first moment of the (uncompensated) intensity.
-    Evaluated at grid points from the (time, mark) pairs in ``events``; each
-    jump takes effect from the right endpoint of its cell on, matching the
-    integrator's binning.
+    Evaluated at the grid points ``times`` from the Wiener values there and
+    the (time, mark) pairs in ``events``; each jump takes effect from the
+    right endpoint of its cell on, matching the integrator's binning. A
+    ``wiener_path`` (paths, len(times)) evaluates a batch of paths at once,
+    with ``events`` holding one sequence of pairs per path. On the two points
+    (0, T) the value at T is the one on any finer grid, bit for bit.
     """
     times = np.asarray(times, dtype=float)
+    wiener_path = np.asarray(wiener_path, dtype=float)
     log_factor = (a - 0.5 * sigma * sigma - nu_mean) * times + sigma * wiener_path
-    prod = np.ones_like(times)
-    if events:
-        dt = times[1] - times[0]
-        for t_ev, mark in events:
-            cell = min(int(math.ceil(t_ev / dt)) - 1, len(times) - 2)
-            prod[max(cell, 0) + 1 :] *= 1.0 + mark
+    prod = np.ones_like(log_factor)
+    rows = prod.reshape(-1, len(times))
+    for row, row_events in zip(rows, [events] if wiener_path.ndim == 1 else events):
+        if row_events:
+            dt = times[1] - times[0]
+            for t_ev, mark in row_events:
+                cell = min(int(math.ceil(t_ev / dt)) - 1, len(times) - 2)
+                row[max(cell, 0) + 1 :] *= 1.0 + mark
     return x0 * np.exp(log_factor) * prod
 
 

@@ -30,7 +30,7 @@ from .coefficients import (
     check_lipschitz_growth,
     check_semimonotone,
 )
-from .convolution import stochastic_convolution
+from .convolution import ItoCheckReport, stochastic_convolution
 from .noise import MarkSpaceSpec, NoiseRealization
 from .semigroup import Semigroup
 from .state_space import hs_norm_sq, weighted_inner, weighted_norm_sq
@@ -282,36 +282,46 @@ def _solve_step_equation(drift, t_right, b, dt, w, tol, damping):
 
 
 def _advance_step(seg, drift, x, v_left, v_right, t_right, dt, w, tol, damping,
-                  depth, max_halvings):
+                  depth, max_halvings, label=None, path_index=None):
     """One implicit step; rows whose inner iteration fails are re-run on a
     bisected cell (the forcing is piecewise constant, so its increment lands
-    on the second half)."""
+    on the second half). A failure after ``max_halvings`` bisections names
+    the stalled row with the largest residual by its entry of ``path_index``
+    (the global path indices of the rows) and is prefixed with ``label``,
+    each when given."""
     b = seg.apply(dt, x - v_left) + v_right
     out, ok = _solve_step_equation(drift, t_right, b, dt, w, tol, damping)
     if ok.all():
         return out
-    if depth >= max_halvings:
-        res = b + dt * drift.evaluate(t_right, out) - out
-        worst = float(np.max(np.sqrt(weighted_norm_sq(res, w))))
-        raise InnerIterationError(
-            f"inner iteration stalled at t={t_right:.6g} after {max_halvings} "
-            f"halvings (worst residual {worst:.3g}, tol {tol:.3g})"
-        )
     rows = np.nonzero(~ok)[0]
+    if depth >= max_halvings:
+        out = out[rows]
+        res = np.sqrt(weighted_norm_sq(b[rows] + dt * drift.evaluate(t_right, out) - out, w))
+        worst = int(np.argmax(res))
+        where = "" if label is None else f"{label}: "
+        path = "" if path_index is None else f", path row {int(path_index[rows[worst]])}"
+        raise InnerIterationError(
+            f"{where}inner iteration stalled at t={t_right:.6g}{path} after {max_halvings} "
+            f"halvings (worst residual {float(res[worst]):.3g}, tol {tol:.3g})"
+        )
+    sub_index = None if path_index is None else path_index[rows]
     half = 0.5 * dt
     mid = _advance_step(
         seg, drift, x[rows], v_left[rows], v_left[rows], t_right - half, half, w,
-        tol, damping, depth + 1, max_halvings,
+        tol, damping, depth + 1, max_halvings, label, sub_index,
     )
     out[rows] = _advance_step(
         seg, drift, mid, v_left[rows], v_right[rows], t_right, half, w,
-        tol, damping, depth + 1, max_halvings,
+        tol, damping, depth + 1, max_halvings, label, sub_index,
     )
     return out
 
 
-def _mild_core(seg, drift, x0, v_values, grid, w, tol, damping, max_halvings):
-    """Batched deterministic mild solve; v_values broadcast to (P, m+1, dim)."""
+def _mild_core(seg, drift, x0, v_values, grid, w, tol, damping, max_halvings,
+               label=None, path_index=None):
+    """Batched deterministic mild solve; v_values broadcast to (P, m+1, dim).
+    ``label`` and ``path_index`` locate an inner-iteration failure (see
+    :func:`_advance_step`)."""
     m, dt = grid.n_steps, grid.dt
     t = grid.times
     x0 = np.asarray(x0, dtype=float)
@@ -323,7 +333,7 @@ def _mild_core(seg, drift, x0, v_values, grid, w, tol, damping, max_halvings):
     for j in range(m):
         values[:, j + 1, :] = _advance_step(
             seg, drift, values[:, j, :], v_b[:, j, :], v_b[:, j + 1, :],
-            float(t[j + 1]), dt, w, tol, damping, 0, max_halvings,
+            float(t[j + 1]), dt, w, tol, damping, 0, max_halvings, label, path_index,
         )
     return values
 
@@ -376,13 +386,19 @@ def _cell_assembler(model: ModelSpec, noise: NoiseRealization, brackets: bool = 
     """Per-cell noise increments g(s, X_{s-}) dW + k dN-tilde on one realization.
 
     ``assemble(j, xl)`` freezes every coefficient at the cell's left-point
-    state ``xl`` (paths, dim) and returns (compensator drift -dt * comp,
-    g dW, jump sums, bracket), each None when its channel is absent or, for
-    the jump sums, when the cell holds no event. The jump coefficient is
-    called once per event cell, on the vectors of the cell's event times and
-    marks, and np.add.at sums each (row, cell) in event order. The bracket
-    ||g||_HS^2 dt + sum of squared jump norms, shape (paths,), is computed
-    only with ``brackets`` set and is None otherwise.
+    state ``xl`` (..., dim), whose leading axes run over the paths in row
+    order, and returns (compensator drift -dt * comp, g dW, jump sums,
+    bracket), each None when its channel is absent or, for the jump sums,
+    when the cell holds no event. The jump coefficient is called once per
+    event cell, on the vectors of the cell's event times and marks and the
+    flat rows they hit, and np.add.at sums each (row, cell) in event order.
+    The bracket ||g||_HS^2 dt + sum of squared jump norms, shaped like xl
+    without its last axis, is computed only with ``brackets`` set and is
+    None otherwise.
+
+    Cells are assembled in step order, j = 0, 1, ..; each pass from j = 0 on
+    regenerates the Wiener increments from the noise's streams, one block of
+    steps at a time.
     """
     grid = noise.grid
     dt, times = grid.dt, grid.times.tolist()
@@ -391,6 +407,20 @@ def _cell_assembler(model: ModelSpec, noise: NoiseRealization, brackets: bool = 
     diffuse = not g.is_zero
     jumps = not (model.marks is None or model.marks.rate == 0.0)
     starts = np.searchsorted(noise.jump_cell, np.arange(grid.n_steps + 1)).tolist()
+    blocks = block = None
+    first = end = 0
+
+    def wiener_increments(j):
+        """dW of cell j, (paths, modes), from the block that holds it."""
+        nonlocal blocks, block, first, end
+        if j == 0:
+            blocks, end = noise.wiener_blocks(), 0
+        if j == end:
+            block = next(blocks)
+            first, end = j, j + block.shape[1]
+        elif not first <= j < end:
+            raise ValueError(f"cell {j} assembled out of step order")
+        return block[:, j - first]
 
     def assemble(j, xl):
         t = times[j]
@@ -398,23 +428,27 @@ def _cell_assembler(model: ModelSpec, noise: NoiseRealization, brackets: bool = 
         hs_sq = jump_sq = 0.0
         if diffuse:
             cols = g.evaluate(t, xl)
-            gdw = np.einsum("pkd,pk->pd", cols, noise.dW[:, j])
+            dw = wiener_increments(j).reshape(xl.shape[:-1] + (-1,))
+            gdw = np.einsum("...kd,...k->...d", cols, dw)
             if brackets:
                 hs_sq = hs_norm_sq(cols, w) * dt
         if jumps:
             comp = -dt * k.compensator(t, xl)
             lo, hi = starts[j], starts[j + 1]
             if lo < hi:
+                flat = xl.reshape(-1, xl.shape[-1])
                 rows = noise.jump_row[lo:hi]
-                vecs = k.evaluate(noise.jump_time[lo:hi], noise.jump_mark[lo:hi], xl[rows])
-                sums = np.zeros_like(xl)
+                vecs = k.evaluate(noise.jump_time[lo:hi], noise.jump_mark[lo:hi], flat[rows])
+                sums = np.zeros_like(flat)
                 np.add.at(sums, rows, vecs)
+                sums = sums.reshape(xl.shape)
                 if brackets:
-                    jump_sq = np.zeros(len(xl))
+                    jump_sq = np.zeros(len(flat))
                     np.add.at(jump_sq, rows, weighted_norm_sq(vecs, w))
+                    jump_sq = jump_sq.reshape(xl.shape[:-1])
         bracket = None
         if brackets:
-            bracket = np.zeros(len(xl)) + hs_sq + jump_sq
+            bracket = np.zeros(xl.shape[:-1]) + hs_sq + jump_sq
         return comp, gdw, sums, bracket
 
     return assemble
@@ -493,13 +527,13 @@ def picard_solve_batch(
             if sums is not None:
                 dz[:, j] += sums
         v_values = stochastic_convolution(seg, grid, np.zeros((p, dim)), dz)
+        label = f"{model.name}: iterate {n}"
         x_next = _mild_core(
             seg, work.coeffs.drift, noise.x0, v_values, grid, w,
-            inner_tol, damping, max_halvings,
+            inner_tol, damping, max_halvings, label, noise.path_index,
         )
         _check_apriori_bound(
-            work.coeffs.drift, free, v_values, x_next, grid, w,
-            f"{model.name}: iterate {n}", noise.path_index,
+            work.coeffs.drift, free, v_values, x_next, grid, w, label, noise.path_index,
         )
         dist = weighted_norm_sq(x_next - x_prev, w).max(axis=1)
         distances.append(dist)
@@ -531,30 +565,47 @@ def picard_solve_batch(
 
 @dataclass(eq=False)
 class BatchDirectResult:
-    """Euler path values (paths, m+1, dim), or only the terminal state
-    (paths, 1, dim) when no path was kept; with the energy terms requested,
-    also ``norms_sq`` (paths, m+1) = ||X_j||^2 and ``per_cell`` (paths, m) =
-    2 <X_j, dZ_j> + d[Z]_j, both read off the states the step loop advanced."""
+    """Euler path values (rows, m+1, dim) of the rows whose path was kept, or
+    only the terminal state (paths, 1, dim) when no path was kept, and the
+    terminal states (paths, dim); with the energy terms recorded
+    (``energy=True``), also ``norms_sq`` (paths, m+1) = ||X_j||^2 and
+    ``per_cell`` (paths, m) = 2 <X_j, dZ_j> + d[Z]_j, both read off the states
+    the step loop advanced."""
 
     values: np.ndarray
+    terminal: np.ndarray
     norms_sq: np.ndarray | None = None
     per_cell: np.ndarray | None = None
 
 
 def direct_solve_batch(
-    model: ModelSpec, noise: NoiseRealization, energy: bool = False, path: bool = True
+    model: ModelSpec,
+    noise: NoiseRealization,
+    energy: bool | ItoCheckReport = False,
+    path: bool = True,
+    path_rows: int | None = None,
+    chunk_size: int | None = None,
 ) -> BatchDirectResult:
     """One-pass exponential Euler scheme applied to the integral equation.
 
     Per cell: X_{j+1} = S_dt (X_j + f dt + g dW + jumps - compensator dt),
     with every coefficient frozen at the cell's left endpoint, on the noise's
     grid. On the same noise realization this is the cross-check for the
-    iterated solver. The step loop keeps the path only with ``path`` set and
-    ``energy`` unset, and otherwise returns only the terminal state. With
-    ``energy`` it records ||X_j||^2 of each state and the pairing
-    2 <X_j, dZ_j> of each cell's raw increment
+    iterated solver. The step loop keeps the path of the first ``path_rows``
+    rows (all by default) only with ``path`` set and no ``energy``, and
+    otherwise only the terminal states.
+
+    With ``energy`` the loop pairs each cell's raw increment
     dZ_j = (f dt - compensator dt + g dW) + jumps with its left-point state,
-    plus the cell's bracket (see ``_cell_assembler``).
+    2 <X_j, dZ_j> plus the cell's bracket (see ``_cell_assembler``), and takes
+    ||X_{j+1}||^2. ``energy=True`` records both terms in the result; an
+    :class:`ItoCheckReport` of no cells yet is fed them cell by cell
+    instead, so nothing of length m per row is stored.
+
+    The rows are stepped as a (paths / chunk_size, chunk_size, dim) array
+    (one chunk of all rows by default), so every matrix product inside the
+    semigroup and the coefficients runs on blocks of ``chunk_size`` rows and
+    a row's bits do not depend on how many chunks are stacked.
     """
     seg = model.semigroup
     f = model.coeffs.drift.evaluate
@@ -562,19 +613,23 @@ def direct_solve_batch(
     grid = noise.grid
     m, dt = grid.n_steps, grid.dt
     t = grid.times
-    p = noise.n_paths
+    p, dim = noise.n_paths, model.dim
+    chunk = p if chunk_size is None else chunk_size
+    if chunk < 1 or p % chunk:
+        raise ValueError(f"{p} rows do not split into chunks of {chunk}")
 
-    x = noise.x0
-    keep = path and not energy
+    x = noise.x0.reshape(p // chunk, chunk, dim)
+    keep = path and energy is False
+    rows = p if path_rows is None else max(0, min(path_rows, p))
     values = norms_sq = per_cell = None
-    if energy:
+    if energy is True:
         norms_sq = np.zeros((p, m + 1))
-        norms_sq[:, 0] = weighted_norm_sq(x, w)
+        norms_sq[:, 0] = weighted_norm_sq(x, w).reshape(p)
         per_cell = np.zeros((p, m))
     if keep:
-        values = np.zeros((p, m + 1, model.dim))
-        values[:, 0] = x
-    assemble = _cell_assembler(model, noise, brackets=energy)
+        values = np.zeros((rows, m + 1, dim))
+        values[:, 0] = noise.x0[:rows]
+    assemble = _cell_assembler(model, noise, brackets=energy is not False)
     for j in range(m):
         comp, gdw, jump_part, bracket = assemble(j, x)
         drift_part = f(float(t[j]), x) * dt
@@ -585,13 +640,19 @@ def direct_solve_batch(
         if jump_part is not None:
             y += jump_part  # (X_j + incr) + jumps: the CSV digests pin this order
         x_next = seg.apply(dt, y)
-        if energy:
+        if energy is not False:
             dz = incr if jump_part is None else incr + jump_part
-            per_cell[:, j] = 2.0 * weighted_inner(x, dz, w) + bracket
-            norms_sq[:, j + 1] = weighted_norm_sq(x_next, w)
-        if keep:
-            values[:, j + 1] = x_next
+            cell = (2.0 * weighted_inner(x, dz, w) + bracket).reshape(p)
+            norm_next = weighted_norm_sq(x_next, w).reshape(p)
+            if energy is True:
+                per_cell[:, j] = cell
+                norms_sq[:, j + 1] = norm_next
+            else:
+                energy.add(cell, norm_next)
+        if keep and rows:
+            values[:, j + 1] = x_next.reshape(p, dim)[:rows]
         x = x_next
+    terminal = x.reshape(p, dim)
     if not keep:
-        values = x[:, None, :]
-    return BatchDirectResult(values, norms_sq, per_cell)
+        values = terminal[:, None, :]
+    return BatchDirectResult(values, terminal, norms_sq, per_cell)

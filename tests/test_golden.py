@@ -71,6 +71,22 @@ CASES = {
     ),
 }
 
+# simulate on the delay model in chunks of 2 (the last one short), dumping
+# no path, every path, and the first 3 paths (ending inside chunk 1): only
+# those rows keep their path in the solver
+for dump, digest in [
+    (0, "2873138fc66949442dbd52548c492b9a52249ab3e35af9cd7808ef5b899d5fb4"),
+    (7, "fb165784d6635658a3ee2065929761b5088182c39aa68ca44e0ee623a153032e"),
+    (3, "ad36de677f1b0ff609cee323dfabab355c907e69048e90429d875bd565875041"),
+]:
+    CASES[f"simulate-delay-dump-{dump}"] = (
+        "simulate",
+        dict(BASE, example="delay", dim=6, paths=7, seed=18, chunk_size=2, dump_paths=dump,
+             model_params=dict(JUMPS, levy_gaussian_variance=0.25)),
+        0,
+        digest,
+    )
+
 
 def csv_digest(out_dir):
     digest = hashlib.sha256()

@@ -158,7 +158,7 @@ def test_stochastic_exponential_single_jump():
     # one event at t = 0.5 with mark 0.5, read through the per-path view
     grid = TimeGrid(1.0, 100)
     noise = NoiseRealization(
-        grid, np.zeros((1, 100, 0)), np.ones((1, 1)), jump_row=np.array([0]),
+        grid, None, np.ones((1, 1)), jump_row=np.array([0]),
         jump_cell=grid.cell_of(np.array([0.5])), jump_time=np.array([0.5]),
         jump_mark=np.array([0.5]),
     )

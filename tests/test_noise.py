@@ -3,7 +3,7 @@ import pytest
 
 from mildsde.coefficients import CoefficientSet, DiffusionSpec, DriftSpec, JumpCoeffSpec
 from mildsde.models import build_linear_scalar
-from mildsde.noise import TimeGrid, draw_noise, path_rng
+from mildsde.noise import WIENER_BLOCK, TimeGrid, coarsen_noise, draw_noise, path_rng
 from mildsde.semigroup import DiagonalSemigroup
 from mildsde.solver import ModelSpec, _cell_assembler, direct_solve_batch
 
@@ -177,3 +177,74 @@ def test_wiener_disjoint_increments_uncorrelated():
     mode_corr = np.corrcoef(table[:, 0], table[:, 1])[0, 1]
     assert abs(lag_corr) <= 4.0 / np.sqrt(n)
     assert abs(mode_corr) <= 4.0 / np.sqrt(grid.n_steps)
+
+
+# ---------------------------------------------------------------------------
+# Wiener streams
+
+
+def drawn_table(seed, indices, grid, modes):
+    """The table draw_noise used to keep: each row's normals, drawn at once."""
+    return np.stack([
+        path_rng(seed, i).standard_normal((grid.n_steps, modes)) * np.sqrt(grid.dt)
+        for i in indices
+    ])
+
+
+def read_blocks(noise):
+    blocks = [block.copy() for block in noise.wiener_blocks()]
+    assert [b.shape[1] for b in blocks[:-1]] == [WIENER_BLOCK] * (len(blocks) - 1)
+    assert 0 < blocks[-1].shape[1] <= WIENER_BLOCK
+    return np.concatenate(blocks, axis=1)
+
+
+def test_wiener_blocks_equal_the_drawn_table():
+    # 600 steps: two full blocks and a short one
+    model, grid = wiener_model(3), TimeGrid(1.0, 600)
+    noise = draw_noise(model, grid, 17, range(5, 9))
+    table = drawn_table(17, range(5, 9), grid, 3)
+    assert np.array_equal(read_blocks(noise), table)
+    assert np.array_equal(noise.dW, table)
+    # a second pass regenerates the same values
+    assert np.array_equal(read_blocks(noise), table)
+
+
+def test_coarsened_wiener_blocks_sum_the_fine_table():
+    model, grid = wiener_model(2), TimeGrid(1.0, 1800)
+    fine = draw_noise(model, grid, 3, range(3))
+    table = drawn_table(3, range(3), grid, 2)
+    by_two = table.reshape(3, 900, 2, 2).sum(axis=2)
+    coarse = coarsen_noise(fine, 2)
+    assert np.array_equal(read_blocks(coarse), by_two)
+    assert np.array_equal(coarse.dW, by_two)
+    # coarsenings compose in the order they were applied
+    twice = coarsen_noise(coarse, 3)
+    assert np.array_equal(read_blocks(twice), by_two.reshape(3, 300, 3, 2).sum(axis=2))
+    # the fine realization still reads its own table
+    assert np.array_equal(read_blocks(fine), table)
+
+
+def test_wiener_at_horizon_adds_in_step_order():
+    model, grid = wiener_model(2), TimeGrid(1.0, 700)
+    noise = draw_noise(model, grid, 5, range(4))
+    table = drawn_table(5, range(4), grid, 2)
+    assert np.array_equal(noise.wiener_at_horizon(), np.cumsum(table, axis=1)[:, -1])
+    assert np.array_equal(coarsen_noise(noise, 7).wiener_at_horizon(), noise.wiener_at_horizon())
+
+
+def test_no_wiener_modes_no_streams():
+    noise = draw_noise(jump_model(), TimeGrid(1.0, 10), 1, range(3))
+    assert noise.wiener is None
+    assert noise.dW.shape == (3, 10, 0)
+    assert noise.wiener_at_horizon().shape == (3, 0)
+    assert list(noise.wiener_blocks()) == []
+
+
+def test_interleaved_wiener_passes_raise():
+    # a realization and its coarsening share one set of generators
+    fine = draw_noise(wiener_model(1), TimeGrid(1.0, 600), 2, range(2))
+    first = fine.wiener_blocks()
+    next(first)
+    list(coarsen_noise(fine, 2).wiener_blocks())
+    with pytest.raises(RuntimeError, match="another pass"):
+        next(first)

@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import time
 
+import numpy as np
 import pytest
 
 from mildsde.cli import _run_chunks, main
@@ -159,4 +160,56 @@ def test_helper_that_dies_is_reported(monkeypatch):
 
     with pytest.raises(RuntimeError, match="ended without its results"):
         _run_chunks(fn, 4, 2)
+    assert_no_children()
+
+
+def batch_owner(failing=()):
+    """A stacked batch function returning, per row, its path index, the
+    first path index of its batch and the process it ran in, plus the rows
+    below 5 only (a leading part of the batch); it fails on the batches
+    whose first path index is listed."""
+
+    def fn(ranges):
+        rows = np.array([i for r in ranges for i in r])
+        if rows[0] in failing:
+            raise SolverError(f"batch at path {rows[0]} failed")
+        return rows, np.full(len(rows), rows[0]), np.full(len(rows), os.getpid()), rows[rows < 5]
+
+    return fn
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_stacked_shares_solve_their_full_chunks_as_one_batch(monkeypatch, cpus):
+    # 11 paths in chunks of 2: five full chunks and a short last one
+    use_cpus(monkeypatch, cpus)
+    results = _run_chunks(batch_owner(), 11, 2, stacked=True)
+    chunks = [range(s, min(s + 2, 11)) for s in range(0, 11, 2)]
+    assert [r[0].tolist() for r in results] == [list(c) for c in chunks]
+    # share k's full chunks ran as one batch that starts at its first chunk,
+    # the short last chunk as a batch of its own
+    firsts = [int(r[1][0]) for r in results]
+    assert firsts == [chunks[k % cpus].start for k in range(5)] + [10]
+    assert all(len(set(r[1].tolist())) == 1 for r in results)
+    pids = [int(r[2][0]) for r in results]
+    assert pids[::cpus] == [os.getpid()] * len(pids[::cpus])
+    assert len(set(pids)) == cpus
+    # arrays over a leading part of a batch are cut back in chunk order
+    assert np.concatenate([r[3] for r in results]).tolist() == [0, 1, 2, 3, 4]
+    assert_no_children()
+
+
+@pytest.mark.parametrize(
+    "cpus, failing, raised",
+    [
+        (2, (2,), 2),  # the helper's batch of chunks 1, 3
+        (2, (0, 2), 0),  # the caller's batch and the helper's
+        (3, (10,), 10),  # the short last chunk, the second helper's own batch
+        (3, (4, 10), 4),  # both batches of the second helper's share
+    ],
+)
+def test_stacked_lowest_failing_batch_is_raised(monkeypatch, cpus, failing, raised):
+    use_cpus(monkeypatch, cpus)
+    with pytest.raises(SolverError) as pooled:
+        _run_chunks(batch_owner(failing), 11, 2, stacked=True)
+    assert str(pooled.value) == f"batch at path {raised} failed"
     assert_no_children()

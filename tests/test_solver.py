@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from mildsde.models import (
     build_reaction_diffusion,
     stochastic_exponential,
 )
-from mildsde.convolution import stochastic_convolution
+from mildsde.convolution import ito_inequality_check, stochastic_convolution
 from mildsde.noise import TimeGrid, coarsen_noise, draw_noise
 from mildsde.semigroup import DiagonalSemigroup
 from mildsde.solver import (
@@ -184,6 +185,36 @@ def test_stalled_rows_are_bisected_until_they_reach_tolerance():
         str(err.value),
     )
     assert match and float(match.group(1)) > tol
+
+
+def test_inner_iteration_error_names_the_global_path_and_iterate():
+    # the paths of chunk 1 of 64, under the drift f(x) = 8 x at dt = 1/4:
+    # its own step solves x = b + 2 x exactly, but from iterate 2 on it
+    # rejects the row with the largest state (path 65), and the generic
+    # iteration diverges for dt * 8 > 1
+    model = build_linear_scalar(sigma=0.0, jump_rate=0.0, validate=False)
+    grid = TimeGrid(1.0, 4)
+    calls = []
+
+    def step(t, b, dt, tol):
+        calls.append(t)
+        ok = np.ones(b.shape[:-1], dtype=bool)
+        if len(calls) > grid.n_steps:
+            ok = b[:, 0] < b[:, 0].max()
+        return b / (1.0 - dt * 8.0), ok
+
+    model.coeffs.drift = DriftSpec(
+        evaluate=lambda t, x: 8.0 * x, semimonotone_m=0.0, growth_d=64.0, implicit_step=step
+    )
+    noise = draw_noise(model, grid, 0, range(64, 68))
+    noise.x0[1] = 3.0
+    with pytest.raises(InnerIterationError) as err:
+        picard_solve_batch(model, noise, max_halvings=0)
+    assert re.fullmatch(
+        r"linear_scalar: iterate 2: inner iteration stalled at t=0\.25, path row 65 "
+        r"after 0 halvings \(worst residual \S+, tol 1e-08\)",
+        str(err.value),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -436,3 +467,54 @@ def test_apriori_bound_error_names_the_global_path():
         messages.append(str(err.value))
     row = int(re.search(r"path row (\d+):", messages[1]).group(1))
     assert messages[0] == messages[1].replace(f"path row {row}:", f"path row {192 + row}:")
+
+
+def euler_route_peak_bytes(n_steps):
+    """Peak traced allocation while 256 rows in chunks of 64 are drawn and
+    solved on the Euler route as the stacked campaigns solve them: terminal
+    states and W(T) (benchmark), then running energy checks without slack on
+    the realization and its coarsening (ito-check at dt/2 and dt)."""
+    model = build_linear_scalar(validate=False)
+    grid = TimeGrid(1.0, n_steps)
+    tracemalloc.start()
+    try:
+        noise = draw_noise(model, grid, 3, range(256))
+        direct_solve_batch(model, noise, path=False, chunk_size=64)
+        noise.wiener_at_horizon()
+        for nz in (noise, coarsen_noise(noise, 2)):
+            norm0_sq = weighted_norm_sq(nz.x0, None)[:, None]
+            check = ito_inequality_check(
+                0.0, nz.grid, norm0_sq, np.zeros((256, 0)), keep_slack=False
+            )
+            direct_solve_batch(model, nz, energy=check, chunk_size=64)
+            assert check.cells == nz.grid.n_steps
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_euler_route_memory_is_flat_in_steps():
+    # a (rows, steps) table of one float per row and step would add
+    # 256 * (4096 - 512) * 8 bytes, 7 MB; what grows is the grid itself
+    growth = euler_route_peak_bytes(4096) - euler_route_peak_bytes(512)
+    assert growth < 2**20
+
+
+def test_stacked_chunks_step_like_separate_chunks():
+    # a flat product over 128 rows of the 33 x 33 delay semigroup matrix does
+    # not round like 16-row products; the stacked batch keeps the 16-row
+    # blocks, so each chunk's rows come out bit for bit as when solved alone
+    model = rescale_to_contraction(build_delay(
+        history_cells=32, jump_rate=2.0, mark_std=0.5, levy_gaussian_variance=0.25,
+        validate=False,
+    ))
+    grid = TimeGrid(1.0, 50)
+    stacked = direct_solve_batch(
+        model, draw_noise(model, grid, 9, range(128)), path_rows=20, chunk_size=16
+    )
+    alone = [
+        direct_solve_batch(model, draw_noise(model, grid, 9, range(s, s + 16)))
+        for s in range(0, 128, 16)
+    ]
+    assert np.array_equal(stacked.terminal, np.concatenate([r.terminal for r in alone]))
+    assert np.array_equal(stacked.values, np.concatenate([r.values for r in alone])[:20])

@@ -308,52 +308,95 @@ def _run_chunks(fn, paths: int, chunk_size: int, stacked: bool = False) -> list:
     order. The chunk boundaries bound memory and, through the batch-wide
     implicit step and the row blocks of every matrix product, the numerics.
 
-    Without ``stacked``, fn maps one chunk's path range to its result. With
-    ``stacked``, fn maps a batch, a list of chunk ranges of one length, to a
-    tuple of arrays whose leading axis runs over the batch's rows in order,
-    or over a leading part of them. Each process then solves its share's
-    full chunks as one batch and a short last chunk as a batch of its own,
-    and the arrays are cut back into one tuple per chunk.
-
-    With n = min(chunks, usable cores) >= 2, the chunks are dealt into n
-    fixed, interleaved shares (share k holds chunks k, k + n, ...). n - 1
-    forked helpers run shares 1..n-1 while this process runs share 0, so
-    chunk 0 always runs here. A share stops at its first failing chunk or
-    batch, whose exception stands in the place of its first chunk; once
+    Without ``stacked``, fn maps one chunk's path range to its result, and
+    the chunks are the tasks of :func:`_run_tasks`: with n = min(chunks,
+    usable cores) >= 2, they are dealt into n fixed, interleaved shares
+    (share k holds chunks k, k + n, ...), and chunk 0 always runs here. Once
     every share is in, the failure with the lowest chunk index is raised,
-    which is the one the serial loop raises. No helper outlives the call.
+    which is the one the serial loop raises.
+
+    With ``stacked``, fn maps a batch, a list of chunk ranges of one length,
+    to a tuple of arrays whose leading axis runs over the batch's rows in
+    order, or over a leading part of them (see :func:`_run_stacked`).
     """
-    ranges = [range(s, min(s + chunk_size, paths)) for s in range(0, paths, chunk_size)]
     if stacked:
-        run_share = functools.partial(_run_stacked, fn, chunk_size)
-    else:
-        run_share = functools.partial(_run_share, fn)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n = min(len(ranges), cores)
-    if n < 2 or not hasattr(os, "fork"):
-        results = run_share(ranges)
-    else:
-        results = _run_forked(run_share, ranges, n)
-    for value in results:
-        if isinstance(value, Exception):
-            raise value
+        return _run_stacked([fn], paths, chunk_size)[0]
+    ranges = _chunk_ranges(paths, chunk_size)
+    results = _run_tasks([functools.partial(fn, r) for r in ranges], _usable_cores())
+    _raise_first(results)
     return results
 
 
-def _run_forked(run_share, ranges, n: int) -> list:
-    """run_share over n interleaved shares of ranges, shares 1..n-1 on forked
-    helpers and share 0 here; the results, in the order of ranges."""
-    results = [None] * len(ranges)
-    helpers = []  # (pid, read end of the pipe that carries its share's results)
+def _run_stacked(fns, paths: int, chunk_size: int) -> list:
+    """Apply each stacked batch function of fns (see :func:`_run_chunks`) to
+    the fixed chunks; return, per function, its results in chunk order.
+
+    With n = min(chunks, usable cores), the full chunks of each of the n
+    interleaved shares form one batch and a short last chunk a batch of its
+    own; each batch's row arrays are cut back into one tuple per chunk. The
+    batches of all functions, those of ``fns[0]`` first, are the tasks of one
+    :func:`_run_tasks` call, so the helpers are forked once for all of them
+    and the processes meet once, at the end. The first failing batch in that
+    order is raised; the batches of one function are ordered by their first
+    chunk, so for a single function it is the one the serial loop raises.
+    """
+    ranges = _chunk_ranges(paths, chunk_size)
+    n = min(len(ranges), _usable_cores())
+    shares = ([r for r in ranges[k::n] if len(r) == chunk_size] for k in range(n))
+    batches = [share for share in shares if share]
+    batches += [[r] for r in ranges if len(r) < chunk_size]
+    values = _run_tasks([functools.partial(fn, batch) for fn in fns for batch in batches], n)
+    _raise_first(values)
+    out = []
+    for f in range(len(fns)):
+        results = [None] * len(ranges)
+        for batch, arrays in zip(batches, values[f * len(batches) : (f + 1) * len(batches)]):
+            for i, r in enumerate(batch):
+                rows = slice(i * chunk_size, (i + 1) * chunk_size)
+                results[r.start // chunk_size] = tuple(a[rows] for a in arrays)
+        out.append(results)
+    return out
+
+
+def _chunk_ranges(paths: int, chunk_size: int) -> list:
+    return [range(s, min(s + chunk_size, paths)) for s in range(0, paths, chunk_size)]
+
+
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _raise_first(values):
+    for value in values:
+        if isinstance(value, Exception):
+            raise value
+
+
+def _run_tasks(tasks: list, n: int) -> list:
+    """Call the zero-argument callables of tasks on up to n processes; return
+    their values in task order.
+
+    With n = min(n, tasks) >= 2, the tasks are dealt into n fixed,
+    interleaved shares: n - 1 forked helpers run shares 1..n-1 (tasks k,
+    k + n, ...) while this process runs share 0, so task 0 always runs here.
+    A share stops at its first failing task, whose exception stands in its
+    place, and its later tasks stay None; so every task before the first
+    failing one has run. No helper outlives the call.
+    """
+    n = min(n, len(tasks))
+    if n < 2 or not hasattr(os, "fork"):
+        return _run_share(tasks)
+    results = [None] * len(tasks)
+    helpers = []  # (pid, read end of the pipe that carries its share's values)
     try:
         for k in range(1, n):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _helper(run_share, ranges[k::n], write_fd, [read_fd] + [fd for _, fd in helpers])
+                _helper(tasks[k::n], write_fd, [read_fd] + [fd for _, fd in helpers])
             os.close(write_fd)
             helpers.append((pid, read_fd))
-        results[0::n] = run_share(ranges[0::n])
+        results[0::n] = _run_share(tasks[0::n])
         for k, (pid, read_fd) in enumerate(helpers, start=1):
             with open(read_fd, "rb", closefd=False) as pipe:
                 try:
@@ -370,51 +413,29 @@ def _run_forked(run_share, ranges, n: int) -> list:
     return results
 
 
-def _run_share(fn, ranges) -> list:
-    """fn over ranges in order, up to the first chunk that raises; that
-    chunk's exception stands in its place and later chunks stay None."""
-    out = [None] * len(ranges)
-    for i, path_range in enumerate(ranges):
+def _run_share(tasks) -> list:
+    """The tasks called in order, up to the first that raises; that task's
+    exception stands in its place and later tasks stay None."""
+    out = [None] * len(tasks)
+    for i, task in enumerate(tasks):
         try:
-            out[i] = fn(path_range)
-        except Exception as exc:  # raised by _run_chunks in chunk order
+            out[i] = task()
+        except Exception as exc:  # raised by the caller in task order
             out[i] = exc
             break
     return out
 
 
-def _run_stacked(fn, chunk_size: int, ranges) -> list:
-    """fn over the full chunks of ranges as one batch, then over a short
-    last chunk; each batch's row arrays cut back into chunk results. A
-    failing batch's exception stands in the place of its first chunk, and
-    later chunks stay None."""
-    full = [r for r in ranges if len(r) == chunk_size]
-    batches = ([full] if full else []) + [[r] for r in ranges if len(r) < chunk_size]
-    out = [None] * len(ranges)
-    done = 0
-    for batch in batches:
-        try:
-            arrays = fn(batch)
-        except Exception as exc:  # raised by _run_chunks in chunk order
-            out[done] = exc
-            break
-        size = len(batch[0])
-        for i in range(len(batch)):
-            out[done + i] = tuple(a[i * size : (i + 1) * size] for a in arrays)
-        done += len(batch)
-    return out
-
-
-def _helper(run_share, ranges, write_fd: int, inherited_fds: list):
-    """Body of a forked helper: run its share, pickle the results into the
-    pipe and exit. It never returns into the caller's stack, and it skips
-    the exit handlers and stream flushes it inherited."""
+def _helper(tasks, write_fd: int, inherited_fds: list):
+    """Body of a forked helper: run its share of tasks, pickle the values
+    into the pipe and exit. It never returns into the caller's stack, and it
+    skips the exit handlers and stream flushes it inherited."""
     code = 1
     try:
         for fd in inherited_fds:
             os.close(fd)
         with open(write_fd, "wb") as pipe:
-            pickle.dump(run_share(ranges), pipe, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(_run_share(tasks), pipe, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)
@@ -649,33 +670,31 @@ def run_benchmark_oracle(config: RunConfig) -> RunSummary:
     nu_mean = model.marks.rate * model.marks.mark_mean
     out = Path(config.out_dir)
 
-    rms = []
-    mean_sq = []  # (mean, standard error) of the squared error per level
-    for lvl_index, lvl in enumerate(exponents):
-        grid = TimeGrid(config.horizon, 2**lvl)
+    grids = [TimeGrid(config.horizon, 2**lvl) for lvl in exponents]
 
-        def batch(ranges, grid=grid, lvl_index=lvl_index):
-            offset = lvl_index * config.paths
-            noise = draw_noise(
-                model, grid, config.seed, [offset + i for r in ranges for i in r]
-            )
-            res = direct_solve_batch(model, noise, path=False, chunk_size=len(ranges[0]))
-            p = noise.n_paths
-            w_end = noise.wiener_at_horizon()[:, 0] if noise.wiener is not None else np.zeros(p)
-            # the closed form on the two points (0, T) is its value at T on the grid
-            exact = stochastic_exponential(
-                x0, a, sigma, nu_mean, grid.times[[0, -1]],
-                np.column_stack([np.zeros(p), w_end]), noise.events_by_path,
-            )
-            # a numpy scalar's ** 2 goes through pow, which can round unlike
-            # the array square; the benchmark CSV keeps the scalar form
-            return (np.array([d ** 2 for d in res.terminal[:, 0] - exact[:, -1]]),)
-
-        errs = np.concatenate(
-            [r[0] for r in _run_chunks(batch, config.paths, config.chunk_size, stacked=True)]
+    def batch(lvl_index, ranges):
+        grid = grids[lvl_index]
+        offset = lvl_index * config.paths
+        noise = draw_noise(model, grid, config.seed, [offset + i for r in ranges for i in r])
+        res = direct_solve_batch(model, noise, path=False, chunk_size=len(ranges[0]))
+        p = noise.n_paths
+        w_end = noise.wiener_at_horizon()[:, 0] if noise.wiener is not None else np.zeros(p)
+        # the closed form on the two points (0, T) is its value at T on the grid
+        exact = stochastic_exponential(
+            x0, a, sigma, nu_mean, grid.times[[0, -1]],
+            np.column_stack([np.zeros(p), w_end]), noise.events_by_path,
         )
-        rms.append(math.sqrt(float(errs.mean())))
-        mean_sq.append(_mean_se(errs))
+        # a numpy scalar's ** 2 goes through pow, which can round unlike
+        # the array square; the benchmark CSV keeps the scalar form
+        return (np.array([d ** 2 for d in res.terminal[:, 0] - exact[:, -1]]),)
+
+    # every grid's batches in one pool, so the helpers are forked once
+    per_grid = _run_stacked(
+        [functools.partial(batch, i) for i in range(len(grids))], config.paths, config.chunk_size
+    )
+    errs = [np.concatenate([r[0] for r in results]) for results in per_grid]
+    rms = [math.sqrt(float(e.mean())) for e in errs]
+    mean_sq = [_mean_se(e) for e in errs]  # (mean, standard error) per grid
 
     log_dt = -np.asarray(exponents, dtype=float)
     order = float(np.polyfit(log_dt, np.log2(rms), 1)[0])

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from mildsde.cli import _run_chunks, main
+from mildsde.cli import _run_chunks, _run_stacked, main
 from mildsde.solver import SolverError
 
 JUMPS = {"jump_rate": 3.0, "mark_std": 0.5, "mark_mean": 0.1}
@@ -212,4 +212,62 @@ def test_stacked_lowest_failing_batch_is_raised(monkeypatch, cpus, failing, rais
     with pytest.raises(SolverError) as pooled:
         _run_chunks(batch_owner(failing), 11, 2, stacked=True)
     assert str(pooled.value) == f"batch at path {raised} failed"
+    assert_no_children()
+
+
+def rows_times(factor):
+    """A stacked batch function returning its rows times factor."""
+
+    def fn(ranges):
+        return (factor * np.array([i for r in ranges for i in r]),)
+
+    return fn
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_stacked_functions_in_one_pool_match_separate_runs(monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    fns = [batch_owner(), rows_times(10), batch_owner()]
+    pooled = _run_stacked(fns, 11, 2)
+    for fn, results in zip(fns, pooled):
+        alone = _run_chunks(fn, 11, 2, stacked=True)
+        assert len(results) == len(alone) == 6
+        for r, s in zip(results, alone):
+            assert r[0].tolist() == s[0].tolist()
+    # batch composition is that of a single function's run
+    firsts = [int(r[1][0]) for r in pooled[0]]
+    assert firsts == [2 * (k % cpus) for k in range(5)] + [10]
+    # one set of processes ran the batches of every function
+    pids = [{int(r[2][0]) for r in pooled[f]} for f in (0, 2)]
+    assert pids[0] == pids[1] and len(pids[0]) == cpus
+    assert_no_children()
+
+
+def failing_at(name, starts):
+    """A stacked batch function failing on the batches whose first path
+    index is listed."""
+
+    def fn(ranges):
+        if ranges[0].start in starts:
+            raise SolverError(f"{name} at path {ranges[0].start}")
+        return (np.array([i for r in ranges for i in r]),)
+
+    return fn
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize(
+    "failing, raised",
+    [
+        (((), (10,)), "b at path 10"),  # only the second function fails
+        (((10,), (0,)), "a at path 10"),  # the first function's batches come first
+        (((10, 0), ()), "a at path 0"),  # within a function, by first chunk
+    ],
+)
+def test_stacked_pool_raises_the_first_failing_task(monkeypatch, cpus, failing, raised):
+    use_cpus(monkeypatch, cpus)
+    fns = [failing_at("a", failing[0]), failing_at("b", failing[1])]
+    with pytest.raises(SolverError) as pooled:
+        _run_stacked(fns, 11, 2)
+    assert str(pooled.value) == raised
     assert_no_children()

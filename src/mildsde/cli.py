@@ -676,7 +676,7 @@ def run_benchmark_oracle(config: RunConfig) -> RunSummary:
         grid = grids[lvl_index]
         offset = lvl_index * config.paths
         noise = draw_noise(model, grid, config.seed, [offset + i for r in ranges for i in r])
-        res = direct_solve_batch(model, noise, path=False, chunk_size=len(ranges[0]))
+        res = direct_solve_batch(model, noise, path_rows=0, chunk_size=len(ranges[0]))
         p = noise.n_paths
         w_end = noise.wiener_at_horizon()[:, 0] if noise.wiener is not None else np.zeros(p)
         # the closed form on the two points (0, T) is its value at T on the grid

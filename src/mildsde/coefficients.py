@@ -32,9 +32,7 @@ __all__ = [
     "CoefficientSet",
     "zero_diffusion",
     "nemitsky_sine",
-    "bracketed_scalar_implicit",
     "nemitsky_implicit_solver",
-    "pointwise_implicit_solver",
     "SemimonotoneReport",
     "GrowthReport",
     "check_semimonotone",
@@ -55,10 +53,10 @@ class DriftSpec:
 
     ``implicit_step(t, b, dt, tol)`` optionally solves the per-step equation
     x = b + dt f(t, x) exactly for drifts that know their own structure
-    (pointwise compositions reduce to bracketed scalar root finding, which is
-    immune to unbounded local slopes); it returns ``(x, converged_mask)``.
-    The solvers fall back to damped fixed-point iteration when it is absent
-    or fails on some rows.
+    (pointwise compositions reduce to a closed-form scalar root per point,
+    which is immune to unbounded local slopes); it returns
+    ``(x, converged_mask)``. The solvers fall back to damped fixed-point
+    iteration when it is absent or fails on some rows.
     """
 
     evaluate: Callable[[float, np.ndarray], np.ndarray]
@@ -170,49 +168,24 @@ def nemitsky_sine(
     return evaluate
 
 
-def bracketed_scalar_implicit(
-    scalar_fn: Callable[[np.ndarray], np.ndarray],
-    v: np.ndarray,
-    dt: float,
-    growth: tuple[float, float],
-    n_bisect: int = 72,
-) -> np.ndarray:
-    """Componentwise solve of u = v + dt * scalar_fn(u) for decreasing scalar_fn.
-
-    The residual u - dt*scalar_fn(u) - v is strictly increasing, so bisection
-    on the a-priori root bracket |u| <= (|v| + dt*a) / (1 - dt*b) converges
-    unconditionally regardless of local slope; ``growth = (a, b)`` declares
-    |scalar_fn(s)| <= a + b|s| and requires dt*b < 1.
-    """
-    a, b = growth
-    if dt * b >= 1.0:
-        raise ValueError(f"step {dt} too large for growth slope {b}")
-    v = np.asarray(v, dtype=float)
-    bound = (np.abs(v) + dt * a) / (1.0 - dt * b) + 1e-12
-    lo, hi = -bound, bound.copy()
-    for _ in range(n_bisect):
-        mid = 0.5 * (lo + hi)
-        negative = mid - dt * scalar_fn(mid) - v < 0.0
-        lo = np.where(negative, mid, lo)
-        hi = np.where(negative, hi, mid)
-    return 0.5 * (lo + hi)
+# Outer sweeps of the Nemitsky implicit step before it returns its rows.
+_MAX_OUTER = 60
 
 
 def nemitsky_implicit_solver(
     scalar_fn: Callable[[np.ndarray], np.ndarray],
+    prox: Callable[[np.ndarray, float], np.ndarray],
     n_modes: int,
     n_quad: int | None = None,
-    growth: tuple[float, float] = (1.0, 1.0),
     linear_shift: float = 0.0,
-    max_outer: int = 60,
-    scalar_prox: Callable[[np.ndarray, float], np.ndarray] | None = None,
 ):
     """Implicit-step solver for drifts of the form P phi(E x) + shift * x.
 
     Works in the quadrature domain: with the projection correction frozen the
-    equation decouples into scalar monotone roots (exact via bisection); the
-    outer loop updates the correction, which the projection contracts. Returns
-    a callable ``(t, b, dt, tol) -> (x, converged_mask)`` over batched rows.
+    equation decouples into scalar monotone roots u = v + dt * phi(u), which
+    ``prox(v, dt)`` solves exactly; the outer loop updates the correction,
+    which the projection contracts. Returns a callable
+    ``(t, b, dt, tol) -> (x, converged_mask)`` over batched rows.
     """
     if n_quad is None:
         n_quad = 2 * n_modes
@@ -225,11 +198,6 @@ def nemitsky_implicit_solver(
     def evaluate_f(x):
         return scalar_fn(x @ synthesis.T) @ synthesis / n_quad + linear_shift * x
 
-    def solve_scalar(v, dte):
-        if scalar_prox is not None:
-            return scalar_prox(v, dte)
-        return bracketed_scalar_implicit(scalar_fn, v, dte, growth)
-
     dust_cache: dict[float, float] = {}
 
     def dust_scale(dt):
@@ -241,7 +209,7 @@ def nemitsky_implicit_solver(
         s = dust_cache.get(dt)
         if s is None:
             p0 = float(scalar_fn(np.zeros(1))[0])
-            s = dt * (growth[0] + 1.0)
+            s = 2.0 * dt
             for _ in range(60):
                 varn = max(
                     abs(float(scalar_fn(np.array([s]))[0]) - p0),
@@ -267,8 +235,8 @@ def nemitsky_implicit_solver(
         x = bt
         ok = np.zeros(b.shape[:-1], dtype=bool)
         accept_base = max(tol, dust_scale(dt) / 32.0)
-        for _ in range(max_outer):
-            u = solve_scalar(v + dte * c, dte)
+        for _ in range(_MAX_OUTER):
+            u = prox(v + dte * c, dte)
             pu = scalar_fn(u)
             pu_synth = pu @ synthesis
             x = bt + dte * pu_synth / n_quad
@@ -296,32 +264,6 @@ def nemitsky_implicit_solver(
             c_prev, f_prev = c, f_cur
             c = c_next
         return x, ok
-
-    return step
-
-
-def pointwise_implicit_solver(
-    scalar_fn: Callable[[np.ndarray], np.ndarray],
-    component: int,
-    growth: tuple[float, float] = (1.0, 1.0),
-    linear_shift: float = 0.0,
-    scalar_prox: Callable[[np.ndarray, float], np.ndarray] | None = None,
-):
-    """Exact implicit step for drifts acting on a single state component:
-    f(x) = e_c (scalar_fn(x_c) + shift * x_c)."""
-
-    def step(t, b, dt, tol):
-        den = 1.0 - dt * linear_shift
-        if den <= 0.0:
-            return b.copy(), np.zeros(b.shape[:-1], dtype=bool)
-        x = b.copy()
-        vc = b[..., component] / den
-        dte = dt / den
-        if scalar_prox is not None:
-            x[..., component] = scalar_prox(vc, dte)
-        else:
-            x[..., component] = bracketed_scalar_implicit(scalar_fn, vc, dte, growth)
-        return x, np.ones(b.shape[:-1], dtype=bool)
 
     return step
 

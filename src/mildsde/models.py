@@ -1,8 +1,8 @@
 """Builders for the shipped model family, with verified coefficient contracts.
 
 * ``build_reaction_diffusion``: heat semigroup on (0,1) with Dirichlet sine
-  modes, pointwise drift f(u) + eta*u with f continuous and decreasing,
-  multiplicative jump noise k(xi, u) = xi*u.
+  modes, pointwise drift -cbrt(u) + eta*u (continuous, decreasing,
+  non-Lipschitz at 0), multiplicative jump noise k(xi, u) = xi*u.
 * ``build_hyperbolic``: the damped wave system on position x velocity blocks,
   unitary group in the energy norm, cube-root friction on the velocity and a
   scalar jump process acting multiplicatively through the position.
@@ -30,7 +30,6 @@ from .coefficients import (
     JumpCoeffSpec,
     nemitsky_implicit_solver,
     nemitsky_sine,
-    pointwise_implicit_solver,
     zero_diffusion,
 )
 from .noise import MarkSpaceSpec
@@ -84,11 +83,6 @@ def cbrt_implicit_prox(v: np.ndarray, p: float) -> np.ndarray:
     return w * w * w
 
 
-def _prox_for(f_scalar):
-    """Closed-form implicit prox when the scalar drift is the stock cube root."""
-    return cbrt_implicit_prox if f_scalar is decreasing_cbrt else None
-
-
 def _default_profile(dim: int, amplitude: float) -> np.ndarray:
     """Smooth default initial coefficients amplitude/k^2."""
     return amplitude / np.arange(1, dim + 1) ** 2
@@ -104,9 +98,7 @@ def build_reaction_diffusion(
     jump_rate: float = 1.0,
     mark_std: float = 0.3,
     mark_mean: float = 0.0,
-    f_scalar: Callable[[np.ndarray], np.ndarray] = decreasing_cbrt,
     eta: float = 0.0,
-    f_growth: tuple[float, float] = (1.0, 1.0),
     n_quad: int | None = None,
     x0: np.ndarray | None = None,
     x0_amplitude: float = 1.0,
@@ -116,27 +108,25 @@ def build_reaction_diffusion(
     """Reaction-diffusion system on (0,1) with multiplicative jump noise.
 
     Dirichlet Laplacian spectrum mu_k = -(k pi)^2 (diagonal, contraction),
-    drift = pointwise f + eta * identity with declared constant max(eta, 0),
-    no Wiener term, jump coefficient xi * u with Gaussian marks of the given
-    rate, std and mean. ``f_growth = (a, b)`` declares |f_scalar(s)| <= a +
-    b|s| and feeds the growth constant.
+    drift = pointwise -cbrt(u) + eta * identity with declared constant
+    max(eta, 0), no Wiener term, jump coefficient xi * u with Gaussian marks
+    of the given rate, std and mean. The growth constant 8 + 2 eta^2 follows
+    from |cbrt(s)| <= 1 + |s|.
     """
     marks = gaussian_marks(jump_rate, mark_std, mark_mean)
     ks = np.arange(1, dim + 1)
     seg = DiagonalSemigroup(-((ks * np.pi) ** 2), alpha=0.0)
-    nem = nemitsky_sine(f_scalar, dim, n_quad)
+    nem = nemitsky_sine(decreasing_cbrt, dim, n_quad)
 
     def drift_eval(t, x):
         return nem(x) + eta * np.asarray(x, dtype=float)
 
-    a, b = f_growth
     drift = DriftSpec(
         evaluate=drift_eval,
         semimonotone_m=max(eta, 0.0),
-        growth_d=4.0 * a * a + 4.0 * b * b + 2.0 * eta * eta,
+        growth_d=8.0 + 2.0 * eta * eta,
         implicit_step=nemitsky_implicit_solver(
-            f_scalar, dim, n_quad, growth=f_growth, linear_shift=eta,
-            scalar_prox=_prox_for(f_scalar),
+            decreasing_cbrt, cbrt_implicit_prox, dim, n_quad, linear_shift=eta
         ),
     )
     c_k = marks.rate * marks.mark_second_moment
@@ -169,8 +159,6 @@ def build_hyperbolic(
     mark_mean: float = 0.0,
     levy_drift: float = 0.0,
     levy_gaussian_variance: float = 0.0,
-    f_scalar: Callable[[np.ndarray], np.ndarray] = decreasing_cbrt,
-    f_growth: tuple[float, float] = (1.0, 1.0),
     n_quad: int | None = None,
     x0_position: np.ndarray | None = None,
     x0_amplitude: float = 1.0,
@@ -195,7 +183,7 @@ def build_hyperbolic(
     dim = 2 * n_modes
     weights = seg.energy_weights()
     u_sl, v_sl = slice(0, n_modes), slice(n_modes, dim)
-    nem = nemitsky_sine(f_scalar, n_modes, n_quad)
+    nem = nemitsky_sine(decreasing_cbrt, n_modes, n_quad)
     gamma = levy_drift
     lam_min = float(lam[0])
 
@@ -207,9 +195,7 @@ def build_hyperbolic(
             out[..., v_sl] += gamma * x[..., u_sl]
         return out
 
-    nem_step = nemitsky_implicit_solver(
-        f_scalar, n_modes, n_quad, growth=f_growth, scalar_prox=_prox_for(f_scalar)
-    )
+    nem_step = nemitsky_implicit_solver(decreasing_cbrt, cbrt_implicit_prox, n_modes, n_quad)
 
     def implicit_step(t, b_vec, dt, tol):
         # Positions are untouched by the drift, so x_u = b_u and the velocity
@@ -219,11 +205,10 @@ def build_hyperbolic(
         x[..., v_sl], ok = nem_step(t, bv, dt, tol)
         return x, ok
 
-    a, b = f_growth
     drift = DriftSpec(
         evaluate=drift_eval,
         semimonotone_m=0.5 * abs(gamma) * max(1.0, 1.0 / lam_min),
-        growth_d=4.0 * a * a + 4.0 * b * b + 2.0 * gamma * gamma / lam_min,
+        growth_d=8.0 + 2.0 * gamma * gamma / lam_min,
         implicit_step=implicit_step,
     )
 
@@ -287,8 +272,6 @@ def build_delay(
     mark_mean: float = 0.0,
     levy_drift: float = 0.0,
     levy_gaussian_variance: float = 0.0,
-    f_scalar: Callable[[np.ndarray], np.ndarray] = decreasing_cbrt,
-    f_growth: tuple[float, float] = (1.0, 1.0),
     history: Callable[[np.ndarray], np.ndarray] | None = None,
     horizon: float = 1.0,
     validate: bool = True,
@@ -314,18 +297,24 @@ def build_delay(
     def drift_eval(t, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        out[..., 0] = np.asarray(f_scalar(x[..., 0]), dtype=float) + gamma * x[..., 0]
+        out[..., 0] = decreasing_cbrt(x[..., 0]) + gamma * x[..., 0]
         return out
 
-    a, b = f_growth
+    def implicit_step(t, b, dt, tol):
+        # Only the head moves: x_0 = b_0 + dt (-cbrt(x_0) + gamma x_0) is one
+        # scalar root per row.
+        den = 1.0 - dt * gamma
+        if den <= 0.0:
+            return b.copy(), np.zeros(b.shape[:-1], dtype=bool)
+        x = b.copy()
+        x[..., 0] = cbrt_implicit_prox(b[..., 0] / den, dt / den)
+        return x, np.ones(b.shape[:-1], dtype=bool)
+
     drift = DriftSpec(
         evaluate=drift_eval,
         semimonotone_m=max(gamma, 0.0),
-        growth_d=4.0 * a * a + 4.0 * b * b + 2.0 * gamma * gamma,
-        implicit_step=pointwise_implicit_solver(
-            f_scalar, component=0, growth=f_growth, linear_shift=gamma,
-            scalar_prox=_prox_for(f_scalar),
-        ),
+        growth_d=8.0 + 2.0 * gamma * gamma,
+        implicit_step=implicit_step,
     )
 
     g_std = math.sqrt(levy_gaussian_variance)

@@ -2,7 +2,7 @@
 solve with frozen forcing, the outer successive-approximation loop, and a
 one-pass exponential Euler integrator for cross-validation.
 
-The outer loop freezes one noise realization per path (same Wiener table,
+The outer loop freezes one noise realization per path (same Wiener streams,
 same jump events) across all iterations: iterate n builds its forcing from the
 left-point values of iterate n-1 on that same realization, then solves the
 deterministic equation
@@ -565,9 +565,8 @@ def picard_solve_batch(
 
 @dataclass(eq=False)
 class BatchDirectResult:
-    """Euler path values (rows, m+1, dim) of the rows whose path was kept, or
-    only the terminal state (paths, 1, dim) when no path was kept, and the
-    terminal states (paths, dim); with the energy terms recorded
+    """Euler path values (rows, m+1, dim) of the rows whose path was kept and
+    the terminal states (paths, dim) of all rows; with the energy terms recorded
     (``energy=True``), also ``norms_sq`` (paths, m+1) = ||X_j||^2 and
     ``per_cell`` (paths, m) = 2 <X_j, dZ_j> + d[Z]_j, both read off the states
     the step loop advanced."""
@@ -582,7 +581,6 @@ def direct_solve_batch(
     model: ModelSpec,
     noise: NoiseRealization,
     energy: bool | ItoCheckReport = False,
-    path: bool = True,
     path_rows: int | None = None,
     chunk_size: int | None = None,
 ) -> BatchDirectResult:
@@ -592,8 +590,7 @@ def direct_solve_batch(
     with every coefficient frozen at the cell's left endpoint, on the noise's
     grid. On the same noise realization this is the cross-check for the
     iterated solver. The step loop keeps the path of the first ``path_rows``
-    rows (all by default) only with ``path`` set and no ``energy``, and
-    otherwise only the terminal states.
+    rows (all by default, none with ``energy``) and the terminal states.
 
     With ``energy`` the loop pairs each cell's raw increment
     dZ_j = (f dt - compensator dt + g dW) + jumps with its left-point state,
@@ -619,16 +616,16 @@ def direct_solve_batch(
         raise ValueError(f"{p} rows do not split into chunks of {chunk}")
 
     x = noise.x0.reshape(p // chunk, chunk, dim)
-    keep = path and energy is False
     rows = p if path_rows is None else max(0, min(path_rows, p))
-    values = norms_sq = per_cell = None
+    if energy is not False:
+        rows = 0
+    norms_sq = per_cell = None
     if energy is True:
         norms_sq = np.zeros((p, m + 1))
         norms_sq[:, 0] = weighted_norm_sq(x, w).reshape(p)
         per_cell = np.zeros((p, m))
-    if keep:
-        values = np.zeros((rows, m + 1, dim))
-        values[:, 0] = noise.x0[:rows]
+    values = np.zeros((rows, m + 1, dim))
+    values[:, 0] = noise.x0[:rows]
     assemble = _cell_assembler(model, noise, brackets=energy is not False)
     for j in range(m):
         comp, gdw, jump_part, bracket = assemble(j, x)
@@ -649,10 +646,7 @@ def direct_solve_batch(
                 norms_sq[:, j + 1] = norm_next
             else:
                 energy.add(cell, norm_next)
-        if keep and rows:
+        if rows:
             values[:, j + 1] = x_next.reshape(p, dim)[:rows]
         x = x_next
-    terminal = x.reshape(p, dim)
-    if not keep:
-        values = terminal[:, None, :]
-    return BatchDirectResult(values, terminal, norms_sq, per_cell)
+    return BatchDirectResult(values, x.reshape(p, dim), norms_sq, per_cell)

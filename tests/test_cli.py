@@ -74,6 +74,10 @@ def test_model_params_schema_matches_the_builder(example):
         assert name in params
         assert params[name].annotation in _FIELD_TYPES
         _check_type(name, params[name].default, params[name].annotation)
+    # and every builder parameter is settable, the dimension, fixed by the
+    # run, or an initial state; no builder knob is out of a config's reach
+    reachable = set(names) | {dim_arg, "horizon", "validate", "x0", "x0_position", "history"}
+    assert set(params) <= reachable
 
 
 def test_config_validates_numbers():

@@ -8,16 +8,19 @@ from mildsde.coefficients import (
     CoefficientSet,
     DriftSpec,
     JumpCoeffSpec,
-    bracketed_scalar_implicit,
     check_lipschitz_growth,
     check_semimonotone,
     nemitsky_implicit_solver,
     nemitsky_sine,
-    pointwise_implicit_solver,
     sine_quadrature,
     zero_diffusion,
 )
-from mildsde.models import build_linear_scalar, cbrt_implicit_prox, decreasing_cbrt
+from mildsde.models import (
+    build_delay,
+    build_linear_scalar,
+    cbrt_implicit_prox,
+    decreasing_cbrt,
+)
 from mildsde.noise import MarkSpaceSpec
 from mildsde.state_space import hs_norm_sq
 
@@ -190,15 +193,6 @@ def test_hilbert_schmidt_norm_two_ways():
     assert by_columns == pytest.approx(direct, rel=1e-12)
 
 
-def test_bracketed_scalar_solve_exact():
-    rng = np.random.default_rng(10)
-    v = rng.standard_normal(100) * 10.0 ** rng.uniform(-8, 1, 100)
-    dt = 1e-2
-    u = bracketed_scalar_implicit(decreasing_cbrt, v, dt, (1.0, 1.0))
-    res = np.abs(u + dt * np.cbrt(u) - v)
-    assert res.max() <= 1e-12
-
-
 def test_cbrt_prox_all_scales():
     rng = np.random.default_rng(11)
     v = np.concatenate(
@@ -231,9 +225,7 @@ def test_cbrt_prox_cube_ulp():
 
 def test_nemitsky_implicit_solver_accuracy():
     dim = 8
-    step = nemitsky_implicit_solver(
-        decreasing_cbrt, dim, growth=(1.0, 1.0), scalar_prox=cbrt_implicit_prox
-    )
+    step = nemitsky_implicit_solver(decreasing_cbrt, cbrt_implicit_prox, dim)
     _, synth = sine_quadrature(dim, 16)
     rng = np.random.default_rng(12)
     dt = 1e-3
@@ -255,8 +247,7 @@ def test_nemitsky_step_bits():
     digest = hashlib.sha256()
     for shift in (0.0, 0.5):
         step = nemitsky_implicit_solver(
-            decreasing_cbrt, dim, growth=(1.0, 1.0), linear_shift=shift,
-            scalar_prox=cbrt_implicit_prox,
+            decreasing_cbrt, cbrt_implicit_prox, dim, linear_shift=shift
         )
         rng = np.random.default_rng(21)
         for dt in (1e-3, 1e-2):
@@ -272,9 +263,8 @@ def test_nemitsky_step_bits():
 
 
 def test_pointwise_solver_exact():
-    step = pointwise_implicit_solver(
-        decreasing_cbrt, component=0, growth=(1.0, 1.0), scalar_prox=cbrt_implicit_prox
-    )
+    # the delay drift moves only the head, one cube-root prox per row
+    step = build_delay(history_cells=2, validate=False).coeffs.drift.implicit_step
     b = np.array([[0.5, 2.0, -1.0], [1e-7, 0.0, 3.0]])
     x, ok = step(0.0, b, 0.01, 1e-12)
     assert ok.all()

@@ -1,7 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mildsde.coefficients import check_lipschitz_growth, check_semimonotone
+from mildsde.coefficients import (
+    DriftSpec,
+    check_lipschitz_growth,
+    check_semimonotone,
+    nemitsky_sine,
+)
 from mildsde.models import (
     EXAMPLE_BUILDERS,
     build_delay,
@@ -11,9 +18,20 @@ from mildsde.models import (
     stochastic_exponential,
 )
 from mildsde.noise import NoiseRealization, TimeGrid, draw_noise
-from mildsde.solver import ModelValidationError, direct_solve_batch
+from mildsde.solver import ModelValidationError, direct_solve_batch, rescale_to_contraction
 from mildsde.state_space import weighted_norm_sq
 from tests.test_semigroup import delay_head_oracle
+
+
+def with_drift(model, evaluate, semimonotone_m=0.0, growth_d=0.0):
+    """The model with its drift swapped for evaluate(t, x), declaring the
+    given constants and no implicit step of its own."""
+    drift = DriftSpec(evaluate, semimonotone_m, growth_d)
+    return replace(model, coeffs=replace(model.coeffs, drift=drift))
+
+
+def zero_drift(t, x):
+    return np.zeros_like(x)
 
 
 def test_all_builders_pass_checkers_at_full_samples():
@@ -25,11 +43,9 @@ def test_all_builders_pass_checkers_at_full_samples():
 
 
 def test_reaction_diffusion_pure_heat_mode():
-    model = build_reaction_diffusion(
-        dim=6, jump_rate=0.0, mark_std=0.0,
-        f_scalar=lambda u: 0.0 * u, f_growth=(0.0, 0.0),
-        x0=np.eye(6)[0], validate=False,
-    )
+    model = with_drift(build_reaction_diffusion(
+        dim=6, jump_rate=0.0, mark_std=0.0, x0=np.eye(6)[0], validate=False,
+    ), zero_drift)
     grid = TimeGrid(1.0, 200)
     values = direct_solve_batch(model, draw_noise(model, grid, 0, [0])).values[0]
     exact = np.exp(-np.pi**2 * grid.times)
@@ -47,16 +63,20 @@ def test_reaction_diffusion_eta_shifts_declared_constant():
 
 
 def test_reaction_diffusion_misdeclared_constant_rejected():
+    # the identity composed pointwise plus eta = 0.5 is 1.5 u, declared 0.5
+    nem = nemitsky_sine(lambda u: u, 8)
+    model = with_drift(
+        build_reaction_diffusion(dim=8, eta=0.5, validate=False),
+        lambda t, x: nem(x) + 0.5 * x, semimonotone_m=0.5, growth_d=4.5,
+    )
     with pytest.raises(ModelValidationError):
-        build_reaction_diffusion(dim=8, eta=0.5, f_scalar=lambda u: u, f_growth=(0.0, 1.0))
+        model.validate()
 
 
 def test_hyperbolic_free_single_mode_energy():
-    model = build_hyperbolic(
-        n_modes=4, jump_rate=0.0, mark_std=0.0,
-        f_scalar=lambda u: 0.0 * u, f_growth=(0.0, 0.0),
-        x0_position=np.eye(4)[0], validate=False,
-    )
+    model = with_drift(build_hyperbolic(
+        n_modes=4, jump_rate=0.0, mark_std=0.0, x0_position=np.eye(4)[0], validate=False,
+    ), zero_drift)
     grid = TimeGrid(1.0, 500)
     values = direct_solve_batch(model, draw_noise(model, grid, 0, [0])).values[0]
     energy = weighted_norm_sq(values, model.weights)
@@ -117,10 +137,9 @@ def test_delay_free_flow_matches_method_of_steps():
     oracle = delay_head_oracle(lambda th: np.sin(np.pi * th), horizon, n_fine=4096)
 
     def run(cells, n_steps):
-        model = build_delay(
-            history_cells=cells, jump_rate=0.0, mark_std=0.0,
-            f_scalar=lambda u: 0.0 * u, f_growth=(0.0, 0.0), validate=False,
-        )
+        model = with_drift(build_delay(
+            history_cells=cells, jump_rate=0.0, mark_std=0.0, validate=False,
+        ), zero_drift)
         grid = TimeGrid(horizon, n_steps)
         return direct_solve_batch(model, draw_noise(model, grid, 0, [0])).values[0, :, 0]
 
@@ -171,6 +190,34 @@ def test_stochastic_exponential_single_jump():
     assert vals[-1] == pytest.approx(3.0)
 
 
+STEP_MODELS = {
+    "reaction_diffusion_eta": lambda: build_reaction_diffusion(dim=8, eta=0.5, validate=False),
+    "hyperbolic_levy_drift": lambda: build_hyperbolic(n_modes=6, levy_drift=0.7, validate=False),
+    "delay": lambda: build_delay(history_cells=8, levy_drift=-0.3, validate=False),
+    "delay_rescaled": lambda: rescale_to_contraction(
+        build_delay(history_cells=8, validate=False)
+    ),
+    "linear_scalar": lambda: build_linear_scalar(validate=False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_MODELS))
+def test_builder_implicit_step_solves_the_step_equation(case):
+    # each builder's own step accepts every row, and what it returns solves
+    # x = b + dt f(t, x) to within the Nemitsky acceptance, dust_scale(dt) / 32
+    # (about 1e-6 at dt = 1e-3), from unit rows down to rows of norm 1e-9
+    model = STEP_MODELS[case]()
+    drift = model.coeffs.drift
+    rng = np.random.default_rng(41)
+    t, dt = 0.5, 1e-3
+    for scale in (1.0, 1e-2, 1e-5, 1e-9):
+        b = rng.standard_normal((6, model.dim)) * scale
+        x, ok = drift.implicit_step(t, b, dt, 1e-8)
+        assert ok.all()
+        res = b + dt * drift.evaluate(t, x) - x
+        assert np.sqrt(weighted_norm_sq(res, model.weights)).max() <= 1e-6
+
+
 def test_builder_registry():
     model = EXAMPLE_BUILDERS["delay"](history_cells=8, validate=False)
     assert model.name == "delay"
@@ -179,11 +226,11 @@ def test_builder_registry():
 
 def test_reaction_diffusion_single_mode_reduces_to_linear_oracle():
     # one retained mode with linear jump coefficient: the generator and the
-    # eta shift combine into a scalar linear model with a = eta - pi^2
-    model = build_reaction_diffusion(
-        dim=1, jump_rate=2.0, mark_std=0.2, f_scalar=lambda u: 0.0 * u, f_growth=(0.0, 0.0),
-        eta=0.5, x0=np.array([1.0]), validate=False,
-    )
+    # linear drift eta * u combine into a scalar linear model with
+    # a = eta - pi^2
+    model = with_drift(build_reaction_diffusion(
+        dim=1, jump_rate=2.0, mark_std=0.2, eta=0.5, x0=np.array([1.0]), validate=False,
+    ), lambda t, x: 0.5 * x, semimonotone_m=0.5)
     grid = TimeGrid(1.0, 2048)
     noise = draw_noise(model, grid, 55, range(64))
     res = direct_solve_batch(model, noise)

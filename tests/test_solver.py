@@ -5,11 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mildsde import coefficients
 from mildsde.coefficients import (
     CoefficientSet,
     DriftSpec,
     JumpCoeffSpec,
     nemitsky_implicit_solver,
+    nemitsky_sine,
     zero_diffusion,
 )
 from mildsde.models import (
@@ -37,6 +39,7 @@ from mildsde.solver import (
     unrescale_values,
 )
 from mildsde.state_space import hs_norm_sq, weighted_norm_sq
+from tests.test_models import with_drift, zero_drift
 
 
 def rd_model(dim=6, rate=2.0, std=0.5, mean=0.1, **kw):
@@ -139,18 +142,29 @@ def test_mild_solve_apriori_bound_postcondition():
     _check_apriori_bound(drift, free, forcing[None], values[None], grid, None, "mild solve")
 
 
-def test_nemitsky_fallback_rows_reach_tolerance():
+def tanh_prox(v, dt):
+    """Root of u = v + dt * phi(u) for phi(u) = -tanh(4 u), by 72 bisections:
+    u + dt tanh(4 u) - v increases in u, and |u| <= |v| + dt as |phi| <= 1."""
+    bound = np.abs(v) + dt + 1e-12
+    lo, hi = -bound, bound.copy()
+    for _ in range(72):
+        mid = 0.5 * (lo + hi)
+        negative = mid + dt * np.tanh(4.0 * mid) - v < 0.0
+        lo = np.where(negative, mid, lo)
+        hi = np.where(negative, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_nemitsky_fallback_rows_reach_tolerance(monkeypatch):
     # one outer sweep of the Nemitsky step leaves the unit-scale rows of a
     # smooth decreasing drift above tolerance; the damped iteration must
     # finish exactly those rows and leave the accepted ones untouched
     dim, dt, tol = 8, 1e-3, 1e-8
     phi = lambda u: -np.tanh(4.0 * u)
-    drift = build_reaction_diffusion(
-        dim=dim, f_scalar=phi, f_growth=(1.0, 0.0), validate=False
-    ).coeffs.drift
-    drift.implicit_step = step = nemitsky_implicit_solver(
-        phi, dim, growth=(1.0, 0.0), max_outer=1
-    )
+    monkeypatch.setattr(coefficients, "_MAX_OUTER", 1)
+    nem = nemitsky_sine(phi, dim)
+    step = nemitsky_implicit_solver(phi, tanh_prox, dim)
+    drift = DriftSpec(lambda t, x: nem(x), 0.0, 4.0, implicit_step=step)
     rng = np.random.default_rng(31)
     b = rng.standard_normal((8, dim)) * np.repeat([1.0, 1e-9], 4)[:, None]
     first, first_ok = step(1.0, b, dt, tol)
@@ -279,10 +293,9 @@ def test_uniqueness_under_damping_variants():
 
 
 def test_direct_free_flow_is_orbit():
-    model = build_reaction_diffusion(
-        dim=5, jump_rate=0.0, mark_std=0.0,
-        f_scalar=lambda u: 0.0 * u, f_growth=(0.0, 0.0), validate=False,
-    )
+    model = with_drift(build_reaction_diffusion(
+        dim=5, jump_rate=0.0, mark_std=0.0, validate=False,
+    ), zero_drift)
     grid = TimeGrid(1.0, 100)
     res = direct_solve_batch(model, draw_noise(model, grid, 0, [0]))
     mu = model.semigroup.eigenvalues
@@ -325,8 +338,9 @@ def test_direct_energy_terms_read_the_returned_path(which):
     res = direct_solve_batch(model, noise, energy=True)
     plain = direct_solve_batch(model, noise)
     assert plain.norms_sq is None and plain.per_cell is None
-    # the energy pass keeps only the terminal state of the path it advanced
-    assert np.array_equal(res.values, plain.values[:, -1:])
+    # the energy pass keeps no path, only the terminal state it advanced to
+    assert res.values.shape == (0, grid.n_steps + 1, model.dim)
+    assert np.array_equal(res.terminal, plain.values[:, -1])
     # and its norms are those of the kept path, bit for bit
     assert np.array_equal(res.norms_sq, weighted_norm_sq(plain.values, model.weights))
     # per cell: 2 <X_j, dZ_j> + bracket, dZ_j summed from the assembler's parts
@@ -349,9 +363,10 @@ def test_direct_without_path_keeps_the_terminal_state():
     model = delay_model(rate=2.0)
     noise = draw_noise(model, TimeGrid(1.0, 50), 29, range(3))
     full = direct_solve_batch(model, noise)
-    last = direct_solve_batch(model, noise, path=False)
-    assert last.values.shape == (3, 1, model.dim)
-    assert np.array_equal(last.values, full.values[:, -1:])
+    last = direct_solve_batch(model, noise, path_rows=0)
+    assert last.values.shape == (0, 51, model.dim)
+    assert np.array_equal(last.terminal, full.terminal)
+    assert np.array_equal(last.terminal, full.values[:, -1])
 
 
 def test_jump_increments_match_per_event_loop():
@@ -479,7 +494,7 @@ def euler_route_peak_bytes(n_steps):
     tracemalloc.start()
     try:
         noise = draw_noise(model, grid, 3, range(256))
-        direct_solve_batch(model, noise, path=False, chunk_size=64)
+        direct_solve_batch(model, noise, path_rows=0, chunk_size=64)
         noise.wiener_at_horizon()
         for nz in (noise, coarsen_noise(noise, 2)):
             norm0_sq = weighted_norm_sq(nz.x0, None)[:, None]

@@ -63,10 +63,10 @@ def test_reaction_diffusion_eta_shifts_declared_constant():
 
 
 def test_reaction_diffusion_misdeclared_constant_rejected():
-    # the identity composed pointwise plus eta = 0.5 is 1.5 u, declared 0.5
+    # the identity composed pointwise plus 0.5 u is 1.5 u, declared 0.5
     nem = nemitsky_sine(lambda u: u, 8)
     model = with_drift(
-        build_reaction_diffusion(dim=8, eta=0.5, validate=False),
+        build_reaction_diffusion(dim=8, validate=False),
         lambda t, x: nem(x) + 0.5 * x, semimonotone_m=0.5, growth_d=4.5,
     )
     with pytest.raises(ModelValidationError):
@@ -226,10 +226,10 @@ def test_builder_registry():
 
 def test_reaction_diffusion_single_mode_reduces_to_linear_oracle():
     # one retained mode with linear jump coefficient: the generator and the
-    # linear drift eta * u combine into a scalar linear model with
-    # a = eta - pi^2
+    # linear drift 0.5 u combine into a scalar linear model with
+    # a = 0.5 - pi^2
     model = with_drift(build_reaction_diffusion(
-        dim=1, jump_rate=2.0, mark_std=0.2, eta=0.5, x0=np.array([1.0]), validate=False,
+        dim=1, jump_rate=2.0, mark_std=0.2, x0=np.array([1.0]), validate=False,
     ), lambda t, x: 0.5 * x, semimonotone_m=0.5)
     grid = TimeGrid(1.0, 2048)
     noise = draw_noise(model, grid, 55, range(64))

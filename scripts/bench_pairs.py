@@ -18,10 +18,12 @@ workload follows.
 
 The output has the layout of ``BENCH_11.json``: every run's end-to-end
 metrics, then per workload the medians, quartiles (inclusive method), the
-parent's interquartile range, change/parent median ratios, and the number of
-pairs in which the change was strictly better. The claim, when given, is
-judged by the rule the benchmark gate uses: better in at least nine of ten
-pairs and, in the median, by more than the parent's interquartile range.
+parent's interquartile range, change/parent median ratios, the number of
+pairs in which the change was strictly better, and a no-regression verdict
+per metric against the metric's ``bound`` in ``BENCHMARK.json`` (see
+:func:`verdict`). The claim, when given, is judged by the rule the benchmark
+gate uses: better in at least nine of ten pairs and, in the median, by more
+than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-BETTER = {"wall_s": "lower", "setup_s": "lower", "path_steps_per_s": "higher",
-          "peak_rss_mb": "lower", "success_frac": "higher"}
+END_TO_END = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+BETTER = {m["name"]: m["better"] for m in END_TO_END}
+BOUND = {m["name"]: m["bound"] for m in END_TO_END}
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -90,6 +93,31 @@ def summarize(runs: dict) -> dict:
         m: sum(is_better(m, c[m], p[m]) for p, c in zip(runs["parent"], runs["change"]))
         for m in BETTER
     }
+    return out
+
+
+def verdict(runs: dict) -> dict:
+    """Per end-to-end metric, whether the change is worse than the parent:
+    ``worse`` when the change's median is worse than the parent's by more
+    than the metric's bound times the parent's median, and ``not worse``
+    when it is not. The verdict is ``unresolved`` when either side's
+    interquartile range exceeds that amount, since the runs then spread too
+    widely to tell, unless every change run beats every parent run."""
+    out = {}
+    for m in BETTER:
+        parent = [r[m] for r in runs["parent"]]
+        change = [r[m] for r in runs["change"]]
+        allowed = BOUND[m] * abs(statistics.median(parent))
+        worse_by = statistics.median(change) - statistics.median(parent)
+        if BETTER[m] == "higher":
+            worse_by = -worse_by
+        spread = max(q3 - q1 for q1, q3 in (quartiles(parent), quartiles(change)))
+        if all(is_better(m, c, p) for c in change for p in parent):
+            out[m] = "not worse"
+        elif spread > allowed:
+            out[m] = "unresolved"
+        else:
+            out[m] = "worse" if worse_by > allowed else "not worse"
     return out
 
 
@@ -146,7 +174,8 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {i} {side}: wall_s "
                           f"{runs[side][-1]['wall_s']:.3f}", file=sys.stderr)
             result["workloads"][workload] = {
-                "runs": runs, **summarize(runs), "failures": failures
+                "runs": runs, **summarize(runs), "verdict": verdict(runs),
+                "failures": failures,
             }
             if args.traced_seconds:
                 result["traced"][workload] = {}

@@ -7,10 +7,11 @@ Runs every command on every example at a tiny size, each example once with
 its builder defaults and once with every noise and drift parameter the
 config can set made nonzero, all in this process (``cli._usable_cores`` is
 patched to 1, so no chunk is forked away). ``sys.setprofile`` records every
-function of ``src/mildsde`` that is called. The script prints the functions,
-lambdas included, defined in ``src/mildsde`` that none of the runs called,
-one ``module.py:line qualname`` a line, then a count. Campaign outputs go to
-a temporary directory that is removed at the end.
+function of ``src/mildsde`` that is called, from the import of the package,
+which runs its decorators, to the end of the last run. The script prints the
+functions, lambdas included, defined in ``src/mildsde`` that none of the runs
+called, one ``module.py:line qualname`` a line, then a count. Campaign
+outputs go to a temporary directory that is removed at the end.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 sys.path.insert(0, str(SRC))
-
-from mildsde import cli  # noqa: E402
 
 # model_params that switch on every optional term a config can reach
 ALL_ON = {
@@ -71,6 +70,11 @@ def run_campaigns(out_dir: Path) -> set:
             code = frame.f_code
             reached.add((code.co_filename, code.co_firstlineno, code.co_qualname))
 
+    sys.setprofile(profile)
+    try:
+        from mildsde import cli
+    finally:
+        sys.setprofile(None)
     cli._usable_cores = lambda: 1
     n = 0
     for example in cli.EXAMPLE_BUILDERS:

@@ -14,9 +14,11 @@ Subcommands
 
 Runs are reproducible: paths draw their noise from (seed, path index) and
 are cut into fixed chunks of ``chunk_size`` paths. The chunks run on up to
-one process per usable core (forked helpers plus the calling process), and
-their results are reduced in chunk order, so outputs are byte-identical for
-a fixed (config, seed) whatever the core count.
+one process per usable core (forked helpers plus the calling process). Each
+chunk returns row arrays that the runner joins in chunk order, and only then
+does a campaign reduce them, so outputs are byte-identical for a fixed
+(config, seed) whatever the core count. Every command is a campaign body in
+one frame (``_campaign``) that times it and writes ``summary.txt``.
 
 Exit codes: 0 all diagnostics pass; 2 diagnostic failure; 3 configuration
 or usage error; 4 solver divergence or nonconvergence.
@@ -276,10 +278,6 @@ class RunSummary:
         lines.append(f"wall_clock_s = {self.wall_clock_s:.3f}")
         return "\n".join(lines) + "\n"
 
-    def write(self, out_dir: Path, name: str = "summary.txt"):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / name).write_text(self.to_text())
-
 
 def _fmt(v) -> str:
     if isinstance(v, float):
@@ -303,38 +301,35 @@ def _write_csv(path: Path, schema: str, header: list[str], rows):
             )
 
 
-def _run_chunks(fn, paths: int, chunk_size: int, stacked: bool = False) -> list:
-    """Apply fn to the fixed path-index chunks; return the results in chunk
-    order. The chunk boundaries bound memory and, through the batch-wide
-    implicit step and the row blocks of every matrix product, the numerics.
+def _run_chunks(fn, paths: int, chunk_size: int) -> tuple:
+    """Apply fn, which maps one chunk's path range to a tuple of arrays whose
+    leading axis runs over the chunk's rows (or a leading part of them), to
+    the fixed path-index chunks; return each of those arrays joined over the
+    chunks in chunk order. The chunk boundaries bound memory and, through the
+    batch-wide implicit step and the row blocks of every matrix product, the
+    numerics.
 
-    Without ``stacked``, fn maps one chunk's path range to its result, and
-    the chunks are the tasks of :func:`_run_tasks`: with n = min(chunks,
+    The chunks are the tasks of :func:`_run_tasks`: with n = min(chunks,
     usable cores) >= 2, they are dealt into n fixed, interleaved shares
     (share k holds chunks k, k + n, ...), and chunk 0 always runs here. Once
     every share is in, the failure with the lowest chunk index is raised,
     which is the one the serial loop raises.
-
-    With ``stacked``, fn maps a batch, a list of chunk ranges of one length,
-    to a tuple of arrays whose leading axis runs over the batch's rows in
-    order, or over a leading part of them (see :func:`_run_stacked`).
     """
-    if stacked:
-        return _run_stacked([fn], paths, chunk_size)[0]
     ranges = _chunk_ranges(paths, chunk_size)
-    results = _run_tasks([functools.partial(fn, r) for r in ranges], _usable_cores())
-    _raise_first(results)
-    return results
+    values = _run_tasks([functools.partial(fn, r) for r in ranges], _usable_cores())
+    return _join(values)
 
 
 def _run_stacked(fns, paths: int, chunk_size: int) -> list:
-    """Apply each stacked batch function of fns (see :func:`_run_chunks`) to
-    the fixed chunks; return, per function, its results in chunk order.
+    """Apply each stacked batch function of fns to the fixed chunks; return,
+    per function, its arrays joined over the chunks in chunk order. A batch
+    function maps a batch, a list of chunk ranges of one length, to arrays as
+    the chunk function of :func:`_run_chunks` maps a chunk.
 
     With n = min(chunks, usable cores), the full chunks of each of the n
     interleaved shares form one batch and a short last chunk a batch of its
-    own; each batch's row arrays are cut back into one tuple per chunk. The
-    batches of all functions, those of ``fns[0]`` first, are the tasks of one
+    own; each batch's row arrays are cut back into chunks. The batches of
+    all functions, those of ``fns[0]`` first, are the tasks of one
     :func:`_run_tasks` call, so the helpers are forked once for all of them
     and the processes meet once, at the end. The first failing batch in that
     order is raised; the batches of one function are ordered by their first
@@ -346,7 +341,6 @@ def _run_stacked(fns, paths: int, chunk_size: int) -> list:
     batches = [share for share in shares if share]
     batches += [[r] for r in ranges if len(r) < chunk_size]
     values = _run_tasks([functools.partial(fn, batch) for fn in fns for batch in batches], n)
-    _raise_first(values)
     out = []
     for f in range(len(fns)):
         results = [None] * len(ranges)
@@ -354,8 +348,13 @@ def _run_stacked(fns, paths: int, chunk_size: int) -> list:
             for i, r in enumerate(batch):
                 rows = slice(i * chunk_size, (i + 1) * chunk_size)
                 results[r.start // chunk_size] = tuple(a[rows] for a in arrays)
-        out.append(results)
+        out.append(_join(results))
     return out
+
+
+def _join(per_chunk: list) -> tuple:
+    """Each array of the per-chunk tuples, joined over the chunks in order."""
+    return tuple(np.concatenate(parts) for parts in zip(*per_chunk))
 
 
 def _chunk_ranges(paths: int, chunk_size: int) -> list:
@@ -366,15 +365,10 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _raise_first(values):
-    for value in values:
-        if isinstance(value, Exception):
-            raise value
-
-
 def _run_tasks(tasks: list, n: int) -> list:
     """Call the zero-argument callables of tasks on up to n processes; return
-    their values in task order.
+    their values in task order, or raise the exception of the first failing
+    task.
 
     With n = min(n, tasks) >= 2, the tasks are dealt into n fixed,
     interleaved shares: n - 1 forked helpers run shares 1..n-1 (tasks k,
@@ -383,9 +377,7 @@ def _run_tasks(tasks: list, n: int) -> list:
     place, and its later tasks stay None; so every task before the first
     failing one has run. No helper outlives the call.
     """
-    n = min(n, len(tasks))
-    if n < 2 or not hasattr(os, "fork"):
-        return _run_share(tasks)
+    n = max(1, min(n, len(tasks))) if hasattr(os, "fork") else 1
     results = [None] * len(tasks)
     helpers = []  # (pid, read end of the pipe that carries its share's values)
     try:
@@ -410,6 +402,9 @@ def _run_tasks(tasks: list, n: int) -> list:
             os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    for value in results:
+        if isinstance(value, Exception):
+            raise value
     return results
 
 
@@ -452,18 +447,52 @@ def _mean_se(samples: np.ndarray, axis=-1) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# campaign frame
+
+# command -> campaign, in the order the commands are defined
+_COMMANDS = {}
+
+
+def _campaign(command: str):
+    """Register a campaign body as ``command`` in the frame all campaigns
+    share. The body writes its CSVs into ``config.out_dir`` and returns the
+    config it ran, its checks and its stats; the frame times it, passes the
+    run when every check passes, writes ``summary.txt`` next to the CSVs and
+    returns the summary."""
+
+    def register(body):
+        @functools.wraps(body)
+        def run(config: RunConfig) -> RunSummary:
+            t_start = time.perf_counter()
+            ran, checks, stats = body(config)
+            summary = RunSummary(command=command, config=ran, passed=all(checks.values()),
+                                 checks=checks, stats=stats,
+                                 wall_clock_s=time.perf_counter() - t_start)
+            out = Path(ran.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "summary.txt").write_text(summary.to_text())
+            return summary
+
+        _COMMANDS[command] = run
+        return run
+
+    return register
+
+
+# ---------------------------------------------------------------------------
 # picard campaign
 
 
-def run_picard_campaign(config: RunConfig) -> RunSummary:
-    t_start = time.perf_counter()
+@_campaign("picard")
+def run_picard_campaign(config: RunConfig) -> tuple:
     model = model_from_config(config)
     grid = config.grid()
     out = Path(config.out_dir)
     k = min(config.dump_paths, config.paths)
 
     def chunk(path_range):
-        # of the path norms, only the rows the CSV dumps leave a chunk
+        # per-iterate arrays leave a chunk as (paths, iterates); of the path
+        # norms, only the rows the CSV dumps leave it
         noise = draw_noise(model, grid, config.seed, path_range)
         res = picard_solve_batch(
             model, noise, n_max=config.n_max, damping=config.damping,
@@ -471,15 +500,12 @@ def run_picard_campaign(config: RunConfig) -> RunSummary:
         )
         x0_sq = weighted_norm_sq(noise.x0, model.weights)
         norms = np.sqrt(weighted_norm_sq(res.values, model.weights))
-        return (res.distances, res.x_sup_sq, res.v_sup_sq, x0_sq,
+        return (res.distances.T, res.x_sup_sq.T, res.v_sup_sq.T, x0_sq,
                 norms[: max(0, k - path_range.start)].copy())
 
-    results = _run_chunks(chunk, config.paths, config.chunk_size)
-    distances = np.concatenate([r[0] for r in results], axis=1)
-    x_sup = np.concatenate([r[1] for r in results], axis=1)
-    v_sup = np.concatenate([r[2] for r in results], axis=1)
-    x0_sq = np.concatenate([r[3] for r in results])
-    norms = np.concatenate([r[4] for r in results], axis=0)
+    *per_path, x0_sq, norms = _run_chunks(chunk, config.paths, config.chunk_size)
+    # back to C-ordered (iterates, paths): means reduce over the last axis
+    distances, x_sup, v_sup = (np.ascontiguousarray(a.T) for a in per_path)
 
     n_iters = distances.shape[0]
     e_mean, e_se = _mean_se(distances)
@@ -494,11 +520,11 @@ def run_picard_campaign(config: RunConfig) -> RunSummary:
     # Rate diagnostics: consecutive decay against 2 C1 T / (n + 1), and
     # monotone decrease from the second distance on (ties allowed once the
     # distances sit at the floating point floor).
+    allowed = 2.0 * c1 * horizon / (np.arange(n_iters) + 1.0)
     ratio_ok = True
     mono_ok = True
     for n in range(2, min(8, n_iters - 2) + 1):
-        allowed = 2.0 * c1 * horizon / (n + 1.0)
-        if e_mean[n + 1] > allowed * e_mean[n]:
+        if e_mean[n + 1] > allowed[n] * e_mean[n]:
             ratio_ok = False
     for n in range(2, n_iters - 1):
         if e_mean[n + 1] > e_mean[n] and e_mean[n + 1] > 1e-30:
@@ -527,8 +553,7 @@ def run_picard_campaign(config: RunConfig) -> RunSummary:
     rows = []
     for n in range(n_iters):
         ratio = float(e_mean[n] / e_mean[n - 1]) if n >= 1 and e_mean[n - 1] > 0 else float("nan")
-        allowed = 2.0 * c1 * horizon / (n + 1.0)
-        rows.append((n, float(e_mean[n]), float(e_se[n]), float(bounds[n]), ratio, allowed))
+        rows.append((n, float(e_mean[n]), float(e_se[n]), float(bounds[n]), ratio, allowed[n]))
     _write_csv(
         out / "picard_iterations.csv", "mildsde-picard-v1",
         ["n", "e_n", "stderr", "predicted_bound", "ratio", "ratio_allowed"], rows,
@@ -547,33 +572,24 @@ def run_picard_campaign(config: RunConfig) -> RunSummary:
         ["t"] + [f"path{p}_norm" for p in range(k)], path_rows,
     )
 
-    passed = ratio_ok and mono_ok and moment_ok
-    summary = RunSummary(
-        command="picard",
-        config=config,
-        passed=passed,
-        checks={"rate_ratio": ratio_ok, "monotone_decay": mono_ok, "moment_bound": moment_ok},
-        stats={
-            "c0": c0, "c1": c1, "e_final": float(e_mean[-1]),
-            "iterations": n_iters, "paths": config.paths,
-        },
-        wall_clock_s=time.perf_counter() - t_start,
-    )
-    summary.write(out)
-    return summary
+    checks = {"rate_ratio": ratio_ok, "monotone_decay": mono_ok, "moment_bound": moment_ok}
+    stats = {
+        "c0": c0, "c1": c1, "e_final": float(e_mean[-1]),
+        "iterations": n_iters, "paths": config.paths,
+    }
+    return config, checks, stats
 
 
 # ---------------------------------------------------------------------------
 # energy-inequality campaign
 
 
-def run_ito_check(config: RunConfig) -> RunSummary:
-    t_start = time.perf_counter()
+@_campaign("ito-check")
+def run_ito_check(config: RunConfig) -> tuple:
     model = model_from_config(config)
     grid = config.grid()
     fine = grid.refine(2)
     tol_coeff = config.ito_tol_coeff if config.ito_tol_coeff is not None else ITO_TOL_COEFF
-    out = Path(config.out_dir)
 
     def energy_check(nz, chunk_size, keep_slack):
         # the solver feeds the check cell by cell; no energy term is stored
@@ -592,22 +608,24 @@ def run_ito_check(config: RunConfig) -> RunSummary:
         )
         c = len(ranges[0])
         rep = energy_check(coarsen_noise(noise_fine, 2), c, keep_slack=True)
-        if config.refine_check:
-            fine_mask = energy_check(noise_fine, c, keep_slack=False).violation_mask()
-        else:
-            fine_mask = np.zeros(noise_fine.n_paths, dtype=bool)
-        return rep.slack, rep.violation_mask(), fine_mask
+        if not config.refine_check:
+            return rep.slack, rep.violation_mask()
+        half = energy_check(noise_fine, c, keep_slack=False)
+        return rep.slack, rep.violation_mask(), half.violation_mask()
 
-    results = _run_chunks(batch, config.paths, config.chunk_size, stacked=True)
-    slack = np.concatenate([r[0] for r in results], axis=0)
-    coarse_mask = np.concatenate([r[1] for r in results])
-    fine_mask = np.concatenate([r[2] for r in results])
-
+    slack, coarse_mask, *fine_mask = _run_stacked([batch], config.paths, config.chunk_size)[0]
     rate = float(coarse_mask.mean())
-    rate_fine = float(fine_mask.mean())
-    se_bin = math.sqrt(max(rate * (1 - rate), 1.0 / config.paths) / config.paths)
-    rate_ok = rate <= 0.01
-    refine_ok = (not config.refine_check) or (rate_fine <= rate + 2.0 * se_bin)
+    checks = {"violation_rate": rate <= 0.01}
+    stats = {
+        "violation_rate": rate, "tolerance": tol_coeff * math.sqrt(grid.dt),
+        "min_slack": float(slack.min()),
+    }
+    if config.refine_check:
+        # a check that did not run is not reported
+        rate_fine = float(fine_mask[0].mean())
+        se_bin = math.sqrt(max(rate * (1 - rate), 1.0 / config.paths) / config.paths)
+        checks["refinement_non_increasing"] = rate_fine <= rate + 2.0 * se_bin
+        stats["violation_rate_half_dt"] = rate_fine
 
     qs = np.quantile(slack, [0.0, 0.01, 0.05, 0.5], axis=0)
     rows = [
@@ -615,23 +633,10 @@ def run_ito_check(config: RunConfig) -> RunSummary:
         for j in range(grid.n_steps + 1)
     ]
     _write_csv(
-        out / "ito_slack.csv", "mildsde-ito-v1",
+        Path(config.out_dir, "ito_slack.csv"), "mildsde-ito-v1",
         ["t", "slack_min", "slack_q01", "slack_q05", "slack_median"], rows,
     )
-    passed = rate_ok and refine_ok
-    summary = RunSummary(
-        command="ito-check",
-        config=config,
-        passed=passed,
-        checks={"violation_rate": rate_ok, "refinement_non_increasing": refine_ok},
-        stats={
-            "violation_rate": rate, "violation_rate_half_dt": rate_fine,
-            "tolerance": tol_coeff * math.sqrt(grid.dt), "min_slack": float(slack.min()),
-        },
-        wall_clock_s=time.perf_counter() - t_start,
-    )
-    summary.write(out)
-    return summary
+    return config, checks, stats
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +655,8 @@ def _fitted_order_se(log_dt, mean_sq, se_mean_sq) -> float:
     return float(math.sqrt(np.sum((c * se_log2) ** 2)))
 
 
-def run_benchmark_oracle(config: RunConfig) -> RunSummary:
-    t_start = time.perf_counter()
+@_campaign("benchmark")
+def run_benchmark_oracle(config: RunConfig) -> tuple:
     p = dict(config.model_params)
     exponents = p.pop("dt_exponents", list(range(6, 13)))
     if not (
@@ -663,12 +668,14 @@ def run_benchmark_oracle(config: RunConfig) -> RunSummary:
             "dt_exponents must be a list of at least two distinct integers >= 0, "
             f"got {exponents!r}"
         )
-    config = dataclasses.replace(config, example="linear_scalar", model_params=p)
-    model = model_from_config(config)
-    params = _model_kwargs(config)
+    # the builder takes the other parameters; the summary restates them all,
+    # so the run can be repeated from it
+    config = dataclasses.replace(config, example="linear_scalar")
+    model_config = dataclasses.replace(config, model_params=p)
+    model = model_from_config(model_config)
+    params = _model_kwargs(model_config)
     a, sigma, x0 = params["a"], params["sigma"], params["x0"]
     nu_mean = model.marks.rate * model.marks.mark_mean
-    out = Path(config.out_dir)
 
     grids = [TimeGrid(config.horizon, 2**lvl) for lvl in exponents]
 
@@ -692,7 +699,7 @@ def run_benchmark_oracle(config: RunConfig) -> RunSummary:
     per_grid = _run_stacked(
         [functools.partial(batch, i) for i in range(len(grids))], config.paths, config.chunk_size
     )
-    errs = [np.concatenate([r[0] for r in results]) for results in per_grid]
+    errs = [e for (e,) in per_grid]
     rms = [math.sqrt(float(e.mean())) for e in errs]
     mean_sq = [_mean_se(e) for e in errs]  # (mean, standard error) per grid
 
@@ -708,31 +715,22 @@ def run_benchmark_oracle(config: RunConfig) -> RunSummary:
 
     rows = [(lvl, 2.0 ** (-lvl), float(r), config.paths) for lvl, r in zip(exponents, rms)]
     _write_csv(
-        out / "benchmark.csv", "mildsde-benchmark-v1",
+        Path(config.out_dir, "benchmark.csv"), "mildsde-benchmark-v1",
         ["dt_exponent", "dt", "rms_error", "paths"], rows,
     )
-    passed = abs_ok and order_ok
-    summary = RunSummary(
-        command="benchmark",
-        config=config,
-        passed=passed,
-        checks={"strong_order": order_ok, "absolute_error": abs_ok},
-        stats={"fitted_order": order, "fitted_order_se": order_se,
-               f"rms_dt_2e-{checked}": rms_checked},
-        wall_clock_s=time.perf_counter() - t_start,
-    )
-    summary.write(out)
-    return summary
+    checks = {"strong_order": order_ok, "absolute_error": abs_ok}
+    stats = {"fitted_order": order, "fitted_order_se": order_se,
+             f"rms_dt_2e-{checked}": rms_checked}
+    return config, checks, stats
 
 
 # ---------------------------------------------------------------------------
 # hypothesis checkers
 
 
-def run_hypothesis_check(config: RunConfig) -> RunSummary:
-    t_start = time.perf_counter()
+@_campaign("hypothesis-check")
+def run_hypothesis_check(config: RunConfig) -> tuple:
     model = model_from_config(config, validate=False)
-    out = Path(config.out_dir)
     mono = check_semimonotone(
         model.coeffs.drift, model.dim, model.weights,
         samples=10_000, t_max=config.horizon, seed=config.seed,
@@ -752,34 +750,25 @@ def run_hypothesis_check(config: RunConfig) -> RunSummary:
         ("growth", float(growth.growth_max), float(growth.declared_d), growth.passed_growth),
     ]
     _write_csv(
-        out / "hypothesis_checks.csv", "mildsde-hypothesis-v1",
+        Path(config.out_dir, "hypothesis_checks.csv"), "mildsde-hypothesis-v1",
         ["check", "observed", "declared", "passed"], rows,
     )
-    passed = mono.passed and growth.passed
-    summary = RunSummary(
-        command="hypothesis-check",
-        config=config,
-        passed=passed,
-        checks={"semimonotone": mono.passed, "lipschitz": growth.passed_lipschitz,
-                "growth": growth.passed_growth},
-        stats={"semimonotone_max_ratio": float(mono.max_ratio),
-               "combined_lipschitz_max": float(growth.combined_lipschitz_max),
-               "growth_max": float(growth.growth_max)},
-        wall_clock_s=time.perf_counter() - t_start,
-    )
-    summary.write(out)
-    return summary
+    checks = {"semimonotone": mono.passed, "lipschitz": growth.passed_lipschitz,
+              "growth": growth.passed_growth}
+    stats = {"semimonotone_max_ratio": float(mono.max_ratio),
+             "combined_lipschitz_max": float(growth.combined_lipschitz_max),
+             "growth_max": float(growth.growth_max)}
+    return config, checks, stats
 
 
 # ---------------------------------------------------------------------------
 # direct path dump
 
 
-def run_simulate(config: RunConfig) -> RunSummary:
-    t_start = time.perf_counter()
+@_campaign("simulate")
+def run_simulate(config: RunConfig) -> tuple:
     model = model_from_config(config)
     grid = config.grid()
-    out = Path(config.out_dir)
     k = min(config.dump_paths, config.paths)
 
     def batch(ranges):
@@ -789,42 +778,23 @@ def run_simulate(config: RunConfig) -> RunSummary:
         res = direct_solve_batch(model, noise, path_rows=kept, chunk_size=len(ranges[0]))
         return res.values, res.terminal
 
-    results = _run_chunks(batch, config.paths, config.chunk_size, stacked=True)
-    dumped = np.concatenate([r[0] for r in results], axis=0)
+    dumped, terminal = _run_stacked([batch], config.paths, config.chunk_size)[0]
     rows = []
     for p in range(k):
         for j in range(grid.n_steps + 1):
             rows.append((p, float(grid.times[j]), *[float(v) for v in dumped[p, j]]))
     _write_csv(
-        out / "simulate_paths.csv", "mildsde-simulate-v1",
+        Path(config.out_dir, "simulate_paths.csv"), "mildsde-simulate-v1",
         ["path", "t"] + [f"x{i}" for i in range(model.dim)], rows,
     )
-    terminal = np.sqrt(weighted_norm_sq(
-        np.concatenate([r[1] for r in results], axis=0), model.weights
-    ))
-    summary = RunSummary(
-        command="simulate",
-        config=config,
-        passed=True,
-        checks={},
-        stats={"terminal_norm_mean": float(terminal.mean()),
-               "terminal_norm_max": float(terminal.max()), "paths": config.paths},
-        wall_clock_s=time.perf_counter() - t_start,
-    )
-    summary.write(out)
-    return summary
+    norms = np.sqrt(weighted_norm_sq(terminal, model.weights))
+    stats = {"terminal_norm_mean": float(norms.mean()),
+             "terminal_norm_max": float(norms.max()), "paths": config.paths}
+    return config, {}, stats
 
 
 # ---------------------------------------------------------------------------
 # entry point
-
-_COMMANDS = {
-    "picard": run_picard_campaign,
-    "ito-check": run_ito_check,
-    "benchmark": run_benchmark_oracle,
-    "hypothesis-check": run_hypothesis_check,
-    "simulate": run_simulate,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -853,11 +823,6 @@ def main(argv=None) -> int:
             overrides["out_dir"] = args.out
         if overrides:
             config = dataclasses.replace(config, **overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         summary = _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

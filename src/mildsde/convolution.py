@@ -114,8 +114,8 @@ def ito_inequality_check(
 
     ``norms_sq`` (..., k+1) holds ||X_{t_j}||^2 and ``per_cell`` (..., k) the
     cell terms 2 <X_{t_i}, dZ_i> + d[Z]_i (mixed bracket estimator) of the
-    first k <= m cells, taken from the path the Euler solver advanced
-    (``direct_solve_batch(..., energy=True)``). The right-hand side is
+    first k <= m cells, taken from the path the Euler solver advances. The
+    right-hand side is
 
         exp(2 alpha t) ||X0||^2 + sum_i exp(2 alpha (t - t_i)) per_cell_i
 

@@ -566,21 +566,16 @@ def picard_solve_batch(
 @dataclass(eq=False)
 class BatchDirectResult:
     """Euler path values (rows, m+1, dim) of the rows whose path was kept and
-    the terminal states (paths, dim) of all rows; with the energy terms recorded
-    (``energy=True``), also ``norms_sq`` (paths, m+1) = ||X_j||^2 and
-    ``per_cell`` (paths, m) = 2 <X_j, dZ_j> + d[Z]_j, both read off the states
-    the step loop advanced."""
+    the terminal states (paths, dim) of all rows."""
 
     values: np.ndarray
     terminal: np.ndarray
-    norms_sq: np.ndarray | None = None
-    per_cell: np.ndarray | None = None
 
 
 def direct_solve_batch(
     model: ModelSpec,
     noise: NoiseRealization,
-    energy: bool | ItoCheckReport = False,
+    energy: ItoCheckReport | None = None,
     path_rows: int | None = None,
     chunk_size: int | None = None,
 ) -> BatchDirectResult:
@@ -592,12 +587,11 @@ def direct_solve_batch(
     iterated solver. The step loop keeps the path of the first ``path_rows``
     rows (all by default, none with ``energy``) and the terminal states.
 
-    With ``energy`` the loop pairs each cell's raw increment
-    dZ_j = (f dt - compensator dt + g dW) + jumps with its left-point state,
-    2 <X_j, dZ_j> plus the cell's bracket (see ``_cell_assembler``), and takes
-    ||X_{j+1}||^2. ``energy=True`` records both terms in the result; an
-    :class:`ItoCheckReport` of no cells yet is fed them cell by cell
-    instead, so nothing of length m per row is stored.
+    With ``energy``, an :class:`ItoCheckReport` of no cells yet, the loop
+    pairs each cell's raw increment dZ_j = (f dt - compensator dt + g dW) +
+    jumps with its left-point state, 2 <X_j, dZ_j> plus the cell's bracket
+    (see ``_cell_assembler``), takes ||X_{j+1}||^2 and feeds both terms to
+    the report cell by cell, so nothing of length m per row is stored.
 
     The rows are stepped as a (paths / chunk_size, chunk_size, dim) array
     (one chunk of all rows by default), so every matrix product inside the
@@ -617,16 +611,11 @@ def direct_solve_batch(
 
     x = noise.x0.reshape(p // chunk, chunk, dim)
     rows = p if path_rows is None else max(0, min(path_rows, p))
-    if energy is not False:
+    if energy is not None:
         rows = 0
-    norms_sq = per_cell = None
-    if energy is True:
-        norms_sq = np.zeros((p, m + 1))
-        norms_sq[:, 0] = weighted_norm_sq(x, w).reshape(p)
-        per_cell = np.zeros((p, m))
     values = np.zeros((rows, m + 1, dim))
     values[:, 0] = noise.x0[:rows]
-    assemble = _cell_assembler(model, noise, brackets=energy is not False)
+    assemble = _cell_assembler(model, noise, brackets=energy is not None)
     for j in range(m):
         comp, gdw, jump_part, bracket = assemble(j, x)
         drift_part = f(float(t[j]), x) * dt
@@ -637,16 +626,13 @@ def direct_solve_batch(
         if jump_part is not None:
             y += jump_part  # (X_j + incr) + jumps: the CSV digests pin this order
         x_next = seg.apply(dt, y)
-        if energy is not False:
+        if energy is not None:
             dz = incr if jump_part is None else incr + jump_part
-            cell = (2.0 * weighted_inner(x, dz, w) + bracket).reshape(p)
-            norm_next = weighted_norm_sq(x_next, w).reshape(p)
-            if energy is True:
-                per_cell[:, j] = cell
-                norms_sq[:, j + 1] = norm_next
-            else:
-                energy.add(cell, norm_next)
+            energy.add(
+                (2.0 * weighted_inner(x, dz, w) + bracket).reshape(p),
+                weighted_norm_sq(x_next, w).reshape(p),
+            )
         if rows:
             values[:, j + 1] = x_next.reshape(p, dim)[:rows]
         x = x_next
-    return BatchDirectResult(values, x.reshape(p, dim), norms_sq, per_cell)
+    return BatchDirectResult(values, x.reshape(p, dim))

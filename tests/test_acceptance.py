@@ -65,22 +65,23 @@ def rd_acceptance_model():
 def picard_data():
     """Shared iteration campaign: 500 paths in chunks of 64, 10 iterations,
     frozen noise. The chunks run on every usable core through the CLI's
-    chunk runner, which returns them in chunk order."""
+    chunk runner, which joins their row arrays in chunk order."""
     model = rd_acceptance_model()
 
     def chunk(rows):
+        # per-iterate arrays leave a chunk as (paths, iterates)
         noise = draw_noise(model, GRID, 20260810, rows)
         res = picard_solve_batch(model, noise, n_max=10)
         x0_sq = weighted_norm_sq(noise.x0, model.weights)
-        return res.distances, res.x_sup_sq, res.v_sup_sq, x0_sq
+        return res.distances.T, res.x_sup_sq.T, res.v_sup_sq.T, x0_sq
 
-    distances, x_sup, v_sup, x0_sq = zip(*_run_chunks(chunk, 500, 64))
+    distances, x_sup, v_sup, x0_sq = _run_chunks(chunk, 500, 64)
     return {
         "model": model,
-        "distances": np.concatenate(distances, axis=1),
-        "x_sup": np.concatenate(x_sup, axis=1),
-        "v_sup": np.concatenate(v_sup, axis=1),
-        "x0_sq": np.concatenate(x0_sq),
+        "distances": np.ascontiguousarray(distances.T),
+        "x_sup": np.ascontiguousarray(x_sup.T),
+        "v_sup": np.ascontiguousarray(v_sup.T),
+        "x0_sq": x0_sq,
     }
 
 
@@ -152,16 +153,12 @@ def test_criterion_2_uniqueness():
             variant, noise, n_max=6, damping=0.5, inner_tol=1e-6, max_halvings=8
         )
         return (
-            weighted_norm_sq(res_a.values - res_b.values, model.weights).max(axis=1).sum(),
-            weighted_norm_sq(res_a.values, model.weights).max(axis=1).sum(),
+            weighted_norm_sq(res_a.values - res_b.values, model.weights).max(axis=1),
+            weighted_norm_sq(res_a.values, model.weights).max(axis=1),
         )
 
-    num = 0.0
-    den = 0.0
-    for chunk_num, chunk_den in _run_chunks(chunk, 128, 64):
-        num += chunk_num
-        den += chunk_den
-    rel = num / den
+    num, den = _run_chunks(chunk, 128, 64)
+    rel = num.sum() / den.sum()
     report(2, "uniqueness-solver-variants", rel <= 1e-6, f"relative distance {rel:.3g}")
 
 
@@ -182,18 +179,22 @@ def test_criterion_3_ito_inequality():
     for name, model in cases.items():
 
         def chunk(rows, model=model):
-            # violation counts at dt and at dt/2 on one shared realization
+            # violation flags at dt and at dt/2 on one shared realization,
+            # the solver feeding each check as ito-check does
             noise_fine = draw_noise(model, fine, 777, rows)
-            counts = []
+            masks = []
             for nz in (coarsen_noise(noise_fine, 2), noise_fine):
-                out = direct_solve_batch(model, nz, energy=True)
+                norm0_sq = weighted_norm_sq(nz.x0, model.weights)[:, None]
                 rep = ito_inequality_check(
-                    model.semigroup.alpha, nz.grid, out.norms_sq, out.per_cell
+                    model.semigroup.alpha, nz.grid, norm0_sq, np.zeros((nz.n_paths, 0))
                 )
-                counts.append(int(rep.violation_mask().sum()))
-            return counts
+                direct_solve_batch(model, nz, energy=rep)
+                masks.append(rep.violation_mask())
+            return tuple(masks)
 
-        violations, violations_half = map(sum, zip(*_run_chunks(chunk, 1000, 100)))
+        violations, violations_half = (
+            int(mask.sum()) for mask in _run_chunks(chunk, 1000, 100)
+        )
         rate = violations / 1000.0
         rate_half = violations_half / 1000.0
         se = math.sqrt(max(rate * (1 - rate), 1e-3) / 1000.0)

@@ -219,6 +219,53 @@ def test_ito_check_detects_forced_failure(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("refine", [True, False])
+def test_ito_check_reports_the_refinement_check_only_when_run(tmp_path, refine):
+    path, _ = write_config(
+        tmp_path, example="delay", dim=6, dt=0.01, paths=16, refine_check=refine
+    )
+    summary = run_ito_check(RunConfig.from_file(str(path)))
+    text = (tmp_path / "out" / "summary.txt").read_text()
+    assert ("check.refinement_non_increasing = " in text) == refine
+    assert ("stat.violation_rate_half_dt = " in text) == refine
+    assert "check.violation_rate = " in text and "stat.violation_rate = " in text
+    assert summary.passed == all(summary.checks.values())
+
+
+def config_from_summary(text):
+    """The config a summary.txt restates, read back from its config lines."""
+    literals = {"True": True, "False": False, "None": None}
+    data = {}
+    for line in text.splitlines():
+        key, _, value = line.partition(" = ")
+        if not key.startswith("config."):
+            continue
+        if value in literals:
+            data[key[len("config."):]] = literals[value]
+            continue
+        try:
+            data[key[len("config."):]] = json.loads(value)
+        except json.JSONDecodeError:
+            data[key[len("config."):]] = value  # a bare string
+    return RunConfig.from_dict(data)
+
+
+def test_benchmark_rerun_from_its_summary_writes_the_same_csv(tmp_path):
+    path, _ = write_config(
+        tmp_path, example="linear_scalar", paths=8, model_params={"dt_exponents": [6, 7]},
+    )
+    run_benchmark_oracle(RunConfig.from_file(str(path)))
+    first = tmp_path / "out"
+    text = (first / "summary.txt").read_text()
+    again = config_from_summary(text)
+    again.out_dir = str(tmp_path / "again")
+    run_benchmark_oracle(again)
+    csv = (first / "benchmark.csv").read_bytes()
+    assert csv == (tmp_path / "again" / "benchmark.csv").read_bytes()
+    assert csv.count(b"\n") == 4  # schema, header and the two grids
+    assert 'config.model_params = {"dt_exponents": [6, 7]}' in text.splitlines()
+
+
 def test_benchmark_ode_limit_first_order(tmp_path):
     path, _ = write_config(
         tmp_path, example="linear_scalar", paths=16,

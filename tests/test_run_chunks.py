@@ -90,13 +90,15 @@ def test_solver_divergence_exits_4_with_the_serial_message(tmp_path, monkeypatch
 
 
 def chunk_owner(failing=()):
-    """A chunk function recording where each chunk ran, failing on the
-    chunks whose first path index is listed."""
+    """A chunk function returning, per row, its path index, the first path
+    index of its chunk and the process it ran in; it fails on the chunks
+    whose first path index is listed."""
 
     def fn(path_range):
         if path_range.start in failing:
             raise SolverError(f"chunk at path {path_range.start} failed")
-        return path_range, os.getpid()
+        rows = np.array(path_range)
+        return rows, np.full(len(rows), path_range.start), np.full(len(rows), os.getpid())
 
     return fn
 
@@ -104,9 +106,11 @@ def chunk_owner(failing=()):
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_results_come_back_in_chunk_order(monkeypatch, cpus):
     use_cpus(monkeypatch, cpus)
-    results = _run_chunks(chunk_owner(), 11, 2)
-    assert [r for r, _ in results] == [range(s, min(s + 2, 11)) for s in range(0, 11, 2)]
-    pids = [pid for _, pid in results]
+    rows, starts, row_pids = _run_chunks(chunk_owner(), 11, 2)
+    assert rows.tolist() == list(range(11))
+    # each chunk got its own range, and the chunks are joined in order
+    assert starts.tolist() == [s - s % 2 for s in range(11)]
+    pids = row_pids[::2].tolist()  # per chunk, from its first row
     assert pids[0] == os.getpid()  # chunk 0 runs in the calling process
     assert pids[::cpus] == [os.getpid()] * len(pids[::cpus])
     assert len(set(pids)) == cpus
@@ -156,7 +160,7 @@ def test_helper_that_dies_is_reported(monkeypatch):
     def fn(path_range):
         if path_range.start == 2:
             os._exit(3)
-        return path_range
+        return (np.array(path_range),)
 
     with pytest.raises(RuntimeError, match="ended without its results"):
         _run_chunks(fn, 4, 2)
@@ -182,19 +186,17 @@ def batch_owner(failing=()):
 def test_stacked_shares_solve_their_full_chunks_as_one_batch(monkeypatch, cpus):
     # 11 paths in chunks of 2: five full chunks and a short last one
     use_cpus(monkeypatch, cpus)
-    results = _run_chunks(batch_owner(), 11, 2, stacked=True)
-    chunks = [range(s, min(s + 2, 11)) for s in range(0, 11, 2)]
-    assert [r[0].tolist() for r in results] == [list(c) for c in chunks]
+    rows, firsts, row_pids, below_5 = _run_stacked([batch_owner()], 11, 2)[0]
+    assert rows.tolist() == list(range(11))
     # share k's full chunks ran as one batch that starts at its first chunk,
     # the short last chunk as a batch of its own
-    firsts = [int(r[1][0]) for r in results]
-    assert firsts == [chunks[k % cpus].start for k in range(5)] + [10]
-    assert all(len(set(r[1].tolist())) == 1 for r in results)
-    pids = [int(r[2][0]) for r in results]
+    chunk_firsts = [2 * (k % cpus) for k in range(5)]
+    assert firsts.tolist() == [f for f in chunk_firsts for _ in range(2)] + [10]
+    pids = row_pids[::2].tolist()  # per chunk, from its first row
     assert pids[::cpus] == [os.getpid()] * len(pids[::cpus])
     assert len(set(pids)) == cpus
     # arrays over a leading part of a batch are cut back in chunk order
-    assert np.concatenate([r[3] for r in results]).tolist() == [0, 1, 2, 3, 4]
+    assert below_5.tolist() == [0, 1, 2, 3, 4]
     assert_no_children()
 
 
@@ -210,7 +212,7 @@ def test_stacked_shares_solve_their_full_chunks_as_one_batch(monkeypatch, cpus):
 def test_stacked_lowest_failing_batch_is_raised(monkeypatch, cpus, failing, raised):
     use_cpus(monkeypatch, cpus)
     with pytest.raises(SolverError) as pooled:
-        _run_chunks(batch_owner(failing), 11, 2, stacked=True)
+        _run_stacked([batch_owner(failing)], 11, 2)
     assert str(pooled.value) == f"batch at path {raised} failed"
     assert_no_children()
 
@@ -229,16 +231,16 @@ def test_stacked_functions_in_one_pool_match_separate_runs(monkeypatch, cpus):
     use_cpus(monkeypatch, cpus)
     fns = [batch_owner(), rows_times(10), batch_owner()]
     pooled = _run_stacked(fns, 11, 2)
-    for fn, results in zip(fns, pooled):
-        alone = _run_chunks(fn, 11, 2, stacked=True)
-        assert len(results) == len(alone) == 6
-        for r, s in zip(results, alone):
-            assert r[0].tolist() == s[0].tolist()
+    for fn, arrays in zip(fns, pooled):
+        alone = _run_stacked([fn], 11, 2)[0]
+        assert len(arrays) == len(alone)
+        assert len(arrays[0]) == len(alone[0]) == 11
+        assert arrays[0].tolist() == alone[0].tolist()
     # batch composition is that of a single function's run
-    firsts = [int(r[1][0]) for r in pooled[0]]
+    firsts = pooled[0][1][::2].tolist()  # per chunk, from its first row
     assert firsts == [2 * (k % cpus) for k in range(5)] + [10]
     # one set of processes ran the batches of every function
-    pids = [{int(r[2][0]) for r in pooled[f]} for f in (0, 2)]
+    pids = [set(pooled[f][2].tolist()) for f in (0, 2)]
     assert pids[0] == pids[1] and len(pids[0]) == cpus
     assert_no_children()
 

@@ -330,19 +330,32 @@ def delay_model(rate=20.0):
     ))
 
 
+class EnergyTerms:
+    """Records the terms the solver feeds an energy check, cell by cell, in
+    the shape of ``ItoCheckReport.add``."""
+
+    def __init__(self):
+        self.per_cell, self.norms_sq = [], []
+
+    def add(self, per_cell, norm_sq):
+        self.per_cell.append(per_cell)
+        self.norms_sq.append(norm_sq)
+
+
 @pytest.mark.parametrize("which", ["reaction_diffusion", "delay"])
 def test_direct_energy_terms_read_the_returned_path(which):
     model = rd_model(dim=5) if which == "reaction_diffusion" else delay_model(rate=2.0)
     grid = TimeGrid(1.0, 100)
     noise = draw_noise(model, grid, 23, range(3))
-    res = direct_solve_batch(model, noise, energy=True)
+    terms = EnergyTerms()
+    res = direct_solve_batch(model, noise, energy=terms)
     plain = direct_solve_batch(model, noise)
-    assert plain.norms_sq is None and plain.per_cell is None
     # the energy pass keeps no path, only the terminal state it advanced to
     assert res.values.shape == (0, grid.n_steps + 1, model.dim)
     assert np.array_equal(res.terminal, plain.values[:, -1])
-    # and its norms are those of the kept path, bit for bit
-    assert np.array_equal(res.norms_sq, weighted_norm_sq(plain.values, model.weights))
+    # and the norms it feeds are those of the kept path, bit for bit
+    norms_sq = np.column_stack(terms.norms_sq)
+    assert np.array_equal(norms_sq, weighted_norm_sq(plain.values, model.weights)[:, 1:])
     # per cell: 2 <X_j, dZ_j> + bracket, dZ_j summed from the assembler's parts
     w = np.ones(model.dim) if model.weights is None else model.weights
     f = model.coeffs.drift.evaluate
@@ -356,7 +369,7 @@ def test_direct_energy_terms_read_the_returned_path(which):
             if part is not None:
                 dz = dz + part
         expected[:, j] = 2.0 * np.einsum("pd,d,pd->p", xj, w, dz) + bracket
-    assert np.allclose(res.per_cell, expected, rtol=1e-12, atol=0.0)
+    assert np.allclose(np.column_stack(terms.per_cell), expected, rtol=1e-12, atol=0.0)
 
 
 def test_direct_without_path_keeps_the_terminal_state():

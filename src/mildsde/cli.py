@@ -164,6 +164,8 @@ class RunConfig:
             raise ConfigError("dump_paths must be >= 0")
         if self.ito_tol_coeff is not None and self.ito_tol_coeff < 0.0:
             raise ConfigError("ito_tol_coeff must be >= 0")
+        if self.bdg_constant <= 0.0:
+            raise ConfigError("bdg_constant must be > 0")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -519,10 +521,10 @@ def run_picard_campaign(config: RunConfig) -> tuple:
 
     # Rate diagnostics: consecutive decay against 2 C1 T / (n + 1), and
     # monotone decrease from the second distance on (ties allowed once the
-    # distances sit at the floating point floor).
+    # distances sit at the floating point floor). A distance mean that is not
+    # finite fails both.
     allowed = 2.0 * c1 * horizon / (np.arange(n_iters) + 1.0)
-    ratio_ok = True
-    mono_ok = True
+    ratio_ok = mono_ok = bool(np.isfinite(e_mean).all())
     for n in range(2, min(8, n_iters - 2) + 1):
         if e_mean[n + 1] > allowed[n] * e_mean[n]:
             ratio_ok = False

@@ -84,7 +84,8 @@ class ItoCheckReport:
 
     def _point(self, norm_sq):
         slack = self._discount[self.cells] * self._norm0 + self._run - norm_sq
-        self._violated |= slack < -self.tolerance
+        # a NaN slack is a violation too
+        self._violated |= ~(slack >= -self.tolerance)
         if self.slack is not None:
             self.slack[..., self.cells] = slack
 

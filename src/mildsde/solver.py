@@ -317,63 +317,21 @@ def _advance_step(seg, drift, x, v_left, v_right, t_right, dt, w, tol, damping,
     return out
 
 
-def _mild_core(seg, drift, x0, v_values, grid, w, tol, damping, max_halvings,
-               label=None, path_index=None):
-    """Batched deterministic mild solve; v_values broadcast to (P, m+1, dim).
-    ``label`` and ``path_index`` locate an inner-iteration failure (see
-    :func:`_advance_step`)."""
-    m, dt = grid.n_steps, grid.dt
-    t = grid.times
-    x0 = np.asarray(x0, dtype=float)
-    batch = np.broadcast_shapes(x0.shape[:-1], v_values.shape[:-2])
-    dim = x0.shape[-1]
-    v_b = np.broadcast_to(v_values, batch + (m + 1, dim))
-    values = np.zeros(batch + (m + 1, dim))
-    values[:, 0, :] = x0 + v_b[:, 0, :]
-    for j in range(m):
-        values[:, j + 1, :] = _advance_step(
-            seg, drift, values[:, j, :], v_b[:, j, :], v_b[:, j + 1, :],
-            float(t[j + 1]), dt, w, tol, damping, 0, max_halvings, label, path_index,
-        )
-    return values
-
-
-def _apriori_bound(drift, free, v_values, grid, w):
-    """Growth bound ||X0|| + ||V(t)|| + int exp(M (t-s)) ||f(s, S_s X0 + V_s)|| ds
-    of a contraction semigroup, accumulated by the left-point rule on the
-    grid; ``free`` is the free path S_t X0."""
-    m, dt = grid.n_steps, grid.dt
-    t = grid.times
-    x0n = np.sqrt(weighted_norm_sq(free[..., 0, :], w))
-    growth = math.exp(drift.semimonotone_m * dt)
-    batch = np.broadcast_shapes(free.shape[:-2], v_values.shape[:-2])
-    bound = np.zeros(batch + (m + 1,))
-    bound[..., 0] = x0n
-    acc = np.zeros(batch)
-    for j in range(m):
-        fn = np.sqrt(weighted_norm_sq(drift.evaluate(float(t[j]), free[..., j, :] + v_values[..., j, :]), w))
-        acc = growth * (acc + fn * dt)
-        bound[..., j + 1] = x0n + np.sqrt(weighted_norm_sq(v_values[..., j + 1, :], w)) + acc
-    return bound
-
-
-def _check_apriori_bound(drift, free, v_values, values, grid, w, label, path_index=None):
-    """Raise :class:`AprioriBoundError` when ||X(t)|| exceeds the a-priori
-    bound by more than the relative ``_BOUND_SLACK``, naming the earliest
-    such t and the first path row that exceeds it there, by its entry of
-    ``path_index`` (the global path indices of the rows) when given."""
-    bound = _apriori_bound(drift, free, v_values, grid, w)
-    actual = np.atleast_2d(np.sqrt(weighted_norm_sq(values, w)))
-    bound = np.broadcast_to(bound, actual.shape)
-    over = actual > bound * (1.0 + _BOUND_SLACK) + 1e-9
+def _raise_over_bound(norms, bound, times, label, path_index=None):
+    """Raise :class:`AprioriBoundError` when a path norm ||X(t)|| exceeds its
+    a-priori bound by more than the relative ``_BOUND_SLACK``, naming the
+    earliest such t and the first path row that exceeds it there, by its
+    entry of ``path_index`` (the global path indices of the rows) when
+    given."""
+    over = norms > bound * (1.0 + _BOUND_SLACK) + 1e-9
     if not over.any():
         return
     j = int(np.argmax(over.any(axis=0)))
     row = int(np.argmax(over[:, j]))
     path = row if path_index is None else int(path_index[row])
     raise AprioriBoundError(
-        f"{label} exceeded the a-priori bound at t={grid.times[j]:.6g}, path row "
-        f"{path}: norm {actual[row, j]:.6g} vs bound {bound[row, j]:.6g} "
+        f"{label} exceeded the a-priori bound at t={times[j]:.6g}, path row "
+        f"{path}: norm {norms[row, j]:.6g} vs bound {bound[row, j]:.6g} "
         f"(+{_BOUND_SLACK:.0%} slack)"
     )
 
@@ -501,44 +459,62 @@ def picard_solve_batch(
     """
     alpha = model.semigroup.alpha
     work = rescale_to_contraction(model)
-    seg, w = work.semigroup, work.weights
+    seg, w, drift = work.semigroup, work.weights, work.coeffs.drift
     grid = noise.grid
-    m, p, dim = grid.n_steps, noise.n_paths, model.dim
+    m, dt, t = grid.n_steps, grid.dt, grid.times
+    p, dim = noise.n_paths, model.dim
 
     # X^0 = S_t X0, also the free path of every iterate's a-priori bound.
     free = x_prev = stochastic_convolution(
         seg, grid, noise.x0, np.broadcast_to(0.0, (p, m, dim))
     )
+    # The bound ||X0|| + ||V(t)|| + int exp(M (t-s)) ||f(s, S_s X0 + V_s)|| ds
+    # of a contraction semigroup, accumulated by the left-point rule.
+    x0n = np.sqrt(weighted_norm_sq(free[:, 0], w))
+    growth = math.exp(drift.semimonotone_m * dt)
 
     distances: list[np.ndarray] = []
     x_sup: list[np.ndarray] = [weighted_norm_sq(x_prev, w).max(axis=1)]
     v_sup: list[np.ndarray] = []
     assemble = _cell_assembler(work, noise)
     for n in range(1, n_max + 1):
-        # Noise increments along the frozen iterate's left-point values,
-        # summed as drift + diffusion + jumps.
-        dz = np.zeros((p, m, dim))
+        label = f"{model.name}: iterate {n}"
+        # One sweep over the grid: per cell, the noise increment along the
+        # frozen iterate's left-point value (summed as drift + diffusion +
+        # jumps), the convolution V^n one step on, the implicit step of X^n
+        # driven by V^n, and X^n's a-priori bound.
+        v = np.zeros((p, dim))
+        v_max_sq = np.zeros(p)
+        acc = np.zeros(p)
+        x_next = np.zeros((p, m + 1, dim))
+        x_next[:, 0] = noise.x0 + v
+        bound = np.zeros((p, m + 1))
+        bound[:, 0] = x0n
         for j in range(m):
             comp, gdw, sums, _ = assemble(j, x_prev[:, j])
+            dz = np.zeros((p, dim))
             if comp is not None:
-                dz[:, j] = comp
+                dz[:] = comp
             if gdw is not None:
-                dz[:, j] += gdw
+                dz += gdw
             if sums is not None:
-                dz[:, j] += sums
-        v_values = stochastic_convolution(seg, grid, np.zeros((p, dim)), dz)
-        label = f"{model.name}: iterate {n}"
-        x_next = _mild_core(
-            seg, work.coeffs.drift, noise.x0, v_values, grid, w,
-            inner_tol, damping, max_halvings, label, noise.path_index,
-        )
-        _check_apriori_bound(
-            work.coeffs.drift, free, v_values, x_next, grid, w, label, noise.path_index,
-        )
-        dist = weighted_norm_sq(x_next - x_prev, w).max(axis=1)
-        distances.append(dist)
-        v_sup.append(weighted_norm_sq(v_values, w).max(axis=1))
-        x_sup.append(weighted_norm_sq(x_next, w).max(axis=1))
+                dz += sums
+            v_next = seg.apply(dt, v + dz)
+            x_next[:, j + 1] = _advance_step(
+                seg, drift, x_next[:, j], v, v_next, float(t[j + 1]), dt, w,
+                inner_tol, damping, 0, max_halvings, label, noise.path_index,
+            )
+            fn = np.sqrt(weighted_norm_sq(drift.evaluate(float(t[j]), free[:, j] + v), w))
+            acc = growth * (acc + fn * dt)
+            v_next_sq = weighted_norm_sq(v_next, w)
+            bound[:, j + 1] = x0n + np.sqrt(v_next_sq) + acc
+            np.maximum(v_max_sq, v_next_sq, out=v_max_sq)
+            v = v_next
+        x_next_sq = weighted_norm_sq(x_next, w)
+        _raise_over_bound(np.sqrt(x_next_sq), bound, t, label, noise.path_index)
+        distances.append(weighted_norm_sq(x_next - x_prev, w).max(axis=1))
+        v_sup.append(v_max_sq)
+        x_sup.append(x_next_sq.max(axis=1))
         x_prev = x_next
         if len(distances) >= 3:
             d3 = [float(d.mean()) for d in distances[-3:]]

@@ -110,6 +110,7 @@ BAD_CONFIGS = {
     "seed_bool": ("picard", {"seed": True}),
     "dt_nan": ("picard", {"dt": float("nan")}),
     "bdg_constant_str": ("picard", {"bdg_constant": "a"}),
+    "bdg_constant_negative": ("picard", {"bdg_constant": -1.0}),
     "refine_check_str": ("picard", {"refine_check": "no"}),
     "out_dir_int": ("picard", {"out_dir": 5}),
     "model_params_int": ("picard", {"model_params": 3}),
@@ -186,6 +187,17 @@ def test_picard_noise_free_iteration_settles(tmp_path):
     assert summary.stats["e_final"] == 0.0
 
 
+def test_picard_rate_checks_fail_on_non_finite_distances(tmp_path):
+    # marks so wide that the iteration distances overflow to inf
+    path, _ = write_config(
+        tmp_path, dim=4, dt=0.01, paths=4, seed=0, model_params={"mark_std": 1e160}
+    )
+    summary = run_picard_campaign(RunConfig.from_file(str(path)))
+    assert summary.stats["c0"] == math.inf
+    assert not summary.checks["rate_ratio"]
+    assert not summary.checks["monotone_decay"]
+
+
 def test_picard_byte_determinism_same_seed(tmp_path):
     p1, _ = write_config(tmp_path, name="a.json", out_dir=str(tmp_path / "o1"))
     p2, _ = write_config(tmp_path, name="b.json", out_dir=str(tmp_path / "o2"))
@@ -217,6 +229,19 @@ def test_ito_check_detects_forced_failure(tmp_path):
     )
     rc = main(["ito-check", "--config", str(path)])
     assert rc == 2
+
+
+def test_ito_check_counts_a_nan_slack_as_a_violation(tmp_path):
+    # marks so wide that the energy terms overflow: the slack is NaN, which
+    # must fail the check rather than pass it
+    path, _ = write_config(
+        tmp_path, example="delay", dim=4, dt=0.01, paths=8,
+        model_params={"mark_std": 1e160},
+    )
+    assert main(["ito-check", "--config", str(path)]) == 2
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "passed = False" in summary
+    assert "stat.min_slack = nan" in summary
 
 
 @pytest.mark.parametrize("refine", [True, False])

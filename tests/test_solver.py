@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mildsde import coefficients
+from mildsde import coefficients, solver
 from mildsde.coefficients import (
     CoefficientSet,
     DriftSpec,
@@ -20,7 +20,7 @@ from mildsde.models import (
     build_reaction_diffusion,
     stochastic_exponential,
 )
-from mildsde.convolution import ito_inequality_check, stochastic_convolution
+from mildsde.convolution import ito_inequality_check
 from mildsde.noise import TimeGrid, coarsen_noise, draw_noise
 from mildsde.semigroup import DiagonalSemigroup
 from mildsde.solver import (
@@ -28,9 +28,8 @@ from mildsde.solver import (
     InnerIterationError,
     ModelSpec,
     PicardDivergenceError,
+    _advance_step,
     _cell_assembler,
-    _check_apriori_bound,
-    _mild_core,
     _solve_step_equation,
     direct_solve_batch,
     picard_solve_batch,
@@ -94,9 +93,18 @@ def test_rescale_solution_equivalence_shared_noise():
 
 
 def mild_solve(seg, drift, x0, v_values):
-    """One path through the batched core at the default tolerances."""
+    """One path stepped through the implicit step on the grid of the forcing
+    ``v_values`` (m+1, dim), at the default tolerances."""
     grid = TimeGrid(1.0, v_values.shape[0] - 1)
-    return _mild_core(seg, drift, x0[None], v_values[None], grid, None, 1e-8, 1.0, 6)[0]
+    v = v_values[None]
+    values = np.zeros(v.shape)
+    values[:, 0] = x0 + v[:, 0]
+    for j in range(grid.n_steps):
+        values[:, j + 1] = _advance_step(
+            seg, drift, values[:, j], v[:, j], v[:, j + 1], float(grid.times[j + 1]),
+            grid.dt, None, 1e-8, 1.0, 0, 6,
+        )
+    return values[0]
 
 
 def test_mild_solve_no_drift_is_orbit_plus_forcing():
@@ -127,19 +135,15 @@ def test_mild_solve_linear_ode_first_order():
     assert e1 / e2 == pytest.approx(2.0, rel=0.2)
 
 
-def test_mild_solve_apriori_bound_postcondition():
-    # cube-root drift with forcing stays inside the a-priori growth bound
-    grid = TimeGrid(1.0, 300)
+def test_mild_solve_apriori_bound_postcondition(monkeypatch):
+    # cube-root drift driven by Wiener and jump forcing: every iterate stays
+    # inside its a-priori growth bound, here even without the check's slack
     model = rd_model(dim=6)
-    rng = np.random.default_rng(1)
-    forcing = np.cumsum(rng.standard_normal((301, 6)), axis=0) * 0.02
-    forcing[0] = 0.0
-    x0 = np.full(6, 0.3)
-    drift = model.coeffs.drift
-    values = mild_solve(model.semigroup, drift, x0, forcing)
-    assert values.shape == (301, 6)
-    free = stochastic_convolution(model.semigroup, grid, x0[None], np.zeros((1, 300, 6)))
-    _check_apriori_bound(drift, free, forcing[None], values[None], grid, None, "mild solve")
+    noise = draw_noise(model, TimeGrid(1.0, 300), 1, range(8))
+    monkeypatch.setattr(solver, "_BOUND_SLACK", 0.0)
+    res = picard_solve_batch(model, noise, n_max=4)
+    assert res.values.shape == (8, 301, 6)
+    assert np.isfinite(res.values).all()
 
 
 def tanh_prox(v, dt):
@@ -186,13 +190,13 @@ def test_stalled_rows_are_bisected_until_they_reach_tolerance():
     x0 = np.array([[0.0], [1.0], [-0.3]])
     _, ok = _solve_step_equation(drift, 1.0, x0, grid.dt, None, tol, 1.0)
     assert ok.tolist() == [True, False, False]
-    v = np.zeros((1, 2, 1))
-    values = _mild_core(seg, drift, x0, v, grid, None, tol, 1.0, 1)
+    v = np.zeros_like(x0)
+    out = _advance_step(seg, drift, x0, v, v, 1.0, grid.dt, None, tol, 1.0, 0, 1)
     # two half steps x -> x / (1 - 0.75), each to tol, so within 4 tol + 16 tol
-    assert values[0, -1, 0] == 0.0
-    assert np.abs(values[1:, -1] - 16.0 * x0[1:]).max() <= 20.0 * tol
+    assert out[0, 0] == 0.0
+    assert np.abs(out[1:] - 16.0 * x0[1:]).max() <= 20.0 * tol
     with pytest.raises(InnerIterationError) as err:
-        _mild_core(seg, drift, x0, v, grid, None, tol, 1.0, 0)
+        _advance_step(seg, drift, x0, v, v, 1.0, grid.dt, None, tol, 1.0, 0, 0)
     match = re.fullmatch(
         r"inner iteration stalled at t=1 after 0 halvings "
         r"\(worst residual (\S+), tol 1e-08\)",
@@ -495,6 +499,20 @@ def test_apriori_bound_error_names_the_global_path():
         messages.append(str(err.value))
     row = int(re.search(r"path row (\d+):", messages[1]).group(1))
     assert messages[0] == messages[1].replace(f"path row {row}:", f"path row {192 + row}:")
+
+
+def test_picard_peak_memory_is_a_few_paths():
+    # one sweep per iterate holds the free path, the previous and the next
+    # iterate, and per-step rows: no increment or convolution path arrays
+    model = rd_model(dim=8)
+    noise = draw_noise(model, TimeGrid(1.0, 400), 37, range(64))
+    tracemalloc.start()
+    try:
+        res = picard_solve_batch(model, noise, n_max=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * res.values.nbytes
 
 
 def euler_route_peak_bytes(n_steps):

@@ -62,11 +62,11 @@ class ItoCheckReport:
 
     ``slack[..., j] = RHS(t_j) - ||X(t_j)||^2`` where RHS carries the
     exp(2 alpha (t - s)) discounting; a path violates the inequality when any
-    slack drops below -tolerance. The report covers the first ``cells`` cells
-    of the grid, and :meth:`add` checks the next one. ``slack`` (..., m+1) is
-    kept only when asked for (None otherwise), and its entries past the cells
-    checked are NaN; the violation flags are always kept. Shapes keep the
-    batch axes of the initial norms.
+    slack drops below -tolerance or is NaN. The report covers the first
+    ``cells`` cells of the grid, and :meth:`add` checks the next one.
+    ``slack`` (..., m+1) is kept only when asked for (None otherwise), and its
+    entries past the cells checked are NaN; the violation flags are always
+    kept. Shapes keep the batch axes of the initial norms.
     """
 
     def __init__(self, alpha: float, grid: TimeGrid, norm0_sq: np.ndarray,
@@ -84,7 +84,6 @@ class ItoCheckReport:
 
     def _point(self, norm_sq):
         slack = self._discount[self.cells] * self._norm0 + self._run - norm_sq
-        # a NaN slack is a violation too
         self._violated |= ~(slack >= -self.tolerance)
         if self.slack is not None:
             self.slack[..., self.cells] = slack

@@ -55,8 +55,11 @@ class DriftSpec:
     x = b + dt f(t, x) exactly for drifts that know their own structure
     (pointwise compositions reduce to a closed-form scalar root per point,
     which is immune to unbounded local slopes); it returns
-    ``(x, converged_mask)``. The solvers fall back to damped fixed-point
-    iteration when it is absent or fails on some rows.
+    ``(x, converged_mask)``. ``b`` is (..., rows, dim) and each leading index
+    is a block: the Picard solver stacks one block per iterate, and each
+    block's x and mask must be those it gives when solved alone, so a 2-D b
+    is one block. The solvers fall back to damped fixed-point iteration,
+    block by block, when it is absent or fails on some rows.
     """
 
     evaluate: Callable[[float, np.ndarray], np.ndarray]
@@ -185,7 +188,9 @@ def nemitsky_implicit_solver(
     equation decouples into scalar monotone roots u = v + dt * phi(u), which
     ``prox(v, dt)`` solves exactly; the outer loop updates the correction,
     which the projection contracts. Returns a callable
-    ``(t, b, dt, tol) -> (x, converged_mask)`` over batched rows.
+    ``(t, b, dt, tol) -> (x, converged_mask)`` over the blocks of batched
+    rows b (..., rows, dim) (see :class:`DriftSpec`); a block's rows are
+    accepted together, on the first sweep that accepts all of them.
     """
     if n_quad is None:
         n_quad = 2 * n_modes
@@ -227,15 +232,22 @@ def nemitsky_implicit_solver(
         den = 1.0 - dt * linear_shift
         if den <= 0.0:
             return b.copy(), np.zeros(b.shape[:-1], dtype=bool)
+        # One block per leading index of b's (rows, dim) matrices. A block
+        # retires on the sweep in which all its rows accept, with that
+        # sweep's x and ok; later sweeps run on the live blocks alone, so
+        # each block sees the sweeps it would see if solved alone.
+        shape = b.shape
+        b = b.reshape((-1,) + shape[-2:] if b.ndim > 1 else (1, 1, -1))
+        x_out = np.empty_like(b)
+        ok_out = np.zeros(b.shape[:-1], dtype=bool)
+        live = np.arange(len(b))
         bt = b / den
         dte = dt / den
         v = bt @ synthesis.T
         c = np.zeros_like(v)
         c_prev = f_prev = None
-        x = bt
-        ok = np.zeros(b.shape[:-1], dtype=bool)
         accept_base = max(tol, dust_scale(dt) / 32.0)
-        for _ in range(_MAX_OUTER):
+        for sweep in range(_MAX_OUTER):
             u = prox(v + dte * c, dte)
             pu = scalar_fn(u)
             pu_synth = pu @ synthesis
@@ -243,8 +255,18 @@ def nemitsky_implicit_solver(
             r = b + dt * evaluate_f(x) - x
             rn = np.sqrt(np.einsum("...d,...d->...", r, r))
             ok = rn <= accept_base
-            if ok.all():
+            done = ok.all(axis=-1)
+            if done.all() or sweep == _MAX_OUTER - 1:
+                x_out[live], ok_out[live] = x, ok
                 break
+            if done.any():
+                x_out[live[done]], ok_out[live[done]] = x[done], True
+                keep = ~done
+                live, b, bt, v, c, pu, pu_synth = (
+                    a[keep] for a in (live, b, bt, v, c, pu, pu_synth)
+                )
+                if c_prev is not None:
+                    c_prev, f_prev = c_prev[keep], f_prev[keep]
             g = (pu_synth / n_quad) @ synthesis.T - pu
             f_cur = g - c
             if c_prev is not None:
@@ -263,7 +285,7 @@ def nemitsky_implicit_solver(
                 c_next = g
             c_prev, f_prev = c, f_cur
             c = c_next
-        return x, ok
+        return x_out.reshape(shape), ok_out.reshape(shape[:-1])
 
     return step
 

@@ -30,7 +30,7 @@ from .coefficients import (
     check_lipschitz_growth,
     check_semimonotone,
 )
-from .convolution import ItoCheckReport, stochastic_convolution
+from .convolution import ItoCheckReport
 from .noise import MarkSpaceSpec, NoiseRealization
 from .semigroup import Semigroup
 from .state_space import hs_norm_sq, weighted_inner, weighted_norm_sq
@@ -266,31 +266,68 @@ def _implicit_f_step(f, t_next, b, dt, w, tol, damping):
 
 
 def _solve_step_equation(drift, t_right, b, dt, w, tol, damping):
-    """Solve x = b + dt f(t, x) on batched rows, preferring the drift's own
-    solver and finishing stragglers with the damped/secant iteration."""
-    if drift.implicit_step is not None:
+    """Solve x = b + dt f(t, x) on the rows of b (rows, dim) or of each block
+    of a stack b (blocks, rows, dim): the drift's own solver runs once on the
+    whole stack, and the damped/secant iteration finishes each block's
+    stragglers on that block's rows alone."""
+    if drift.implicit_step is None:
+        out, ok = np.empty_like(b), np.zeros(b.shape[:-1], dtype=bool)
+    else:
         out, ok = drift.implicit_step(t_right, b, dt, tol)
         if ok.all():
             return out, ok
-        rows = np.nonzero(~ok)[0]
-        fixed, ok_rows = _implicit_f_step(drift.evaluate, t_right, b[rows], dt, w, tol, damping)
-        out[rows] = fixed
         ok = ok.copy()
-        ok[rows] = ok_rows
-        return out, ok
-    return _implicit_f_step(drift.evaluate, t_right, b, dt, w, tol, damping)
+    for block in np.ndindex(b.shape[:-2]):
+        rows = np.flatnonzero(~ok[block])
+        if rows.size:
+            out[block][rows], ok[block][rows] = _implicit_f_step(
+                drift.evaluate, t_right, b[block][rows], dt, w, tol, damping
+            )
+    return out, ok
+
+
+def _path_row(row, path_index):
+    """", path row i" for the row index i, or for its global path index
+    ``path_index[i]`` when given."""
+    return f", path row {int(row if path_index is None else path_index[row])}"
+
+
+def _non_finite_error(b, t_right, label=None, path_index=None):
+    """The :class:`InnerIterationError` for the first row of b (rows, dim)
+    that is not finite, or None when every row is: such a row has no step
+    to solve and no bisection can mend it."""
+    bad = ~np.isfinite(b).all(axis=-1)
+    if not bad.any():
+        return None
+    where = "" if label is None else f"{label}: "
+    return InnerIterationError(
+        f"{where}non-finite state at t={t_right:.6g}{_path_row(int(np.argmax(bad)), path_index)}"
+    )
 
 
 def _advance_step(seg, drift, x, v_left, v_right, t_right, dt, w, tol, damping,
                   depth, max_halvings, label=None, path_index=None):
-    """One implicit step; rows whose inner iteration fails are re-run on a
-    bisected cell (the forcing is piecewise constant, so its increment lands
-    on the second half). A failure after ``max_halvings`` bisections names
-    the stalled row with the largest residual by its entry of ``path_index``
-    (the global path indices of the rows) and is prefixed with ``label``,
-    each when given."""
+    """One implicit step of the rows x (rows, dim); rows whose inner
+    iteration fails are re-run on a bisected cell (see :func:`_retry_rows`).
+    A row whose step input is not finite fails at once. Failures name the
+    row by its entry of ``path_index`` (the global path indices of the rows)
+    and are prefixed with ``label``, each when given."""
     b = seg.apply(dt, x - v_left) + v_right
+    err = _non_finite_error(b, t_right, label, path_index)
+    if err is not None:
+        raise err
     out, ok = _solve_step_equation(drift, t_right, b, dt, w, tol, damping)
+    return _retry_rows(seg, drift, x, v_left, v_right, t_right, dt, w, tol, damping,
+                       depth, max_halvings, label, path_index, b, out, ok)
+
+
+def _retry_rows(seg, drift, x, v_left, v_right, t_right, dt, w, tol, damping,
+                depth, max_halvings, label, path_index, b, out, ok):
+    """Finish the step whose solve of x = b + dt f gave (out, ok): the rows
+    not ok are re-run on a bisected cell (the forcing is piecewise constant,
+    so its increment lands on the second half). A failure after
+    ``max_halvings`` bisections names the stalled row with the largest
+    residual."""
     if ok.all():
         return out
     rows = np.nonzero(~ok)[0]
@@ -299,7 +336,7 @@ def _advance_step(seg, drift, x, v_left, v_right, t_right, dt, w, tol, damping,
         res = np.sqrt(weighted_norm_sq(b[rows] + dt * drift.evaluate(t_right, out) - out, w))
         worst = int(np.argmax(res))
         where = "" if label is None else f"{label}: "
-        path = "" if path_index is None else f", path row {int(path_index[rows[worst]])}"
+        path = "" if path_index is None else _path_row(rows[worst], path_index)
         raise InnerIterationError(
             f"{where}inner iteration stalled at t={t_right:.6g}{path} after {max_halvings} "
             f"halvings (worst residual {float(res[worst]):.3g}, tol {tol:.3g})"
@@ -317,22 +354,15 @@ def _advance_step(seg, drift, x, v_left, v_right, t_right, dt, w, tol, damping,
     return out
 
 
-def _raise_over_bound(norms, bound, times, label, path_index=None):
-    """Raise :class:`AprioriBoundError` when a path norm ||X(t)|| exceeds its
-    a-priori bound by more than the relative ``_BOUND_SLACK``, naming the
-    earliest such t and the first path row that exceeds it there, by its
+def _bound_error(label, t, row, norm, bound, path_index=None):
+    """The :class:`AprioriBoundError` of a path norm ||X(t)|| that exceeds its
+    a-priori bound by more than the relative ``_BOUND_SLACK`` (or is not
+    finite) at the earliest such t, on the first such row, named by its
     entry of ``path_index`` (the global path indices of the rows) when
     given."""
-    over = norms > bound * (1.0 + _BOUND_SLACK) + 1e-9
-    if not over.any():
-        return
-    j = int(np.argmax(over.any(axis=0)))
-    row = int(np.argmax(over[:, j]))
-    path = row if path_index is None else int(path_index[row])
-    raise AprioriBoundError(
-        f"{label} exceeded the a-priori bound at t={times[j]:.6g}, path row "
-        f"{path}: norm {norms[row, j]:.6g} vs bound {bound[row, j]:.6g} "
-        f"(+{_BOUND_SLACK:.0%} slack)"
+    return AprioriBoundError(
+        f"{label} exceeded the a-priori bound at t={t:.6g}{_path_row(row, path_index)}: "
+        f"norm {norm:.6g} vs bound {bound:.6g} (+{_BOUND_SLACK:.0%} slack)"
     )
 
 
@@ -344,15 +374,18 @@ def _cell_assembler(model: ModelSpec, noise: NoiseRealization, brackets: bool = 
     """Per-cell noise increments g(s, X_{s-}) dW + k dN-tilde on one realization.
 
     ``assemble(j, xl)`` freezes every coefficient at the cell's left-point
-    state ``xl`` (..., dim), whose leading axes run over the paths in row
-    order, and returns (compensator drift -dt * comp, g dW, jump sums,
-    bracket), each None when its channel is absent or, for the jump sums,
-    when the cell holds no event. The jump coefficient is called once per
-    event cell, on the vectors of the cell's event times and marks and the
-    flat rows they hit, and np.add.at sums each (row, cell) in event order.
-    The bracket ||g||_HS^2 dt + sum of squared jump norms, shaped like xl
-    without its last axis, is computed only with ``brackets`` set and is
-    None otherwise.
+    state ``xl`` (..., dim) and returns (compensator drift -dt * comp, g dW,
+    jump sums, bracket), each None when its channel is absent or, for the
+    jump sums, when the cell holds no event. The flattened rows of ``xl`` are
+    k whole copies of the realization's paths in row order (k = 1 for the
+    Euler route's chunk stack, one copy per iterate for the Picard
+    wavefront), and every copy reads the same noise: the Wiener increments
+    (paths, modes) broadcast over the copy axis, and the jump coefficient is
+    called once per event cell, on the cell's event times and marks tiled k
+    times and the flat rows they hit, copy n's rows offset by n * paths, so
+    np.add.at still sums each (row, cell) in event order. The bracket
+    ||g||_HS^2 dt + sum of squared jump norms, shaped like xl without its
+    last axis, is computed only with ``brackets`` set and is None otherwise.
 
     Cells are assembled in step order, j = 0, 1, ..; each pass from j = 0 on
     regenerates the Wiener increments from the noise's streams, one block of
@@ -365,6 +398,7 @@ def _cell_assembler(model: ModelSpec, noise: NoiseRealization, brackets: bool = 
     diffuse = not g.is_zero
     jumps = not (model.marks is None or model.marks.rate == 0.0)
     starts = np.searchsorted(noise.jump_cell, np.arange(grid.n_steps + 1)).tolist()
+    paths = noise.n_paths
     blocks = block = None
     first = end = 0
 
@@ -384,19 +418,26 @@ def _cell_assembler(model: ModelSpec, noise: NoiseRealization, brackets: bool = 
         t = times[j]
         comp = gdw = sums = None
         hs_sq = jump_sq = 0.0
+        flat = xl.reshape(-1, xl.shape[-1])
+        copies = len(flat) // paths
         if diffuse:
             cols = g.evaluate(t, xl)
-            dw = wiener_increments(j).reshape(xl.shape[:-1] + (-1,))
-            gdw = np.einsum("...kd,...k->...d", cols, dw)
+            dw = wiener_increments(j)
+            if copies > 1:
+                dw = np.broadcast_to(dw, (copies,) + dw.shape)
+            gdw = np.einsum("...kd,...k->...d", cols, dw.reshape(xl.shape[:-1] + (-1,)))
             if brackets:
                 hs_sq = hs_norm_sq(cols, w) * dt
         if jumps:
             comp = -dt * k.compensator(t, xl)
             lo, hi = starts[j], starts[j + 1]
             if lo < hi:
-                flat = xl.reshape(-1, xl.shape[-1])
                 rows = noise.jump_row[lo:hi]
-                vecs = k.evaluate(noise.jump_time[lo:hi], noise.jump_mark[lo:hi], flat[rows])
+                at, marks = noise.jump_time[lo:hi], noise.jump_mark[lo:hi]
+                if copies > 1:
+                    rows = (rows + paths * np.arange(copies)[:, None]).ravel()
+                    at, marks = np.tile(at, copies), np.tile(marks, copies)
+                vecs = k.evaluate(at, marks, flat[rows])
                 sums = np.zeros_like(flat)
                 np.add.at(sums, rows, vecs)
                 sums = sums.reshape(xl.shape)
@@ -456,66 +497,130 @@ def picard_solve_batch(
     nonzero. All ``n_max`` iterates are run. Every iterate must stay inside
     its a-priori bound (:class:`AprioriBoundError`), and three consecutive
     non-decreasing distances raise :class:`PicardDivergenceError`.
+
+    Iterate n at step j reads only its own state and iterate n-1's
+    left-point state at j, so the iterates advance together as a wavefront:
+    one loop over j steps every iterate as a block of a (iterates, paths, dim)
+    stack. Each iterate's first inner-iteration failure and first bound
+    excess are recorded as they happen; a failure stops the iterate and
+    every iterate above it, an excess every iterate above it. The errors
+    are then raised in the order the iterates would raise them one after
+    the other: for n = 1, 2, .. the inner failure, the bound excess, then
+    the divergence guard over the distances up to n.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     alpha = model.semigroup.alpha
     work = rescale_to_contraction(model)
     seg, w, drift = work.semigroup, work.weights, work.coeffs.drift
     grid = noise.grid
     m, dt, t = grid.n_steps, grid.dt, grid.times
     p, dim = noise.n_paths, model.dim
+    labels = [f"{model.name}: iterate {n}" for n in range(1, n_max + 1)]
+    failed: list = [None] * n_max     # first inner-iteration failure per iterate
+    over: list = [None] * n_max       # first a-priori bound excess per iterate
+    live = n_max                      # iterates 1..live still advance
 
-    # X^0 = S_t X0, also the free path of every iterate's a-priori bound.
-    free = x_prev = stochastic_convolution(
-        seg, grid, noise.x0, np.broadcast_to(0.0, (p, m, dim))
-    )
-    # The bound ||X0|| + ||V(t)|| + int exp(M (t-s)) ||f(s, S_s X0 + V_s)|| ds
-    # of a contraction semigroup, accumulated by the left-point rule.
-    x0n = np.sqrt(weighted_norm_sq(free[:, 0], w))
+    # states[0] is X^0 = S_t X0, the free path of every iterate's a-priori
+    # bound, and states[n] is X^n, all at the current grid point; V^n is
+    # v[n - 1]. The bound ||X0|| + ||V(t)|| + int exp(M (t-s)) ||f(s, S_s X0
+    # + V_s)|| ds of a contraction semigroup is accumulated in acc by the
+    # left-point rule.
+    states = np.empty((n_max + 1, p, dim))
+    states[0] = noise.x0
+    states[1:] = noise.x0 + np.zeros((p, dim))
+    v = np.zeros((n_max, p, dim))
+    acc = np.zeros((n_max, p))
+    x0n = np.sqrt(weighted_norm_sq(states[0], w))
     growth = math.exp(drift.semimonotone_m * dt)
+    values = np.zeros((p, m + 1, dim))    # the path of the last iterate
+    values[:, 0] = states[n_max]
+    sq = weighted_norm_sq(states, w)
+    x_max_sq = sq.copy()                  # running sup ||X^n||^2, n = 0..N
+    v_max_sq = np.zeros((n_max, p))       # running sup ||V^n||^2
+    dist_max = weighted_norm_sq(states[1:] - states[:-1], w)
 
-    distances: list[np.ndarray] = []
-    x_sup: list[np.ndarray] = [weighted_norm_sq(x_prev, w).max(axis=1)]
-    v_sup: list[np.ndarray] = []
+    def check_bound(j, norm_sq, bound):
+        """Record the lowest live iterate's first excess at t_j, if it has
+        one there; stop the iterates above it."""
+        nonlocal live
+        norm = np.sqrt(norm_sq)
+        excess = ~(norm <= bound * (1.0 + _BOUND_SLACK) + 1e-9) | ~np.isfinite(norm)
+        if excess.any():
+            n = int(np.argmax(excess.any(axis=1)))
+            if over[n] is None:
+                row = int(np.argmax(excess[n]))
+                over[n] = _bound_error(labels[n], t[j], row, norm[n, row], bound[n, row],
+                                       noise.path_index)
+            live = n + 1
+
+    def fail(n, err):
+        """Record iterate n + 1's inner failure; stop it and those above."""
+        nonlocal live
+        failed[n] = err
+        live = n
+
+    check_bound(0, sq[1:], np.broadcast_to(x0n, (n_max, p)))
     assemble = _cell_assembler(work, noise)
-    for n in range(1, n_max + 1):
-        label = f"{model.name}: iterate {n}"
-        # One sweep over the grid: per cell, the noise increment along the
-        # frozen iterate's left-point value (summed as drift + diffusion +
-        # jumps), the convolution V^n one step on, the implicit step of X^n
-        # driven by V^n, and X^n's a-priori bound.
-        v = np.zeros((p, dim))
-        v_max_sq = np.zeros(p)
-        acc = np.zeros(p)
-        x_next = np.zeros((p, m + 1, dim))
-        x_next[:, 0] = noise.x0 + v
-        bound = np.zeros((p, m + 1))
-        bound[:, 0] = x0n
+    with np.errstate(all="ignore"):
         for j in range(m):
-            comp, gdw, sums, _ = assemble(j, x_prev[:, j])
-            dz = np.zeros((p, dim))
+            if not live:  # iterate 1 failed: nothing is left to advance
+                break
+            a = live
+            t_right = float(t[j + 1])
+            free = states[0]
+            x = states[1 : a + 1]
+            # Per cell, for every live iterate: the noise increment along the
+            # previous iterate's left-point value (summed as drift + diffusion
+            # + jumps), the convolution V^n one step on, the implicit step of
+            # X^n driven by V^n, and X^n's a-priori bound.
+            comp, gdw, sums, _ = assemble(j, states[:a])
+            dz = np.zeros((a, p, dim))
             if comp is not None:
                 dz[:] = comp
             if gdw is not None:
                 dz += gdw
             if sums is not None:
                 dz += sums
-            v_next = seg.apply(dt, v + dz)
-            x_next[:, j + 1] = _advance_step(
-                seg, drift, x_next[:, j], v, v_next, float(t[j + 1]), dt, w,
-                inner_tol, damping, 0, max_halvings, label, noise.path_index,
-            )
-            fn = np.sqrt(weighted_norm_sq(drift.evaluate(float(t[j]), free[:, j] + v), w))
-            acc = growth * (acc + fn * dt)
-            v_next_sq = weighted_norm_sq(v_next, w)
-            bound[:, j + 1] = x0n + np.sqrt(v_next_sq) + acc
-            np.maximum(v_max_sq, v_next_sq, out=v_max_sq)
-            v = v_next
-        x_next_sq = weighted_norm_sq(x_next, w)
-        _raise_over_bound(np.sqrt(x_next_sq), bound, t, label, noise.path_index)
-        distances.append(weighted_norm_sq(x_next - x_prev, w).max(axis=1))
-        v_sup.append(v_max_sq)
-        x_sup.append(x_next_sq.max(axis=1))
-        x_prev = x_next
+            v_next = seg.apply(dt, v[:a] + dz)
+            b = seg.apply(dt, x - v[:a]) + v_next
+            if not np.isfinite(b).all():
+                n = int(np.argmax(~np.isfinite(b).all(axis=(1, 2))))
+                fail(n, _non_finite_error(b[n], t_right, labels[n], noise.path_index))
+            out, ok = _solve_step_equation(drift, t_right, b[:live], dt, w, inner_tol, damping)
+            for n in np.flatnonzero(~ok.all(axis=1)).tolist():
+                if n >= live:
+                    break
+                try:
+                    out[n] = _retry_rows(
+                        seg, drift, x[n], v[n], v_next[n], t_right, dt, w, inner_tol,
+                        damping, 0, max_halvings, labels[n], noise.path_index,
+                        b[n], out[n], ok[n],
+                    )
+                except InnerIterationError as err:
+                    fail(n, err)
+            a = live
+            fn = np.sqrt(weighted_norm_sq(drift.evaluate(float(t[j]), free + v[:a]), w))
+            acc[:a] = growth * (acc[:a] + fn * dt)
+            v_next_sq = weighted_norm_sq(v_next[:a], w)
+            np.maximum(v_max_sq[:a], v_next_sq, out=v_max_sq[:a])
+            v[:a] = v_next[:a]
+            states[0] = seg.apply(dt, free + 0.0)
+            states[1 : a + 1] = out[:a]
+            sq = weighted_norm_sq(states[: a + 1], w)
+            np.maximum(x_max_sq[: a + 1], sq, out=x_max_sq[: a + 1])
+            diff_sq = weighted_norm_sq(states[1 : a + 1] - states[:a], w)
+            np.maximum(dist_max[:a], diff_sq, out=dist_max[:a])
+            check_bound(j + 1, sq[1:], x0n + np.sqrt(v_next_sq) + acc[:a])
+            values[:, j + 1] = states[n_max]
+
+    distances: list[np.ndarray] = []
+    for n in range(n_max):
+        if failed[n] is not None:
+            raise failed[n]
+        if over[n] is not None:
+            raise over[n]
+        distances.append(dist_max[n])
         if len(distances) >= 3:
             d3 = [float(d.mean()) for d in distances[-3:]]
             # The growth factor guards against false positives when distances
@@ -528,10 +633,10 @@ def picard_solve_batch(
                 )
 
     return BatchPicardResult(
-        values=unrescale_values(x_prev, grid.times, alpha),
+        values=unrescale_values(values, grid.times, alpha),
         distances=np.array(distances),
-        x_sup_sq=np.array(x_sup),
-        v_sup_sq=np.array(v_sup),
+        x_sup_sq=x_max_sq,
+        v_sup_sq=v_max_sq,
     )
 
 

@@ -2,12 +2,14 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from mildsde import cli
 from mildsde.cli import (
     _FIELD_TYPES,
     _MODEL_PARAMS,
@@ -187,15 +189,37 @@ def test_picard_noise_free_iteration_settles(tmp_path):
     assert summary.stats["e_final"] == 0.0
 
 
-def test_picard_rate_checks_fail_on_non_finite_distances(tmp_path):
-    # marks so wide that the iteration distances overflow to inf
-    path, _ = write_config(
-        tmp_path, dim=4, dt=0.01, paths=4, seed=0, model_params={"mark_std": 1e160}
-    )
+def test_picard_rate_checks_fail_on_non_finite_distances(tmp_path, monkeypatch):
+    # the solver stops a state that overflows (see the test below), so the
+    # seed distance of a finite solve is set to inf on its way to the checks
+    solve = cli.picard_solve_batch
+
+    def overflowing(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.distances[0] = math.inf
+        return res
+
+    monkeypatch.setattr(cli, "picard_solve_batch", overflowing)
+    path, _ = write_config(tmp_path, dim=4, dt=0.01, paths=4, seed=0)
     summary = run_picard_campaign(RunConfig.from_file(str(path)))
     assert summary.stats["c0"] == math.inf
     assert not summary.checks["rate_ratio"]
     assert not summary.checks["monotone_decay"]
+
+
+@pytest.mark.parametrize("case", [dict(dim=4, dt=0.01, paths=4, seed=0), {}])
+def test_picard_exits_4_on_a_state_that_overflows(tmp_path, capfd, case):
+    # marks so wide that a path's norm overflows: a solver failure that
+    # names the iterate, t and the path row on one line, with no numpy
+    # warning and no stalled inner iteration reported
+    path, _ = write_config(tmp_path, model_params={"mark_std": 1e160}, **case)
+    assert main(["picard", "--config", str(path)]) == 4
+    err = capfd.readouterr().err
+    assert re.fullmatch(
+        r"solver failure: reaction_diffusion: iterate \d+(: non-finite state| exceeded "
+        r"the a-priori bound) at t=\S+, path row \d+\b.*\n",
+        err,
+    )
 
 
 def test_picard_byte_determinism_same_seed(tmp_path):

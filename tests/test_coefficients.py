@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from mildsde import coefficients
 from mildsde.coefficients import (
     AliasingError,
     CoefficientSet,
@@ -260,6 +261,38 @@ def test_nemitsky_step_bits():
     assert digest.hexdigest() == (
         "7ec36a16fc394b757b29b0c863357ff13e9de177614e0177ae476e6b944fa347"
     )
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_nemitsky_step_on_blocks_is_each_block_alone(monkeypatch, shift):
+    # a stack of blocks steps like each block solved alone, bit for bit in
+    # x and ok: at dt = 1e-2 the unit-scale block and the one with its first
+    # rows at 1e-9 scale retire on sweep 1, the 1e-2 block on sweep 2, the
+    # 1e-2 block with a zero row on sweep 4, and with the sweeps capped at 5
+    # the 1e-4 block never converges
+    monkeypatch.setattr(coefficients, "_MAX_OUTER", 5)
+    dim = 8
+    step = nemitsky_implicit_solver(decreasing_cbrt, cbrt_implicit_prox, dim, linear_shift=shift)
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal((5, 6, dim)) * np.array([1.0, 1e-2, 1e-4, 1e-2, 1e-9])[:, None, None]
+    b[3, 2] = 0.0
+    b[4, :3] *= 1e9
+    alone = [step(0.0, block, 1e-2, 1e-8) for block in b]
+    for stack in (b, b.reshape(1, 5, 6, dim)):
+        x, ok = step(0.0, stack, 1e-2, 1e-8)
+        assert x.shape == stack.shape and ok.shape == stack.shape[:-1]
+        assert x.tobytes() == b"".join(xa.tobytes() for xa, _ in alone)
+        assert ok.tobytes() == b"".join(oka.tobytes() for _, oka in alone)
+    assert ok.all(axis=-1).tolist() == [[True, True, False, True, True]]
+    retired = []
+    for sweeps in (1, 2, 4):
+        monkeypatch.setattr(coefficients, "_MAX_OUTER", sweeps)
+        retired.append(step(0.0, b, 1e-2, 1e-8)[1].all(axis=-1).tolist())
+    assert retired == [
+        [True, False, False, False, True],
+        [True, True, False, False, True],
+        [True, True, False, True, True],
+    ]
 
 
 def test_pointwise_solver_exact():

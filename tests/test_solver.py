@@ -207,18 +207,16 @@ def test_stalled_rows_are_bisected_until_they_reach_tolerance():
 
 def test_inner_iteration_error_names_the_global_path_and_iterate():
     # the paths of chunk 1 of 64, under the drift f(x) = 8 x at dt = 1/4:
-    # its own step solves x = b + 2 x exactly, but from iterate 2 on it
-    # rejects the row with the largest state (path 65), and the generic
-    # iteration diverges for dt * 8 > 1
+    # its own step solves x = b + 2 x exactly, but in the blocks of iterate
+    # 2 on (the solver steps one block of rows per iterate) it rejects the
+    # row with the largest state (path 65), and the generic iteration
+    # diverges for dt * 8 > 1
     model = build_linear_scalar(sigma=0.0, jump_rate=0.0, validate=False)
     grid = TimeGrid(1.0, 4)
-    calls = []
 
     def step(t, b, dt, tol):
-        calls.append(t)
         ok = np.ones(b.shape[:-1], dtype=bool)
-        if len(calls) > grid.n_steps:
-            ok = b[:, 0] < b[:, 0].max()
+        ok[1:] = b[1:, :, 0] < b[1:, :, 0].max(axis=-1, keepdims=True)
         return b / (1.0 - dt * 8.0), ok
 
     model.coeffs.drift = DriftSpec(
@@ -231,6 +229,117 @@ def test_inner_iteration_error_names_the_global_path_and_iterate():
     assert re.fullmatch(
         r"linear_scalar: iterate 2: inner iteration stalled at t=0\.25, path row 65 "
         r"after 0 halvings \(worst residual \S+, tol 1e-08\)",
+        str(err.value),
+    )
+
+
+def feedback_model(gain, fails=(), inflates=()):
+    """A dim-1 model whose iterates differ by their values alone: no
+    semigroup motion, no Wiener term, jumps of size zero and the compensator
+    -gain * x, so V^n gains gain * X^{n-1}_j dt per cell and, from x0 = 1,
+    X^n_j = sum_{k <= n} C(j, k) (gain dt)^k, which grows with n once j > n.
+    The drift is zero and its own step returns b, except that at a time t
+    of ``fails`` it rejects the rows with b above the threshold given for t,
+    and at a time of ``inflates``, given (threshold, factor), it returns
+    factor * b on such rows."""
+    model = build_linear_scalar(sigma=0.0, jump_rate=1.0, mark_std=0.0, validate=False)
+    fails, inflates = dict(fails), dict(inflates)
+
+    def step(t, b, dt, tol):
+        x, ok = b.copy(), np.ones(b.shape[:-1], dtype=bool)
+        t = round(t, 9)
+        if t in fails:
+            ok = ~(b[..., 0] > fails[t])
+        if t in inflates:
+            threshold, factor = inflates[t]
+            x = np.where(b > threshold, factor * b, b)
+        return x, ok
+
+    model.coeffs.drift = DriftSpec(
+        evaluate=lambda t, x: 0.0 * x, semimonotone_m=0.0, growth_d=0.0, implicit_step=step
+    )
+    model.coeffs.jump = JumpCoeffSpec(
+        evaluate=lambda t, xi, x: np.zeros_like(x),
+        compensator=lambda t, x: -gain * np.asarray(x),
+        lipschitz_c=0.0, growth_d=0.0,
+    )
+    return model
+
+
+def fail_fallback(monkeypatch):
+    """Make the generic iteration give up on every row it is handed, so a
+    row the drift's step rejects fails its step."""
+    monkeypatch.setattr(
+        solver, "_implicit_f_step",
+        lambda f, t, b, dt, w, tol, damping: (b.copy(), np.zeros(len(b), dtype=bool)),
+    )
+
+
+def test_inner_iteration_errors_are_raised_in_iterate_order(monkeypatch):
+    # at dt = 1/8 and x0 = 3 on path 65: iterate 3 is the first whose state
+    # passes 4.268 at t = 0.375 (X^2 = 4.2656, X^3 = 4.2715), and iterate 1
+    # passes 5 only at t = 1 (X^1 = 6); iterate 1's later failure is raised
+    fail_fallback(monkeypatch)
+    model = feedback_model(1.0, fails={0.375: 4.268, 1.0: 5.0})
+    noise = draw_noise(model, TimeGrid(1.0, 8), 0, range(64, 68))
+    noise.x0[1] = 3.0
+    with pytest.raises(InnerIterationError) as err:
+        picard_solve_batch(model, noise, n_max=4, max_halvings=0)
+    assert re.fullmatch(
+        r"linear_scalar: iterate 1: inner iteration stalled at t=1, path row 65 "
+        r"after 0 halvings \(worst residual \S+, tol 1e-08\)",
+        str(err.value),
+    )
+
+
+def test_bound_error_of_an_iterate_precedes_later_iterates_failures(monkeypatch):
+    # iterate 3 fails its step at t = 0.375 as above; iterate 2 leaves its
+    # a-priori bound at t = 0.5, where its state 4.78 (iterate 1's: 4.5) is
+    # inflated by 20%; iterate 2's bound error is raised
+    fail_fallback(monkeypatch)
+    model = feedback_model(1.0, fails={0.375: 4.268}, inflates={0.5: (4.6, 1.2)})
+    noise = draw_noise(model, TimeGrid(1.0, 8), 0, range(64, 68))
+    noise.x0[1] = 3.0
+    with pytest.raises(AprioriBoundError) as err:
+        picard_solve_batch(model, noise, n_max=4, max_halvings=0)
+    assert re.fullmatch(
+        r"linear_scalar: iterate 2 exceeded the a-priori bound at t=0\.5, path row 65: "
+        r"norm \S+ vs bound \S+ \(\+5% slack\)",
+        str(err.value),
+    )
+
+
+def test_a_non_finite_state_fails_its_step_at_once():
+    # the drift's step sends path 65 (x0 = 3) to inf at t = 0.25 in every
+    # iterate: the bound check flags the inf norm there, and at t = 0.375
+    # iterate 1's inf step input fails at once, without bisection; that
+    # inner failure is raised before iterate 1's bound excess
+    model = feedback_model(1.0, inflates={0.25: (2.0, np.inf)})
+    noise = draw_noise(model, TimeGrid(1.0, 8), 0, range(64, 68))
+    noise.x0[1] = 3.0
+    with pytest.raises(InnerIterationError) as err:
+        picard_solve_batch(model, noise, n_max=4)
+    assert str(err.value) == (
+        "linear_scalar: iterate 1: non-finite state at t=0.375, path row 65"
+    )
+    seg, drift = model.semigroup, model.coeffs.drift
+    x = np.array([[1.0], [np.nan]])
+    with pytest.raises(InnerIterationError, match=r"^non-finite state at t=1, path row 1$"):
+        _advance_step(seg, drift, x, 0 * x, 0 * x, 1.0, 1.0, None, 1e-8, 1.0, 0, 6)
+
+
+def test_divergence_after_an_iterate_precedes_later_iterates_failures(monkeypatch):
+    # at gain dt = 1 the distances C(8, n)^2 = 64, 784, 3136 grow, so the
+    # guard fires after iterate 3; iterate 4 is the first whose state passes
+    # 15.5 at t = 0.5 (X^3 = 15, X^4 = 16); the guard is raised
+    fail_fallback(monkeypatch)
+    model = feedback_model(8.0, fails={0.5: 15.5})
+    noise = draw_noise(model, TimeGrid(1.0, 8), 0, range(4))
+    with pytest.raises(PicardDivergenceError) as err:
+        picard_solve_batch(model, noise, n_max=4, max_halvings=0)
+    assert re.fullmatch(
+        r"linear_scalar: iteration distances non-decreasing over three iterations "
+        r"\(64, 784, 3\.14e\+03\); hypothesis violation or grid too coarse",
         str(err.value),
     )
 
@@ -502,8 +611,9 @@ def test_apriori_bound_error_names_the_global_path():
 
 
 def test_picard_peak_memory_is_a_few_paths():
-    # one sweep per iterate holds the free path, the previous and the next
-    # iterate, and per-step rows: no increment or convolution path arrays
+    # the iterates advance together, so only the last iterate's path is
+    # held, with per-step (iterates, paths, dim) stacks: no free path, no
+    # earlier iterate's path, no increment or convolution path arrays
     model = rd_model(dim=8)
     noise = draw_noise(model, TimeGrid(1.0, 400), 37, range(64))
     tracemalloc.start()
@@ -512,7 +622,7 @@ def test_picard_peak_memory_is_a_few_paths():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * res.values.nbytes
+    assert peak < 3 * res.values.nbytes
 
 
 def euler_route_peak_bytes(n_steps):

@@ -19,11 +19,13 @@ workload follows.
 The output has the layout of ``BENCH_11.json``: every run's end-to-end
 metrics, then per workload the medians, quartiles (inclusive method), the
 parent's interquartile range, change/parent median ratios, the number of
-pairs in which the change was strictly better, and a no-regression verdict
+pairs in which the change was strictly better, a no-regression verdict
 per metric against the metric's ``bound`` in ``BENCHMARK.json`` (see
-:func:`verdict`). The claim, when given, is judged by the rule the benchmark
-gate uses: better in at least nine of ten pairs and, in the median, by more
-than the parent's interquartile range.
+:func:`verdict`), and the pairs in which both sides failed campaigns (see
+:func:`both_failed`; each run records its count of failed campaigns). The
+claim, when given, is judged by the rule the benchmark gate uses: better in
+at least nine of ten pairs and, in the median, by more than the parent's
+interquartile range.
 """
 
 from __future__ import annotations
@@ -121,6 +123,20 @@ def verdict(runs: dict) -> dict:
     return out
 
 
+def both_failed(runs: dict) -> list:
+    """The pairs in which both sides failed campaigns, with each side's count
+    of failed campaigns. The two sides of a pair run one seed, so when a
+    check fails on working code at that seed (as ``strong_order`` does on
+    oracle-linear at seed 1329), it fails on both; such a pair is no fault
+    of the change."""
+    return [
+        {"pair": i, "seed": p["seed"], "parent_failed": p["failed"],
+         "change_failed": c["failed"]}
+        for i, (p, c) in enumerate(zip(runs["parent"], runs["change"]))
+        if p["failed"] and c["failed"]
+    ]
+
+
 def judge(summary: dict, metric: str) -> dict:
     gain = summary["parent_median"][metric] - summary["change_median"][metric]
     if BETTER[metric] == "higher":
@@ -164,9 +180,10 @@ def main(argv=None) -> int:
                 for side in (first, "change" if first == "parent" else "parent"):
                     context, res = perfbench(trees[side], workload, seed, args.seconds, 0)
                     failures += res["failed"]
-                    runs[side].append({"seed": seed, "first": first, **{
-                        m: res["metrics"][m]["value"] for m in BETTER
-                    }})
+                    runs[side].append({
+                        "seed": seed, "first": first, "failed": res["failed"],
+                        **{m: res["metrics"][m]["value"] for m in BETTER},
+                    })
                     result["context"][side] = {
                         k: context[k] for k in ("nproc", "python", "numpy", "scipy",
                                                 "src_sha256", "seconds")
@@ -175,8 +192,12 @@ def main(argv=None) -> int:
                           f"{runs[side][-1]['wall_s']:.3f}", file=sys.stderr)
             result["workloads"][workload] = {
                 "runs": runs, **summarize(runs), "verdict": verdict(runs),
-                "failures": failures,
+                "failures": failures, "both_failed": both_failed(runs),
             }
+            for pair in result["workloads"][workload]["both_failed"]:
+                print(f"{workload} pair {pair['pair']} (seed {pair['seed']}): both sides "
+                      f"failed campaigns ({pair['parent_failed']} parent, "
+                      f"{pair['change_failed']} change)", file=sys.stderr)
             if args.traced_seconds:
                 result["traced"][workload] = {}
                 for side in ("parent", "change"):

@@ -789,7 +789,15 @@ def run_simulate(config: RunConfig) -> tuple:
         Path(config.out_dir, "simulate_paths.csv"), "mildsde-simulate-v1",
         ["path", "t"] + [f"x{i}" for i in range(model.dim)], rows,
     )
-    norms = np.sqrt(weighted_norm_sq(terminal, model.weights))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(weighted_norm_sq(terminal, model.weights))
+    if not np.isfinite(norms).all():
+        # the states are finite (the solver fails any that is not), but a
+        # norm that overflows would put inf in the summary
+        raise SolverError(
+            f"{model.name}: the norm of the terminal state overflows at "
+            f"t={grid.horizon:.6g}, path row {int(np.argmax(~np.isfinite(norms)))}"
+        )
     stats = {"terminal_norm_mean": float(norms.mean()),
              "terminal_norm_max": float(norms.max()), "paths": config.paths}
     return config, {}, stats

@@ -83,7 +83,10 @@ class ItoCheckReport:
         self._point(self._norm0)
 
     def _point(self, norm_sq):
-        slack = self._discount[self.cells] * self._norm0 + self._run - norm_sq
+        # an overflowing norm gives a NaN slack, which the flags count as a
+        # violation; numpy need not warn about it
+        with np.errstate(all="ignore"):
+            slack = self._discount[self.cells] * self._norm0 + self._run - norm_sq
         self._violated |= ~(slack >= -self.tolerance)
         if self.slack is not None:
             self.slack[..., self.cells] = slack

@@ -457,12 +457,21 @@ def stochastic_exponential(
     log_factor = (a - 0.5 * sigma * sigma - nu_mean) * times + sigma * wiener_path
     prod = np.ones_like(log_factor)
     rows = prod.reshape(-1, len(times))
-    for row, row_events in zip(rows, [events] if wiener_path.ndim == 1 else events):
-        if row_events:
-            dt = times[1] - times[0]
-            for t_ev, mark in row_events:
-                cell = min(int(math.ceil(t_ev / dt)) - 1, len(times) - 2)
-                row[max(cell, 0) + 1 :] *= 1.0 + mark
+    per_row = [events] if wiener_path.ndim == 1 else events
+    counts = np.array([len(row_events) for row_events in per_row], dtype=int)
+    if counts.any():
+        pairs = np.array([pair for row_events in per_row for pair in row_events], dtype=float)
+        cells = np.ceil(pairs[:, 0] / (times[1] - times[0])).astype(int) - 1
+        first = np.maximum(np.minimum(cells, len(times) - 2), 0) + 1
+        factor = 1.0 + pairs[:, 1]
+        starts = np.cumsum(counts) - counts
+        col = np.arange(len(times))
+        # the k-th jump of every row that has one at a time, so each row's
+        # factors multiply in its event order; a factor of 1.0 is exact
+        for k in range(int(counts.max())):
+            hit = np.flatnonzero(counts > k)
+            e = starts[hit] + k
+            rows[hit] *= np.where(col >= first[e, None], factor[e, None], 1.0)
     return x0 * np.exp(log_factor) * prod
 
 

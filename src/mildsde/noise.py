@@ -1,23 +1,33 @@
 """Reproducible noise: the time grid, per-path streams, mark spaces, and the
 frozen realizations both solvers read.
 
-All randomness flows through numpy Generators. Per-path streams are derived
-from (master seed, path index) via SeedSequence spawn keys, so paths are
-reproducible independently of batching. A realization keeps its jumps once,
-as flat arrays sorted by (cell, row, time), and its Wiener increments as
-per-row streams: each row's generator state before its Wiener draws, from
-which the solvers regenerate the increments a block of steps at a time, so no
-campaign holds a (paths, steps, modes) table.
+All randomness flows through numpy Generators. Path i of master seed s draws
+from the PCG64 stream of ``SeedSequence(entropy=s, spawn_key=(i,))``, so
+paths are reproducible independently of batching. The four 64-bit seed words
+of those streams are computed for a whole batch of path indices at once by
+:func:`_seed_words`, which runs numpy's SeedSequence hash (O'Neill's
+``seed_seq_fe``: mix the entropy words into a pool of four, then draw the
+state words from the pool) over uint32 arrays with one column per path, and
+each row's PCG64 is seeded from its words; :func:`path_rng` is the same
+seeding for one path. A stream draws, in order: the row's Wiener increments
+(``modes`` standard normals per step, in C order), its jump count, its jump
+times and its marks.
+
+A realization keeps its jumps once, as flat arrays sorted by (cell, row,
+time), and its Wiener increments as per-row streams: each row's seed words,
+from which the solvers regenerate the increments a block of steps at a time,
+so no campaign holds a (paths, steps, modes) table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 if TYPE_CHECKING:
     from .solver import ModelSpec
@@ -27,6 +37,7 @@ __all__ = [
     "MarkSpaceSpec",
     "path_rng",
     "WIENER_BLOCK",
+    "WIENER_SUM_VALUES",
     "WienerStreams",
     "NoiseRealization",
     "draw_noise",
@@ -65,10 +76,107 @@ class TimeGrid:
         return idx if idx.ndim else int(idx)
 
 
+# numpy's SeedSequence constants: the hash of mix_entropy (A), that of
+# generate_state (B), and the multipliers of mix; a pool holds four words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The 32-bit words of a non-negative int, least significant first, as
+    SeedSequence splits its entropy (0 is one word)."""
+    if value < 0:
+        raise ValueError(f"seed entropy must be >= 0, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _pool_state(entropy: list) -> np.ndarray:
+    """The generate_state(4, uint64) words (n, 4) of the SeedSequences whose
+    assembled entropy words are the columns of ``entropy``, a list of (n,)
+    uint32 arrays: mix_entropy into a pool of four words, then eight 32-bit
+    state words from the pool, paired little-endian."""
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ np.uint32(h)
+        h = (h * _MULT_A) & _MASK32
+        v = v * np.uint32(h)
+        return v ^ (v >> np.uint32(16))
+
+    def mix(x, y):
+        r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = _INIT_B
+    state = np.empty((len(entropy[0]), 2 * _POOL), dtype="<u4")
+    for i in range(2 * _POOL):
+        v = pool[i % _POOL] ^ np.uint32(h)
+        h = (h * _MULT_B) & _MASK32
+        v = v * np.uint32(h)
+        state[:, i] = v ^ (v >> np.uint32(16))
+    return state.view("<u8").astype(np.uint64)
+
+
+def _seed_words(master_seed: int, path_indices) -> np.ndarray:
+    """The PCG64 seed words (paths, 4) of each path index i:
+    ``SeedSequence(entropy=master_seed, spawn_key=(i,)).generate_state(4,
+    np.uint64)``, for all indices at once. The master seed is padded to the
+    pool size and followed by the index's one or two 32-bit words."""
+    idx = np.asarray(path_indices, dtype=np.int64).reshape(-1)
+    if idx.size and idx.min() < 0:
+        raise ValueError(f"path indices must be >= 0, got {int(idx.min())}")
+    run = _uint32_words(int(master_seed))
+    run += [0] * (_POOL - len(run))
+    words = np.empty((idx.size, 4), dtype=np.uint64)
+    wide = idx > _MASK32
+    for rows, spawn in ((~wide, 1), (wide, 2)):
+        sub = idx[rows]
+        if sub.size:
+            key = [(sub >> (32 * k)) & _MASK32 for k in range(spawn)]
+            entropy = [np.full(sub.size, w, dtype=np.uint32) for w in run]
+            words[rows] = _pool_state(entropy + [k.astype(np.uint32) for k in key])
+    return words
+
+
+class _SeedWords:
+    """A seed sequence that hands PCG64 the state words computed already."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+ISeedSequence.register(_SeedWords)
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """The Generator of the PCG64 stream with these seed words (4,)."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
-    """Independent stream for one path, stable under batching."""
-    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(path_index),))
-    return np.random.default_rng(seq)
+    """Independent stream for one path, stable under batching: the
+    generator ``np.random.default_rng(SeedSequence(entropy=master_seed,
+    spawn_key=(path_index,)))`` would be."""
+    return _generator(_seed_words(master_seed, [path_index])[0])
 
 
 @dataclass(eq=False)
@@ -98,48 +206,42 @@ class MarkSpaceSpec:
 # (paths, WIENER_BLOCK, modes) values, about 1 MB for 512 rows of one mode.
 WIENER_BLOCK = 256
 
+# Values per block of rows whose Wiener increments draw_noise sums into W(T):
+# 512 KB, or one row when a row holds more.
+WIENER_SUM_VALUES = 2**16
+
 
 @dataclass(eq=False)
 class WienerStreams:
-    """Wiener increments kept as generators rather than as a table.
+    """Wiener increments kept as seed words rather than as a table.
 
-    Row r's increments on the grid they were drawn on are the standard
-    normals ``generators[r]`` draws from ``states[r]`` on, ``modes`` per step
-    and in C order, times ``scale``. Each entry of ``factors`` is a
-    coarsening: groups of that many consecutive steps are summed, in the
-    order the coarsenings were applied. ``ends`` (rows, modes) holds each
-    row's sum of all its increments before any coarsening, added in step
-    order when they were drawn.
-
-    A pass over the blocks resets every generator to its recorded state, so
-    passes over one set of streams (a realization and its coarsenings share
-    it) must not interleave; a pass that is overtaken raises.
+    Row r's increments on the grid they were drawn on are the first standard
+    normals of the stream seeded with ``words[r]`` (see :func:`_seed_words`),
+    ``modes`` per step and in C order, times ``scale``. Each entry of
+    ``factors`` is a coarsening: groups of that many consecutive steps are
+    summed, in the order the coarsenings were applied. ``ends`` (rows,
+    modes) holds each row's sum of all its increments before any
+    coarsening, added in step order when they were drawn. Every pass over
+    the blocks seeds its own generators, so passes may interleave.
     """
 
-    generators: list
-    states: list
+    words: np.ndarray
     ends: np.ndarray
     modes: int
     scale: float
     factors: tuple = ()
-    # the current pass, in a list that coarsened copies share
-    _pass: list = field(default_factory=lambda: [None])
 
     def blocks(self, n_steps: int):
         """Yield the increments (rows, b, modes) of consecutive blocks of
         b <= WIENER_BLOCK steps, covering n_steps steps in order. Each block
         lives in a buffer the next block reuses."""
-        token = self._pass[0] = object()
-        for gen, state in zip(self.generators, self.states):
-            gen.bit_generator.state = state
-        rows, fine = len(self.generators), math.prod(self.factors)
+        generators = [_generator(w) for w in self.words]
+        rows, fine = len(generators), math.prod(self.factors)
         buf = np.empty((rows, WIENER_BLOCK * fine, self.modes))
         for start in range(0, n_steps, WIENER_BLOCK):
-            if self._pass[0] is not token:
-                raise RuntimeError("another pass over these Wiener streams started")
             b = min(WIENER_BLOCK, n_steps - start)
             block = buf[:, : b * fine]
-            for gen, row in zip(self.generators, block):
+            for gen, row in zip(generators, block):
                 gen.standard_normal(out=row)
             block *= self.scale
             for f in self.factors:
@@ -238,8 +340,10 @@ def draw_noise(
     Streams depend only on (master_seed, path_index), so batching never
     changes a path's realization. Draw order per path is fixed:
     Wiener increments, jump count, jump times, marks. The Wiener values are
-    drawn here only to reach the jump draws that follow them; the row keeps
-    its generator, the state it had before them and their sum, W(T).
+    drawn here only to reach the jump draws that follow them and to sum
+    W(T); the row keeps its seed words. The rows' increments are drawn into
+    a buffer of at most ``WIENER_SUM_VALUES`` values (or one row) and summed
+    along the steps there, a block of rows per ``np.cumsum``.
     """
     path_indices = list(path_indices)
     p, m = len(path_indices), grid.n_steps
@@ -248,25 +352,28 @@ def draw_noise(
     rate = marks.rate if marks is not None else 0.0
     x0 = np.zeros((p, model.dim))
     x0[:] = model.x0
-    generators, states = [], []
+    words = _seed_words(master_seed, path_indices)
     sqrt_dt = math.sqrt(grid.dt)
-    increments = np.empty((m, modes))
+    per_block = max(1, WIENER_SUM_VALUES // (m * modes)) if modes > 0 else max(p, 1)
+    buf = np.empty((min(per_block, p), m, modes))
     ends = np.zeros((p, modes))
     counts, times, draws = [], [np.zeros(0)], [np.zeros(0)]
-    for row, idx in enumerate(path_indices):
-        rng = path_rng(master_seed, idx)
+    for start in range(0, p, per_block):
+        block = buf[: min(per_block, p - start)]
+        for row, w in zip(block, words[start : start + len(block)]):
+            rng = _generator(w)
+            if modes > 0:
+                rng.standard_normal(out=row)
+            count = int(rng.poisson(rate * grid.horizon)) if rate > 0.0 else 0
+            if count > 0:
+                times.append(np.sort(rng.uniform(0.0, grid.horizon, size=count)))
+                draws.append(np.asarray(marks.sample_marks(rng, count), dtype=float))
+            counts.append(count)
         if modes > 0:
-            generators.append(rng)
-            states.append(rng.bit_generator.state)
-            rng.standard_normal(out=increments)
-            increments *= sqrt_dt
-            ends[row] = np.cumsum(increments, axis=0)[-1]
-        count = int(rng.poisson(rate * grid.horizon)) if rate > 0.0 else 0
-        if count > 0:
-            times.append(np.sort(rng.uniform(0.0, grid.horizon, size=count)))
-            draws.append(np.asarray(marks.sample_marks(rng, count), dtype=float))
-        counts.append(count)
-    wiener = WienerStreams(generators, states, ends, modes, sqrt_dt) if modes > 0 else None
+            block *= sqrt_dt
+            np.cumsum(block, axis=1, out=block)  # sequential, as one row's cumsum
+            ends[start : start + len(block)] = block[:, -1]
+    wiener = WienerStreams(words, ends, modes, sqrt_dt) if modes > 0 else None
     rows = np.repeat(np.arange(p), counts)
     return _binned(
         grid, wiener, x0, rows, np.concatenate(times), np.concatenate(draws),

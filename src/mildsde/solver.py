@@ -678,7 +678,30 @@ def direct_solve_batch(
     (one chunk of all rows by default), so every matrix product inside the
     semigroup and the coefficients runs on blocks of ``chunk_size`` rows and
     a row's bits do not depend on how many chunks are stacked.
+
+    Without ``energy``, a state that is not finite fails the run
+    (:class:`InnerIterationError`) at the first step where it appears,
+    naming t and the global path row. A row that stops being finite stays
+    so, since each step adds to the state and the semigroups are linear, so
+    the loop looks only at the terminal states and, when one is not finite,
+    steps the rows again, checking each step. With ``energy``, such a row's
+    slack is NaN, which the report counts as a violation. The loop runs
+    under ``np.errstate(all="ignore")``.
     """
+    p = noise.n_paths
+    chunk = p if chunk_size is None else chunk_size
+    if chunk < 1 or p % chunk:
+        raise ValueError(f"{p} rows do not split into chunks of {chunk}")
+    with np.errstate(all="ignore"):
+        res = _euler_steps(model, noise, energy, path_rows, chunk)
+        if energy is None and not np.isfinite(res.terminal).all():
+            _euler_steps(model, noise, None, 0, chunk, check=True)
+    return res
+
+
+def _euler_steps(model, noise, energy, path_rows, chunk, check=False):
+    """The step loop of :func:`direct_solve_batch` on chunks of ``chunk``
+    rows; with ``check``, the first step whose state is not finite raises."""
     seg = model.semigroup
     f = model.coeffs.drift.evaluate
     w = model.weights
@@ -686,9 +709,6 @@ def direct_solve_batch(
     m, dt = grid.n_steps, grid.dt
     t = grid.times
     p, dim = noise.n_paths, model.dim
-    chunk = p if chunk_size is None else chunk_size
-    if chunk < 1 or p % chunk:
-        raise ValueError(f"{p} rows do not split into chunks of {chunk}")
 
     x = noise.x0.reshape(p // chunk, chunk, dim)
     rows = p if path_rows is None else max(0, min(path_rows, p))
@@ -707,6 +727,11 @@ def direct_solve_batch(
         if jump_part is not None:
             y += jump_part  # (X_j + incr) + jumps: the CSV digests pin this order
         x_next = seg.apply(dt, y)
+        if check:
+            err = _non_finite_error(x_next.reshape(p, dim), float(t[j + 1]), model.name,
+                                    noise.path_index)
+            if err is not None:
+                raise err
         if energy is not None:
             dz = incr if jump_part is None else incr + jump_part
             energy.add(

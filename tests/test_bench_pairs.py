@@ -58,3 +58,13 @@ def test_verdict_against_the_bound(metric, change, expected):
 def test_a_wide_parent_is_unresolved():
     wide = [0.6, 0.8, 1.0, 1.0, 1.2, 1.4, 1.6]
     assert bench_pairs.verdict(runs("wall_s", wide, PARENT))["wall_s"] == "unresolved"
+
+
+def test_pairs_failed_on_both_sides_are_listed():
+    # pair 1 fails on both sides at its seed (as oracle-linear's strong_order
+    # check does at seed 1329); pair 2 fails on the change alone
+    parent = [{"seed": 1300 + i, "failed": f} for i, f in enumerate([0, 81, 0])]
+    change = [{"seed": 1300 + i, "failed": f} for i, f in enumerate([0, 81, 3])]
+    assert bench_pairs.both_failed({"parent": parent, "change": change}) == [
+        {"pair": 1, "seed": 1301, "parent_failed": 81, "change_failed": 81}
+    ]

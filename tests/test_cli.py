@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -266,6 +267,68 @@ def test_ito_check_counts_a_nan_slack_as_a_violation(tmp_path):
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "passed = False" in summary
     assert "stat.min_slack = nan" in summary
+
+
+def run_recording_warnings(capfd, argv):
+    """(exit code, stderr, warnings raised) of one CLI run. pytest records
+    the warnings a test raises instead of printing them, so they are caught
+    here, where they would otherwise reach stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, capfd.readouterr().err, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        # an initial state at the float ceiling overflows in the first steps
+        ("simulate", dict(example="hyperbolic", model_params={"x0_amplitude": 1e308})),
+        # marks so wide that a path's state overflows
+        ("benchmark", dict(example="linear_scalar", paths=64, model_params={"mark_std": 1e200})),
+    ],
+)
+def test_euler_route_exits_4_on_a_state_that_overflows(tmp_path, capfd, command, case):
+    # a solver failure that names the first non-finite step's t and the
+    # path row on one line, with no numpy warning
+    path, cfg = write_config(tmp_path, **{"dim": 4, "dt": 0.01, "paths": 8, "seed": 0, **case})
+    rc, err, caught = run_recording_warnings(capfd, [command, "--config", str(path)])
+    assert rc == 4
+    assert re.fullmatch(
+        rf"solver failure: {cfg['example']}: non-finite state at t=\S+, path row \d+\n", err
+    )
+    assert caught == []
+
+
+def test_simulate_exits_4_on_a_norm_that_overflows(tmp_path, capfd):
+    # marks so wide that a terminal state's norm overflows while the states
+    # stay finite: the summary would read terminal_norm_max = inf
+    path, _ = write_config(tmp_path, dim=4, dt=0.01, paths=8, seed=0,
+                           model_params={"mark_std": 1e200})
+    rc, err, caught = run_recording_warnings(capfd, ["simulate", "--config", str(path)])
+    assert rc == 4
+    assert re.fullmatch(
+        r"solver failure: reaction_diffusion: the norm of the terminal state overflows "
+        r"at t=1, path row \d+\n",
+        err,
+    )
+    assert caught == []
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # the configuration of the NaN-slack test above, whose state overflows
+        dict(example="delay", model_params={"mark_std": 1e160}),
+        dict(example="hyperbolic", seed=0, model_params={"x0_amplitude": 1e308}),
+    ],
+)
+def test_ito_check_fails_an_overflow_without_a_warning(tmp_path, capfd, case):
+    # the energy check counts a state or norm that overflows as a violation
+    # (exit 2), and nothing reaches stderr
+    path, _ = write_config(tmp_path, **{"dim": 4, "dt": 0.01, "paths": 8, **case})
+    rc, err, caught = run_recording_warnings(capfd, ["ito-check", "--config", str(path)])
+    assert (rc, err, caught) == (2, "", [])
 
 
 @pytest.mark.parametrize("refine", [True, False])

@@ -1,9 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mildsde.coefficients import CoefficientSet, DiffusionSpec, DriftSpec, JumpCoeffSpec
 from mildsde.models import build_linear_scalar
-from mildsde.noise import WIENER_BLOCK, TimeGrid, coarsen_noise, draw_noise, path_rng
+from mildsde.noise import (
+    WIENER_BLOCK,
+    WIENER_SUM_VALUES,
+    TimeGrid,
+    _seed_words,
+    coarsen_noise,
+    draw_noise,
+    path_rng,
+)
 from mildsde.semigroup import DiagonalSemigroup
 from mildsde.solver import ModelSpec, _cell_assembler, direct_solve_batch
 
@@ -240,11 +250,89 @@ def test_no_wiener_modes_no_streams():
     assert list(noise.wiener_blocks()) == []
 
 
-def test_interleaved_wiener_passes_raise():
-    # a realization and its coarsening share one set of generators
+def test_interleaved_wiener_passes_read_their_own_values():
+    # a realization and its coarsening share one set of seed words, and each
+    # pass seeds its own generators, so a pass overtaken by another goes on
+    # reading its own values
     fine = draw_noise(wiener_model(1), TimeGrid(1.0, 600), 2, range(2))
+    table = fine.dW.copy()
     first = fine.wiener_blocks()
-    next(first)
-    list(coarsen_noise(fine, 2).wiener_blocks())
-    with pytest.raises(RuntimeError, match="another pass"):
-        next(first)
+    head = next(first).copy()
+    coarse = list(coarsen_noise(fine, 2).wiener_blocks())
+    rest = [block.copy() for block in first]
+    assert np.array_equal(np.concatenate([head] + rest, axis=1), table)
+    assert np.array_equal(np.concatenate(coarse, axis=1), table.reshape(2, 300, 2, 1).sum(axis=2))
+
+
+# ---------------------------------------------------------------------------
+# Seed words
+
+
+SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**99 + 12345]
+INDICES = [0, 1, 2**32 - 1, 2**32, 2**40 + 7]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seed_words_are_those_of_seed_sequence(seed):
+    words = _seed_words(seed, INDICES)
+    expected = [
+        np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)
+        for i in INDICES
+    ]
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, np.array(expected))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("index", INDICES)
+def test_path_rng_draws_as_the_seed_sequence_stream(seed, index):
+    ours = path_rng(seed, index)
+    theirs = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    for draw in (
+        lambda g: g.standard_normal((3, 2)),
+        lambda g: g.poisson(2.5, size=4),
+        lambda g: g.uniform(0.0, 2.0, size=5),
+    ):
+        assert np.array_equal(draw(ours), draw(theirs))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_seed_words_reject_negative_entropy():
+    with pytest.raises(ValueError, match="path indices must be >= 0"):
+        _seed_words(1, [0, -1])
+    with pytest.raises(ValueError, match="seed entropy must be >= 0"):
+        _seed_words(-1, [0])
+
+
+# ---------------------------------------------------------------------------
+# Memory of the W(T) sums
+
+
+def draw_peak_bytes(model, grid, paths):
+    """Peak traced allocation of draw_noise, less what its realization keeps
+    (the seed words, x0, W(T) and the event arrays)."""
+    tracemalloc.start()
+    try:
+        noise = draw_noise(model, grid, 11, range(paths))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = noise.wiener.words.nbytes + noise.wiener.ends.nbytes + noise.x0.nbytes
+    kept += sum(a.nbytes for a in (noise.jump_row, noise.jump_cell, noise.jump_time,
+                                   noise.jump_mark, noise.path_index))
+    return peak - kept
+
+
+def test_w_t_block_is_capped_by_its_values():
+    # at 4096 steps of one mode a block holds 16 rows: 512 KB whether 16 or
+    # 256 rows are drawn, where a table of all rows would hold 8 MB
+    model, grid = wiener_model(1), TimeGrid(1.0, 4096)
+    cap = WIENER_SUM_VALUES * 8
+    small, large = draw_peak_bytes(model, grid, 16), draw_peak_bytes(model, grid, 256)
+    assert small < 1.25 * cap
+    assert large - small < 0.1 * cap
+    # a row of more values than the cap is a block of its own
+    wide = wiener_model(2)
+    row = TimeGrid(1.0, WIENER_SUM_VALUES).n_steps * 2 * 8
+    assert draw_peak_bytes(wide, TimeGrid(1.0, WIENER_SUM_VALUES), 8) < row + 0.25 * cap

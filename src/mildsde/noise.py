@@ -361,7 +361,7 @@ def draw_noise(
     x0[:] = model.x0
     words = _seed_words(master_seed, path_indices)
     sqrt_dt = math.sqrt(grid.dt)
-    per_block = max(1, WIENER_SUM_VALUES // (m * modes)) if modes > 0 else max(p, 1)
+    per_block = max(1, WIENER_SUM_VALUES // max(1, m * modes))
     buf = np.empty((min(per_block, p), m, modes))
     ends = np.zeros((p, modes))
     counts, times, draws = [], [np.zeros(0)], [np.zeros(0)]

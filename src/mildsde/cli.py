@@ -751,12 +751,18 @@ def run_hypothesis_check(config: RunConfig) -> tuple:
          float(growth.declared_c), growth.passed_lipschitz),
         ("growth", float(growth.growth_max), float(growth.declared_d), growth.passed_growth),
     ]
+    # inf <= inf holds, so a constant that overflows would pass its own row
+    rows = [(name, obs, dec, ok and math.isfinite(obs) and math.isfinite(dec))
+            for name, obs, dec, ok in rows]
     _write_csv(
         Path(config.out_dir, "hypothesis_checks.csv"), "mildsde-hypothesis-v1",
         ["check", "observed", "declared", "passed"], rows,
     )
-    checks = {"semimonotone": mono.passed, "lipschitz": growth.passed_lipschitz,
-              "growth": growth.passed_growth}
+    passed = {name: ok for name, _, _, ok in rows}
+    checks = {"semimonotone": passed["semimonotone"],
+              "lipschitz": all(passed[f"{kind}_lipschitz"]
+                               for kind in ("diffusion", "jump", "combined")),
+              "growth": passed["growth"]}
     stats = {"semimonotone_max_ratio": float(mono.max_ratio),
              "combined_lipschitz_max": float(growth.combined_lipschitz_max),
              "growth_max": float(growth.growth_max)}

@@ -199,10 +199,6 @@ def nemitsky_implicit_solver(
             f"{n_quad} quadrature points cannot resolve {n_modes} sine modes"
         )
     _, synthesis = sine_quadrature(n_modes, n_quad)
-
-    def evaluate_f(x):
-        return scalar_fn(x @ synthesis.T) @ synthesis / n_quad + linear_shift * x
-
     dust_cache: dict[float, float] = {}
 
     def dust_scale(dt):
@@ -244,44 +240,75 @@ def nemitsky_implicit_solver(
         bt = b / den
         dte = dt / den
         v = bt @ synthesis.T
-        c = np.zeros_like(v)
-        c_prev = f_prev = None
         accept_base = max(tol, dust_scale(dt) / 32.0)
+        # The correction c starts at zero, held as the scalar 0.0: v + dte *
+        # 0.0 and f_prev + 0.0 have the bits of the same sums with an array of
+        # zeros, and g - 0.0 is g. The sweep is bound by its count of numpy
+        # calls on small arrays, so each value is formed in place, in the
+        # order of the formula in its comment.
+        c = 0.0
+        c_prev = f_prev = None
         for sweep in range(_MAX_OUTER):
             u = prox(v + dte * c, dte)
             pu = scalar_fn(u)
             pu_synth = pu @ synthesis
-            x = bt + dte * pu_synth / n_quad
-            r = b + dt * evaluate_f(x) - x
+            # x = bt + dte * pu_synth / n_quad
+            x = dte * pu_synth
+            x /= n_quad
+            x += bt
+            # r = b + dt * (phi(x S^T) S / n_quad + linear_shift * x) - x. r
+            # only feeds ok, which the 0 * x term of a zero shift cannot move
+            # (it changes at most the sign of a zero, or a non-finite r to
+            # NaN), so that term is left out.
+            r = scalar_fn(x @ synthesis.T) @ synthesis
+            r /= n_quad
+            if linear_shift:
+                r += linear_shift * x
+            r *= dt
+            r += b
+            r -= x
             rn = np.sqrt(np.einsum("...d,...d->...", r, r))
             ok = rn <= accept_base
             done = ok.all(axis=-1)
-            if done.all() or sweep == _MAX_OUTER - 1:
+            n_done = np.count_nonzero(done)
+            if n_done == len(done) or sweep == _MAX_OUTER - 1:
                 x_out[live], ok_out[live] = x, ok
                 break
-            if done.any():
+            if n_done:
                 x_out[live[done]], ok_out[live[done]] = x[done], True
                 keep = ~done
-                live, b, bt, v, c, pu, pu_synth = (
-                    a[keep] for a in (live, b, bt, v, c, pu, pu_synth)
+                live, b, bt, v, pu, pu_synth = (
+                    a[keep] for a in (live, b, bt, v, pu, pu_synth)
                 )
-                if c_prev is not None:
-                    c_prev, f_prev = c_prev[keep], f_prev[keep]
-            g = (pu_synth / n_quad) @ synthesis.T - pu
-            f_cur = g - c
-            if c_prev is not None:
+                c, c_prev, f_prev = (
+                    a[keep] if isinstance(a, np.ndarray) else a for a in (c, c_prev, f_prev)
+                )
+            # g = (pu_synth / n_quad) @ S^T - pu
+            pu_synth /= n_quad
+            g = pu_synth @ synthesis.T
+            g -= pu
+            if c_prev is None:
+                f_cur = c_next = g
+            else:
+                f_cur = g - c
                 # The correction map is nearly affine, so one-step Anderson
-                # extrapolation collapses its slow dominant mode.
+                # extrapolation collapses its slow dominant mode:
+                # c_next = (1 - theta) * g + theta * (f_prev + c_prev), with
+                # theta = <f_cur, df> / <df, df> (0 where <df, df> <= 1e-300)
+                # clipped to [-5, 5].
                 df = f_cur - f_prev
                 denom = np.einsum("...q,...q->...", df, df)
-                theta = np.where(
-                    denom > 1e-300,
-                    np.einsum("...q,...q->...", f_cur, df) / np.where(denom > 1e-300, denom, 1.0),
-                    0.0,
+                theta = np.divide(
+                    np.einsum("...q,...q->...", f_cur, df), denom,
+                    out=np.zeros(denom.shape), where=denom > 1e-300,
                 )
-                theta = np.clip(theta, -5.0, 5.0)[..., None]
-                c_next = (1.0 - theta) * g + theta * (f_prev + c_prev)
-            else:
+                np.maximum(theta, -5.0, out=theta)
+                np.minimum(theta, 5.0, out=theta)
+                theta = theta[..., None]
+                g *= 1.0 - theta
+                np.add(f_prev, c_prev, out=df)
+                df *= theta
+                g += df
                 c_next = g
             c_prev, f_prev = c, f_cur
             c = c_next

@@ -70,17 +70,34 @@ def cbrt_implicit_prox(v: np.ndarray, p: float) -> np.ndarray:
     Substituting w = cbrt(u) gives the depressed cubic w^3 + p w = v, solved
     by the Vieta form w = z - p / (3 z) with z^3 = v/2 + sign(v) sqrt(v^2/4 +
     p^3/27); stable at every float scale including subnormal v.
+
+    The Nemitsky step calls this once per sweep on small arrays, so it works
+    in place on its own temporaries (v is not written).
     """
     v = np.asarray(v, dtype=float)
-    disc = np.sqrt(0.25 * v * v + (p ** 3) / 27.0)
-    # v + 0.0 turns -0.0 into +0.0, so v = -0.0 takes the +disc branch.
-    z3 = 0.5 * v + np.copysign(disc, v + 0.0)
-    z = np.cbrt(z3)
-    # z is +0.0 only when z3 is, and then p / inf = 0 leaves w = +0.0.
-    w = z - p / np.where(z != 0.0, 3.0 * z, np.inf)
+    # disc = sqrt(0.25 * v * v + p^3 / 27)
+    disc = 0.25 * v
+    disc *= v
+    disc += (p ** 3) / 27.0
+    np.sqrt(disc, out=disc)
+    # z3 = 0.5 * v + copysign(disc, v + 0.0); v + 0.0 turns -0.0 into +0.0,
+    # so v = -0.0 takes the +disc branch.
+    z = v + 0.0
+    np.copysign(disc, z, out=disc)
+    np.multiply(0.5, v, out=z)
+    z += disc
+    np.cbrt(z, out=z)
+    # w = z - p / where(z != 0, 3 z, inf): z is +0.0 only when z3 is, and
+    # then p / inf = 0 leaves w = +0.0.
+    q = np.multiply(3.0, z, out=disc)
+    q[z == 0.0] = np.inf
+    np.divide(p, q, out=q)
+    z -= q
     # w * w * w may differ from w ** 3 by an ulp or two, but np.cbrt maps
     # both to the same double, so the Nemitsky step's output is unchanged.
-    return w * w * w
+    np.multiply(z, z, out=q)
+    q *= z
+    return q
 
 
 def _default_profile(dim: int, amplitude: float) -> np.ndarray:

@@ -575,30 +575,33 @@ def picard_solve_batch(
             # + jumps), the convolution V^n one step on, the implicit step of
             # X^n driven by V^n, and X^n's a-priori bound.
             comp, gdw, sums, _ = assemble(j, states[:a])
-            dz = np.zeros((a, p, dim))
-            if comp is not None:
-                dz[:] = comp
+            # v + (comp + gdw + sums), summed in place in the freshly built comp
+            # (in zeros without jumps)
+            dz = np.zeros((a, p, dim)) if comp is None else comp
             if gdw is not None:
                 dz += gdw
             if sums is not None:
                 dz += sums
-            v_next = seg.apply(dt, v[:a] + dz)
-            b = seg.apply(dt, x - v[:a]) + v_next
+            dz += v[:a]
+            v_next = seg.apply(dt, dz)
+            b = seg.apply(dt, x - v[:a])
+            b += v_next
             if not np.isfinite(b).all():
                 n = int(np.argmax(~np.isfinite(b).all(axis=(1, 2))))
                 fail(n, _non_finite_error(b[n], t_right, labels[n], noise.path_index))
             out, ok = _solve_step_equation(drift, t_right, b[:live], dt, w, inner_tol, damping)
-            for n in np.flatnonzero(~ok.all(axis=1)).tolist():
-                if n >= live:
-                    break
-                try:
-                    out[n] = _retry_rows(
-                        seg, drift, x[n], v[n], v_next[n], t_right, dt, w, inner_tol,
-                        damping, 0, max_halvings, labels[n], noise.path_index,
-                        b[n], out[n], ok[n],
-                    )
-                except InnerIterationError as err:
-                    fail(n, err)
+            if not ok.all():  # scan the iterates only when some row failed
+                for n in np.flatnonzero(~ok.all(axis=1)).tolist():
+                    if n >= live:
+                        break
+                    try:
+                        out[n] = _retry_rows(
+                            seg, drift, x[n], v[n], v_next[n], t_right, dt, w, inner_tol,
+                            damping, 0, max_halvings, labels[n], noise.path_index,
+                            b[n], out[n], ok[n],
+                        )
+                    except InnerIterationError as err:
+                        fail(n, err)
             a = live
             fn = np.sqrt(weighted_norm_sq(drift.evaluate(float(t[j]), free + v[:a]), w))
             acc[:a] = growth * (acc[:a] + fn * dt)

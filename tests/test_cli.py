@@ -331,6 +331,20 @@ def test_ito_check_fails_an_overflow_without_a_warning(tmp_path, capfd, case):
     assert (rc, err, caught) == (2, "", [])
 
 
+@pytest.mark.parametrize("example", ["reaction_diffusion", "hyperbolic"])
+def test_hypothesis_check_fails_a_constant_that_overflows(tmp_path, capfd, example):
+    # marks so wide that the declared and the sampled jump constants are
+    # both inf: inf <= inf must not pass a row (exit 2), and nothing
+    # reaches stderr
+    path, _ = write_config(tmp_path, example=example, dim=4, dt=0.01, paths=4,
+                           model_params={"mark_std": 1e160})
+    rc, err, caught = run_recording_warnings(capfd, ["hypothesis-check", "--config", str(path)])
+    assert (rc, err, caught) == (2, "", [])
+    assert "passed = False" in (tmp_path / "out" / "summary.txt").read_text()
+    rows = (tmp_path / "out" / "hypothesis_checks.csv").read_text()
+    assert "jump_lipschitz,inf,inf,False" in rows
+
+
 @pytest.mark.parametrize("refine", [True, False])
 def test_ito_check_reports_the_refinement_check_only_when_run(tmp_path, refine):
     path, _ = write_config(

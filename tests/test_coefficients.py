@@ -224,6 +224,35 @@ def test_cbrt_prox_cube_ulp():
         assert np.cbrt(u).tobytes() == np.cbrt(reference).tobytes()
 
 
+def _prox_out_of_place(v, p):
+    """cbrt_implicit_prox as first written, one temporary per operation."""
+    disc = np.sqrt(0.25 * v * v + (p ** 3) / 27.0)
+    z3 = 0.5 * v + np.copysign(disc, v + 0.0)
+    z = np.cbrt(z3)
+    w = z - p / np.where(z != 0.0, 3.0 * z, np.inf)
+    return w * w * w
+
+
+@pytest.mark.parametrize("p", [1e-3, 1e-2, 0.5])
+def test_cbrt_prox_bits(p):
+    # the in-place prox keeps every bit of the out-of-place formula, signed
+    # zeros, subnormals, overflow, infinities and NaN included; the delay
+    # model's implicit step returns its output as it is
+    tiny = np.nextafter(0.0, 1.0)
+    special = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 1e-300, -1e-300,
+                        1e300, -1e300, np.inf, -np.inf, np.nan, -np.nan])
+    rng = np.random.default_rng(5)
+    scaled = 10.0 ** rng.uniform(-12, 3, 130) * rng.choice([-1.0, 1.0], 130)
+    v = np.concatenate([special, scaled]).reshape(3, 6, 8)
+    before = v.tobytes()
+    with np.errstate(all="ignore"):
+        u = cbrt_implicit_prox(v, p)
+        reference = _prox_out_of_place(v, p)
+    assert u.shape == v.shape
+    assert u.tobytes() == reference.tobytes()
+    assert v.tobytes() == before
+
+
 def test_nemitsky_implicit_solver_accuracy():
     dim = 8
     step = nemitsky_implicit_solver(decreasing_cbrt, cbrt_implicit_prox, dim)
@@ -293,6 +322,29 @@ def test_nemitsky_step_on_blocks_is_each_block_alone(monkeypatch, shift):
         [True, True, False, False, True],
         [True, True, False, True, True],
     ]
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_nemitsky_step_sweep_schedule(shift):
+    # the live blocks of every sweep of the stacked step on the blocks of the
+    # test above, one prox call a sweep: a change to the iteration itself,
+    # such as skipping the Anderson update of sweep 1 while the previous
+    # correction is zero, changes this list
+    live = []
+
+    def counted_prox(v, p):
+        live.append(v.shape[0])
+        return cbrt_implicit_prox(v, p)
+
+    dim = 8
+    step = nemitsky_implicit_solver(decreasing_cbrt, counted_prox, dim, linear_shift=shift)
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal((5, 6, dim)) * np.array([1.0, 1e-2, 1e-4, 1e-2, 1e-9])[:, None, None]
+    b[3, 2] = 0.0
+    b[4, :3] *= 1e9
+    _, ok = step(0.0, b, 1e-2, 1e-8)
+    assert ok.all()
+    assert live == [5, 3, 2, 2, 1, 1, 1]
 
 
 def test_pointwise_solver_exact():

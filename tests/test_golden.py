@@ -28,6 +28,14 @@ CASES = {
         0,
         "20b2ace31ac2839055bbc43daa1b24175e0daa51bd56315fdbe868a9e583332d",
     ),
+    # eta != 0: the implicit step's linear-shift branch
+    "picard-reaction-diffusion-shifted": (
+        "picard",
+        dict(BASE, example="reaction_diffusion", dim=8, paths=12, seed=19, n_max=4,
+             model_params=dict(JUMPS, eta=0.5)),
+        0,
+        "a17f74f14519674536266ad9db8fc8c16e9c76582b19e9981df1338c381666b9",
+    ),
     "picard-delay-rescaled": (
         "picard",
         dict(BASE, example="delay", dim=6, paths=6, seed=12, n_max=3, chunk_size=4,

@@ -45,7 +45,7 @@ def sweep_histograms(config: cli.RunConfig) -> tuple[Counter, Counter]:
     def counting_solver(scalar_fn, prox, *args, **kwargs):
         def counted_prox(v, p):
             per_call[-1] += 1
-            live_blocks[v.shape[0] if v.ndim > 2 else 1] += 1
+            live_blocks[v.shape[0]] += 1
             return prox(v, p)
 
         step = solver(scalar_fn, counted_prox, *args, **kwargs)

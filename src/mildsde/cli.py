@@ -760,8 +760,8 @@ def run_hypothesis_check(config: RunConfig) -> tuple:
     )
     passed = {name: ok for name, _, _, ok in rows}
     checks = {"semimonotone": passed["semimonotone"],
-              "lipschitz": all(passed[f"{kind}_lipschitz"]
-                               for kind in ("diffusion", "jump", "combined")),
+              "lipschitz": all(passed[name] for name in
+                               ("diffusion_lipschitz", "jump_lipschitz", "combined_lipschitz")),
               "growth": passed["growth"]}
     stats = {"semimonotone_max_ratio": float(mono.max_ratio),
              "combined_lipschitz_max": float(growth.combined_lipschitz_max),

@@ -75,6 +75,8 @@ def cbrt_implicit_prox(v: np.ndarray, p: float) -> np.ndarray:
     in place on its own temporaries (v is not written).
     """
     v = np.asarray(v, dtype=float)
+    if v.ndim == 0:  # the in-place operations below need an array to write
+        return cbrt_implicit_prox(v[None], p)[0]
     # disc = sqrt(0.25 * v * v + p^3 / 27)
     disc = 0.25 * v
     disc *= v

@@ -251,6 +251,10 @@ def test_cbrt_prox_bits(p):
     assert u.shape == v.shape
     assert u.tobytes() == reference.tobytes()
     assert v.tobytes() == before
+    # a 0-d input gives the same double
+    with np.errstate(all="ignore"):
+        scalars = [cbrt_implicit_prox(np.float64(x), p) for x in special]
+    assert np.array(scalars).tobytes() == reference.ravel()[: len(special)].tobytes()
 
 
 def test_nemitsky_implicit_solver_accuracy():
@@ -292,6 +296,16 @@ def test_nemitsky_step_bits():
     )
 
 
+def _retiring_blocks(dim):
+    """Five blocks of six rows at scales 1, 1e-2, 1e-4, 1e-2 (with a zero
+    row) and 1e-9 (with its first rows at unit scale)."""
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal((5, 6, dim)) * np.array([1.0, 1e-2, 1e-4, 1e-2, 1e-9])[:, None, None]
+    b[3, 2] = 0.0
+    b[4, :3] *= 1e9
+    return b
+
+
 @pytest.mark.parametrize("shift", [0.0, 0.5])
 def test_nemitsky_step_on_blocks_is_each_block_alone(monkeypatch, shift):
     # a stack of blocks steps like each block solved alone, bit for bit in
@@ -302,10 +316,7 @@ def test_nemitsky_step_on_blocks_is_each_block_alone(monkeypatch, shift):
     monkeypatch.setattr(coefficients, "_MAX_OUTER", 5)
     dim = 8
     step = nemitsky_implicit_solver(decreasing_cbrt, cbrt_implicit_prox, dim, linear_shift=shift)
-    rng = np.random.default_rng(8)
-    b = rng.standard_normal((5, 6, dim)) * np.array([1.0, 1e-2, 1e-4, 1e-2, 1e-9])[:, None, None]
-    b[3, 2] = 0.0
-    b[4, :3] *= 1e9
+    b = _retiring_blocks(dim)
     alone = [step(0.0, block, 1e-2, 1e-8) for block in b]
     for stack in (b, b.reshape(1, 5, 6, dim)):
         x, ok = step(0.0, stack, 1e-2, 1e-8)
@@ -326,8 +337,8 @@ def test_nemitsky_step_on_blocks_is_each_block_alone(monkeypatch, shift):
 
 @pytest.mark.parametrize("shift", [0.0, 0.5])
 def test_nemitsky_step_sweep_schedule(shift):
-    # the live blocks of every sweep of the stacked step on the blocks of the
-    # test above, one prox call a sweep: a change to the iteration itself,
+    # the live blocks of every sweep of the stacked step, one prox call a
+    # sweep, at the default sweep cap: a change to the iteration itself,
     # such as skipping the Anderson update of sweep 1 while the previous
     # correction is zero, changes this list
     live = []
@@ -338,11 +349,7 @@ def test_nemitsky_step_sweep_schedule(shift):
 
     dim = 8
     step = nemitsky_implicit_solver(decreasing_cbrt, counted_prox, dim, linear_shift=shift)
-    rng = np.random.default_rng(8)
-    b = rng.standard_normal((5, 6, dim)) * np.array([1.0, 1e-2, 1e-4, 1e-2, 1e-9])[:, None, None]
-    b[3, 2] = 0.0
-    b[4, :3] *= 1e9
-    _, ok = step(0.0, b, 1e-2, 1e-8)
+    _, ok = step(0.0, _retiring_blocks(dim), 1e-2, 1e-8)
     assert ok.all()
     assert live == [5, 3, 2, 2, 1, 1, 1]
 

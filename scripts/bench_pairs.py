@@ -13,8 +13,10 @@ own work tree and metadata are left alone and nothing needs cleaning up if
 the run is killed. For each workload, pair i runs ``perfbench/run.py
 --workload W --seed S --seconds SEC --trace 0`` once in each tree on its own
 seed S, the parent first in even pairs and the change first in odd ones.
-With ``--traced-seconds``, one ``--trace 1 --seed 1`` run per side and
-workload follows.
+With ``--traced-seconds``, three ``--trace 1 --seed 1`` runs per side and
+workload follow, in the alternating order of :data:`TRACED_ORDER`; each
+traced key is their median, and every run's values are kept under
+``runs`` (see :func:`traced_runs`).
 
 The output has the layout of ``BENCH_11.json``: every run's end-to-end
 metrics, then per workload the medians, quartiles (inclusive method), the
@@ -137,6 +139,29 @@ def both_failed(runs: dict) -> list:
     ]
 
 
+# the sides of the traced runs, alternating so that a drift in the host's
+# speed falls on both
+TRACED_ORDER = ("parent", "change", "change", "parent", "parent", "change")
+
+
+def traced_runs(run) -> dict:
+    """Per side, the traced runs ``run(side)`` makes in the order of
+    TRACED_ORDER: each key's median over the side's runs, and the runs'
+    values under ``runs``. ``run`` returns a perfbench result."""
+    runs = {"parent": [], "change": []}
+    for side in TRACED_ORDER:
+        res = run(side)
+        runs[side].append({
+            "correct": res["correct"], "failed": res["failed"], "attempted": res["attempted"],
+            **{k: v["value"] for k, v in res["metrics"].items()},
+        })
+    return {
+        side: {**{k: statistics.median(r[k] for r in values) for k in values[0]},
+               "runs": values}
+        for side, values in runs.items()
+    }
+
+
 def judge(summary: dict, metric: str) -> dict:
     gain = summary["parent_median"][metric] - summary["change_median"][metric]
     if BETTER[metric] == "higher":
@@ -199,14 +224,9 @@ def main(argv=None) -> int:
                       f"failed campaigns ({pair['parent_failed']} parent, "
                       f"{pair['change_failed']} change)", file=sys.stderr)
             if args.traced_seconds:
-                result["traced"][workload] = {}
-                for side in ("parent", "change"):
-                    _, res = perfbench(trees[side], workload, 1, args.traced_seconds, 1)
-                    result["traced"][workload][side] = {
-                        "correct": res["correct"], "failed": res["failed"],
-                        "attempted": res["attempted"],
-                        **{k: v["value"] for k, v in res["metrics"].items()},
-                    }
+                result["traced"][workload] = traced_runs(
+                    lambda side: perfbench(trees[side], workload, 1, args.traced_seconds, 1)[1]
+                )
     if args.claim:
         workload, metric = args.claim.split(":")
         result["claim"] = {

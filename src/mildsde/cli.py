@@ -180,6 +180,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -303,39 +305,25 @@ def _write_csv(path: Path, schema: str, header: list[str], rows):
             )
 
 
-def _run_chunks(fn, paths: int, chunk_size: int) -> tuple:
-    """Apply fn, which maps one chunk's path range to a tuple of arrays whose
-    leading axis runs over the chunk's rows (or a leading part of them), to
-    the fixed path-index chunks; return each of those arrays joined over the
-    chunks in chunk order. The chunk boundaries bound memory and, through the
-    batch-wide implicit step and the row blocks of every matrix product, the
-    numerics.
-
-    The chunks are the tasks of :func:`_run_tasks`: with n = min(chunks,
-    usable cores) >= 2, they are dealt into n fixed, interleaved shares
-    (share k holds chunks k, k + n, ...), and chunk 0 always runs here. Once
-    every share is in, the failure with the lowest chunk index is raised,
-    which is the one the serial loop raises.
-    """
-    ranges = _chunk_ranges(paths, chunk_size)
-    values = _run_tasks([functools.partial(fn, r) for r in ranges], _usable_cores())
-    return _join(values)
-
-
 def _run_stacked(fns, paths: int, chunk_size: int) -> list:
     """Apply each stacked batch function of fns to the fixed chunks; return,
     per function, its arrays joined over the chunks in chunk order. A batch
-    function maps a batch, a list of chunk ranges of one length, to arrays as
-    the chunk function of :func:`_run_chunks` maps a chunk.
+    function maps a batch, a list of chunk ranges of one length, to a tuple
+    of arrays whose leading axis runs over the batch's rows (or a leading
+    part of them). The chunk boundaries bound memory and the numerics.
 
     With n = min(chunks, usable cores), the full chunks of each of the n
     interleaved shares form one batch and a short last chunk a batch of its
     own; each batch's row arrays are cut back into chunks. The batches of
     all functions, those of ``fns[0]`` first, are the tasks of one
     :func:`_run_tasks` call, so the helpers are forked once for all of them
-    and the processes meet once, at the end. The first failing batch in that
-    order is raised; the batches of one function are ordered by their first
-    chunk, so for a single function it is the one the serial loop raises.
+    and the processes meet once, at the end.
+
+    A failure is the serial chunk loop's, whatever the core count: the
+    chunks of every batch that failed or never ran are solved again here,
+    one at a time, function by function and in chunk order, and the first
+    error is raised. If none fails alone, the first batch error in task
+    order is raised.
     """
     ranges = _chunk_ranges(paths, chunk_size)
     n = min(len(ranges), _usable_cores())
@@ -343,10 +331,18 @@ def _run_stacked(fns, paths: int, chunk_size: int) -> list:
     batches = [share for share in shares if share]
     batches += [[r] for r in ranges if len(r) < chunk_size]
     values = _run_tasks([functools.partial(fn, batch) for fn in fns for batch in batches], n)
+    per_fn = [values[f * len(batches) : (f + 1) * len(batches)] for f in range(len(fns))]
+    if any(v is None or isinstance(v, Exception) for v in values):
+        for fn, fn_values in zip(fns, per_fn):
+            lost = [r for b, v in zip(batches, fn_values)
+                    if v is None or isinstance(v, Exception) for r in b]
+            for r in sorted(lost, key=lambda r: r.start):
+                fn([r])
+        raise next(v for v in values if isinstance(v, Exception))
     out = []
-    for f in range(len(fns)):
+    for fn_values in per_fn:
         results = [None] * len(ranges)
-        for batch, arrays in zip(batches, values[f * len(batches) : (f + 1) * len(batches)]):
+        for batch, arrays in zip(batches, fn_values):
             for i, r in enumerate(batch):
                 rows = slice(i * chunk_size, (i + 1) * chunk_size)
                 results[r.start // chunk_size] = tuple(a[rows] for a in arrays)
@@ -369,8 +365,8 @@ def _usable_cores() -> int:
 
 def _run_tasks(tasks: list, n: int) -> list:
     """Call the zero-argument callables of tasks on up to n processes; return
-    their values in task order, or raise the exception of the first failing
-    task.
+    their values in task order, a failing task's exception in its place.
+    Only a helper that ends without its values raises here.
 
     With n = min(n, tasks) >= 2, the tasks are dealt into n fixed,
     interleaved shares: n - 1 forked helpers run shares 1..n-1 (tasks k,
@@ -404,9 +400,6 @@ def _run_tasks(tasks: list, n: int) -> list:
             os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    for value in results:
-        if isinstance(value, Exception):
-            raise value
     return results
 
 
@@ -417,7 +410,7 @@ def _run_share(tasks) -> list:
     for i, task in enumerate(tasks):
         try:
             out[i] = task()
-        except Exception as exc:  # raised by the caller in task order
+        except Exception as exc:  # the runner decides what to raise
             out[i] = exc
             break
     return out
@@ -485,6 +478,15 @@ def _campaign(command: str):
 # picard campaign
 
 
+def _theory_constant(model: ModelSpec, name: str, compute):
+    """compute(), a constant of the theory; one whose computation overflows
+    is a solver failure that names it, as a state that overflows is."""
+    try:
+        return compute()
+    except OverflowError:
+        raise SolverError(f"{model.name}: {name} overflows") from None
+
+
 @_campaign("picard")
 def run_picard_campaign(config: RunConfig) -> tuple:
     model = model_from_config(config)
@@ -505,7 +507,11 @@ def run_picard_campaign(config: RunConfig) -> tuple:
         return (res.distances.T, res.x_sup_sq.T, res.v_sup_sq.T, x0_sq,
                 norms[: max(0, k - path_range.start)].copy())
 
-    *per_path, x0_sq, norms = _run_chunks(chunk, config.paths, config.chunk_size)
+    def batch(ranges):
+        # each chunk is solved alone, so its numerics do not depend on the batch
+        return _join([chunk(r) for r in ranges])
+
+    *per_path, x0_sq, norms = _run_stacked([batch], config.paths, config.chunk_size)[0]
     # back to C-ordered (iterates, paths): means reduce over the last axis
     distances, x_sup, v_sup = (np.ascontiguousarray(a.T) for a in per_path)
 
@@ -515,9 +521,16 @@ def run_picard_campaign(config: RunConfig) -> tuple:
     m_const = model.coeffs.semimonotone_m
     c_const = model.coeffs.lipschitz_c
     d_const = model.coeffs.growth_d
-    c1 = 2.0 * c_const * (1.0 + 2.0 * config.bdg_constant**2) * math.exp(4.0 * m_const * horizon)
+    c1 = _theory_constant(
+        model, "the rate constant C1 = 2 C (1 + 2 B^2) exp(4 M T)",
+        lambda: 2.0 * c_const * (1.0 + 2.0 * config.bdg_constant**2)
+        * math.exp(4.0 * m_const * horizon),
+    )
     c0 = float(e_mean[0])
-    bounds = predicted_bound(c0, c1, horizon, np.arange(n_iters))
+    bounds = _theory_constant(
+        model, f"the predicted bound C0 (C1 T)^n / n! for C1 = {c1:.6g}",
+        lambda: predicted_bound(c0, c1, horizon, np.arange(n_iters)),
+    )
 
     # Rate diagnostics: consecutive decay against 2 C1 T / (n + 1), and
     # monotone decrease from the second distance on (ties allowed once the
@@ -705,24 +718,26 @@ def run_benchmark_oracle(config: RunConfig) -> tuple:
     rms = [math.sqrt(float(e.mean())) for e in errs]
     mean_sq = [_mean_se(e) for e in errs]  # (mean, standard error) per grid
 
-    log_dt = -np.asarray(exponents, dtype=float)
-    order = float(np.polyfit(log_dt, np.log2(rms), 1)[0])
-    order_se = _fitted_order_se(log_dt, *zip(*mean_sq))
     # The absolute bound is checked at dt = 2^-10, or at the finest grid
     # listed when 10 is not; the stat names the grid used.
     checked = 10 if 10 in exponents else max(exponents)
     rms_checked = rms[exponents.index(checked)]
-    abs_ok = rms_checked < 1e-2
-    order_ok = order >= 0.45
+    checks = {"absolute_error": rms_checked < 1e-2}
+    stats = {f"rms_dt_2e-{checked}": rms_checked}
+    if any(rms):
+        # an exact scheme leaves no error to fit an order to, and a check
+        # that did not run is not reported
+        log_dt = -np.asarray(exponents, dtype=float)
+        order = float(np.polyfit(log_dt, np.log2(rms), 1)[0])
+        checks["strong_order"] = order >= 0.45
+        stats["fitted_order"] = order
+        stats["fitted_order_se"] = _fitted_order_se(log_dt, *zip(*mean_sq))
 
     rows = [(lvl, 2.0 ** (-lvl), float(r), config.paths) for lvl, r in zip(exponents, rms)]
     _write_csv(
         Path(config.out_dir, "benchmark.csv"), "mildsde-benchmark-v1",
         ["dt_exponent", "dt", "rms_error", "paths"], rows,
     )
-    checks = {"strong_order": order_ok, "absolute_error": abs_ok}
-    stats = {"fitted_order": order, "fitted_order_se": order_se,
-             f"rms_dt_2e-{checked}": rms_checked}
     return config, checks, stats
 
 

@@ -532,7 +532,13 @@ def picard_solve_batch(
     v = np.zeros((n_max, p, dim))
     acc = np.zeros((n_max, p))
     x0n = np.sqrt(weighted_norm_sq(states[0], w))
-    growth = math.exp(drift.semimonotone_m * dt)
+    try:
+        growth = math.exp(drift.semimonotone_m * dt)
+    except OverflowError:
+        raise SolverError(
+            f"{model.name}: the a-priori bound's growth factor exp(M dt) overflows "
+            f"(M = {drift.semimonotone_m:.6g}, dt = {dt:.6g})"
+        ) from None
     values = np.zeros((p, m + 1, dim))    # the path of the last iterate
     values[:, 0] = states[n_max]
     sq = weighted_norm_sq(states, w)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from mildsde.cli import _run_chunks, main
+from mildsde.cli import _join, _run_stacked, main
 from mildsde.coefficients import (
     CoefficientSet,
     DriftSpec,
@@ -55,6 +55,13 @@ HORIZON = 1.0
 GRID = TimeGrid(HORIZON, 1000)  # dt = 1e-3
 
 
+def run_chunks(chunk, paths, chunk_size):
+    """The arrays of the chunk function chunk joined over the fixed chunks,
+    run on every usable core by the CLI's chunk runner with a batch function
+    that solves its chunks one at a time, as the picard campaign does."""
+    return _run_stacked([lambda ranges: _join([chunk(r) for r in ranges])], paths, chunk_size)[0]
+
+
 def rd_acceptance_model():
     return build_reaction_diffusion(
         dim=8, jump_rate=2.0, mark_std=0.5, mark_mean=0.1, validate=False,
@@ -75,7 +82,7 @@ def picard_data():
         x0_sq = weighted_norm_sq(noise.x0, model.weights)
         return res.distances.T, res.x_sup_sq.T, res.v_sup_sq.T, x0_sq
 
-    distances, x_sup, v_sup, x0_sq = _run_chunks(chunk, 500, 64)
+    distances, x_sup, v_sup, x0_sq = run_chunks(chunk, 500, 64)
     return {
         "model": model,
         "distances": np.ascontiguousarray(distances.T),
@@ -157,7 +164,7 @@ def test_criterion_2_uniqueness():
             weighted_norm_sq(res_a.values, model.weights).max(axis=1),
         )
 
-    num, den = _run_chunks(chunk, 128, 64)
+    num, den = run_chunks(chunk, 128, 64)
     rel = num.sum() / den.sum()
     report(2, "uniqueness-solver-variants", rel <= 1e-6, f"relative distance {rel:.3g}")
 
@@ -193,7 +200,7 @@ def test_criterion_3_ito_inequality():
             return tuple(masks)
 
         violations, violations_half = (
-            int(mask.sum()) for mask in _run_chunks(chunk, 1000, 100)
+            int(mask.sum()) for mask in run_chunks(chunk, 1000, 100)
         )
         rate = violations / 1000.0
         rate_half = violations_half / 1000.0

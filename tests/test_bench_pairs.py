@@ -1,5 +1,5 @@
-"""The no-regression verdict of scripts/bench_pairs.py on synthetic runs; no
-perfbench run is started."""
+"""The no-regression verdict and the traced-run summary of
+scripts/bench_pairs.py on synthetic runs; no perfbench run is started."""
 
 import importlib.util
 from pathlib import Path
@@ -68,3 +68,23 @@ def test_pairs_failed_on_both_sides_are_listed():
     assert bench_pairs.both_failed({"parent": parent, "change": change}) == [
         {"pair": 1, "seed": 1301, "parent_failed": 81, "change_failed": 81}
     ]
+
+
+def test_traced_runs_alternate_and_keep_medians():
+    # each side's traced runs read 1, 2, 3 (parent) and 10, 20, 30 (change)
+    # seconds of implicit step, in the order they are taken
+    calls = []
+    values = {"parent": [3.0, 1.0, 2.0], "change": [20.0, 10.0, 30.0]}
+
+    def run(side):
+        calls.append(side)
+        value = values[side][calls.count(side) - 1]
+        return {"correct": 4, "failed": 0, "attempted": 4,
+                "metrics": {"coefficients.implicit_step_s": {"value": value, "unit": "s"}}}
+
+    traced = bench_pairs.traced_runs(run)
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    for side, expected in (("parent", 2.0), ("change", 20.0)):
+        assert traced[side]["coefficients.implicit_step_s"] == expected
+        assert traced[side]["attempted"] == 4
+        assert [r["coefficients.implicit_step_s"] for r in traced[side]["runs"]] == values[side]

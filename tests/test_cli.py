@@ -158,6 +158,17 @@ def test_usage_error_exits_3_with_one_line(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text, kind",
+    [("5", "int"), ("null", "NoneType"), ('[["dim", 4]]', "list"), ('"abc"', "str")],
+)
+def test_config_that_is_not_an_object_exits_3_with_one_line(tmp_path, capsys, text, kind):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["picard", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == f"config error: config must be a JSON object, got {kind}\n"
+
+
 def test_main_reports_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -316,6 +327,28 @@ def test_simulate_exits_4_on_a_norm_that_overflows(tmp_path, capfd):
 
 
 @pytest.mark.parametrize(
+    "case, message",
+    [
+        # the solve passes, but (C1 T)^n overflows from n = 2 on
+        (dict(dt=1e-3, n_max=4, model_params={"eta": 100.0}),
+         "the predicted bound C0 (C1 T)^n / n! for C1 = 1.78574e+174 overflows"),
+        # the solve passes, but exp(4 M T) overflows over a long horizon
+        (dict(dt=0.02, horizon=10.0, n_max=2, model_params={"eta": 20.0}),
+         "the rate constant C1 = 2 C (1 + 2 B^2) exp(4 M T) overflows"),
+        # the solve cannot start
+        (dict(dt=0.01, model_params={"eta": 1e5}),
+         "the a-priori bound's growth factor exp(M dt) overflows (M = 100000, dt = 0.01)"),
+    ],
+)
+def test_picard_exits_4_on_a_theory_constant_that_overflows(tmp_path, capfd, case, message):
+    # a solver failure on one line that names the quantity, with no numpy
+    # warning
+    path, _ = write_config(tmp_path, **{"dim": 4, "paths": 4, **case})
+    rc, err, caught = run_recording_warnings(capfd, ["picard", "--config", str(path)])
+    assert (rc, err, caught) == (4, f"solver failure: reaction_diffusion: {message}\n", [])
+
+
+@pytest.mark.parametrize(
     "case",
     [
         # the configuration of the NaN-slack test above, whose state overflows
@@ -403,6 +436,23 @@ def test_benchmark_ode_limit_first_order(tmp_path):
     assert summary.passed
     # no noise: plain exponential Euler converges at first order
     assert summary.stats["fitted_order"] >= 0.9
+
+
+def test_benchmark_of_an_exact_model_fits_no_order(tmp_path, capfd):
+    # a = sigma = 0 without jumps: the scheme is exact, every rms error is 0,
+    # so no order is fitted, checked or reported
+    path, _ = write_config(
+        tmp_path, example="linear_scalar", paths=16,
+        model_params={"a": 0.0, "sigma": 0.0, "jump_rate": 0.0},
+    )
+    rc, err, caught = run_recording_warnings(capfd, ["benchmark", "--config", str(path)])
+    assert (rc, err, caught) == (0, "", [])
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert "check.absolute_error = True" in summary
+    assert "stat.rms_dt_2e-10 = 0.0" in summary
+    assert not [line for line in summary if "order" in line]
+    rows = (tmp_path / "out" / "benchmark.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[2] for row in rows] == ["0.0"] * 7
 
 
 def test_benchmark_with_noise_and_jumps(tmp_path):

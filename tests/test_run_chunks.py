@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from mildsde.cli import _run_chunks, _run_stacked, main
+from mildsde.cli import _join, _run_stacked, main
 from mildsde.solver import SolverError
 
 JUMPS = {"jump_rate": 3.0, "mark_std": 0.5, "mark_mean": 0.1}
@@ -89,6 +89,14 @@ def test_solver_divergence_exits_4_with_the_serial_message(tmp_path, monkeypatch
     assert_no_children()
 
 
+def run_chunks(fn, paths, chunk_size):
+    """The arrays of the chunk function fn, which maps one chunk's path range
+    to a tuple of arrays, joined over the fixed chunks: the stacked runner
+    with a batch function that solves its chunks one at a time, as the
+    picard campaign does."""
+    return _run_stacked([lambda ranges: _join([fn(r) for r in ranges])], paths, chunk_size)[0]
+
+
 def chunk_owner(failing=()):
     """A chunk function returning, per row, its path index, the first path
     index of its chunk and the process it ran in; it fails on the chunks
@@ -106,7 +114,7 @@ def chunk_owner(failing=()):
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_results_come_back_in_chunk_order(monkeypatch, cpus):
     use_cpus(monkeypatch, cpus)
-    rows, starts, row_pids = _run_chunks(chunk_owner(), 11, 2)
+    rows, starts, row_pids = run_chunks(chunk_owner(), 11, 2)
     assert rows.tolist() == list(range(11))
     # each chunk got its own range, and the chunks are joined in order
     assert starts.tolist() == [s - s % 2 for s in range(11)]
@@ -130,12 +138,12 @@ def test_results_come_back_in_chunk_order(monkeypatch, cpus):
 def test_lowest_failing_chunk_is_raised(monkeypatch, cpus, failing, raised):
     use_cpus(monkeypatch, cpus)
     with pytest.raises(SolverError) as pooled:
-        _run_chunks(chunk_owner(failing), 12, 2)
+        run_chunks(chunk_owner(failing), 12, 2)
     assert str(pooled.value) == f"chunk at path {raised} failed"
     assert_no_children()
     use_cpus(monkeypatch, 1)
     with pytest.raises(SolverError) as serial:
-        _run_chunks(chunk_owner(failing), 12, 2)
+        run_chunks(chunk_owner(failing), 12, 2)
     assert str(serial.value) == str(pooled.value)
 
 
@@ -149,7 +157,7 @@ def test_interrupted_caller_stops_its_helpers(monkeypatch):
 
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        _run_chunks(fn, 4, 2)
+        run_chunks(fn, 4, 2)
     assert time.perf_counter() - start < 30
     assert_no_children()
 
@@ -163,7 +171,7 @@ def test_helper_that_dies_is_reported(monkeypatch):
         return (np.array(path_range),)
 
     with pytest.raises(RuntimeError, match="ended without its results"):
-        _run_chunks(fn, 4, 2)
+        run_chunks(fn, 4, 2)
     assert_no_children()
 
 
@@ -272,4 +280,41 @@ def test_stacked_pool_raises_the_first_failing_task(monkeypatch, cpus, failing, 
     with pytest.raises(SolverError) as pooled:
         _run_stacked(fns, 11, 2)
     assert str(pooled.value) == raised
+    assert_no_children()
+
+
+# marks so wide that states overflow in several chunks
+OVERFLOW = {"example": "linear_scalar", "dt": 0.01, "paths": 64, "chunk_size": 8,
+            "model_params": {"mark_std": 1e200}}
+
+
+@pytest.mark.parametrize("command, seed", [("benchmark", 0), ("simulate", 1)])
+def test_euler_failure_is_the_serial_loops(tmp_path, monkeypatch, capsys, command, seed):
+    # a stacked batch fails at the first step where any of its chunks
+    # overflows; the error raised is that of the lowest chunk that fails
+    # alone, at any core count
+    config = dict(OVERFLOW, seed=seed)
+    code, err, _, _ = run_command(tmp_path, monkeypatch, capsys, command, config, 1)
+    assert code == 4 and err.count("\n") == 1
+    for cpus in (2, 3):
+        assert run_command(tmp_path, monkeypatch, capsys, command, config, cpus)[:2] == (code, err)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_failing_batch_is_solved_again_chunk_by_chunk(monkeypatch, cpus):
+    # a batch fails naming every bad row it holds; the raised error is the
+    # one the lowest failing chunk raises alone
+    use_cpus(monkeypatch, cpus)
+
+    def fn(ranges):
+        rows = [i for r in ranges for i in r]
+        bad = [i for i in rows if i in (5, 9)]
+        if bad:
+            raise SolverError(f"rows {bad}")
+        return (np.array(rows),)
+
+    with pytest.raises(SolverError) as raised:
+        _run_stacked([fn], 11, 2)
+    assert str(raised.value) == "rows [5]"
     assert_no_children()

@@ -312,42 +312,64 @@ def _run_stacked(fns, paths: int, chunk_size: int) -> list:
     of arrays whose leading axis runs over the batch's rows (or a leading
     part of them). The chunk boundaries bound memory and the numerics.
 
-    With n = min(chunks, usable cores), the full chunks of each of the n
-    interleaved shares form one batch and a short last chunk a batch of its
-    own; each batch's row arrays are cut back into chunks. The batches of
-    all functions, those of ``fns[0]`` first, are the tasks of one
-    :func:`_run_tasks` call, so the helpers are forked once for all of them
-    and the processes meet once, at the end.
+    With n = min(chunks, usable cores), the chunks are dealt into n fixed,
+    interleaved shares (share k holds chunks k, k + n, ...). Process k runs
+    share k for every function: its full chunks as one batch and the short
+    last chunk, when it is k's, as a batch of its own. The helpers are
+    forked once for all functions, and the processes meet once, at the end.
 
     A failure is the serial chunk loop's, whatever the core count: the
     chunks of every batch that failed or never ran are solved again here,
     one at a time, function by function and in chunk order, and the first
-    error is raised. If none fails alone, the first batch error in task
-    order is raised.
+    error is raised. A chunk whose error names it (see :func:`_chunkwise`)
+    failed alone already and is not solved again. If none fails alone, the
+    first batch error, by function and first chunk, is raised.
     """
     ranges = _chunk_ranges(paths, chunk_size)
     n = min(len(ranges), _usable_cores())
-    shares = ([r for r in ranges[k::n] if len(r) == chunk_size] for k in range(n))
-    batches = [share for share in shares if share]
-    batches += [[r] for r in ranges if len(r) < chunk_size]
-    values = _run_tasks([functools.partial(fn, batch) for fn in fns for batch in batches], n)
-    per_fn = [values[f * len(batches) : (f + 1) * len(batches)] for f in range(len(fns))]
-    if any(v is None or isinstance(v, Exception) for v in values):
-        for fn, fn_values in zip(fns, per_fn):
-            lost = [r for b, v in zip(batches, fn_values)
-                    if v is None or isinstance(v, Exception) for r in b]
-            for r in sorted(lost, key=lambda r: r.start):
-                fn([r])
-        raise next(v for v in values if isinstance(v, Exception))
-    out = []
-    for fn_values in per_fn:
-        results = [None] * len(ranges)
-        for batch, arrays in zip(batches, fn_values):
-            for i, r in enumerate(batch):
-                rows = slice(i * chunk_size, (i + 1) * chunk_size)
-                results[r.start // chunk_size] = tuple(a[rows] for a in arrays)
-        out.append(_join(results))
-    return out
+    shares = [[(f, batch) for f in range(len(fns)) for batch in (
+        [r for r in ranges[k::n] if len(r) == chunk_size],
+        [r for r in ranges[k::n] if len(r) < chunk_size],
+    ) if batch] for k in range(n)]
+    values = _run_tasks([[functools.partial(fns[f], b) for f, b in share] for share in shares])
+    # (function, first chunk, batch, value), by function and first chunk
+    done = sorted((f, b[0].start, b, v) for share, share_values in zip(shares, values)
+                  for (f, b), v in zip(share, share_values))
+    failed = [(f, b, v) for f, _, b, v in done if v is None or isinstance(v, Exception)]
+    for f, fn in enumerate(fns):
+        lost = [(v.chunk, v) for g, _, v in failed if g == f and hasattr(v, "chunk")]
+        lost += [(r, None) for g, b, v in failed if g == f and not hasattr(v, "chunk")
+                 for r in b]
+        for r, error in sorted(lost, key=lambda c: c[0].start):
+            if error is not None:
+                raise error
+            fn([r])
+    if failed:
+        raise next(v for *_, v in failed if v is not None)
+    out = [[None] * len(ranges) for _ in fns]
+    for f, _, batch, arrays in done:
+        for i, r in enumerate(batch):
+            rows = slice(i * chunk_size, (i + 1) * chunk_size)
+            out[f][r.start // chunk_size] = tuple(a[rows] for a in arrays)
+    return [_join(results) for results in out]
+
+
+def _chunkwise(chunk):
+    """The batch function that solves its chunks one at a time with chunk,
+    which maps a chunk's range to a tuple of arrays. A chunk's error carries
+    its range as ``chunk``: it is the error that chunk raises alone."""
+
+    def batch(ranges):
+        parts = []
+        for r in ranges:
+            try:
+                parts.append(chunk(r))
+            except Exception as exc:
+                exc.chunk = r
+                raise
+        return _join(parts)
+
+    return batch
 
 
 def _join(per_chunk: list) -> tuple:
@@ -363,34 +385,31 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _run_tasks(tasks: list, n: int) -> list:
-    """Call the zero-argument callables of tasks on up to n processes; return
-    their values in task order, a failing task's exception in its place.
-    Only a helper that ends without its values raises here.
-
-    With n = min(n, tasks) >= 2, the tasks are dealt into n fixed,
-    interleaved shares: n - 1 forked helpers run shares 1..n-1 (tasks k,
-    k + n, ...) while this process runs share 0, so task 0 always runs here.
-    A share stops at its first failing task, whose exception stands in its
-    place, and its later tasks stay None; so every task before the first
-    failing one has run. No helper outlives the call.
+def _run_tasks(shares: list) -> list:
+    """Run each share, a list of zero-argument callables, in a process of its
+    own: a forked helper runs each share but the first, which runs here.
+    Return, per share, its callables' values in order, a failing
+    callable's exception in its place. A share stops at its first failing
+    callable, and its later values stay None. Only a helper that ends
+    without its values raises here. No helper outlives the call.
     """
-    n = max(1, min(n, len(tasks))) if hasattr(os, "fork") else 1
-    results = [None] * len(tasks)
+    if not hasattr(os, "fork"):
+        return [_run_share(share) for share in shares]
+    results = [None] * len(shares)
     helpers = []  # (pid, read end of the pipe that carries its share's values)
     try:
-        for k in range(1, n):
+        for share in shares[1:]:
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _helper(tasks[k::n], write_fd, [read_fd] + [fd for _, fd in helpers])
+                _helper(share, write_fd, [read_fd] + [fd for _, fd in helpers])
             os.close(write_fd)
             helpers.append((pid, read_fd))
-        results[0::n] = _run_share(tasks[0::n])
+        results[0] = _run_share(shares[0])
         for k, (pid, read_fd) in enumerate(helpers, start=1):
             with open(read_fd, "rb", closefd=False) as pipe:
                 try:
-                    results[k::n] = pickle.load(pipe)
+                    results[k] = pickle.load(pipe)
                 except (EOFError, pickle.UnpicklingError):
                     raise RuntimeError(
                         f"chunk helper process {pid} ended without its results"
@@ -478,13 +497,17 @@ def _campaign(command: str):
 # picard campaign
 
 
-def _theory_constant(model: ModelSpec, name: str, compute):
-    """compute(), a constant of the theory; one whose computation overflows
+def _theory_constant(model: ModelSpec, name: str, compute, *inputs):
+    """compute(), a constant of the theory from the given measured inputs;
+    one that overflows from finite inputs, with an OverflowError or to inf,
     is a solver failure that names it, as a state that overflows is."""
     try:
-        return compute()
+        value = compute()
+        if np.isfinite(value).all() or not np.isfinite(inputs).all():
+            return value
     except OverflowError:
-        raise SolverError(f"{model.name}: {name} overflows") from None
+        pass
+    raise SolverError(f"{model.name}: {name} overflows")
 
 
 @_campaign("picard")
@@ -507,11 +530,9 @@ def run_picard_campaign(config: RunConfig) -> tuple:
         return (res.distances.T, res.x_sup_sq.T, res.v_sup_sq.T, x0_sq,
                 norms[: max(0, k - path_range.start)].copy())
 
-    def batch(ranges):
-        # each chunk is solved alone, so its numerics do not depend on the batch
-        return _join([chunk(r) for r in ranges])
-
-    *per_path, x0_sq, norms = _run_stacked([batch], config.paths, config.chunk_size)[0]
+    *per_path, x0_sq, norms = _run_stacked(
+        [_chunkwise(chunk)], config.paths, config.chunk_size
+    )[0]
     # back to C-ordered (iterates, paths): means reduce over the last axis
     distances, x_sup, v_sup = (np.ascontiguousarray(a.T) for a in per_path)
 
@@ -529,7 +550,7 @@ def run_picard_campaign(config: RunConfig) -> tuple:
     c0 = float(e_mean[0])
     bounds = _theory_constant(
         model, f"the predicted bound C0 (C1 T)^n / n! for C1 = {c1:.6g}",
-        lambda: predicted_bound(c0, c1, horizon, np.arange(n_iters)),
+        lambda: predicted_bound(c0, c1, horizon, np.arange(n_iters)), c0,
     )
 
     # Rate diagnostics: consecutive decay against 2 C1 T / (n + 1), and

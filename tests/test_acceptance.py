@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from mildsde.cli import _join, _run_stacked, main
+from mildsde.cli import _chunkwise, _run_stacked, main
 from mildsde.coefficients import (
     CoefficientSet,
     DriftSpec,
@@ -59,7 +59,7 @@ def run_chunks(chunk, paths, chunk_size):
     """The arrays of the chunk function chunk joined over the fixed chunks,
     run on every usable core by the CLI's chunk runner with a batch function
     that solves its chunks one at a time, as the picard campaign does."""
-    return _run_stacked([lambda ranges: _join([chunk(r) for r in ranges])], paths, chunk_size)[0]
+    return _run_stacked([_chunkwise(chunk)], paths, chunk_size)[0]
 
 
 def rd_acceptance_model():

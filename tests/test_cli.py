@@ -335,6 +335,9 @@ def test_simulate_exits_4_on_a_norm_that_overflows(tmp_path, capfd):
         # the solve passes, but exp(4 M T) overflows over a long horizon
         (dict(dt=0.02, horizon=10.0, n_max=2, model_params={"eta": 20.0}),
          "the rate constant C1 = 2 C (1 + 2 B^2) exp(4 M T) overflows"),
+        # exp(4 M T) is finite, but C1 is not
+        (dict(dt=0.02, horizon=8.86, n_max=2, model_params={"eta": 20.0}),
+         "the rate constant C1 = 2 C (1 + 2 B^2) exp(4 M T) overflows"),
         # the solve cannot start
         (dict(dt=0.01, model_params={"eta": 1e5}),
          "the a-priori bound's growth factor exp(M dt) overflows (M = 100000, dt = 0.01)"),

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from mildsde.cli import _join, _run_stacked, main
+from mildsde.cli import _chunkwise, _run_stacked, main
 from mildsde.solver import SolverError
 
 JUMPS = {"jump_rate": 3.0, "mark_std": 0.5, "mark_mean": 0.1}
@@ -94,7 +94,7 @@ def run_chunks(fn, paths, chunk_size):
     to a tuple of arrays, joined over the fixed chunks: the stacked runner
     with a batch function that solves its chunks one at a time, as the
     picard campaign does."""
-    return _run_stacked([lambda ranges: _join([fn(r) for r in ranges])], paths, chunk_size)[0]
+    return _run_stacked([_chunkwise(fn)], paths, chunk_size)[0]
 
 
 def chunk_owner(failing=()):
@@ -122,6 +122,39 @@ def test_results_come_back_in_chunk_order(monkeypatch, cpus):
     assert pids[0] == os.getpid()  # chunk 0 runs in the calling process
     assert pids[::cpus] == [os.getpid()] * len(pids[::cpus])
     assert len(set(pids)) == cpus
+    assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_short_last_chunk_runs_with_its_share(monkeypatch, cpus):
+    # 11 paths in chunks of 2: the short chunk 5 runs in the process of
+    # share 5 % cpus, which holds one full chunk fewer than share 0
+    use_cpus(monkeypatch, cpus)
+    pids = run_chunks(chunk_owner(), 11, 2)[2][::2].tolist()  # per chunk
+    assert pids == [pids[k % cpus] for k in range(6)]
+    assert pids[5] != os.getpid()
+    assert_no_children()
+
+
+@pytest.mark.parametrize("cpus, failing", [(1, 6), (2, 6), (2, 4), (3, 10)])
+def test_chunk_failing_one_at_a_time_is_not_solved_again(monkeypatch, cpus, failing):
+    # a chunk-by-chunk batch names the chunk that failed, so no chunk is
+    # solved twice: this process solves only the chunks of its own share,
+    # up to the failing one when that is its own
+    use_cpus(monkeypatch, cpus)
+    solved = []
+    fn = chunk_owner((failing,))
+
+    def counted(path_range):
+        solved.append(path_range.start)
+        return fn(path_range)
+
+    with pytest.raises(SolverError, match=f"chunk at path {failing} failed"):
+        run_chunks(counted, 12, 2)
+    own = list(range(0, 12, 2 * cpus))  # the first paths of share 0's chunks
+    if failing in own:
+        own = own[: own.index(failing) + 1]
+    assert solved == own
     assert_no_children()
 
 

@@ -186,8 +186,10 @@ def nemitsky_implicit_solver(
 
     Works in the quadrature domain: with the projection correction frozen the
     equation decouples into scalar monotone roots u = v + dt * phi(u), which
-    ``prox(v, dt)`` solves exactly; the outer loop updates the correction,
-    which the projection contracts. Returns a callable
+    ``prox(v, dt)`` solves exactly; it returns -phi(u) at the root, the only
+    value of u the step reads (for phi = -cbrt, the cube root w = cbrt(u)
+    that the prox solves for). The outer loop updates the correction, which
+    the projection contracts. Returns a callable
     ``(t, b, dt, tol) -> (x, converged_mask)`` over the blocks of batched
     rows b (..., rows, dim) (see :class:`DriftSpec`); a block's rows are
     accepted together, on the first sweep that accepts all of them.
@@ -249,13 +251,15 @@ def nemitsky_implicit_solver(
         c = 0.0
         c_prev = f_prev = None
         for sweep in range(_MAX_OUTER):
-            u = prox(v + dte * c, dte)
-            pu = scalar_fn(u)
-            pu_synth = pu @ synthesis
-            # x = bt + dte * pu_synth / n_quad
-            x = dte * pu_synth
+            # a = -phi(u) at the root u; the negations of phi are folded into
+            # the subtractions below, which leaves each value's bits as with
+            # phi(u) added
+            a = prox(v + dte * c, dte)
+            a_synth = a @ synthesis
+            # x = bt - dte * a_synth / n_quad
+            x = dte * a_synth
             x /= n_quad
-            x += bt
+            np.subtract(bt, x, out=x)
             # r = b + dt * (phi(x S^T) S / n_quad + linear_shift * x) - x. r
             # only feeds ok, which the 0 * x term of a zero shift cannot move
             # (it changes at most the sign of a zero, or a non-finite r to
@@ -277,16 +281,17 @@ def nemitsky_implicit_solver(
             if n_done:
                 x_out[live[done]], ok_out[live[done]] = x[done], True
                 keep = ~done
-                live, b, bt, v, pu, pu_synth = (
-                    a[keep] for a in (live, b, bt, v, pu, pu_synth)
+                live, b, bt, v, a, a_synth = (
+                    arr[keep] for arr in (live, b, bt, v, a, a_synth)
                 )
                 c, c_prev, f_prev = (
-                    a[keep] if isinstance(a, np.ndarray) else a for a in (c, c_prev, f_prev)
+                    arr[keep] if isinstance(arr, np.ndarray) else arr
+                    for arr in (c, c_prev, f_prev)
                 )
-            # g = (pu_synth / n_quad) @ S^T - pu
-            pu_synth /= n_quad
-            g = pu_synth @ synthesis.T
-            g -= pu
+            # g = (phi(u) S / n_quad) @ S^T - phi(u) = a - (a_synth / n_quad) @ S^T
+            a_synth /= n_quad
+            g = a_synth @ synthesis.T
+            np.subtract(a, g, out=g)
             if c_prev is None:
                 f_cur = c_next = g
             else:

@@ -64,23 +64,26 @@ def decreasing_cbrt(u: np.ndarray) -> np.ndarray:
     return -np.cbrt(u)
 
 
-def cbrt_implicit_prox(v: np.ndarray, p: float) -> np.ndarray:
-    """Exact root of u + p * cbrt(u) = v (the implicit step of -cbrt).
+def cbrt_implicit_root(v: np.ndarray, p: float) -> np.ndarray:
+    """w = cbrt(u) at the exact root u of u + p * cbrt(u) = v.
 
     Substituting w = cbrt(u) gives the depressed cubic w^3 + p w = v, solved
     by the Vieta form w = z - p / (3 z) with z^3 = v/2 + sign(v) sqrt(v^2/4 +
-    p^3/27); stable at every float scale including subnormal v.
+    p^3/27); stable at every float scale including subnormal v. w is -phi(u)
+    for the drift phi = -cbrt, which is what the Nemitsky step's prox returns
+    (see :func:`nemitsky_implicit_solver`).
 
     The Nemitsky step calls this once per sweep on small arrays, so it works
     in place on its own temporaries (v is not written).
     """
     v = np.asarray(v, dtype=float)
     if v.ndim == 0:  # the in-place operations below need an array to write
-        return cbrt_implicit_prox(v[None], p)[0]
+        return cbrt_implicit_root(v[None], p)[0]
     # disc = sqrt(0.25 * v * v + p^3 / 27)
+    floor = (p ** 3) / 27.0
     disc = 0.25 * v
     disc *= v
-    disc += (p ** 3) / 27.0
+    disc += floor
     np.sqrt(disc, out=disc)
     # z3 = 0.5 * v + copysign(disc, v + 0.0); v + 0.0 turns -0.0 into +0.0,
     # so v = -0.0 takes the +disc branch.
@@ -90,16 +93,23 @@ def cbrt_implicit_prox(v: np.ndarray, p: float) -> np.ndarray:
     z += disc
     np.cbrt(z, out=z)
     # w = z - p / where(z != 0, 3 z, inf): z is +0.0 only when z3 is, and
-    # then p / inf = 0 leaves w = +0.0.
+    # then p / inf = 0 leaves w = +0.0. With p^3 / 27 > 0, |z3| >= disc >=
+    # sqrt(p^3 / 27) > 0, so z is never zero and the mask is left out.
     q = np.multiply(3.0, z, out=disc)
-    q[z == 0.0] = np.inf
+    if not floor > 0.0:
+        q[z == 0.0] = np.inf
     np.divide(p, q, out=q)
     z -= q
-    # w * w * w may differ from w ** 3 by an ulp or two, but np.cbrt maps
-    # both to the same double, so the Nemitsky step's output is unchanged.
-    np.multiply(z, z, out=q)
-    q *= z
-    return q
+    return z
+
+
+def cbrt_implicit_prox(v: np.ndarray, p: float) -> np.ndarray:
+    """Exact root u of u + p * cbrt(u) = v (the implicit step of -cbrt), the
+    cube w * w * w of :func:`cbrt_implicit_root`."""
+    w = cbrt_implicit_root(v, p)
+    u = w * w
+    u *= w
+    return u
 
 
 def _default_profile(dim: int, amplitude: float) -> np.ndarray:
@@ -145,7 +155,7 @@ def build_reaction_diffusion(
         semimonotone_m=max(eta, 0.0),
         growth_d=8.0 + 2.0 * eta * eta,
         implicit_step=nemitsky_implicit_solver(
-            decreasing_cbrt, cbrt_implicit_prox, dim, n_quad, linear_shift=eta
+            decreasing_cbrt, cbrt_implicit_root, dim, n_quad, linear_shift=eta
         ),
     )
     c_k = marks.rate * marks.mark_second_moment
@@ -214,7 +224,7 @@ def build_hyperbolic(
             out[..., v_sl] += gamma * x[..., u_sl]
         return out
 
-    nem_step = nemitsky_implicit_solver(decreasing_cbrt, cbrt_implicit_prox, n_modes, n_quad)
+    nem_step = nemitsky_implicit_solver(decreasing_cbrt, cbrt_implicit_root, n_modes, n_quad)
 
     def implicit_step(t, b_vec, dt, tol):
         # Positions are untouched by the drift, so x_u = b_u and the velocity

@@ -20,6 +20,7 @@ from mildsde.models import (
     build_delay,
     build_linear_scalar,
     cbrt_implicit_prox,
+    cbrt_implicit_root,
     decreasing_cbrt,
 )
 from mildsde.noise import MarkSpaceSpec
@@ -207,8 +208,7 @@ def test_cbrt_prox_all_scales():
 
 def test_cbrt_prox_cube_ulp():
     # The prox cubes by multiplication; against the closed form cubed with
-    # pow it may move an ulp or two, never past np.cbrt, so the Nemitsky
-    # step (which only ever takes cbrt of the prox) keeps its bits.
+    # pow it may move an ulp or two, never past np.cbrt.
     rng = np.random.default_rng(11)
     v = np.concatenate(
         [10.0 ** rng.uniform(-300, 2, 500) * rng.choice([-1, 1], 500), [0.0, -0.0]]
@@ -257,9 +257,25 @@ def test_cbrt_prox_bits(p):
     assert np.array(scalars).tobytes() == reference.ravel()[: len(special)].tobytes()
 
 
+def test_cbrt_root_is_the_cube_root_of_the_prox():
+    # the Nemitsky step takes phi(u) = -cbrt(u) at the prox's root as -w, w
+    # the cubic's root, where it took -cbrt(w * w * w): the same double over
+    # the prox's reachable outputs (w = 0, or |w| at least an ulp of
+    # sqrt(p / 3)) for steps p from 1e-20 to 1 and |v| from 1e-320 to 1e160,
+    # inf where v * v overflows included
+    rng = np.random.default_rng(9)
+    for p in 10.0 ** np.linspace(-20.0, 0.0, 41):
+        v = 10.0 ** rng.uniform(-320.0, 160.0, 20_000) * rng.choice([-1.0, 1.0], 20_000)
+        v[:4] = [0.0, -0.0, 5e-324, -5e-324]
+        with np.errstate(over="ignore"):
+            w = cbrt_implicit_root(v, p)
+            u = cbrt_implicit_prox(v, p)
+        assert (-w).tobytes() == decreasing_cbrt(u).tobytes()
+
+
 def test_nemitsky_implicit_solver_accuracy():
     dim = 8
-    step = nemitsky_implicit_solver(decreasing_cbrt, cbrt_implicit_prox, dim)
+    step = nemitsky_implicit_solver(decreasing_cbrt, cbrt_implicit_root, dim)
     _, synth = sine_quadrature(dim, 16)
     rng = np.random.default_rng(12)
     dt = 1e-3
@@ -281,7 +297,7 @@ def test_nemitsky_step_bits():
     digest = hashlib.sha256()
     for shift in (0.0, 0.5):
         step = nemitsky_implicit_solver(
-            decreasing_cbrt, cbrt_implicit_prox, dim, linear_shift=shift
+            decreasing_cbrt, cbrt_implicit_root, dim, linear_shift=shift
         )
         rng = np.random.default_rng(21)
         for dt in (1e-3, 1e-2):
@@ -315,7 +331,7 @@ def test_nemitsky_step_on_blocks_is_each_block_alone(monkeypatch, shift):
     # the 1e-4 block never converges
     monkeypatch.setattr(coefficients, "_MAX_OUTER", 5)
     dim = 8
-    step = nemitsky_implicit_solver(decreasing_cbrt, cbrt_implicit_prox, dim, linear_shift=shift)
+    step = nemitsky_implicit_solver(decreasing_cbrt, cbrt_implicit_root, dim, linear_shift=shift)
     b = _retiring_blocks(dim)
     alone = [step(0.0, block, 1e-2, 1e-8) for block in b]
     for stack in (b, b.reshape(1, 5, 6, dim)):
@@ -345,7 +361,7 @@ def test_nemitsky_step_sweep_schedule(shift):
 
     def counted_prox(v, p):
         live.append(v.shape[0])
-        return cbrt_implicit_prox(v, p)
+        return cbrt_implicit_root(v, p)
 
     dim = 8
     step = nemitsky_implicit_solver(decreasing_cbrt, counted_prox, dim, linear_shift=shift)

@@ -147,8 +147,9 @@ def test_mild_solve_apriori_bound_postcondition(monkeypatch):
 
 
 def tanh_prox(v, dt):
-    """Root of u = v + dt * phi(u) for phi(u) = -tanh(4 u), by 72 bisections:
-    u + dt tanh(4 u) - v increases in u, and |u| <= |v| + dt as |phi| <= 1."""
+    """-phi(u) = tanh(4 u) at the root of u = v + dt * phi(u) for phi(u) =
+    -tanh(4 u), found by 72 bisections: u + dt tanh(4 u) - v increases in u,
+    and |u| <= |v| + dt as |phi| <= 1."""
     bound = np.abs(v) + dt + 1e-12
     lo, hi = -bound, bound.copy()
     for _ in range(72):
@@ -156,7 +157,7 @@ def tanh_prox(v, dt):
         negative = mid + dt * np.tanh(4.0 * mid) - v < 0.0
         lo = np.where(negative, mid, lo)
         hi = np.where(negative, hi, mid)
-    return 0.5 * (lo + hi)
+    return np.tanh(2.0 * (lo + hi))
 
 
 def test_nemitsky_fallback_rows_reach_tolerance(monkeypatch):

@@ -7,16 +7,17 @@ FILE is a run config as ``mildsde picard --config FILE`` reads it; its
 ``out_dir`` is not used and nothing is written. The script builds the
 configured model with every ``nemitsky_implicit_solver`` the builder makes
 wrapped from outside the package: the prox handed to the solver counts its
-calls, one per sweep, and the live blocks of each (the leading axis of its
-``(blocks, rows, quadrature)`` input), and the returned step marks where each
-call begins. It then solves the first chunk (``chunk_size`` paths from path
+calls, one per sweep, and the live rows of each (the leading axis of its
+``(rows, quadrature)`` input), and the returned step marks where each call
+begins. It then solves the first chunk (``chunk_size`` paths from path
 0) with ``picard_solve_batch`` at the config's ``n_max``, ``damping`` and
 ``inner_tol`` on the noise of seed N, in this process, and prints
 
     calls = <step calls>
     sweeps = <prox calls>
+    row_sweeps = <rows summed over the sweeps>
     sweeps_per_call = {<sweeps>: <calls>, ...}
-    live_blocks_per_sweep = {<live blocks>: <sweeps>, ...}
+    live_rows_per_sweep = {<live rows>: <sweeps>, ...}
 
 A config whose model has no Nemitsky step prints zero calls.
 """
@@ -37,15 +38,15 @@ from mildsde.solver import picard_solve_batch  # noqa: E402
 
 
 def sweep_histograms(config: cli.RunConfig) -> tuple[Counter, Counter]:
-    """(sweeps per step call, live blocks per sweep) on chunk 0 of config."""
+    """(sweeps per step call, live rows per sweep) on chunk 0 of config."""
     per_call: list[int] = []
-    live_blocks: Counter = Counter()
+    live_rows: Counter = Counter()
     solver = models.nemitsky_implicit_solver
 
     def counting_solver(scalar_fn, prox, *args, **kwargs):
         def counted_prox(v, p):
             per_call[-1] += 1
-            live_blocks[v.shape[0]] += 1
+            live_rows[v.shape[0]] += 1
             return prox(v, p)
 
         step = solver(scalar_fn, counted_prox, *args, **kwargs)
@@ -65,7 +66,7 @@ def sweep_histograms(config: cli.RunConfig) -> tuple[Counter, Counter]:
     noise = cli.draw_noise(model, config.grid(), config.seed, rows)
     picard_solve_batch(model, noise, n_max=config.n_max, damping=config.damping,
                        inner_tol=config.inner_tol)
-    return Counter(per_call), live_blocks
+    return Counter(per_call), live_rows
 
 
 def main(argv=None) -> int:
@@ -74,11 +75,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True, help="noise seed")
     args = parser.parse_args(argv)
     config = dataclasses.replace(cli.RunConfig.from_file(args.config), seed=args.seed)
-    per_call, live_blocks = sweep_histograms(config)
+    per_call, live_rows = sweep_histograms(config)
     print(f"calls = {sum(per_call.values())}")
-    print(f"sweeps = {sum(live_blocks.values())}")
+    print(f"sweeps = {sum(live_rows.values())}")
+    print(f"row_sweeps = {sum(k * n for k, n in live_rows.items())}")
     print(f"sweeps_per_call = {dict(sorted(per_call.items()))}")
-    print(f"live_blocks_per_sweep = {dict(sorted(live_blocks.items()))}")
+    print(f"live_rows_per_sweep = {dict(sorted(live_rows.items()))}")
     return 0
 
 

@@ -56,10 +56,11 @@ class DriftSpec:
     (pointwise compositions reduce to a closed-form scalar root per point,
     which is immune to unbounded local slopes); it returns
     ``(x, converged_mask)``. ``b`` is (..., rows, dim) and each leading index
-    is a block: the Picard solver stacks one block per iterate, and each
-    block's x and mask must be those it gives when solved alone, so a 2-D b
-    is one block. The solvers fall back to damped fixed-point iteration,
-    block by block, when it is absent or fails on some rows.
+    is a block: the Picard solver stacks one block per iterate. Each row is
+    an equation of its own, so a row's x and mask must not depend on the
+    rows solved with it beyond the rounding of matrix products, which
+    depends on their height. The solvers fall back to damped fixed-point
+    iteration, block by block, when it is absent or fails on some rows.
     """
 
     evaluate: Callable[[float, np.ndarray], np.ndarray]
@@ -191,8 +192,8 @@ def nemitsky_implicit_solver(
     that the prox solves for). The outer loop updates the correction, which
     the projection contracts. Returns a callable
     ``(t, b, dt, tol) -> (x, converged_mask)`` over the blocks of batched
-    rows b (..., rows, dim) (see :class:`DriftSpec`); a block's rows are
-    accepted together, on the first sweep that accepts all of them.
+    rows b (..., rows, dim) (see :class:`DriftSpec`); each row retires on the
+    first sweep that accepts it.
     """
     if n_quad is None:
         n_quad = 2 * n_modes
@@ -230,14 +231,14 @@ def nemitsky_implicit_solver(
         den = 1.0 - dt * linear_shift
         if den <= 0.0:
             return b.copy(), np.zeros(b.shape[:-1], dtype=bool)
-        # One block per leading index of b's (rows, dim) matrices. A block
-        # retires on the sweep in which all its rows accept, with that
-        # sweep's x and ok; later sweeps run on the live blocks alone, so
-        # each block sees the sweeps it would see if solved alone.
+        # The blocks of b are flattened into rows. A row retires on the first
+        # sweep that accepts it, with that sweep's x and ok, and its Anderson
+        # state leaves the live rows with it; later sweeps run on the rows
+        # not yet accepted alone.
         shape = b.shape
-        b = b.reshape((-1,) + shape[-2:] if b.ndim > 1 else (1, 1, -1))
+        b = b.reshape(-1, shape[-1])
         x_out = np.empty_like(b)
-        ok_out = np.zeros(b.shape[:-1], dtype=bool)
+        ok_out = np.zeros(len(b), dtype=bool)
         live = np.arange(len(b))
         bt = b / den
         dte = dt / den
@@ -251,9 +252,8 @@ def nemitsky_implicit_solver(
         c = 0.0
         c_prev = f_prev = None
         for sweep in range(_MAX_OUTER):
-            # a = -phi(u) at the root u; the negations of phi are folded into
-            # the subtractions below, which leaves each value's bits as with
-            # phi(u) added
+            # a = -phi(u) at the root u; the signs of phi are folded into the
+            # subtractions below
             a = prox(v + dte * c, dte)
             a_synth = a @ synthesis
             # x = bt - dte * a_synth / n_quad
@@ -273,14 +273,13 @@ def nemitsky_implicit_solver(
             r -= x
             rn = np.sqrt(np.einsum("...d,...d->...", r, r))
             ok = rn <= accept_base
-            done = ok.all(axis=-1)
-            n_done = np.count_nonzero(done)
-            if n_done == len(done) or sweep == _MAX_OUTER - 1:
+            n_ok = np.count_nonzero(ok)
+            if n_ok == len(ok) or sweep == _MAX_OUTER - 1:
                 x_out[live], ok_out[live] = x, ok
                 break
-            if n_done:
-                x_out[live[done]], ok_out[live[done]] = x[done], True
-                keep = ~done
+            if n_ok:
+                x_out[live[ok]], ok_out[live[ok]] = x[ok], True
+                keep = np.flatnonzero(~ok)
                 live, b, bt, v, a, a_synth = (
                     arr[keep] for arr in (live, b, bt, v, a, a_synth)
                 )

@@ -308,7 +308,7 @@ def test_nemitsky_step_bits():
                 digest.update(np.ascontiguousarray(x).tobytes())
                 digest.update(np.ascontiguousarray(ok).tobytes())
     assert digest.hexdigest() == (
-        "7ec36a16fc394b757b29b0c863357ff13e9de177614e0177ae476e6b944fa347"
+        "dae8b1a1c5798e1970b5dea8b720348eb8e459f822375b6c07e7d89f8a4802e5"
     )
 
 
@@ -324,36 +324,44 @@ def _retiring_blocks(dim):
 
 @pytest.mark.parametrize("shift", [0.0, 0.5])
 def test_nemitsky_step_on_blocks_is_each_block_alone(monkeypatch, shift):
-    # a stack of blocks steps like each block solved alone, bit for bit in
-    # x and ok: at dt = 1e-2 the unit-scale block and the one with its first
-    # rows at 1e-9 scale retire on sweep 1, the 1e-2 block on sweep 2, the
-    # 1e-2 block with a zero row on sweep 4, and with the sweeps capped at 5
-    # the 1e-4 block never converges
-    monkeypatch.setattr(coefficients, "_MAX_OUTER", 5)
+    # each row is an equation of its own that retires on the first sweep
+    # that accepts it: a stack of blocks steps like each block, and each
+    # row, solved alone, with the same ok and x equal up to the rounding of
+    # the products, whose height is the count of live rows (1e-13 of the
+    # row's norm, or 1e-16 for the rows of norm 1e-19 in the extinction
+    # basin, against the step's tolerance of 1e-8); every leading shape of
+    # the same rows runs the same sweeps, bit for bit
     dim = 8
     step = nemitsky_implicit_solver(decreasing_cbrt, cbrt_implicit_root, dim, linear_shift=shift)
     b = _retiring_blocks(dim)
-    alone = [step(0.0, block, 1e-2, 1e-8) for block in b]
-    for stack in (b, b.reshape(1, 5, 6, dim)):
-        x, ok = step(0.0, stack, 1e-2, 1e-8)
-        assert x.shape == stack.shape and ok.shape == stack.shape[:-1]
-        assert x.tobytes() == b"".join(xa.tobytes() for xa, _ in alone)
-        assert ok.tobytes() == b"".join(oka.tobytes() for _, oka in alone)
-    assert ok.all(axis=-1).tolist() == [[True, True, False, True, True]]
-    retired = []
+    x, ok = step(0.0, b, 1e-2, 1e-8)
+    assert x.shape == b.shape and ok.shape == b.shape[:-1] and ok.all()
+    x4, ok4 = step(0.0, b.reshape(1, 5, 6, dim), 1e-2, 1e-8)
+    assert x4.tobytes() == x.tobytes() and ok4.tobytes() == ok.tobytes()
+    row_scale = np.linalg.norm(x, axis=-1, keepdims=True)
+    for alone in (
+        [step(0.0, block, 1e-2, 1e-8) for block in b],
+        [tuple(np.stack(a) for a in zip(*(step(0.0, row, 1e-2, 1e-8) for row in block)))
+         for block in b],
+    ):
+        assert np.array_equal(np.stack([oka for _, oka in alone]), ok)
+        assert np.all(np.abs(np.stack([xa for xa, _ in alone]) - x) <= 1e-13 * row_scale + 1e-16)
+    # with the sweeps capped at k, the rows accepted within k sweeps keep
+    # the bits of the uncapped run: at dt = 1e-2 the unit-scale block and
+    # the one with its first rows at 1e-9 scale retire on sweep 1, the 1e-2
+    # block's last row on sweep 2, and the 1e-4 block's rows over 7 sweeps
+    accepted = []
     for sweeps in (1, 2, 4):
         monkeypatch.setattr(coefficients, "_MAX_OUTER", sweeps)
-        retired.append(step(0.0, b, 1e-2, 1e-8)[1].all(axis=-1).tolist())
-    assert retired == [
-        [True, False, False, False, True],
-        [True, True, False, False, True],
-        [True, True, False, True, True],
-    ]
+        xk, okk = step(0.0, b, 1e-2, 1e-8)
+        assert xk[okk].tobytes() == x[okk].tobytes()
+        accepted.append(okk.sum(axis=-1).tolist())
+    assert accepted == [[6, 5, 1, 3, 6], [6, 6, 3, 5, 6], [6, 6, 4, 6, 6]]
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.5])
 def test_nemitsky_step_sweep_schedule(shift):
-    # the live blocks of every sweep of the stacked step, one prox call a
+    # the live rows of every sweep of the stacked step, one prox call a
     # sweep, at the default sweep cap: a change to the iteration itself,
     # such as skipping the Anderson update of sweep 1 while the previous
     # correction is zero, changes this list
@@ -367,7 +375,7 @@ def test_nemitsky_step_sweep_schedule(shift):
     step = nemitsky_implicit_solver(decreasing_cbrt, counted_prox, dim, linear_shift=shift)
     _, ok = step(0.0, _retiring_blocks(dim), 1e-2, 1e-8)
     assert ok.all()
-    assert live == [5, 3, 2, 2, 1, 1, 1]
+    assert live == [30, 9, 4, 3, 2, 1, 1]
 
 
 def test_pointwise_solver_exact():

@@ -26,7 +26,7 @@ CASES = {
         dict(BASE, example="reaction_diffusion", dim=4, paths=12, seed=11, n_max=4,
              model_params=JUMPS),
         0,
-        "20b2ace31ac2839055bbc43daa1b24175e0daa51bd56315fdbe868a9e583332d",
+        "91e90f9a76a4dfa5eecb2ad784e342f43187cd12a35d81dcf443aa84a9e68b4f",
     ),
     # eta != 0: the implicit step's linear-shift branch
     "picard-reaction-diffusion-shifted": (
@@ -48,7 +48,7 @@ CASES = {
         dict(BASE, example="hyperbolic", dim=4, paths=6, seed=17, n_max=3, chunk_size=4,
              model_params=dict(JUMPS, levy_drift=0.3, levy_gaussian_variance=0.04)),
         0,
-        "18697db1df442d4e89ce6946b6bce98335995dd417fb076b7f0c2c6b55dc36b9",
+        "e4810041a7edf67c7e783698f239264de09374487041a7faf62263e89022c5ec",
     ),
     "ito-check-delay": (
         "ito-check",

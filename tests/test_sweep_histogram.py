@@ -31,17 +31,20 @@ def run(tmp_path, capsys, example, seed=3):
 @pytest.mark.parametrize("example", ["reaction_diffusion", "hyperbolic"])
 def test_histograms_count_every_call_and_sweep(tmp_path, capsys, example):
     out = run(tmp_path, capsys, example)
-    per_call, per_sweep = out["sweeps_per_call"], out["live_blocks_per_sweep"]
+    per_call, per_sweep = out["sweeps_per_call"], out["live_rows_per_sweep"]
     # one step call per time step (50) when no row falls back to bisection
     assert out["calls"] == sum(per_call.values()) == 50
     assert out["sweeps"] == sum(k * n for k, n in per_call.items()) == sum(per_sweep.values())
-    # every call's first sweep runs on all three iterates' blocks
-    assert per_sweep[3] >= out["calls"]
-    assert set(per_sweep) <= {1, 2, 3}
+    assert out["row_sweeps"] == sum(k * n for k, n in per_sweep.items())
+    # every call's first sweep runs on the 24 rows of the three iterates'
+    # 8-path blocks; a later sweep, on the rows that sweep 1 left
+    assert per_sweep[24] == out["calls"]
+    assert set(per_sweep) <= set(range(1, 25))
     # the builders' solver is restored
     assert models.nemitsky_implicit_solver is coefficients.nemitsky_implicit_solver
 
 
 def test_a_model_without_a_nemitsky_step_counts_nothing(tmp_path, capsys):
     out = run(tmp_path, capsys, "delay")
-    assert out == {"calls": 0, "sweeps": 0, "sweeps_per_call": {}, "live_blocks_per_sweep": {}}
+    assert out == {"calls": 0, "sweeps": 0, "row_sweeps": 0, "sweeps_per_call": {},
+                   "live_rows_per_sweep": {}}

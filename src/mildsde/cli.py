@@ -53,6 +53,7 @@ from .solver import (
     direct_solve_batch,
     picard_solve_batch,
     predicted_bound,
+    require_solvable_step,
 )
 from .state_space import weighted_norm_sq
 
@@ -451,12 +452,16 @@ def _helper(tasks, write_fd: int, inherited_fds: list):
 
 
 def _mean_se(samples: np.ndarray, axis=-1) -> tuple[np.ndarray, np.ndarray]:
-    mean = samples.mean(axis=axis)
-    n = samples.shape[axis]
-    if n > 1:
-        se = samples.std(axis=axis, ddof=1) / math.sqrt(n)
-    else:
-        se = np.zeros_like(mean)
+    """Sample mean and its standard error along axis. Samples that are huge
+    or not finite give inf or NaN without a numpy warning; the checks decide
+    what those values mean."""
+    with np.errstate(all="ignore"):
+        mean = samples.mean(axis=axis)
+        n = samples.shape[axis]
+        if n > 1:
+            se = samples.std(axis=axis, ddof=1) / math.sqrt(n)
+        else:
+            se = np.zeros_like(mean)
     return mean, se
 
 
@@ -516,6 +521,18 @@ def run_picard_campaign(config: RunConfig) -> tuple:
     grid = config.grid()
     out = Path(config.out_dir)
     k = min(config.dump_paths, config.paths)
+    # M dt and C1 need only the model's constants, dt and T: a run that
+    # fails on them fails before any chunk is solved
+    require_solvable_step(model, grid.dt)
+    horizon = config.horizon
+    m_const = model.coeffs.semimonotone_m
+    c_const = model.coeffs.lipschitz_c
+    d_const = model.coeffs.growth_d
+    c1 = _theory_constant(
+        model, "the rate constant C1 = 2 C (1 + 2 B^2) exp(4 M T)",
+        lambda: 2.0 * c_const * (1.0 + 2.0 * config.bdg_constant**2)
+        * math.exp(4.0 * m_const * horizon),
+    )
 
     def chunk(path_range):
         # per-iterate arrays leave a chunk as (paths, iterates); of the path
@@ -538,15 +555,6 @@ def run_picard_campaign(config: RunConfig) -> tuple:
 
     n_iters = distances.shape[0]
     e_mean, e_se = _mean_se(distances)
-    horizon = config.horizon
-    m_const = model.coeffs.semimonotone_m
-    c_const = model.coeffs.lipschitz_c
-    d_const = model.coeffs.growth_d
-    c1 = _theory_constant(
-        model, "the rate constant C1 = 2 C (1 + 2 B^2) exp(4 M T)",
-        lambda: 2.0 * c_const * (1.0 + 2.0 * config.bdg_constant**2)
-        * math.exp(4.0 * m_const * horizon),
-    )
     c0 = float(e_mean[0])
     bounds = _theory_constant(
         model, f"the predicted bound C0 (C1 T)^n / n! for C1 = {c1:.6g}",
@@ -578,7 +586,11 @@ def run_picard_campaign(config: RunConfig) -> tuple:
     for n in range(1, min(8, n_iters) + 1):
         lhs = xs_mean[n]
         rhs = factor + coef * (x0_mean + vs_mean[n - 1])
-        se_total = math.sqrt(xs_se[n] ** 2 + (coef * x0_se) ** 2 + (coef * vs_se[n - 1]) ** 2)
+        se_parts = (xs_se[n], coef * x0_se, coef * vs_se[n - 1])
+        with np.errstate(over="ignore"):
+            se_total = math.sqrt(sum(se ** 2 for se in se_parts))
+        if math.isinf(se_total):  # the squares may overflow where the root does not
+            se_total = math.hypot(*se_parts)
         ok = lhs <= rhs + 2.0 * se_total
         moment_ok &= ok
         moment_rows.append(

@@ -44,6 +44,7 @@ __all__ = [
     "ModelSpec",
     "rescale_to_contraction",
     "unrescale_values",
+    "require_solvable_step",
     "predicted_bound",
     "BatchPicardResult",
     "picard_solve_batch",
@@ -457,6 +458,17 @@ def _cell_assembler(model: ModelSpec, noise: NoiseRealization, brackets: bool = 
 # Picard iteration
 
 
+def require_solvable_step(model: ModelSpec, dt: float) -> None:
+    """Raise :class:`SolverError` unless M dt < 1, where M is the drift's
+    semimonotonicity constant: only then is the per-step equation x = b +
+    dt f(t, x) uniquely solvable."""
+    m = model.coeffs.semimonotone_m
+    if not m * dt < 1.0:
+        raise SolverError(
+            f"{model.name}: the implicit step needs M dt < 1 (M = {m:.6g}, dt = {dt:.6g})"
+        )
+
+
 def predicted_bound(c0: float, c1: float, horizon: float, n) -> np.ndarray:
     """C0 C1^n T^n / n!, the proven decay of the iteration distances."""
     return np.array(
@@ -532,13 +544,8 @@ def picard_solve_batch(
     v = np.zeros((n_max, p, dim))
     acc = np.zeros((n_max, p))
     x0n = np.sqrt(weighted_norm_sq(states[0], w))
-    try:
-        growth = math.exp(drift.semimonotone_m * dt)
-    except OverflowError:
-        raise SolverError(
-            f"{model.name}: the a-priori bound's growth factor exp(M dt) overflows "
-            f"(M = {drift.semimonotone_m:.6g}, dt = {dt:.6g})"
-        ) from None
+    require_solvable_step(model, dt)
+    growth = math.exp(drift.semimonotone_m * dt)
     values = np.zeros((p, m + 1, dim))    # the path of the last iterate
     values[:, 0] = states[n_max]
     sq = weighted_norm_sq(states, w)

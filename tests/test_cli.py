@@ -213,7 +213,10 @@ def test_picard_rate_checks_fail_on_non_finite_distances(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "picard_solve_batch", overflowing)
     path, _ = write_config(tmp_path, dim=4, dt=0.01, paths=4, seed=0)
-    summary = run_picard_campaign(RunConfig.from_file(str(path)))
+    # the reductions over the distances raise no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = run_picard_campaign(RunConfig.from_file(str(path)))
     assert summary.stats["c0"] == math.inf
     assert not summary.checks["rate_ratio"]
     assert not summary.checks["monotone_decay"]
@@ -223,8 +226,10 @@ def test_picard_rate_checks_fail_on_non_finite_distances(tmp_path, monkeypatch):
 def test_picard_exits_4_on_a_state_that_overflows(tmp_path, capfd, case):
     # marks so wide that a path's norm overflows: a solver failure that
     # names the iterate, t and the path row on one line, with no numpy
-    # warning and no stalled inner iteration reported
-    path, _ = write_config(tmp_path, model_params={"mark_std": 1e160}, **case)
+    # warning and no stalled inner iteration reported. C1, which grows with
+    # rate * mark_std^2, stays finite, as the run would fail on C1 first.
+    path, _ = write_config(tmp_path, model_params={"jump_rate": 3.0, "mark_std": 1e150},
+                           **case)
     assert main(["picard", "--config", str(path)]) == 4
     err = capfd.readouterr().err
     assert re.fullmatch(
@@ -340,7 +345,7 @@ def test_simulate_exits_4_on_a_norm_that_overflows(tmp_path, capfd):
          "the rate constant C1 = 2 C (1 + 2 B^2) exp(4 M T) overflows"),
         # the solve cannot start
         (dict(dt=0.01, model_params={"eta": 1e5}),
-         "the a-priori bound's growth factor exp(M dt) overflows (M = 100000, dt = 0.01)"),
+         "the implicit step needs M dt < 1 (M = 100000, dt = 0.01)"),
     ],
 )
 def test_picard_exits_4_on_a_theory_constant_that_overflows(tmp_path, capfd, case, message):
@@ -349,6 +354,41 @@ def test_picard_exits_4_on_a_theory_constant_that_overflows(tmp_path, capfd, cas
     path, _ = write_config(tmp_path, **{"dim": 4, "paths": 4, **case})
     rc, err, caught = run_recording_warnings(capfd, ["picard", "--config", str(path)])
     assert (rc, err, caught) == (4, f"solver failure: reaction_diffusion: {message}\n", [])
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (dict(dt=0.02, horizon=10.0, n_max=2, model_params={"eta": 20.0}),
+         "the rate constant C1 = 2 C (1 + 2 B^2) exp(4 M T) overflows"),
+        # M dt = 1: the step equation may have no unique root
+        (dict(dt=0.02, model_params={"eta": 50.0}),
+         "the implicit step needs M dt < 1 (M = 50, dt = 0.02)"),
+        # a run that would also fail in the solve, on a state that overflows
+        (dict(dt=0.02, horizon=10.0, model_params={"eta": 20.0, "mark_std": 1e160}),
+         "the rate constant C1 = 2 C (1 + 2 B^2) exp(4 M T) overflows"),
+    ],
+)
+def test_picard_fails_on_its_constants_before_any_chunk_is_solved(
+    tmp_path, capfd, monkeypatch, case, message
+):
+    # M dt and C1 depend only on the model's constants, dt and T
+    monkeypatch.setattr(cli, "draw_noise", lambda *args, **kwargs: pytest.fail("solved"))
+    path, _ = write_config(tmp_path, **{"dim": 4, "paths": 4, **case})
+    rc, err, caught = run_recording_warnings(capfd, ["picard", "--config", str(path)])
+    assert (rc, err, caught) == (4, f"solver failure: reaction_diffusion: {message}\n", [])
+
+
+def test_picard_moment_check_stays_finite_on_huge_states(tmp_path, capfd):
+    # E sup ||X^n||^2 near 1e82 with standard errors whose squares overflow:
+    # the check's margin is finite and no numpy warning reaches stderr
+    path, _ = write_config(tmp_path, dim=4, paths=4, seed=0, dt=0.02, horizon=6.0, n_max=2,
+                           model_params={"eta": 20.0})
+    rc, err, caught = run_recording_warnings(capfd, ["picard", "--config", str(path)])
+    assert (rc, err, caught) == (0, "", [])
+    lines = (tmp_path / "out" / "picard_moments.csv").read_text().splitlines()[2:]
+    values = [float(v) for line in lines for v in line.split(",")[:-1]]
+    assert len(lines) == 2 and max(values) > 1e80 and all(map(math.isfinite, values))
 
 
 @pytest.mark.parametrize(

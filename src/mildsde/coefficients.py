@@ -234,7 +234,7 @@ def nemitsky_implicit_solver(
         # The blocks of b are flattened into rows. A row retires on the first
         # sweep that accepts it, with that sweep's x and ok, and its Anderson
         # state leaves the live rows with it; later sweeps run on the rows
-        # not yet accepted alone.
+        # not yet accepted.
         shape = b.shape
         b = b.reshape(-1, shape[-1])
         x_out = np.empty_like(b)

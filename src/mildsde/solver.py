@@ -506,9 +506,11 @@ def picard_solve_batch(
     the noise's grid.
 
     The model is rescaled to a contraction internally when its growth bound is
-    nonzero. All ``n_max`` iterates are run. Every iterate must stay inside
-    its a-priori bound (:class:`AprioriBoundError`), and three consecutive
-    non-decreasing distances raise :class:`PicardDivergenceError`.
+    nonzero. A grid with M dt >= 1 is refused at once
+    (:func:`require_solvable_step`). All ``n_max`` iterates are run. Every
+    iterate must stay inside its a-priori bound (:class:`AprioriBoundError`),
+    and three consecutive non-decreasing distances raise
+    :class:`PicardDivergenceError`.
 
     Iterate n at step j reads only its own state and iterate n-1's
     left-point state at j, so the iterates advance together as a wavefront:
@@ -522,6 +524,7 @@ def picard_solve_batch(
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    require_solvable_step(model, noise.grid.dt)
     alpha = model.semigroup.alpha
     work = rescale_to_contraction(model)
     seg, w, drift = work.semigroup, work.weights, work.coeffs.drift
@@ -544,7 +547,6 @@ def picard_solve_batch(
     v = np.zeros((n_max, p, dim))
     acc = np.zeros((n_max, p))
     x0n = np.sqrt(weighted_norm_sq(states[0], w))
-    require_solvable_step(model, dt)
     growth = math.exp(drift.semimonotone_m * dt)
     values = np.zeros((p, m + 1, dim))    # the path of the last iterate
     values[:, 0] = states[n_max]

@@ -343,9 +343,6 @@ def test_simulate_exits_4_on_a_norm_that_overflows(tmp_path, capfd):
         # exp(4 M T) is finite, but C1 is not
         (dict(dt=0.02, horizon=8.86, n_max=2, model_params={"eta": 20.0}),
          "the rate constant C1 = 2 C (1 + 2 B^2) exp(4 M T) overflows"),
-        # the solve cannot start
-        (dict(dt=0.01, model_params={"eta": 1e5}),
-         "the implicit step needs M dt < 1 (M = 100000, dt = 0.01)"),
     ],
 )
 def test_picard_exits_4_on_a_theory_constant_that_overflows(tmp_path, capfd, case, message):
@@ -359,12 +356,13 @@ def test_picard_exits_4_on_a_theory_constant_that_overflows(tmp_path, capfd, cas
 @pytest.mark.parametrize(
     "case, message",
     [
-        (dict(dt=0.02, horizon=10.0, n_max=2, model_params={"eta": 20.0}),
-         "the rate constant C1 = 2 C (1 + 2 B^2) exp(4 M T) overflows"),
-        # M dt = 1: the step equation may have no unique root
+        # M dt >= 1: the step equation may have no unique root
         (dict(dt=0.02, model_params={"eta": 50.0}),
          "the implicit step needs M dt < 1 (M = 50, dt = 0.02)"),
-        # a run that would also fail in the solve, on a state that overflows
+        (dict(dt=0.01, model_params={"eta": 1e5}),
+         "the implicit step needs M dt < 1 (M = 100000, dt = 0.01)"),
+        # exp(4 M T) overflows, in a run that would also fail in the solve on
+        # a state that overflows
         (dict(dt=0.02, horizon=10.0, model_params={"eta": 20.0, "mark_std": 1e160}),
          "the rate constant C1 = 2 C (1 + 2 B^2) exp(4 M T) overflows"),
     ],

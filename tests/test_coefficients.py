@@ -260,8 +260,8 @@ def test_cbrt_prox_bits(p):
 def test_cbrt_root_is_the_cube_root_of_the_prox():
     # the Nemitsky step takes phi(u) = -cbrt(u) at the prox's root as -w, w
     # the cubic's root, where it took -cbrt(w * w * w): the same double over
-    # the prox's reachable outputs (w = 0, or |w| at least an ulp of
-    # sqrt(p / 3)) for steps p from 1e-20 to 1 and |v| from 1e-320 to 1e160,
+    # the prox's reachable outputs (w = 0, or |w| of at least about an ulp
+    # of sqrt(p / 3)) for steps p from 1e-20 to 1 and |v| from 1e-320 to 1e160,
     # inf where v * v overflows included
     rng = np.random.default_rng(9)
     for p in 10.0 ** np.linspace(-20.0, 0.0, 41):

@@ -783,7 +783,7 @@ def run_hypothesis_check(config: RunConfig) -> tuple:
     model = model_from_config(config, validate=False)
     mono = check_semimonotone(
         model.coeffs.drift, model.dim, model.weights,
-        samples=10_000, t_max=config.horizon, seed=config.seed,
+        samples=10_000, t_max=config.horizon, seed=config.seed, support=model.coeffs.support,
     )
     growth = check_lipschitz_growth(
         model.coeffs, model.dim, model.weights, model.marks,

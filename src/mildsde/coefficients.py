@@ -1,14 +1,27 @@
 """Coefficient triples (drift, diffusion, jump) with declared constants and
 statistical checkers for the contracts the solver relies on.
 
-Evaluator conventions (all batch-friendly along leading axes):
+Evaluator conventions (all batch-friendly along leading axes). Every
+evaluator reads the whole state x (..., dim) and returns only the k
+components of its set's ``support`` (:class:`CoefficientSet`), a slice of the
+state that is the whole state (k = dim) by default:
 
-* drift:      ``f(t, x)``        with x of shape (..., dim) -> (..., dim)
-* diffusion:  ``g(t, x)``        -> (..., modes, dim), one column per Wiener mode
-* jump:       ``k(t, xi, x)``    x (..., dim) -> (..., dim); the mark xi and
+* drift:      ``f(t, x)``        with x of shape (..., dim) -> (..., k)
+* diffusion:  ``g(t, x)``        -> (..., modes, k), one column per Wiener mode
+* jump:       ``k(t, xi, x)``    x (..., dim) -> (..., k); the mark xi and
   the time t are scalars or arrays that broadcast against x's leading axes
   (the solvers pass one (time, mark) pair per row of x)
-* jump compensator: ``(t, x) -> (..., dim)``, the intensity integral of k
+* jump compensator: ``(t, x) -> (..., k)``, the intensity integral of k
+
+The coefficients are exactly zero outside the support, so a consumer forms
+its increments on the support, takes weighted sums there with the weights
+``w[support]`` (:func:`on_support`), and widens into the state once
+(:func:`widen`), which adds +0.0 outside the support as a zero-filled
+evaluator would. A weighted sum over a support of one column, or over a
+trailing block of columns, has the bits of the zero-padded sum; an
+unweighted sum over several columns need not, since numpy's pairwise
+reduction then groups the terms differently. The shipped models with a
+narrower support (delay and hyperbolic) are weighted.
 
 Constants are declared by the builder and verified by sampling, never
 estimated: the predicted iteration bounds need them as inputs.
@@ -16,7 +29,7 @@ estimated: the predicted iteration bounds need them as inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -30,6 +43,9 @@ __all__ = [
     "DiffusionSpec",
     "JumpCoeffSpec",
     "CoefficientSet",
+    "WHOLE",
+    "on_support",
+    "widen",
     "zero_diffusion",
     "nemitsky_sine",
     "nemitsky_implicit_solver",
@@ -99,13 +115,23 @@ class JumpCoeffSpec:
     growth_d: float
 
 
+# The support of coefficients that act on every component of the state.
+WHOLE = slice(None)
+
+
 @dataclass(eq=False)
 class CoefficientSet:
-    """The full triple; aggregate constants are sums of the parts."""
+    """The full triple; aggregate constants are sums of the parts.
+
+    ``support`` is the slice of state components the three coefficients act
+    on, fixed by the model's builder: each evaluator returns only those
+    components, and the others are exactly zero (see the module docstring).
+    """
 
     drift: DriftSpec
     diffusion: DiffusionSpec
     jump: JumpCoeffSpec
+    support: slice = field(default_factory=lambda: WHOLE)
 
     @property
     def semimonotone_m(self) -> float:
@@ -120,10 +146,31 @@ class CoefficientSet:
         return self.drift.growth_d + self.diffusion.growth_d + self.jump.growth_d
 
 
-def zero_diffusion(dim: int) -> DiffusionSpec:
+def on_support(a: np.ndarray | None, support: slice) -> np.ndarray | None:
+    """The components of ``a`` (..., dim) on ``support``: ``a`` itself for
+    the whole state, and None (unit weights) stays None."""
+    if a is None or support == WHOLE:
+        return a
+    return a[..., support]
+
+
+def widen(part: np.ndarray, support: slice, dim: int) -> np.ndarray:
+    """``part`` (..., k), the components on ``support``, as a (..., dim)
+    array that is +0.0 outside the support; ``part`` itself, with no numpy
+    call, for the whole state."""
+    if support == WHOLE:
+        return part
+    out = np.zeros(part.shape[:-1] + (dim,))
+    out[..., support] = part
+    return out
+
+
+def zero_diffusion(width: int) -> DiffusionSpec:
+    """No Wiener term on a support of ``width`` components."""
+
     def evaluate(t, x):
         x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (0, dim))
+        return np.zeros(x.shape[:-1] + (0, width))
 
     return DiffusionSpec(evaluate=evaluate, modes=0, lipschitz_c=0.0, growth_d=0.0)
 
@@ -355,17 +402,20 @@ def check_semimonotone(
     samples: int = 10_000,
     t_max: float = 1.0,
     seed: int = 0,
+    support: slice = WHOLE,
 ) -> SemimonotoneReport:
-    """Sample pairs and compare <f(t,x)-f(t,y), x-y> / ||x-y||^2 to declared M."""
+    """Sample pairs and compare <f(t,x)-f(t,y), x-y> / ||x-y||^2 to declared
+    M; ``support`` is that of the drift's coefficient set."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     xs, ys = _sample_pairs(rng, samples, dim)
     max_ratio = -np.inf
+    w_on = on_support(weights, support)
     for t in rng.uniform(0.0, t_max, size=4):
         df = drift.evaluate(float(t), xs) - drift.evaluate(float(t), ys)
         dx = xs - ys
-        num = weighted_inner(df, dx, weights)
+        num = weighted_inner(df, on_support(dx, support), w_on)
         den = weighted_norm_sq(dx, weights)
         ok = den > 0
         if np.any(ok):
@@ -394,6 +444,25 @@ class GrowthReport:
         return self.passed_lipschitz and self.passed_growth
 
 
+def _jump_node_sums(jump, t, nodes, xs, ys, w, scale=1.0):
+    """Per pair, the sums over the mark nodes of ||k(t,xi,x) - k(t,xi,y)||^2
+    and of ||k(t,xi,x)||^2, each term times ``scale``, a power of two, so
+    that the scaling is exact."""
+    diff = np.zeros(len(xs))
+    growth = np.zeros(len(xs))
+    for xi in nodes:
+        kx = jump.evaluate(t, float(xi), xs)
+        ky = jump.evaluate(t, float(xi), ys)
+        d_sq = weighted_norm_sq(kx - ky, w)
+        g_sq = weighted_norm_sq(kx, w)
+        if scale != 1.0:
+            d_sq *= scale
+            g_sq *= scale
+        diff += d_sq
+        growth += g_sq
+    return diff, growth
+
+
 def check_lipschitz_growth(
     coeffs: CoefficientSet,
     dim: int,
@@ -408,13 +477,17 @@ def check_lipschitz_growth(
 
     The diffusion and growth ratios use the full pair sample; intensity
     integrals over the mark space use ``jump_nodes`` Monte Carlo nodes on a
-    subsample of ``_JUMP_PAIRS`` pairs to keep the cost bounded.
+    subsample of ``_JUMP_PAIRS`` pairs to keep the cost bounded. A node sum
+    that overflows is taken again on terms scaled by 2^-e, with 2^e at
+    least the node count, so a sum of finite terms whose mean is finite
+    reads finite; a sum with a term that is not finite stays so.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     xs, ys = _sample_pairs(rng, samples, dim)
     t = float(rng.uniform(0.0, t_max))
+    w_on = on_support(weights, coeffs.support)
 
     dx_sq = weighted_norm_sq(xs - ys, weights)
     ok = dx_sq > 0
@@ -426,8 +499,8 @@ def check_lipschitz_growth(
     else:
         gx = coeffs.diffusion.evaluate(t, xs)
         gy = coeffs.diffusion.evaluate(t, ys)
-        g_ratio = float(np.max(hs_norm_sq(gx - gy, weights)[ok] / dx_sq[ok]))
-        g_growth = hs_norm_sq(gx, weights)
+        g_ratio = float(np.max(hs_norm_sq(gx - gy, w_on)[ok] / dx_sq[ok]))
+        g_growth = hs_norm_sq(gx, w_on)
 
     # Jump Lipschitz and growth via mark-node quadrature on a subsample.
     if marks is None or marks.rate == 0.0:
@@ -440,22 +513,27 @@ def check_lipschitz_growth(
         )
         nodes = np.asarray(marks.sample_marks(rng_nodes, jump_nodes))
         n_nodes = len(nodes)
-        xi_diff = np.zeros(n_pairs)
-        xi_growth = np.zeros(n_pairs)
         xsub, ysub = xs[:n_pairs], ys[:n_pairs]
-        for xi in nodes:
-            kx = coeffs.jump.evaluate(t, float(xi), xsub)
-            ky = coeffs.jump.evaluate(t, float(xi), ysub)
-            xi_diff += weighted_norm_sq(kx - ky, weights)
-            xi_growth += weighted_norm_sq(kx, weights)
-        xi_diff *= marks.rate / n_nodes
-        xi_growth *= marks.rate / n_nodes
+        mean = marks.rate / n_nodes
+        with np.errstate(over="ignore"):
+            xi_diff, xi_growth = _jump_node_sums(coeffs.jump, t, nodes, xsub, ysub, w_on)
+            xi_diff *= mean
+            xi_growth *= mean
+            over = np.flatnonzero(np.isinf(xi_diff) | np.isinf(xi_growth))
+            if over.size:
+                e = n_nodes.bit_length()
+                redo = _jump_node_sums(
+                    coeffs.jump, t, nodes, xsub[over], ysub[over], w_on, 2.0 ** -e
+                )
+                for total, scaled in zip((xi_diff, xi_growth), redo):
+                    hit = np.isinf(total[over])
+                    total[over[hit]] = scaled[hit] * mean * 2.0 ** e
         ok_sub = dx_sq[:n_pairs] > 0
         k_ratio = float(np.max(xi_diff[ok_sub] / dx_sq[:n_pairs][ok_sub]))
         k_growth = np.concatenate([xi_growth, np.zeros(samples - n_pairs)])
 
     fx = coeffs.drift.evaluate(t, xs)
-    growth_num = weighted_norm_sq(fx, weights) + g_growth + k_growth
+    growth_num = weighted_norm_sq(fx, w_on) + g_growth + k_growth
     growth_max = float(np.max(growth_num / (1.0 + weighted_norm_sq(xs, weights))))
 
     combined = g_ratio + k_ratio

@@ -5,9 +5,11 @@
   non-Lipschitz at 0), multiplicative jump noise k(xi, u) = xi*u.
 * ``build_hyperbolic``: the damped wave system on position x velocity blocks,
   unitary group in the energy norm, cube-root friction on the velocity and a
-  scalar jump process acting multiplicatively through the position.
+  scalar jump process acting multiplicatively through the position. Its
+  coefficients act on the velocity block, their declared support.
 * ``build_delay``: distributed-delay equation on head x history, cube-root
   drift on the head, multiplicative jumps, sine initial history by default.
+  Its coefficients act on the head, their declared support.
 * ``build_linear_scalar``: the one-dimensional linear model with an explicit
   stochastic exponential solution; the degenerate configuration used to
   benchmark the integrators.
@@ -218,10 +220,9 @@ def build_hyperbolic(
 
     def drift_eval(t, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., v_sl] = nem(x[..., v_sl])
+        out = nem(x[..., v_sl])
         if gamma != 0.0:
-            out[..., v_sl] += gamma * x[..., u_sl]
+            out += gamma * x[..., u_sl]
         return out
 
     nem_step = nemitsky_implicit_solver(decreasing_cbrt, cbrt_implicit_root, n_modes, n_quad)
@@ -244,10 +245,7 @@ def build_hyperbolic(
     g_std = math.sqrt(levy_gaussian_variance)
     if g_std > 0.0:
         def diffusion_eval(t, x):
-            x = np.asarray(x, dtype=float)
-            cols = np.zeros(x.shape[:-1] + (1, dim))
-            cols[..., 0, v_sl] = g_std * x[..., u_sl]
-            return cols
+            return g_std * np.asarray(x, dtype=float)[..., None, u_sl]
 
         diffusion = DiffusionSpec(
             evaluate=diffusion_eval,
@@ -256,28 +254,16 @@ def build_hyperbolic(
             growth_d=levy_gaussian_variance / lam_min,
         )
     else:
-        diffusion = zero_diffusion(dim)
-
-    def jump_eval(t, xi, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., v_sl] = np.asarray(xi)[..., None] * x[..., u_sl]
-        return out
+        diffusion = zero_diffusion(n_modes)
 
     nu_mean = marks.rate * marks.mark_mean
-
-    def jump_comp(t, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., v_sl] = nu_mean * x[..., u_sl]
-        return out
-
     c_k = marks.rate * marks.mark_second_moment / lam_min
     jump = JumpCoeffSpec(
-        evaluate=jump_eval, compensator=jump_comp,
+        evaluate=lambda t, xi, x: _mark_times_state(t, xi, np.asarray(x)[..., u_sl]),
+        compensator=lambda t, x: nu_mean * np.asarray(x, dtype=float)[..., u_sl],
         lipschitz_c=c_k, growth_d=c_k,
     )
-    coeffs = CoefficientSet(drift, diffusion, jump)
+    coeffs = CoefficientSet(drift, diffusion, jump, support=v_sl)
     upos = x0_position if x0_position is not None else _default_profile(n_modes, x0_amplitude)
     x0 = np.concatenate([np.asarray(upos, dtype=float), np.zeros(n_modes)])
     model = ModelSpec(
@@ -319,15 +305,13 @@ def build_delay(
     if history is None:
         history = lambda theta: np.sin(np.pi * theta)
     seg = DelayShiftSemigroup(history_cells, alpha=1.0)
-    dim = seg.dim
     weights = seg.natural_weights()
     gamma = levy_drift
+    head = slice(0, 1)  # the support of every coefficient
 
     def drift_eval(t, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., 0] = decreasing_cbrt(x[..., 0]) + gamma * x[..., 0]
-        return out
+        x0 = np.asarray(x, dtype=float)[..., head]
+        return decreasing_cbrt(x0) + gamma * x0
 
     def implicit_step(t, b, dt, tol):
         # Only the head moves: x_0 = b_0 + dt (-cbrt(x_0) + gamma x_0) is one
@@ -349,38 +333,23 @@ def build_delay(
     g_std = math.sqrt(levy_gaussian_variance)
     if g_std > 0.0:
         def diffusion_eval(t, x):
-            x = np.asarray(x, dtype=float)
-            cols = np.zeros(x.shape[:-1] + (1, dim))
-            cols[..., 0, 0] = g_std * x[..., 0]
-            return cols
+            return g_std * np.asarray(x, dtype=float)[..., None, head]
 
         diffusion = DiffusionSpec(
             evaluate=diffusion_eval, modes=1,
             lipschitz_c=levy_gaussian_variance, growth_d=levy_gaussian_variance,
         )
     else:
-        diffusion = zero_diffusion(dim)
-
-    def jump_eval(t, xi, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., 0] = xi * x[..., 0]
-        return out
+        diffusion = zero_diffusion(1)
 
     nu_mean = marks.rate * marks.mark_mean
-
-    def jump_comp(t, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., 0] = nu_mean * x[..., 0]
-        return out
-
     c_k = marks.rate * marks.mark_second_moment
     jump = JumpCoeffSpec(
-        evaluate=jump_eval, compensator=jump_comp,
+        evaluate=lambda t, xi, x: _mark_times_state(t, xi, np.asarray(x)[..., head]),
+        compensator=lambda t, x: nu_mean * np.asarray(x, dtype=float)[..., head],
         lipschitz_c=c_k, growth_d=c_k,
     )
-    coeffs = CoefficientSet(drift, diffusion, jump)
+    coeffs = CoefficientSet(drift, diffusion, jump, support=head)
     lags = seg.history_lags()
     hist_vals = np.asarray(history(lags), dtype=float)
     x0 = np.concatenate([[float(history(np.array([0.0]))[0])], hist_vals])

@@ -23,12 +23,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import (
+    WHOLE,
     CoefficientSet,
     DiffusionSpec,
     DriftSpec,
     JumpCoeffSpec,
     check_lipschitz_growth,
     check_semimonotone,
+    on_support,
+    widen,
 )
 from .convolution import ItoCheckReport
 from .noise import MarkSpaceSpec, NoiseRealization
@@ -99,7 +102,10 @@ class ModelSpec:
 
     def validate(self):
         """Run both coefficient checkers; raise on any failed contract."""
-        mono = check_semimonotone(self.coeffs.drift, self.dim, self.weights, t_max=self.horizon)
+        mono = check_semimonotone(
+            self.coeffs.drift, self.dim, self.weights, t_max=self.horizon,
+            support=self.coeffs.support,
+        )
         growth = check_lipschitz_growth(
             self.coeffs, self.dim, self.weights, self.marks, t_max=self.horizon
         )
@@ -192,7 +198,7 @@ def rescale_to_contraction(model: ModelSpec) -> ModelSpec:
         model,
         name=model.name + ":contraction",
         semigroup=model.semigroup.shifted(-alpha),
-        coeffs=CoefficientSet(drift, diffusion, jump),
+        coeffs=CoefficientSet(drift, diffusion, jump, c.support),
     )
 
 
@@ -264,6 +270,17 @@ def _implicit_f_step(f, t_next, b, dt, w, tol, damping):
         have_prev[rej_idx] = False
         idx = idx[rn[idx] > tol]
     return x, rn <= tol
+
+
+def _whole_state_drift(coeffs: CoefficientSet, dim: int) -> DriftSpec:
+    """The drift of ``coeffs`` with its evaluator widened to the whole state
+    (see :func:`widen`), for the generic step and the stall report, which
+    iterate on whole states; the drift itself when its support is the whole
+    state."""
+    drift, support = coeffs.drift, coeffs.support
+    if support == WHOLE:
+        return drift
+    return replace(drift, evaluate=lambda t, x: widen(drift.evaluate(t, x), support, dim))
 
 
 def _solve_step_equation(drift, t_right, b, dt, w, tol, damping):
@@ -377,16 +394,20 @@ def _cell_assembler(model: ModelSpec, noise: NoiseRealization, brackets: bool = 
     ``assemble(j, xl)`` freezes every coefficient at the cell's left-point
     state ``xl`` (..., dim) and returns (compensator drift -dt * comp, g dW,
     jump sums, bracket), each None when its channel is absent or, for the
-    jump sums, when the cell holds no event. The flattened rows of ``xl`` are
-    k whole copies of the realization's paths in row order (k = 1 for the
-    Euler route's chunk stack, one copy per iterate for the Picard
-    wavefront), and every copy reads the same noise: the Wiener increments
-    (paths, modes) broadcast over the copy axis, and the jump coefficient is
-    called once per event cell, on the cell's event times and marks tiled k
-    times and the flat rows they hit, copy n's rows offset by n * paths, so
-    np.add.at still sums each (row, cell) in event order. The bracket
-    ||g||_HS^2 dt + sum of squared jump norms, shaped like xl without its
-    last axis, is computed only with ``brackets`` set and is None otherwise.
+    jump sums, when the cell holds no event. The increments hold only the
+    components on the coefficients' support; the caller widens them into
+    the state. The flattened rows of ``xl`` are k whole copies of
+    the realization's paths in row order (k = 1 for the Euler route's chunk
+    stack, one copy per iterate for the Picard wavefront), and every copy
+    reads the same noise: the Wiener increments (paths, modes) broadcast
+    over the copy axis, and the jump coefficient is called once per event
+    cell, on the cell's event times and marks tiled k times and the flat
+    rows they hit, copy n's rows offset by n * paths, so np.add.at still
+    sums each (row, cell) in event order. The bracket ||g||_HS^2 dt + sum of
+    squared jump norms, shaped like xl without its last axis, is computed
+    only with ``brackets`` set and is None otherwise; its sums run over the
+    support with the weights there, which the coefficients' zeros outside
+    it leave unchanged.
 
     Cells are assembled in step order, j = 0, 1, ..; each pass from j = 0 on
     regenerates the Wiener increments from the noise's streams, one block of
@@ -394,7 +415,7 @@ def _cell_assembler(model: ModelSpec, noise: NoiseRealization, brackets: bool = 
     """
     grid = noise.grid
     dt, times = grid.dt, grid.times.tolist()
-    w = model.weights
+    w = on_support(model.weights, model.coeffs.support)
     g, k = model.coeffs.diffusion, model.coeffs.jump
     diffuse = not g.is_zero
     jumps = not (model.marks is None or model.marks.rate == 0.0)
@@ -439,9 +460,9 @@ def _cell_assembler(model: ModelSpec, noise: NoiseRealization, brackets: bool = 
                     rows = (rows + paths * np.arange(copies)[:, None]).ravel()
                     at, marks = np.tile(at, copies), np.tile(marks, copies)
                 vecs = k.evaluate(at, marks, flat[rows])
-                sums = np.zeros_like(flat)
+                sums = np.zeros((len(flat), vecs.shape[-1]))
                 np.add.at(sums, rows, vecs)
-                sums = sums.reshape(xl.shape)
+                sums = sums.reshape(xl.shape[:-1] + sums.shape[-1:])
                 if brackets:
                     jump_sq = np.zeros(len(flat))
                     np.add.at(jump_sq, rows, weighted_norm_sq(vecs, w))
@@ -528,9 +549,13 @@ def picard_solve_batch(
     alpha = model.semigroup.alpha
     work = rescale_to_contraction(model)
     seg, w, drift = work.semigroup, work.weights, work.coeffs.drift
+    support = work.coeffs.support
     grid = noise.grid
     m, dt, t = grid.n_steps, grid.dt, grid.times
     p, dim = noise.n_paths, model.dim
+    width = len(range(dim)[support])
+    w_on = on_support(w, support)
+    step_drift = _whole_state_drift(work.coeffs, dim)
     labels = [f"{model.name}: iterate {n}" for n in range(1, n_max + 1)]
     failed: list = [None] * n_max     # first inner-iteration failure per iterate
     over: list = [None] * n_max       # first a-priori bound excess per iterate
@@ -538,16 +563,18 @@ def picard_solve_batch(
 
     # states[0] is X^0 = S_t X0, the free path of every iterate's a-priori
     # bound, and states[n] is X^n, all at the current grid point; V^n is
-    # v[n - 1]. The bound ||X0|| + ||V(t)|| + int exp(M (t-s)) ||f(s, S_s X0
-    # + V_s)|| ds of a contraction semigroup is accumulated in acc by the
-    # left-point rule.
+    # v[n - 1]. The bound is ||X0|| + ||V(t_j)|| + acc_j. With y = S_t X0 +
+    # V^n and u = X^n - y, the implicit step gives u_{j+1} = S_dt u_j + dt
+    # f(t_{j+1}, y_{j+1} + u_{j+1}); semimonotonicity and ||S_dt|| <= 1 then
+    # give (1 - M dt) ||u_{j+1}|| <= ||u_j|| + dt ||f(t_{j+1}, y_{j+1})||,
+    # which acc accumulates with the right-point f.
     states = np.empty((n_max + 1, p, dim))
     states[0] = noise.x0
     states[1:] = noise.x0 + np.zeros((p, dim))
     v = np.zeros((n_max, p, dim))
     acc = np.zeros((n_max, p))
     x0n = np.sqrt(weighted_norm_sq(states[0], w))
-    growth = math.exp(drift.semimonotone_m * dt)
+    growth = 1.0 / (1.0 - drift.semimonotone_m * dt)
     values = np.zeros((p, m + 1, dim))    # the path of the last iterate
     values[:, 0] = states[n_max]
     sq = weighted_norm_sq(states, w)
@@ -591,12 +618,13 @@ def picard_solve_batch(
             # X^n driven by V^n, and X^n's a-priori bound.
             comp, gdw, sums, _ = assemble(j, states[:a])
             # v + (comp + gdw + sums), summed in place in the freshly built comp
-            # (in zeros without jumps)
-            dz = np.zeros((a, p, dim)) if comp is None else comp
+            # (in zeros without jumps) and widened into the state
+            dz = np.zeros((a, p, width)) if comp is None else comp
             if gdw is not None:
                 dz += gdw
             if sums is not None:
                 dz += sums
+            dz = widen(dz, support, dim)
             dz += v[:a]
             v_next = seg.apply(dt, dz)
             b = seg.apply(dt, x - v[:a])
@@ -604,26 +632,27 @@ def picard_solve_batch(
             if not np.isfinite(b).all():
                 n = int(np.argmax(~np.isfinite(b).all(axis=(1, 2))))
                 fail(n, _non_finite_error(b[n], t_right, labels[n], noise.path_index))
-            out, ok = _solve_step_equation(drift, t_right, b[:live], dt, w, inner_tol, damping)
+            out, ok = _solve_step_equation(step_drift, t_right, b[:live], dt, w, inner_tol, damping)
             if not ok.all():  # scan the iterates only when some row failed
                 for n in np.flatnonzero(~ok.all(axis=1)).tolist():
                     if n >= live:
                         break
                     try:
                         out[n] = _retry_rows(
-                            seg, drift, x[n], v[n], v_next[n], t_right, dt, w, inner_tol,
+                            seg, step_drift, x[n], v[n], v_next[n], t_right, dt, w, inner_tol,
                             damping, 0, max_halvings, labels[n], noise.path_index,
                             b[n], out[n], ok[n],
                         )
                     except InnerIterationError as err:
                         fail(n, err)
             a = live
-            fn = np.sqrt(weighted_norm_sq(drift.evaluate(float(t[j]), free + v[:a]), w))
+            free_next = seg.apply(dt, free + 0.0)
+            fn = np.sqrt(weighted_norm_sq(drift.evaluate(t_right, free_next + v_next[:a]), w_on))
             acc[:a] = growth * (acc[:a] + fn * dt)
             v_next_sq = weighted_norm_sq(v_next[:a], w)
             np.maximum(v_max_sq[:a], v_next_sq, out=v_max_sq[:a])
             v[:a] = v_next[:a]
-            states[0] = seg.apply(dt, free + 0.0)
+            states[0] = free_next
             states[1 : a + 1] = out[:a]
             sq = weighted_norm_sq(states[: a + 1], w)
             np.maximum(x_max_sq[: a + 1], sq, out=x_max_sq[: a + 1])
@@ -719,10 +748,14 @@ def direct_solve_batch(
 
 def _euler_steps(model, noise, energy, path_rows, chunk, check=False):
     """The step loop of :func:`direct_solve_batch` on chunks of ``chunk``
-    rows; with ``check``, the first step whose state is not finite raises."""
+    rows; with ``check``, the first step whose state is not finite raises.
+    Each cell's increment is formed on the coefficients' support and
+    widened into the state once."""
     seg = model.semigroup
     f = model.coeffs.drift.evaluate
+    support = model.coeffs.support
     w = model.weights
+    w_on = on_support(w, support)
     grid = noise.grid
     m, dt = grid.n_steps, grid.dt
     t = grid.times
@@ -741,9 +774,12 @@ def _euler_steps(model, noise, energy, path_rows, chunk, check=False):
         if comp is not None:
             drift_part += comp
         incr = drift_part + (0.0 if gdw is None else gdw)
-        y = x + incr
+        y = x + widen(incr, support, dim)
         if jump_part is not None:
-            y += jump_part  # (X_j + incr) + jumps: the CSV digests pin this order
+            # (X_j + incr) + jumps: the CSV digests pin this order; outside
+            # the support, y already holds X_j + 0.0. The view adds into y.
+            y_on = on_support(y, support)
+            y_on += jump_part
         x_next = seg.apply(dt, y)
         if check:
             err = _non_finite_error(x_next.reshape(p, dim), float(t[j + 1]), model.name,
@@ -753,7 +789,7 @@ def _euler_steps(model, noise, energy, path_rows, chunk, check=False):
         if energy is not None:
             dz = incr if jump_part is None else incr + jump_part
             energy.add(
-                (2.0 * weighted_inner(x, dz, w) + bracket).reshape(p),
+                (2.0 * weighted_inner(on_support(x, support), dz, w_on) + bracket).reshape(p),
                 weighted_norm_sq(x_next, w).reshape(p),
             )
         if rows:

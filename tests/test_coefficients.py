@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mildsde.coefficients import (
 from mildsde.models import (
     build_delay,
     build_linear_scalar,
+    build_reaction_diffusion,
     cbrt_implicit_prox,
     cbrt_implicit_root,
     decreasing_cbrt,
@@ -162,6 +164,25 @@ def test_linear_jump_ratio_matches_second_moment():
     )
     assert rep.passed
     assert rep.jump_lipschitz_max == pytest.approx(c_true, rel=0.05)
+
+
+def test_jump_quadrature_sums_finite_terms_whose_sum_overflows():
+    # At mark std 1e152 (declared C = 1e304) the node terms of a wide pair
+    # are finite, but their sum over 4096 nodes overflows. The check reads
+    # the ratios to its declared constants that it reads at std 1e100, where
+    # nothing overflows, and raises no numpy warning.
+    ratios = []
+    for std in (1e100, 1e152):
+        model = build_reaction_diffusion(dim=4, mark_std=std, validate=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_lipschitz_growth(model.coeffs, model.dim, model.weights, model.marks)
+        assert rep.passed
+        assert np.isfinite([rep.combined_lipschitz_max, rep.growth_max]).all()
+        ratios.append((rep.combined_lipschitz_max / rep.declared_c,
+                       rep.growth_max / rep.declared_d))
+    assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
+    assert 0.9 < ratios[0][0] < 1.05 and 0.9 < ratios[0][1] <= 1.0
 
 
 def test_affine_drift_growth_bound():

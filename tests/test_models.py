@@ -8,6 +8,7 @@ from mildsde.coefficients import (
     check_lipschitz_growth,
     check_semimonotone,
     nemitsky_sine,
+    widen,
 )
 from mildsde.models import (
     EXAMPLE_BUILDERS,
@@ -23,15 +24,18 @@ from mildsde.state_space import weighted_norm_sq
 from tests.test_semigroup import delay_head_oracle
 
 
-def with_drift(model, evaluate, semimonotone_m=0.0, growth_d=0.0):
-    """The model with its drift swapped for evaluate(t, x), declaring the
-    given constants and no implicit step of its own."""
+def with_drift(model, evaluate=None, semimonotone_m=0.0, growth_d=0.0):
+    """The model with its drift swapped for evaluate(t, x), zero on the
+    model's support when None, declaring the given constants and no
+    implicit step of its own."""
+    if evaluate is None:
+        width = len(range(model.dim)[model.coeffs.support])
+
+        def evaluate(t, x):
+            return np.zeros(np.shape(x)[:-1] + (width,))
+
     drift = DriftSpec(evaluate, semimonotone_m, growth_d)
     return replace(model, coeffs=replace(model.coeffs, drift=drift))
-
-
-def zero_drift(t, x):
-    return np.zeros_like(x)
 
 
 def test_all_builders_pass_checkers_at_full_samples():
@@ -45,7 +49,7 @@ def test_all_builders_pass_checkers_at_full_samples():
 def test_reaction_diffusion_pure_heat_mode():
     model = with_drift(build_reaction_diffusion(
         dim=6, jump_rate=0.0, mark_std=0.0, x0=np.eye(6)[0], validate=False,
-    ), zero_drift)
+    ))
     grid = TimeGrid(1.0, 200)
     values = direct_solve_batch(model, draw_noise(model, grid, 0, [0])).values[0]
     exact = np.exp(-np.pi**2 * grid.times)
@@ -76,7 +80,7 @@ def test_reaction_diffusion_misdeclared_constant_rejected():
 def test_hyperbolic_free_single_mode_energy():
     model = with_drift(build_hyperbolic(
         n_modes=4, jump_rate=0.0, mark_std=0.0, x0_position=np.eye(4)[0], validate=False,
-    ), zero_drift)
+    ))
     grid = TimeGrid(1.0, 500)
     values = direct_solve_batch(model, draw_noise(model, grid, 0, [0])).values[0]
     energy = weighted_norm_sq(values, model.weights)
@@ -117,7 +121,8 @@ def test_hyperbolic_jump_lipschitz_constant_value():
     nodes = model.marks.sample_marks(np.random.default_rng(0), 50_000)
     diff_sq = np.array(
         [
-            weighted_norm_sq(model.coeffs.jump.evaluate(0.0, xi, dx), model.weights)
+            weighted_norm_sq(model.coeffs.jump.evaluate(0.0, xi, dx),
+                             model.weights[model.coeffs.support])
             for xi in nodes[:2000]
         ]
     )
@@ -139,7 +144,7 @@ def test_delay_free_flow_matches_method_of_steps():
     def run(cells, n_steps):
         model = with_drift(build_delay(
             history_cells=cells, jump_rate=0.0, mark_std=0.0, validate=False,
-        ), zero_drift)
+        ))
         grid = TimeGrid(horizon, n_steps)
         return direct_solve_batch(model, draw_noise(model, grid, 0, [0])).values[0, :, 0]
 
@@ -154,7 +159,8 @@ def test_delay_free_flow_matches_method_of_steps():
 def test_delay_checkers_pass_zero_constant():
     model = build_delay(history_cells=16, validate=False)
     rep = check_semimonotone(
-        model.coeffs.drift, model.dim, model.weights, samples=10_000, seed=5
+        model.coeffs.drift, model.dim, model.weights, samples=10_000, seed=5,
+        support=model.coeffs.support,
     )
     assert rep.passed
     assert model.coeffs.semimonotone_m == 0.0
@@ -214,7 +220,7 @@ def test_builder_implicit_step_solves_the_step_equation(case):
         b = rng.standard_normal((6, model.dim)) * scale
         x, ok = drift.implicit_step(t, b, dt, 1e-8)
         assert ok.all()
-        res = b + dt * drift.evaluate(t, x) - x
+        res = b + dt * widen(drift.evaluate(t, x), model.coeffs.support, model.dim) - x
         assert np.sqrt(weighted_norm_sq(res, model.weights)).max() <= 1e-6
 
 

@@ -12,6 +12,7 @@ from mildsde.coefficients import (
     JumpCoeffSpec,
     nemitsky_implicit_solver,
     nemitsky_sine,
+    widen,
     zero_diffusion,
 )
 from mildsde.models import (
@@ -38,7 +39,7 @@ from mildsde.solver import (
     unrescale_values,
 )
 from mildsde.state_space import hs_norm_sq, weighted_norm_sq
-from tests.test_models import with_drift, zero_drift
+from tests.test_models import with_drift
 
 
 def rd_model(dim=6, rate=2.0, std=0.5, mean=0.1, **kw):
@@ -409,7 +410,7 @@ def test_uniqueness_under_damping_variants():
 def test_direct_free_flow_is_orbit():
     model = with_drift(build_reaction_diffusion(
         dim=5, jump_rate=0.0, mark_std=0.0, validate=False,
-    ), zero_drift)
+    ))
     grid = TimeGrid(1.0, 100)
     res = direct_solve_batch(model, draw_noise(model, grid, 0, [0]))
     mu = model.semigroup.eigenvalues
@@ -471,17 +472,22 @@ def test_direct_energy_terms_read_the_returned_path(which):
     norms_sq = np.column_stack(terms.norms_sq)
     assert np.array_equal(norms_sq, weighted_norm_sq(plain.values, model.weights)[:, 1:])
     # per cell: 2 <X_j, dZ_j> + bracket, dZ_j summed from the assembler's parts
+    # (each part widened from the coefficients' support into the state)
     w = np.ones(model.dim) if model.weights is None else model.weights
     f = model.coeffs.drift.evaluate
+
+    def wide(part):
+        return widen(part, model.coeffs.support, model.dim)
+
     assemble = _cell_assembler(model, noise, brackets=True)
     expected = np.zeros((3, grid.n_steps))
     for j in range(grid.n_steps):
         xj = plain.values[:, j]
         *parts, bracket = assemble(j, xj)
-        dz = f(float(grid.times[j]), xj) * grid.dt
+        dz = wide(f(float(grid.times[j]), xj) * grid.dt)
         for part in parts:
             if part is not None:
-                dz = dz + part
+                dz = dz + wide(part)
         expected[:, j] = 2.0 * np.einsum("pd,d,pd->p", xj, w, dz) + bracket
     assert np.allclose(np.column_stack(terms.per_cell), expected, rtol=1e-12, atol=0.0)
 
@@ -499,19 +505,21 @@ def test_direct_without_path_keeps_the_terminal_state():
 def test_jump_increments_match_per_event_loop():
     # the per-cell assembly (one vectorized jump-coefficient call, np.add.at)
     # reproduces a per-event loop bit for bit, also through the array event
-    # times of the contraction rescaling; so does the bracket's jump part
+    # times of the contraction rescaling; so does the bracket's jump part.
+    # Both hold the head, the delay coefficients' support, alone.
     model = delay_model()
     grid = TimeGrid(1.0, 50)
     noise = draw_noise(model, grid, 19, range(6))
     res = direct_solve_batch(model, noise)
     k, g = model.coeffs.jump, model.coeffs.diffusion
-    sums = np.zeros_like(res.values[:, :-1])
+    w_head = model.weights[model.coeffs.support]
+    sums = np.zeros(res.values[:, :-1].shape[:-1] + (1,))
     sq = np.zeros(sums.shape[:-1])
     events = zip(noise.jump_row, noise.jump_cell, noise.jump_time, noise.jump_mark)
     for row, cell, t, xi in events:
         vec = k.evaluate(float(t), float(xi), res.values[row, cell])
         sums[row, cell] += vec
-        sq[row, cell] += float(weighted_norm_sq(vec, model.weights))
+        sq[row, cell] += float(weighted_norm_sq(vec, w_head))
     assemble = _cell_assembler(model, noise, brackets=True)
     for j in range(grid.n_steps):
         xj = res.values[:, j]
@@ -520,7 +528,7 @@ def test_jump_increments_match_per_event_loop():
             assert not sums[:, j].any()
         else:
             assert np.array_equal(cell_sums, sums[:, j])
-        hs = hs_norm_sq(g.evaluate(float(grid.times[j]), xj), model.weights) * grid.dt
+        hs = hs_norm_sq(g.evaluate(float(grid.times[j]), xj), w_head) * grid.dt
         assert np.array_equal(bracket, hs + sq[:, j])
     # several events share a (row, cell) pair
     pairs = set(zip(noise.jump_row.tolist(), noise.jump_cell.tolist()))
@@ -609,6 +617,17 @@ def test_apriori_bound_error_names_the_global_path():
         messages.append(str(err.value))
     row = int(re.search(r"path row (\d+):", messages[1]).group(1))
     assert messages[0] == messages[1].replace(f"path row {row}:", f"path row {192 + row}:")
+
+
+@pytest.mark.parametrize("eta, n_steps", [(15.0, 20), (20.0, 25), (30.0, 50)])
+def test_apriori_bound_holds_on_stiff_implicit_steps(eta, n_steps):
+    # M dt = 0.75, 0.8 and 0.6: the implicit step's growth 1 / (1 - M dt)
+    # with f at the right point bounds these runs, which the continuous
+    # factor exp(M dt) with a left-point f rejected at iterate 1
+    model = build_reaction_diffusion(dim=4, eta=eta, validate=False)
+    noise = draw_noise(model, TimeGrid(1.0, n_steps), 0, range(4))
+    res = picard_solve_batch(model, noise)
+    assert np.isfinite(res.distances).all()
 
 
 def test_picard_peak_memory_is_a_few_paths():

@@ -19,9 +19,10 @@ its increments on the support, takes weighted sums there with the weights
 (:func:`widen`), which adds +0.0 outside the support as a zero-filled
 evaluator would. A weighted sum over a support of one column, or over a
 trailing block of columns, has the bits of the zero-padded sum; an
-unweighted sum over several columns need not, since numpy's pairwise
-reduction then groups the terms differently. The shipped models with a
-narrower support (delay and hyperbolic) are weighted.
+unweighted sum over several columns need not, since numpy's two-operand
+einsum accumulates it in partial sums whose grouping the padding shifts.
+The shipped models with a narrower support (delay and hyperbolic) are
+weighted.
 
 Constants are declared by the builder and verified by sampling, never
 estimated: the predicted iteration bounds need them as inputs.

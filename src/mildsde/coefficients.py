@@ -76,8 +76,9 @@ class DriftSpec:
     is a block: the Picard solver stacks one block per iterate. Each row is
     an equation of its own, so a row's x and mask must not depend on the
     rows solved with it beyond the rounding of matrix products, which
-    depends on their height. The solvers fall back to damped fixed-point
-    iteration, block by block, when it is absent or fails on some rows.
+    depends on their height. When it is absent or fails on some rows, the
+    solvers fall back to one damped fixed-point iteration per step over the
+    whole stack at full height, masked to the rows left unsolved.
     """
 
     evaluate: Callable[[float, np.ndarray], np.ndarray]
@@ -189,6 +190,20 @@ def sine_quadrature(n_modes: int, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, synthesis
 
 
+def _unaliased_synthesis(n_modes: int, n_quad: int | None) -> tuple[int, np.ndarray]:
+    """The quadrature size (2 * n_modes when None) and the synthesis matrix
+    of a Nemitsky lift; a grid coarser than twice the mode count aliases and
+    raises :class:`AliasingError`."""
+    if n_quad is None:
+        n_quad = 2 * n_modes
+    if n_quad < 2 * n_modes:
+        raise AliasingError(
+            f"{n_quad} quadrature points cannot resolve {n_modes} sine modes; "
+            f"need at least {2 * n_modes}"
+        )
+    return n_quad, sine_quadrature(n_modes, n_quad)[1]
+
+
 def nemitsky_sine(
     scalar_fn: Callable[[np.ndarray], np.ndarray],
     n_modes: int,
@@ -202,14 +217,7 @@ def nemitsky_sine(
     arrays of shape (..., n_modes) to the same shape and has no explicit time
     argument (compose into a DriftSpec evaluator as needed).
     """
-    if n_quad is None:
-        n_quad = 2 * n_modes
-    if n_quad < 2 * n_modes:
-        raise AliasingError(
-            f"{n_quad} quadrature points cannot resolve {n_modes} sine modes; "
-            f"need at least {2 * n_modes}"
-        )
-    _, synthesis = sine_quadrature(n_modes, n_quad)
+    n_quad, synthesis = _unaliased_synthesis(n_modes, n_quad)
     projection = synthesis / n_quad
 
     def evaluate(x: np.ndarray) -> np.ndarray:
@@ -243,13 +251,7 @@ def nemitsky_implicit_solver(
     rows b (..., rows, dim) (see :class:`DriftSpec`); each row retires on the
     first sweep that accepts it.
     """
-    if n_quad is None:
-        n_quad = 2 * n_modes
-    if n_quad < 2 * n_modes:
-        raise AliasingError(
-            f"{n_quad} quadrature points cannot resolve {n_modes} sine modes"
-        )
-    _, synthesis = sine_quadrature(n_modes, n_quad)
+    n_quad, synthesis = _unaliased_synthesis(n_modes, n_quad)
     dust_cache: dict[float, float] = {}
 
     def dust_scale(dt):

@@ -221,54 +221,50 @@ _BOUND_SLACK = 0.05
 _DIVERGENCE_FLOOR = 1e-14
 
 
-def _implicit_f_step(f, t_next, b, dt, w, tol, damping):
-    """Solve x = b + dt f(t_next, x), batched over rows of b.
+def _implicit_f_step(f, t_next, b, dt, w, tol, damping, todo):
+    """Solve x = b + dt f(t_next, x) on the rows of b (..., rows, dim) that
+    ``todo`` (..., rows) marks.
 
     Damped fixed-point iteration accelerated by a secant step scale estimated
     from the previous accepted move (valid because the residual map is
     strongly monotone for dt * M < 1). Per-row damping halves whenever a
-    proposal fails to reduce the residual; only still-active rows are
-    iterated. Returns (x, converged mask).
+    proposal fails to reduce the residual. Every iteration runs on the whole
+    stack at its full height and masks the update to the rows still active,
+    so a row's bits do not depend on the other rows, and each block gets the
+    bits it gets alone. Returns (x, converged mask).
     """
-    p = b.shape[0]
     x = b + dt * f(t_next, b)
     r = b + dt * f(t_next, x) - x
     rn = np.sqrt(weighted_norm_sq(r, w))
-    theta = np.full(p, damping)
-    xp = np.zeros_like(x)
-    rp = np.zeros_like(r)
-    have_prev = np.zeros(p, dtype=bool)
+    theta = np.full(rn.shape, damping)
+    xp, rp = x, r
+    have_prev = np.zeros(rn.shape, dtype=bool)
     s_max = 10.0
-    idx = np.nonzero(rn > tol)[0]
+    active = todo & (rn > tol)
     for _ in range(_MAX_INNER):
-        if idx.size == 0:
+        if not active.any():
             break
-        xs, rs = x[idx], r[idx]
-        s = theta[idx].copy()
-        prev = have_prev[idx]
-        if np.any(prev):
-            dx = xs - xp[idx]
-            dr = rs - rp[idx]
+        s = theta
+        if have_prev.any():
+            dx = x - xp
+            dr = r - rp
             denom = -weighted_inner(dx, dr, w)
             num = weighted_norm_sq(dx, w)
-            safe = prev & (denom > 1e-300)
+            safe = have_prev & (denom > 1e-300)
             s_bb = np.where(safe, num / np.where(safe, denom, 1.0), s)
             s = np.where(safe & (s_bb > 0.0) & (s_bb < s_max), s_bb, s)
-        x_new = xs + s[:, None] * rs
-        r_new = b[idx] + dt * f(t_next, x_new) - x_new
+        x_new = x + s[..., None] * r
+        r_new = b + dt * f(t_next, x_new) - x_new
         rn_new = np.sqrt(weighted_norm_sq(r_new, w))
-        accept = rn_new <= rn[idx] * (1.0 + 1e-12)
-        acc_idx = idx[accept]
-        rej_idx = idx[~accept]
-        xp[acc_idx] = x[acc_idx]
-        rp[acc_idx] = r[acc_idx]
-        have_prev[acc_idx] = True
-        x[acc_idx] = x_new[accept]
-        r[acc_idx] = r_new[accept]
-        rn[acc_idx] = rn_new[accept]
-        theta[rej_idx] *= 0.5
-        have_prev[rej_idx] = False
-        idx = idx[rn[idx] > tol]
+        accept = active & (rn_new <= rn * (1.0 + 1e-12))
+        reject = active & ~accept
+        keep = accept[..., None]
+        xp, rp = np.where(keep, x, xp), np.where(keep, r, rp)
+        x, r = np.where(keep, x_new, x), np.where(keep, r_new, r)
+        rn = np.where(accept, rn_new, rn)
+        have_prev = (have_prev | accept) & ~reject
+        theta = np.where(reject, 0.5 * theta, theta)
+        active &= rn > tol
     return x, rn <= tol
 
 
@@ -284,24 +280,18 @@ def _whole_state_drift(coeffs: CoefficientSet, dim: int) -> DriftSpec:
 
 
 def _solve_step_equation(drift, t_right, b, dt, w, tol, damping):
-    """Solve x = b + dt f(t, x) on the rows of b (rows, dim) or of each block
-    of a stack b (blocks, rows, dim): the drift's own solver runs once on the
-    whole stack, and the damped/secant iteration finishes each block's
-    stragglers on that block's rows alone."""
+    """Solve x = b + dt f(t, x) on the rows of b (..., rows, dim): the drift's
+    own solver runs once on the whole stack, and one damped/secant iteration
+    over the whole stack finishes the rows it left unsolved (every row when
+    the drift has no solver of its own)."""
     if drift.implicit_step is None:
-        out, ok = np.empty_like(b), np.zeros(b.shape[:-1], dtype=bool)
-    else:
-        out, ok = drift.implicit_step(t_right, b, dt, tol)
-        if ok.all():
-            return out, ok
-        ok = ok.copy()
-    for block in np.ndindex(b.shape[:-2]):
-        rows = np.flatnonzero(~ok[block])
-        if rows.size:
-            out[block][rows], ok[block][rows] = _implicit_f_step(
-                drift.evaluate, t_right, b[block][rows], dt, w, tol, damping
-            )
-    return out, ok
+        todo = np.ones(b.shape[:-1], dtype=bool)
+        return _implicit_f_step(drift.evaluate, t_right, b, dt, w, tol, damping, todo)
+    out, ok = drift.implicit_step(t_right, b, dt, tol)
+    if ok.all():
+        return out, ok
+    x, done = _implicit_f_step(drift.evaluate, t_right, b, dt, w, tol, damping, ~ok)
+    return np.where(ok[..., None], out, x), ok | done
 
 
 def _path_row(row, path_index):

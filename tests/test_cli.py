@@ -201,6 +201,20 @@ def test_picard_noise_free_iteration_settles(tmp_path):
     assert summary.stats["e_final"] == 0.0
 
 
+def test_picard_ratio_is_nan_where_the_previous_distance_is_zero(tmp_path):
+    # without jumps reaction_diffusion has no noise, so every iterate from
+    # the first on is the same path: e_1 = 0 and the ratio e_2 / e_1 is
+    # undefined. It is written as nan, like the ratio at n = 0, and the run
+    # still passes
+    path, _ = write_config(
+        tmp_path, dim=4, dt=0.05, paths=4, seed=0, n_max=3, model_params={"jump_rate": 0.0}
+    )
+    assert main(["picard", "--config", str(path)]) == 0
+    rows = (tmp_path / "out" / "picard_iterations.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[4] for row in rows] == ["nan", "0.0", "nan"]
+    assert rows[2] == "2,0.0,0.0,0.0,nan,0.0"
+
+
 def test_picard_rate_checks_fail_on_non_finite_distances(tmp_path, monkeypatch):
     # the solver stops a state that overflows (see the test below), so the
     # seed distance of a finite solve is set to inf on its way to the checks

@@ -81,8 +81,11 @@ def test_nemitsky_cbrt_against_refined_quadrature():
 
 
 def test_nemitsky_aliasing_rejected():
-    with pytest.raises(AliasingError):
+    message = "^15 quadrature points cannot resolve 8 sine modes; need at least 16$"
+    with pytest.raises(AliasingError, match=message):
         nemitsky_sine(lambda u: u, 8, n_quad=15)
+    with pytest.raises(AliasingError, match=message):
+        nemitsky_implicit_solver(lambda u: u, lambda v, dt: v, 8, n_quad=15)
 
 
 def test_semimonotone_nemitsky_cbrt_passes_zero():

@@ -182,6 +182,49 @@ def test_nemitsky_fallback_rows_reach_tolerance(monkeypatch):
     assert np.linalg.norm(res[~first_ok], axis=1).max() <= tol
 
 
+def test_fallback_rows_do_not_depend_on_the_rows_solved_with_them(monkeypatch):
+    # the generic iteration alone (no own step) on 20 blocks of 8 rows of
+    # the tanh lift at scales 1e-3, 1 and 10: scaling row 0 of every block
+    # by 50 leaves the other rows' bits as they are, a stack of two blocks
+    # gets each block's bits alone, and a step calls the iteration once,
+    # over the whole stack, and only when the drift's own step rejects rows
+    dim, dt, tol = 8, 0.05, 1e-10
+    phi = lambda u: -np.tanh(4.0 * u)
+    nem = nemitsky_sine(phi, dim)
+    drift = DriftSpec(lambda t, x: nem(x), 0.0, 4.0)
+    rng = np.random.default_rng(5)
+    scale = np.array([1e-3, 1.0, 10.0])[rng.integers(0, 3, size=(20, 8))]
+    b = rng.standard_normal((20, 8, dim)) * scale[..., None]
+    out, ok = _solve_step_equation(drift, 1.0, b, dt, None, tol, 1.0)
+    assert ok.all()
+    scaled = b.copy()
+    scaled[:, 0] *= 50.0
+    out_scaled, _ = _solve_step_equation(drift, 1.0, scaled, dt, None, tol, 1.0)
+    assert np.array_equal(out_scaled[:, 1:], out[:, 1:])
+    pair, _ = _solve_step_equation(drift, 1.0, b[:2], dt, None, tol, 1.0)
+    for k in range(2):
+        alone, _ = _solve_step_equation(drift, 1.0, b[k], dt, None, tol, 1.0)
+        assert np.array_equal(pair[k], alone)
+
+    calls = []
+    generic = solver._implicit_f_step
+
+    def counted(*args):
+        calls.append(args[-1].sum())
+        return generic(*args)
+
+    monkeypatch.setattr(solver, "_implicit_f_step", counted)
+    monkeypatch.setattr(coefficients, "_MAX_OUTER", 1)
+    stepped = replace(drift, implicit_step=nemitsky_implicit_solver(phi, tanh_prox, dim))
+    _, own_ok = stepped.implicit_step(1.0, b, 1e-3, 1e-8)
+    assert (~own_ok).any(axis=1).sum() > 1
+    _, ok = _solve_step_equation(stepped, 1.0, b, 1e-3, None, 1e-8, 1.0)
+    assert ok.all() and calls == [(~own_ok).sum()]
+    calls.clear()
+    _solve_step_equation(stepped, 1.0, b[:, 1:] * 1e-9, 1e-3, None, 1e-8, 1.0)
+    assert calls == []
+
+
 def test_stalled_rows_are_bisected_until_they_reach_tolerance():
     # the generic iteration for x = b + dt f(x) with f(x) = 1.5 x contracts
     # only for dt * 1.5 < 1: at dt = 1 every row with b != 0 stalls, and one
@@ -273,7 +316,7 @@ def fail_fallback(monkeypatch):
     row the drift's step rejects fails its step."""
     monkeypatch.setattr(
         solver, "_implicit_f_step",
-        lambda f, t, b, dt, w, tol, damping: (b.copy(), np.zeros(len(b), dtype=bool)),
+        lambda f, t, b, dt, w, tol, damping, todo: (b.copy(), np.zeros(b.shape[:-1], dtype=bool)),
     )
 
 

@@ -382,6 +382,8 @@ class SemimonotoneReport:
 _RADIUS = 3.0
 # Pairs on which the jump intensity integrals are taken.
 _JUMP_PAIRS = 256
+# Values per (nodes, pairs, width) block of the jump quadrature.
+_JUMP_BLOCK = 2 ** 16
 
 
 def _sample_pairs(rng, samples, dim):
@@ -389,13 +391,17 @@ def _sample_pairs(rng, samples, dim):
     ``_RADIUS``; the tight pairs probe local slopes that wide sampling
     misses."""
     n_wide = samples // 2
-    n_tight = samples - n_wide
     scale = _RADIUS / np.sqrt(dim)
-    xw = rng.standard_normal((n_wide, dim)) * scale
-    yw = rng.standard_normal((n_wide, dim)) * scale
-    xt = rng.standard_normal((n_tight, dim)) * scale
-    yt = xt + rng.standard_normal((n_tight, dim)) * (1e-3 * scale)
-    return np.vstack([xw, xt]), np.vstack([yw, yt])
+    xs = np.empty((samples, dim))
+    ys = np.empty((samples, dim))
+    wide, tight = slice(None, n_wide), slice(n_wide, None)
+    for out in (xs[wide], ys[wide], xs[tight], ys[tight]):
+        rng.standard_normal(out=out)
+    xs *= scale
+    ys[wide] *= scale
+    ys[tight] *= 1e-3 * scale
+    ys[tight] += xs[tight]
+    return xs, ys
 
 
 def check_semimonotone(
@@ -413,16 +419,18 @@ def check_semimonotone(
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     xs, ys = _sample_pairs(rng, samples, dim)
+    dx = xs - ys
+    dx_on = on_support(dx, support)
+    den = weighted_norm_sq(dx, weights)
+    ok = den > 0
+    den_ok = den[ok]
     max_ratio = -np.inf
     w_on = on_support(weights, support)
     for t in rng.uniform(0.0, t_max, size=4):
         df = drift.evaluate(float(t), xs) - drift.evaluate(float(t), ys)
-        dx = xs - ys
-        num = weighted_inner(df, on_support(dx, support), w_on)
-        den = weighted_norm_sq(dx, weights)
-        ok = den > 0
-        if np.any(ok):
-            max_ratio = max(max_ratio, float(np.max(num[ok] / den[ok])))
+        num = weighted_inner(df, dx_on, w_on)
+        if den_ok.size:
+            max_ratio = max(max_ratio, float(np.max(num[ok] / den_ok)))
     m = drift.semimonotone_m
     return SemimonotoneReport(
         declared_m=m,
@@ -447,22 +455,31 @@ class GrowthReport:
         return self.passed_lipschitz and self.passed_growth
 
 
-def _jump_node_sums(jump, t, nodes, xs, ys, w, scale=1.0):
+def _jump_node_sums(jump, t, nodes, xs, ys, w, width, scale=1.0):
     """Per pair, the sums over the mark nodes of ||k(t,xi,x) - k(t,xi,y)||^2
     and of ||k(t,xi,x)||^2, each term times ``scale``, a power of two, so
-    that the scaling is exact."""
+    that the scaling is exact.
+
+    The evaluator takes a block of nodes at a time as a (nodes, 1) column of
+    marks against the (pairs, dim) states, so that each of its (nodes, pairs,
+    width) results holds at most ``_JUMP_BLOCK`` values (``width`` is that of
+    the support). Each pair's terms are added in node order, as one node at a
+    time would add them: ``np.add.accumulate`` adds in order, where
+    ``np.add.reduce`` sums a single pair's column pairwise.
+    """
     diff = np.zeros(len(xs))
     growth = np.zeros(len(xs))
-    for xi in nodes:
-        kx = jump.evaluate(t, float(xi), xs)
-        ky = jump.evaluate(t, float(xi), ys)
-        d_sq = weighted_norm_sq(kx - ky, w)
+    step = max(1, _JUMP_BLOCK // (len(xs) * width))
+    for start in range(0, len(nodes), step):
+        xi = nodes[start : start + step, None]
+        kx = jump.evaluate(t, xi, xs)
+        d_sq = weighted_norm_sq(kx - jump.evaluate(t, xi, ys), w)
         g_sq = weighted_norm_sq(kx, w)
-        if scale != 1.0:
-            d_sq *= scale
-            g_sq *= scale
-        diff += d_sq
-        growth += g_sq
+        for total, terms in ((diff, d_sq), (growth, g_sq)):
+            if scale != 1.0:
+                terms *= scale
+            terms[0] += total
+            total[:] = np.add.accumulate(terms, axis=0)[-1]
     return diff, growth
 
 
@@ -487,6 +504,8 @@ def check_lipschitz_growth(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if jump_nodes < 1:
+        raise ValueError("jump_nodes must be >= 1")
     rng = np.random.default_rng(seed)
     xs, ys = _sample_pairs(rng, samples, dim)
     t = float(rng.uniform(0.0, t_max))
@@ -517,16 +536,19 @@ def check_lipschitz_growth(
         nodes = np.asarray(marks.sample_marks(rng_nodes, jump_nodes))
         n_nodes = len(nodes)
         xsub, ysub = xs[:n_pairs], ys[:n_pairs]
+        width = len(range(dim)[coeffs.support])
         mean = marks.rate / n_nodes
         with np.errstate(over="ignore"):
-            xi_diff, xi_growth = _jump_node_sums(coeffs.jump, t, nodes, xsub, ysub, w_on)
+            xi_diff, xi_growth = _jump_node_sums(
+                coeffs.jump, t, nodes, xsub, ysub, w_on, width
+            )
             xi_diff *= mean
             xi_growth *= mean
             over = np.flatnonzero(np.isinf(xi_diff) | np.isinf(xi_growth))
             if over.size:
                 e = n_nodes.bit_length()
                 redo = _jump_node_sums(
-                    coeffs.jump, t, nodes, xsub[over], ysub[over], w_on, 2.0 ** -e
+                    coeffs.jump, t, nodes, xsub[over], ysub[over], w_on, width, 2.0 ** -e
                 )
                 for total, scaled in zip((xi_diff, xi_growth), redo):
                     hit = np.isinf(total[over])

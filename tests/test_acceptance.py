@@ -300,7 +300,7 @@ def test_criterion_7_hypothesis_checkers():
         DriftSpec(evaluate=lambda t, x: 0.0 * x, semimonotone_m=0.0, growth_d=0.0),
         zero_diffusion(dim),
         JumpCoeffSpec(
-            evaluate=lambda t, xi, x: xi * x,
+            evaluate=lambda t, xi, x: np.asarray(xi)[..., None] * x,
             compensator=lambda t, x: marks.rate * 0.1 * x,
             lipschitz_c=c_true,
             growth_d=c_true,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import warnings
 
@@ -19,6 +20,7 @@ from mildsde.coefficients import (
 )
 from mildsde.models import (
     build_delay,
+    build_hyperbolic,
     build_linear_scalar,
     build_reaction_diffusion,
     cbrt_implicit_prox,
@@ -26,7 +28,7 @@ from mildsde.models import (
     decreasing_cbrt,
 )
 from mildsde.noise import MarkSpaceSpec
-from mildsde.state_space import hs_norm_sq
+from mildsde.state_space import hs_norm_sq, weighted_norm_sq
 
 
 NO_JUMPS = JumpCoeffSpec(None, None, lipschitz_c=0.0, growth_d=0.0)
@@ -156,7 +158,7 @@ def test_linear_jump_ratio_matches_second_moment():
         DriftSpec(evaluate=lambda t, x: 0.0 * x, semimonotone_m=0.0, growth_d=0.0),
         zero_diffusion(dim),
         JumpCoeffSpec(
-            evaluate=lambda t, xi, x: xi * x,
+            evaluate=lambda t, xi, x: np.asarray(xi)[..., None] * x,
             compensator=lambda t, x: marks.rate * 0.1 * x,
             lipschitz_c=c_true,
             growth_d=c_true,
@@ -186,6 +188,73 @@ def test_jump_quadrature_sums_finite_terms_whose_sum_overflows():
                        rep.growth_max / rep.declared_d))
     assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
     assert 0.9 < ratios[0][0] < 1.05 and 0.9 < ratios[0][1] <= 1.0
+
+
+def _node_sums_one_at_a_time(jump, t, nodes, xs, ys, w, scale=1.0):
+    """The jump quadrature's node sums taken one scalar mark at a time."""
+    diff = np.zeros(len(xs))
+    growth = np.zeros(len(xs))
+    for xi in nodes:
+        kx = jump.evaluate(t, float(xi), xs)
+        ky = jump.evaluate(t, float(xi), ys)
+        d_sq = weighted_norm_sq(kx - ky, w)
+        g_sq = weighted_norm_sq(kx, w)
+        if scale != 1.0:
+            d_sq *= scale
+            g_sq *= scale
+        diff += d_sq
+        growth += g_sq
+    return diff, growth
+
+
+MARKS = dict(jump_rate=2.0, mark_std=0.5, mark_mean=0.1, validate=False)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("build", [
+    lambda: build_reaction_diffusion(dim=8, **MARKS),
+    lambda: build_hyperbolic(n_modes=4, **MARKS),
+    lambda: build_delay(history_cells=32, **MARKS),
+    lambda: build_linear_scalar(**MARKS),
+], ids=["reaction_diffusion", "hyperbolic", "delay", "linear_scalar"])
+def test_blocked_jump_quadrature_is_bitwise_node_at_a_time(build, seed):
+    model = build()
+    largest = 0
+
+    def evaluate(t, xi, x):
+        nonlocal largest
+        k = model.coeffs.jump.evaluate(t, xi, x)
+        largest = max(largest, k.size)
+        return k
+
+    jump = dataclasses.replace(model.coeffs.jump, evaluate=evaluate)
+    width = len(range(model.dim)[model.coeffs.support])
+    w = coefficients.on_support(model.weights, model.coeffs.support)
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((256, model.dim))
+    ys = rng.standard_normal((256, model.dim))
+    nodes = np.asarray(model.marks.sample_marks(rng, 4096))
+    # the plain sums, and the retake's scaled terms on every pair and on a
+    # single pair, whose node sums numpy's reductions would take pairwise
+    for scale, pairs in ((1.0, slice(None)), (2.0 ** -13, slice(None)), (2.0 ** -13, [5])):
+        blocked = coefficients._jump_node_sums(
+            jump, 0.3, nodes, xs[pairs], ys[pairs], w, width, scale
+        )
+        reference = _node_sums_one_at_a_time(
+            model.coeffs.jump, 0.3, nodes, xs[pairs], ys[pairs], w, scale
+        )
+        for got, want in zip(blocked, reference):
+            assert np.array_equal(got, want)
+    assert 0 < largest <= coefficients._JUMP_BLOCK
+
+
+@pytest.mark.parametrize("jump_nodes", [0, -3])
+def test_jump_nodes_below_one_is_rejected(jump_nodes):
+    model = build_linear_scalar(validate=False)
+    with pytest.raises(ValueError, match="jump_nodes must be >= 1"):
+        check_lipschitz_growth(
+            model.coeffs, model.dim, model.weights, model.marks, jump_nodes=jump_nodes
+        )
 
 
 def test_affine_drift_growth_bound():

@@ -70,6 +70,28 @@ CASES = {
         0,
         "48f438bf2d4c1850df8f6d3aef181057d1fedbe2f94e21461df7c51457525022",
     ),
+    # the Nemitsky drift, and a jump quadrature over all 8 components
+    "hypothesis-check-reaction-diffusion": (
+        "hypothesis-check",
+        dict(BASE, example="reaction_diffusion", dim=8, paths=1, seed=20,
+             model_params=dict(JUMPS, eta=0.5)),
+        0,
+        "bcc91c9685c6a804667a3d4a60e141f598d398d29cc10d80f6819e803dd6ebb1",
+    ),
+    # coefficients on the velocity block, weighted by the energy norm
+    "hypothesis-check-hyperbolic": (
+        "hypothesis-check",
+        dict(BASE, example="hyperbolic", dim=4, paths=1, seed=21,
+             model_params=dict(JUMPS, levy_drift=0.3, levy_gaussian_variance=0.04)),
+        0,
+        "795342d0e77ee016b4cf5269058f93f1cb218a59f04c2f1f13ae07f554a1aa3e",
+    ),
+    "hypothesis-check-linear": (
+        "hypothesis-check",
+        dict(BASE, example="linear_scalar", paths=1, seed=22, model_params=JUMPS),
+        0,
+        "f7e75e5f851b32c37c6426c564127e70d0cc29f9bb95c42b4199b477a5eba1b9",
+    ),
     "simulate-hyperbolic": (
         "simulate",
         dict(BASE, example="hyperbolic", dim=3, paths=5, seed=16, chunk_size=2,

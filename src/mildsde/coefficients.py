@@ -10,7 +10,10 @@ state that is the whole state (k = dim) by default:
 * diffusion:  ``g(t, x)``        -> (..., modes, k), one column per Wiener mode
 * jump:       ``k(t, xi, x)``    x (..., dim) -> (..., k); the mark xi and
   the time t are scalars or arrays that broadcast against x's leading axes
-  (the solvers pass one (time, mark) pair per row of x)
+  (the solvers pass one (time, mark) pair per row of x; the jump quadrature
+  of :func:`check_lipschitz_growth` passes a (nodes, 1) column of marks
+  against (pairs, dim) states, in node blocks whose results are capped at
+  ``_JUMP_BLOCK`` values)
 * jump compensator: ``(t, x) -> (..., k)``, the intensity integral of k
 
 The coefficients are exactly zero outside the support, so a consumer forms
@@ -497,7 +500,10 @@ def check_lipschitz_growth(
 
     The diffusion and growth ratios use the full pair sample; intensity
     integrals over the mark space use ``jump_nodes`` Monte Carlo nodes on a
-    subsample of ``_JUMP_PAIRS`` pairs to keep the cost bounded. A node sum
+    subsample of ``_JUMP_PAIRS`` pairs to keep the cost bounded. The
+    quadrature runs in blocks of nodes, calling the jump evaluator with a
+    (nodes, 1) column of marks, each result capped at ``_JUMP_BLOCK``
+    values; it adds each pair's terms in node order. A node sum
     that overflows is taken again on terms scaled by 2^-e, with 2^e at
     least the node count, so a sum of finite terms whose mean is finite
     reads finite; a sum with a term that is not finite stays so.

@@ -737,7 +737,8 @@ def run_benchmark_oracle(config: RunConfig) -> tuple:
         # the closed form on the two points (0, T) is its value at T on the grid
         exact = stochastic_exponential(
             x0, a, sigma, nu_mean, grid.times[[0, -1]],
-            np.column_stack([np.zeros(p), w_end]), noise.events_by_path,
+            np.column_stack([np.zeros(p), w_end]),
+            noise.jump_row, noise.jump_time, noise.jump_mark,
         )
         # a numpy scalar's ** 2 goes through pow, which can round unlike
         # the array square; the benchmark CSV keeps the scalar form

@@ -75,7 +75,10 @@ class DriftSpec:
     x = b + dt f(t, x) exactly for drifts that know their own structure
     (pointwise compositions reduce to a closed-form scalar root per point,
     which is immune to unbounded local slopes); it returns
-    ``(x, converged_mask)``. ``b`` is (..., rows, dim) and each leading index
+    ``(x, converged_mask)``. The solvers call it only with M dt < 1, M =
+    ``semimonotone_m``, where that equation has one root (see
+    :func:`~mildsde.solver.require_solvable_step`), so it need not handle a
+    larger dt. ``b`` is (..., rows, dim) and each leading index
     is a block: the Picard solver stacks one block per iterate. Each row is
     an equation of its own, so a row's x and mask must not depend on the
     rows solved with it beyond the rounding of matrix products, which
@@ -282,8 +285,6 @@ def nemitsky_implicit_solver(
 
     def step(t, b, dt, tol):
         den = 1.0 - dt * linear_shift
-        if den <= 0.0:
-            return b.copy(), np.zeros(b.shape[:-1], dtype=bool)
         # The blocks of b are flattened into rows. A row retires on the first
         # sweep that accepts it, with that sweep's x and ok, and its Anderson
         # state leaves the live rows with it; later sweeps run on the rows

@@ -8,14 +8,16 @@
   scalar jump process acting multiplicatively through the position. Its
   coefficients act on the velocity block, their declared support.
 * ``build_delay``: distributed-delay equation on head x history, cube-root
-  drift on the head, multiplicative jumps, sine initial history by default.
-  Its coefficients act on the head, their declared support.
+  drift on the head, the scalar driving process of ``build_hyperbolic``
+  acting through the head, sine initial history by default. Its
+  coefficients act on the head, their declared support.
 * ``build_linear_scalar``: the one-dimensional linear model with an explicit
   stochastic exponential solution; the degenerate configuration used to
   benchmark the integrators.
 
-Every builder runs the semimonotonicity and Lipschitz/growth checkers before
-returning (disable with ``validate=False`` for speed in tight loops).
+Every builder takes its noise from :func:`_multiplicative_noise` and runs the
+semimonotonicity and Lipschitz/growth checkers before returning (disable
+with ``validate=False`` for speed in tight loops).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import (
+    WHOLE,
     CoefficientSet,
     DiffusionSpec,
     DriftSpec,
@@ -119,9 +122,31 @@ def _default_profile(dim: int, amplitude: float) -> np.ndarray:
     return amplitude / np.arange(1, dim + 1) ** 2
 
 
-def _mark_times_state(t, xi, x):
-    """Jump coefficient k(t, xi, x) = xi * x, one mark per leading index of x."""
-    return np.asarray(xi)[..., None] * np.asarray(x, dtype=float)
+def _multiplicative_noise(
+    marks: MarkSpaceSpec, source: slice, width: int, g: float, g_sq: float, scale: float = 1.0
+) -> tuple[DiffusionSpec, JumpCoeffSpec]:
+    """Noise of a scalar Levy process (g W plus the compensated jumps of the
+    marks) acting through x[source], on a support of ``width`` components:
+    the column g * x[source] (none when g is 0), the jump xi * x[source] and
+    its compensator, with constants g_sq / scale and rate * E[xi^2] / scale.
+    The caller passes g_sq, since g * g need not round back to it."""
+    if g == 0.0:
+        diffusion = zero_diffusion(width)
+    else:
+        diffusion = DiffusionSpec(
+            evaluate=lambda t, x: g * np.asarray(x, dtype=float)[..., None, source],
+            modes=1, lipschitz_c=g_sq / scale, growth_d=g_sq / scale,
+        )
+    nu_mean = marks.rate * marks.mark_mean
+    c_k = marks.rate * marks.mark_second_moment / scale
+    jump = JumpCoeffSpec(
+        evaluate=lambda t, xi, x: (
+            np.asarray(xi)[..., None] * np.asarray(x, dtype=float)[..., source]
+        ),
+        compensator=lambda t, x: nu_mean * np.asarray(x, dtype=float)[..., source],
+        lipschitz_c=c_k, growth_d=c_k,
+    )
+    return diffusion, jump
 
 
 def build_reaction_diffusion(
@@ -160,15 +185,7 @@ def build_reaction_diffusion(
             decreasing_cbrt, cbrt_implicit_root, dim, n_quad, linear_shift=eta
         ),
     )
-    c_k = marks.rate * marks.mark_second_moment
-    nu_mean = marks.rate * marks.mark_mean
-    jump = JumpCoeffSpec(
-        evaluate=_mark_times_state,
-        compensator=lambda t, x: nu_mean * np.asarray(x, dtype=float),
-        lipschitz_c=c_k,
-        growth_d=c_k,
-    )
-    coeffs = CoefficientSet(drift, zero_diffusion(dim), jump)
+    coeffs = CoefficientSet(drift, *_multiplicative_noise(marks, WHOLE, dim, 0.0, 0.0))
     model = ModelSpec(
         name="reaction_diffusion",
         semigroup=seg,
@@ -242,28 +259,10 @@ def build_hyperbolic(
         implicit_step=implicit_step,
     )
 
-    g_std = math.sqrt(levy_gaussian_variance)
-    if g_std > 0.0:
-        def diffusion_eval(t, x):
-            return g_std * np.asarray(x, dtype=float)[..., None, u_sl]
-
-        diffusion = DiffusionSpec(
-            evaluate=diffusion_eval,
-            modes=1,
-            lipschitz_c=levy_gaussian_variance / lam_min,
-            growth_d=levy_gaussian_variance / lam_min,
-        )
-    else:
-        diffusion = zero_diffusion(n_modes)
-
-    nu_mean = marks.rate * marks.mark_mean
-    c_k = marks.rate * marks.mark_second_moment / lam_min
-    jump = JumpCoeffSpec(
-        evaluate=lambda t, xi, x: _mark_times_state(t, xi, np.asarray(x)[..., u_sl]),
-        compensator=lambda t, x: nu_mean * np.asarray(x, dtype=float)[..., u_sl],
-        lipschitz_c=c_k, growth_d=c_k,
+    noise = _multiplicative_noise(
+        marks, u_sl, n_modes, math.sqrt(levy_gaussian_variance), levy_gaussian_variance, lam_min
     )
-    coeffs = CoefficientSet(drift, diffusion, jump, support=v_sl)
+    coeffs = CoefficientSet(drift, *noise, support=v_sl)
     upos = x0_position if x0_position is not None else _default_profile(n_modes, x0_amplitude)
     x0 = np.concatenate([np.asarray(upos, dtype=float), np.zeros(n_modes)])
     model = ModelSpec(
@@ -317,8 +316,6 @@ def build_delay(
         # Only the head moves: x_0 = b_0 + dt (-cbrt(x_0) + gamma x_0) is one
         # scalar root per row.
         den = 1.0 - dt * gamma
-        if den <= 0.0:
-            return b.copy(), np.zeros(b.shape[:-1], dtype=bool)
         x = b.copy()
         x[..., 0] = cbrt_implicit_prox(b[..., 0] / den, dt / den)
         return x, np.ones(b.shape[:-1], dtype=bool)
@@ -330,26 +327,10 @@ def build_delay(
         implicit_step=implicit_step,
     )
 
-    g_std = math.sqrt(levy_gaussian_variance)
-    if g_std > 0.0:
-        def diffusion_eval(t, x):
-            return g_std * np.asarray(x, dtype=float)[..., None, head]
-
-        diffusion = DiffusionSpec(
-            evaluate=diffusion_eval, modes=1,
-            lipschitz_c=levy_gaussian_variance, growth_d=levy_gaussian_variance,
-        )
-    else:
-        diffusion = zero_diffusion(1)
-
-    nu_mean = marks.rate * marks.mark_mean
-    c_k = marks.rate * marks.mark_second_moment
-    jump = JumpCoeffSpec(
-        evaluate=lambda t, xi, x: _mark_times_state(t, xi, np.asarray(x)[..., head]),
-        compensator=lambda t, x: nu_mean * np.asarray(x, dtype=float)[..., head],
-        lipschitz_c=c_k, growth_d=c_k,
+    noise = _multiplicative_noise(
+        marks, head, 1, math.sqrt(levy_gaussian_variance), levy_gaussian_variance
     )
-    coeffs = CoefficientSet(drift, diffusion, jump, support=head)
+    coeffs = CoefficientSet(drift, *noise, support=head)
     lags = seg.history_lags()
     hist_vals = np.asarray(history(lags), dtype=float)
     x0 = np.concatenate([[float(history(np.array([0.0]))[0])], hist_vals])
@@ -387,10 +368,7 @@ def build_linear_scalar(
     seg = DiagonalSemigroup(np.zeros(1), alpha=0.0)
 
     def implicit_step(t, b, dt, tol):
-        den = 1.0 - dt * a
-        if den <= 0.0:
-            return b.copy(), np.zeros(b.shape[:-1], dtype=bool)
-        return b / den, np.ones(b.shape[:-1], dtype=bool)
+        return b / (1.0 - dt * a), np.ones(b.shape[:-1], dtype=bool)
 
     drift = DriftSpec(
         evaluate=lambda t, x: a * np.asarray(x, dtype=float),
@@ -398,24 +376,7 @@ def build_linear_scalar(
         growth_d=a * a,
         implicit_step=implicit_step,
     )
-    if sigma != 0.0:
-        diffusion = DiffusionSpec(
-            evaluate=lambda t, x: sigma * np.asarray(x, dtype=float)[..., None, :],
-            modes=1,
-            lipschitz_c=sigma * sigma,
-            growth_d=sigma * sigma,
-        )
-    else:
-        diffusion = zero_diffusion(1)
-    c_k = marks.rate * marks.mark_second_moment
-    nu_mean = marks.rate * marks.mark_mean
-    jump = JumpCoeffSpec(
-        evaluate=_mark_times_state,
-        compensator=lambda t, x: nu_mean * np.asarray(x, dtype=float),
-        lipschitz_c=c_k,
-        growth_d=c_k,
-    )
-    coeffs = CoefficientSet(drift, diffusion, jump)
+    coeffs = CoefficientSet(drift, *_multiplicative_noise(marks, WHOLE, 1, sigma, sigma * sigma))
     model = ModelSpec(
         name="linear_scalar",
         semigroup=seg,
@@ -437,31 +398,33 @@ def stochastic_exponential(
     nu_mean: float,
     times: np.ndarray,
     wiener_path: np.ndarray,
-    events,
+    jump_row: np.ndarray,
+    jump_time: np.ndarray,
+    jump_mark: np.ndarray,
 ) -> np.ndarray:
-    """Closed-form path of the scalar linear model on a given realization.
+    """Closed-form paths of the scalar linear model on a given realization.
 
     X_t = x0 exp((a - sigma^2/2 - nu_mean) t + sigma W_t) prod_{s<=t} (1+xi_s)
     where nu_mean is the first moment of the (uncompensated) intensity.
-    Evaluated at the grid points ``times`` from the Wiener values there and
-    the (time, mark) pairs in ``events``; each jump takes effect from the
-    right endpoint of its cell on, matching the integrator's binning. A
-    ``wiener_path`` (paths, len(times)) evaluates a batch of paths at once,
-    with ``events`` holding one sequence of pairs per path. On the two points
-    (0, T) the value at T is the one on any finer grid, bit for bit.
+    Evaluated at the grid points ``times`` from each path's Wiener values
+    there, ``wiener_path`` (paths, len(times)), and the flat event arrays of
+    a :class:`~mildsde.noise.NoiseRealization`: event e hits path row
+    ``jump_row[e]`` at ``jump_time[e]`` with mark ``jump_mark[e]``, and each
+    row's events come in time order. Each jump takes effect from the right
+    endpoint of its cell on, matching the integrator's binning. On the two
+    points (0, T) the value at T is the one on any finer grid, bit for bit.
     """
     times = np.asarray(times, dtype=float)
     wiener_path = np.asarray(wiener_path, dtype=float)
     log_factor = (a - 0.5 * sigma * sigma - nu_mean) * times + sigma * wiener_path
     prod = np.ones_like(log_factor)
-    rows = prod.reshape(-1, len(times))
-    per_row = [events] if wiener_path.ndim == 1 else events
-    counts = np.array([len(row_events) for row_events in per_row], dtype=int)
+    counts = np.bincount(jump_row, minlength=len(prod))
     if counts.any():
-        pairs = np.array([pair for row_events in per_row for pair in row_events], dtype=float)
-        cells = np.ceil(pairs[:, 0] / (times[1] - times[0])).astype(int) - 1
+        # the stable sort keeps each row's events in their time order
+        order = np.argsort(jump_row, kind="stable")
+        cells = np.ceil(jump_time[order] / (times[1] - times[0])).astype(int) - 1
         first = np.maximum(np.minimum(cells, len(times) - 2), 0) + 1
-        factor = 1.0 + pairs[:, 1]
+        factor = 1.0 + jump_mark[order]
         starts = np.cumsum(counts) - counts
         col = np.arange(len(times))
         # the k-th jump of every row that has one at a time, so each row's
@@ -469,7 +432,7 @@ def stochastic_exponential(
         for k in range(int(counts.max())):
             hit = np.flatnonzero(counts > k)
             e = starts[hit] + k
-            rows[hit] *= np.where(col >= first[e, None], factor[e, None], 1.0)
+            prod[hit] *= np.where(col >= first[e, None], factor[e, None], 1.0)
     return x0 * np.exp(log_factor) * prod
 
 

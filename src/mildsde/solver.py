@@ -25,9 +25,7 @@ import numpy as np
 from .coefficients import (
     WHOLE,
     CoefficientSet,
-    DiffusionSpec,
     DriftSpec,
-    JumpCoeffSpec,
     check_lipschitz_growth,
     check_semimonotone,
     on_support,
@@ -176,29 +174,25 @@ def rescale_to_contraction(model: ModelSpec) -> ModelSpec:
     # exactly; the growth constant picks up exp(2 |alpha| T) only when the
     # rescaling factor can exceed one on [0, T].
     growth_factor = math.exp(2.0 * max(0.0, -alpha) * model.horizon)
-    drift = DriftSpec(
-        evaluate=_conjugate(c.drift.evaluate, alpha),
-        semimonotone_m=c.drift.semimonotone_m,
-        growth_d=c.drift.growth_d * growth_factor,
-        implicit_step=make_implicit(c.drift.implicit_step),
-    )
-    diffusion = DiffusionSpec(
-        evaluate=_conjugate(c.diffusion.evaluate, alpha),
-        modes=c.diffusion.modes,
-        lipschitz_c=c.diffusion.lipschitz_c,
-        growth_d=c.diffusion.growth_d * growth_factor,
-    )
-    jump = JumpCoeffSpec(
-        evaluate=_conjugate(c.jump.evaluate, alpha),
-        compensator=_conjugate(c.jump.compensator, alpha),
-        lipschitz_c=c.jump.lipschitz_c,
-        growth_d=c.jump.growth_d * growth_factor,
+
+    def conjugated(spec, **fields):
+        # every other field, the constants included, is carried over as is
+        return replace(
+            spec, evaluate=_conjugate(spec.evaluate, alpha),
+            growth_d=spec.growth_d * growth_factor, **fields,
+        )
+
+    coeffs = replace(
+        c,
+        drift=conjugated(c.drift, implicit_step=make_implicit(c.drift.implicit_step)),
+        diffusion=conjugated(c.diffusion),
+        jump=conjugated(c.jump, compensator=_conjugate(c.jump.compensator, alpha)),
     )
     return replace(
         model,
         name=model.name + ":contraction",
         semigroup=model.semigroup.shifted(-alpha),
-        coeffs=CoefficientSet(drift, diffusion, jump, c.support),
+        coeffs=coeffs,
     )
 
 

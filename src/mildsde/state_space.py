@@ -35,8 +35,6 @@ def weighted_norm_sq(values: np.ndarray, w: np.ndarray | None) -> np.ndarray:
 
 def hs_norm_sq(cols: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     """Squared Hilbert-Schmidt norm of mode columns, shape (..., modes, dim)."""
-    if cols.shape[-2] == 0:
-        return np.zeros(cols.shape[:-2])
     if w is None:
         return np.einsum("...kd,...kd->...", cols, cols)
     return np.einsum("...kd,d,...kd->...", cols, np.asarray(w, dtype=float), cols)

@@ -225,12 +225,14 @@ def test_criterion_4_closed_form_oracle():
             rows = [lvl * paths + start + i for i in range(min(100, paths - start))]
             noise = draw_noise(model, grid, 4242, rows)
             res = direct_solve_batch(model, noise)
-            for p in range(len(rows)):
-                w_path = np.concatenate([[0.0], np.cumsum(noise.dW[p, :, 0])])
-                exact = stochastic_exponential(
-                    1.0, -1.0, 0.5, 0.0, grid.times, w_path, noise.events_by_path[p]
-                )
-                errs.append((res.values[p, -1, 0] - exact[-1]) ** 2)
+            w_paths = np.concatenate(
+                [np.zeros((len(rows), 1)), np.cumsum(noise.dW[:, :, 0], axis=1)], axis=1
+            )
+            exact = stochastic_exponential(
+                1.0, -1.0, 0.5, 0.0, grid.times, w_paths,
+                noise.jump_row, noise.jump_time, noise.jump_mark,
+            )
+            errs.extend(d ** 2 for d in res.values[:, -1, 0] - exact[:, -1])
         rms.append(math.sqrt(float(np.mean(errs))))
     order = float(np.polyfit(-np.array(levels, dtype=float), np.log2(rms), 1)[0])
     rms_10 = rms[levels.index(10)]

@@ -70,6 +70,15 @@ CASES = {
         0,
         "48f438bf2d4c1850df8f6d3aef181057d1fedbe2f94e21461df7c51457525022",
     ),
+    # the Gaussian part of the driving process on the head: its declared
+    # constants in the diffusion column, and a drift with M = 0
+    "hypothesis-check-delay-levy": (
+        "hypothesis-check",
+        dict(BASE, example="delay", dim=6, paths=1, seed=23,
+             model_params=dict(JUMPS, levy_gaussian_variance=0.25, levy_drift=-0.2)),
+        0,
+        "ff68b0155fbedc6e1f87cc8dd7525ae406b8b972029fe70458b5ae37982f5134",
+    ),
     # the Nemitsky drift, and a jump quadrature over all 8 components
     "hypothesis-check-reaction-diffusion": (
         "hypothesis-check",

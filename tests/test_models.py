@@ -175,12 +175,15 @@ def test_linear_scalar_drift_constant_attained():
 
 def test_stochastic_exponential_deterministic_limit():
     times = np.linspace(0.0, 1.0, 11)
-    vals = stochastic_exponential(1.0, -1.0, 0.0, 0.0, times, np.zeros(11), [])
+    no_rows, no_values = np.array([], dtype=int), np.array([])
+    vals = stochastic_exponential(
+        1.0, -1.0, 0.0, 0.0, times, np.zeros((1, 11)), no_rows, no_values, no_values
+    )[0]
     assert np.allclose(vals, np.exp(-times), rtol=1e-14)
 
 
 def test_stochastic_exponential_single_jump():
-    # one event at t = 0.5 with mark 0.5, read through the per-path view
+    # one event at t = 0.5 with mark 0.5, read from the realization's arrays
     grid = TimeGrid(1.0, 100)
     noise = NoiseRealization(
         grid, None, np.ones((1, 1)), jump_row=np.array([0]),
@@ -189,11 +192,33 @@ def test_stochastic_exponential_single_jump():
     )
     assert noise.events_by_path == [((0.5, 0.5),)]
     vals = stochastic_exponential(
-        2.0, 0.0, 0.0, 0.0, grid.times, np.zeros(101), noise.events_by_path[0]
-    )
+        2.0, 0.0, 0.0, 0.0, grid.times, np.zeros((1, 101)),
+        noise.jump_row, noise.jump_time, noise.jump_mark,
+    )[0]
     assert vals[0] == 2.0
     assert vals[49] == pytest.approx(2.0)
     assert vals[-1] == pytest.approx(3.0)
+
+
+def test_stochastic_exponential_matches_a_loop_over_each_paths_events():
+    # many events per row, stored by (cell, row): the oracle's flat-array
+    # form has the bits of one product per path over its (time, mark)
+    # pairs in time order, at every grid point
+    model = build_linear_scalar(sigma=0.3, jump_rate=40.0, mark_std=0.4, validate=False)
+    grid = TimeGrid(1.0, 64)
+    noise = draw_noise(model, grid, 9, range(12))
+    w = np.concatenate([np.zeros((12, 1)), np.cumsum(noise.dW[:, :, 0], axis=1)], axis=1)
+    vals = stochastic_exponential(
+        1.5, -0.7, 0.3, 0.0, grid.times, w, noise.jump_row, noise.jump_time, noise.jump_mark
+    )
+    assert np.bincount(noise.jump_row).min() >= 20
+    for p, events in enumerate(noise.events_by_path):
+        prod = np.ones(len(grid.times))
+        for time, mark in events:
+            first = min(max(int(np.ceil(time / grid.dt)) - 1, 0), grid.n_steps - 1) + 1
+            prod *= np.where(np.arange(len(grid.times)) >= first, 1.0 + mark, 1.0)
+        log_factor = (-0.7 - 0.5 * 0.3 * 0.3 - 0.0) * grid.times + 0.3 * w[p]
+        assert np.array_equal(vals[p], 1.5 * np.exp(log_factor) * prod)
 
 
 STEP_MODELS = {
@@ -241,13 +266,9 @@ def test_reaction_diffusion_single_mode_reduces_to_linear_oracle():
     noise = draw_noise(model, grid, 55, range(64))
     res = direct_solve_batch(model, noise)
     a_eff = 0.5 - np.pi**2
-    rel_errs = []
-    for p in range(64):
-        exact = stochastic_exponential(
-            1.0, a_eff, 0.0, 0.0, grid.times, np.zeros(grid.n_steps + 1),
-            noise.events_by_path[p],
-        )
-        rel_errs.append(
-            abs(res.values[p, -1, 0] - exact[-1]) / max(abs(exact[-1]), 1e-12)
-        )
+    exact = stochastic_exponential(
+        1.0, a_eff, 0.0, 0.0, grid.times, np.zeros((64, grid.n_steps + 1)),
+        noise.jump_row, noise.jump_time, noise.jump_mark,
+    )[:, -1]
+    rel_errs = np.abs(res.values[:, -1, 0] - exact) / np.maximum(np.abs(exact), 1e-12)
     assert float(np.median(rel_errs)) <= 0.05

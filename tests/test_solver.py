@@ -29,6 +29,7 @@ from mildsde.solver import (
     InnerIterationError,
     ModelSpec,
     PicardDivergenceError,
+    SolverError,
     _advance_step,
     _cell_assembler,
     _solve_step_equation,
@@ -412,6 +413,36 @@ def test_picard_divergence_detected():
         picard_solve_batch(model, draw_noise(model, grid, 1, range(8)), n_max=10)
 
 
+UNSOLVABLE_STEP = {
+    "linear_scalar": lambda m: build_linear_scalar(a=m, validate=False),
+    "delay": lambda m: build_delay(history_cells=4, levy_drift=m, validate=False),
+    "reaction_diffusion": lambda m: build_reaction_diffusion(dim=4, eta=m, validate=False),
+}
+
+
+@pytest.mark.parametrize("m", [100.0, 250.0])
+@pytest.mark.parametrize("case", sorted(UNSOLVABLE_STEP))
+def test_picard_refuses_unsolvable_step_before_any_step(case, m):
+    # M dt >= 1 (at dt = 1/100, equality for M = 100): the step equation may
+    # have no unique root, so the solver refuses the grid before it calls
+    # the drift's own step even once
+    model = UNSOLVABLE_STEP[case](m)
+    drift = model.coeffs.drift
+    assert drift.semimonotone_m == m
+    own_step, calls = drift.implicit_step, []
+
+    def counted(*args):
+        calls.append(args)
+        return own_step(*args)
+
+    drift.implicit_step = counted
+    noise = draw_noise(model, TimeGrid(1.0, 100), 0, range(2))
+    message = f"{model.name}: the implicit step needs M dt < 1 (M = {m:.6g}, dt = 0.01)"
+    with pytest.raises(SolverError, match=re.escape(message)):
+        picard_solve_batch(model, noise, n_max=2)
+    assert calls == []
+
+
 def test_picard_trace_shapes_and_moments():
     model = rd_model()
     grid = TimeGrid(1.0, 200)
@@ -469,13 +500,12 @@ def test_direct_matches_stochastic_exponential():
     grid = TimeGrid(1.0, 1024)
     noise = draw_noise(model, grid, 17, range(64))
     res = direct_solve_batch(model, noise)
-    errs = []
-    for p in range(64):
-        w_path = np.concatenate([[0.0], np.cumsum(noise.dW[p, :, 0])])
-        exact = stochastic_exponential(
-            1.0, -1.0, 0.5, 0.0, grid.times, w_path, noise.events_by_path[p]
-        )
-        errs.append(abs(res.values[p, -1, 0] - exact[-1]))
+    w_paths = np.concatenate([np.zeros((64, 1)), np.cumsum(noise.dW[:, :, 0], axis=1)], axis=1)
+    exact = stochastic_exponential(
+        1.0, -1.0, 0.5, 0.0, grid.times, w_paths,
+        noise.jump_row, noise.jump_time, noise.jump_mark,
+    )
+    errs = np.abs(res.values[:, -1, 0] - exact[:, -1])
     rms = np.sqrt(np.mean(np.square(errs)))
     # strong order 1/2: at dt = 2^-10 the error sits well under c sqrt(dt)
     assert rms <= 0.5 * np.sqrt(grid.dt)

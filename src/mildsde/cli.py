@@ -535,17 +535,17 @@ def run_picard_campaign(config: RunConfig) -> tuple:
     )
 
     def chunk(path_range):
-        # per-iterate arrays leave a chunk as (paths, iterates); of the path
-        # norms, only the rows the CSV dumps leave it
+        # per-iterate arrays leave a chunk as (paths, iterates); the solver
+        # keeps the path of the rows the CSV dumps only, and their norms
+        # leave the chunk
         noise = draw_noise(model, grid, config.seed, path_range)
         res = picard_solve_batch(
             model, noise, n_max=config.n_max, damping=config.damping,
-            inner_tol=config.inner_tol,
+            inner_tol=config.inner_tol, path_rows=max(0, k - path_range.start),
         )
         x0_sq = weighted_norm_sq(noise.x0, model.weights)
         norms = np.sqrt(weighted_norm_sq(res.values, model.weights))
-        return (res.distances.T, res.x_sup_sq.T, res.v_sup_sq.T, x0_sq,
-                norms[: max(0, k - path_range.start)].copy())
+        return res.distances.T, res.x_sup_sq.T, res.v_sup_sq.T, x0_sq, norms
 
     *per_path, x0_sq, norms = _run_stacked(
         [_chunkwise(chunk)], config.paths, config.chunk_size

@@ -28,7 +28,10 @@ The shipped models with a narrower support (delay and hyperbolic) are
 weighted.
 
 Constants are declared by the builder and verified by sampling, never
-estimated: the predicted iteration bounds need them as inputs.
+estimated: the predicted iteration bounds need them as inputs. The checkers
+evaluate the drift, the diffusion columns and the pair distances in blocks
+of at most ``_ROW_BLOCK`` sample pairs, so their memory does not grow with
+the sample beyond the pairs themselves and a few values per pair.
 """
 
 from __future__ import annotations
@@ -388,6 +391,17 @@ _RADIUS = 3.0
 _JUMP_PAIRS = 256
 # Values per (nodes, pairs, width) block of the jump quadrature.
 _JUMP_BLOCK = 2 ** 16
+# Pairs per block of the checkers' drift, diffusion and distance evaluations.
+# A matrix product may round a row according to the product's height, and
+# heights that are multiples of 16 round as the whole default sample of
+# 10,000 pairs does; the blocks of that sample are 9 * 1024 + 784 pairs, all
+# such heights, so every report has the bits of unblocked evaluation.
+_ROW_BLOCK = 1024
+
+
+def _row_blocks(n):
+    """Slices of at most ``_ROW_BLOCK`` consecutive rows covering n rows."""
+    return [slice(start, start + _ROW_BLOCK) for start in range(0, n, _ROW_BLOCK)]
 
 
 def _sample_pairs(rng, samples, dim):
@@ -418,23 +432,30 @@ def check_semimonotone(
     support: slice = WHOLE,
 ) -> SemimonotoneReport:
     """Sample pairs and compare <f(t,x)-f(t,y), x-y> / ||x-y||^2 to declared
-    M; ``support`` is that of the drift's coefficient set."""
+    M; ``support`` is that of the drift's coefficient set. The drift and the
+    pair distances are evaluated in blocks of ``_ROW_BLOCK`` pairs."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     xs, ys = _sample_pairs(rng, samples, dim)
-    dx = xs - ys
-    dx_on = on_support(dx, support)
-    den = weighted_norm_sq(dx, weights)
+    ts = rng.uniform(0.0, t_max, size=4)
+    w_on = on_support(weights, support)
+    den = np.empty(samples)
+    num = np.empty((len(ts), samples))
+    for rows in _row_blocks(samples):
+        x, y = xs[rows], ys[rows]
+        dx = x - y
+        den[rows] = weighted_norm_sq(dx, weights)
+        dx_on = on_support(dx, support)
+        for i, t in enumerate(ts):
+            df = drift.evaluate(float(t), x) - drift.evaluate(float(t), y)
+            num[i, rows] = weighted_inner(df, dx_on, w_on)
     ok = den > 0
     den_ok = den[ok]
     max_ratio = -np.inf
-    w_on = on_support(weights, support)
-    for t in rng.uniform(0.0, t_max, size=4):
-        df = drift.evaluate(float(t), xs) - drift.evaluate(float(t), ys)
-        num = weighted_inner(df, dx_on, w_on)
+    for num_t in num:
         if den_ok.size:
-            max_ratio = max(max_ratio, float(np.max(num[ok] / den_ok)))
+            max_ratio = max(max_ratio, float(np.max(num_t[ok] / den_ok)))
     m = drift.semimonotone_m
     return SemimonotoneReport(
         declared_m=m,
@@ -499,15 +520,16 @@ def check_lipschitz_growth(
 ) -> GrowthReport:
     """Empirical maxima of the Lipschitz and growth ratios versus declared C, D.
 
-    The diffusion and growth ratios use the full pair sample; intensity
-    integrals over the mark space use ``jump_nodes`` Monte Carlo nodes on a
-    subsample of ``_JUMP_PAIRS`` pairs to keep the cost bounded. The
-    quadrature runs in blocks of nodes, calling the jump evaluator with a
-    (nodes, 1) column of marks, each result capped at ``_JUMP_BLOCK``
-    values; it adds each pair's terms in node order. A node sum
-    that overflows is taken again on terms scaled by 2^-e, with 2^e at
-    least the node count, so a sum of finite terms whose mean is finite
-    reads finite; a sum with a term that is not finite stays so.
+    The diffusion and growth ratios use the full pair sample, evaluated in
+    blocks of ``_ROW_BLOCK`` pairs; intensity integrals over the mark space
+    use ``jump_nodes`` Monte Carlo nodes on a subsample of ``_JUMP_PAIRS``
+    pairs to keep the cost bounded. The quadrature runs in blocks of nodes,
+    calling the jump evaluator with a (nodes, 1) column of marks, each
+    result capped at ``_JUMP_BLOCK`` values; it adds each pair's terms in
+    node order. A node sum that overflows is taken again on terms scaled by
+    2^-e, with 2^e at least the node count, so a sum of finite terms whose
+    mean is finite reads finite; a sum with a term that is not finite stays
+    so.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -518,23 +540,10 @@ def check_lipschitz_growth(
     t = float(rng.uniform(0.0, t_max))
     w_on = on_support(weights, coeffs.support)
 
-    dx_sq = weighted_norm_sq(xs - ys, weights)
-    ok = dx_sq > 0
-
-    # Diffusion Lipschitz ratio over all pairs.
-    if coeffs.diffusion.is_zero:
-        g_ratio = 0.0
-        g_growth = np.zeros(samples)
-    else:
-        gx = coeffs.diffusion.evaluate(t, xs)
-        gy = coeffs.diffusion.evaluate(t, ys)
-        g_ratio = float(np.max(hs_norm_sq(gx - gy, w_on)[ok] / dx_sq[ok]))
-        g_growth = hs_norm_sq(gx, w_on)
-
     # Jump Lipschitz and growth via mark-node quadrature on a subsample.
+    k_growth = np.zeros(samples)
     if marks is None or marks.rate == 0.0:
         k_ratio = 0.0
-        k_growth = np.zeros(samples)
     else:
         n_pairs = min(_JUMP_PAIRS, samples)
         rng_nodes = np.random.default_rng(
@@ -560,13 +569,29 @@ def check_lipschitz_growth(
                 for total, scaled in zip((xi_diff, xi_growth), redo):
                     hit = np.isinf(total[over])
                     total[over[hit]] = scaled[hit] * mean * 2.0 ** e
-        ok_sub = dx_sq[:n_pairs] > 0
-        k_ratio = float(np.max(xi_diff[ok_sub] / dx_sq[:n_pairs][ok_sub]))
-        k_growth = np.concatenate([xi_growth, np.zeros(samples - n_pairs)])
+        dx_sub = weighted_norm_sq(xsub - ysub, weights)
+        ok_sub = dx_sub > 0
+        k_ratio = float(np.max(xi_diff[ok_sub] / dx_sub[ok_sub]))
+        k_growth[:n_pairs] = xi_growth
 
-    fx = coeffs.drift.evaluate(t, xs)
-    growth_num = weighted_norm_sq(fx, w_on) + g_growth + k_growth
-    growth_max = float(np.max(growth_num / (1.0 + weighted_norm_sq(xs, weights))))
+    # Diffusion Lipschitz ratio and combined growth ratio over all pairs, in
+    # row blocks, after the quadrature so that its blocks and these arrays
+    # are not held at once.
+    diffuse = not coeffs.diffusion.is_zero
+    dx_sq, g_diff, growth = np.empty(samples), np.zeros(samples), np.empty(samples)
+    for rows in _row_blocks(samples):
+        x, y = xs[rows], ys[rows]
+        dx_sq[rows] = weighted_norm_sq(x - y, weights)
+        num = weighted_norm_sq(coeffs.drift.evaluate(t, x), w_on)
+        if diffuse:
+            gx = coeffs.diffusion.evaluate(t, x)
+            g_diff[rows] = hs_norm_sq(gx - coeffs.diffusion.evaluate(t, y), w_on)
+            num += hs_norm_sq(gx, w_on)
+        num += k_growth[rows]
+        growth[rows] = num / (1.0 + weighted_norm_sq(x, weights))
+    ok = dx_sq > 0
+    g_ratio = float(np.max(g_diff[ok] / dx_sq[ok])) if diffuse else 0.0
+    growth_max = float(np.max(growth))
 
     combined = g_ratio + k_ratio
     return GrowthReport(

@@ -54,7 +54,7 @@ __all__ = [
 
 def gaussian_marks(rate: float, std: float, mean: float = 0.0) -> MarkSpaceSpec:
     """Gaussian mark law; its mean and second moment mean^2 + std^2 are exact."""
-    if std < 0.0:
+    if not std >= 0.0:  # NaN too
         raise ValueError("mark std must be >= 0")
     return MarkSpaceSpec(
         rate=rate,
@@ -224,7 +224,7 @@ def build_hyperbolic(
     forcing gamma * u. Initial velocity is zero.
     """
     marks = gaussian_marks(jump_rate, mark_std, mark_mean)
-    if levy_gaussian_variance < 0.0:
+    if not levy_gaussian_variance >= 0.0:  # NaN too
         raise ValueError("gaussian variance must be >= 0")
     lam = (np.arange(1, n_modes + 1) * np.pi) ** 2
     seg = BlockWaveSemigroup(lam)
@@ -299,7 +299,7 @@ def build_delay(
     initial history is sin(pi * theta) on (-1, 0], whose head value is zero.
     """
     marks = gaussian_marks(jump_rate, mark_std, mark_mean)
-    if levy_gaussian_variance < 0.0:
+    if not levy_gaussian_variance >= 0.0:  # NaN too
         raise ValueError("gaussian variance must be >= 0")
     if history is None:
         history = lambda theta: np.sin(np.pi * theta)

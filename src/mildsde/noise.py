@@ -203,9 +203,9 @@ class MarkSpaceSpec:
     mark_mean: float
 
     def __post_init__(self):
-        if self.rate < 0.0:
+        if not self.rate >= 0.0:  # NaN too
             raise ValueError("intensity mass must be >= 0")
-        if self.mark_second_moment < 0.0:
+        if not self.mark_second_moment >= 0.0:  # NaN too
             raise ValueError("second moment must be finite and >= 0")
 
 

@@ -493,7 +493,7 @@ class BatchPicardResult:
     to the original gauge.
     """
 
-    values: np.ndarray                 # (paths, m+1, dim)
+    values: np.ndarray                 # (rows, m+1, dim), the kept rows
     distances: np.ndarray              # (iters, paths)
     x_sup_sq: np.ndarray               # (iters+1, paths)
     v_sup_sq: np.ndarray               # (iters, paths)
@@ -506,6 +506,7 @@ def picard_solve_batch(
     damping: float = 1.0,
     inner_tol: float = 1e-8,
     max_halvings: int = 6,
+    path_rows: int | None = None,
 ) -> BatchPicardResult:
     """Successive approximation on a batch of frozen noise realizations, on
     the noise's grid.
@@ -515,7 +516,9 @@ def picard_solve_batch(
     (:func:`require_solvable_step`). All ``n_max`` iterates are run. Every
     iterate must stay inside its a-priori bound (:class:`AprioriBoundError`),
     and three consecutive non-decreasing distances raise
-    :class:`PicardDivergenceError`.
+    :class:`PicardDivergenceError`. The last iterate's path is kept for the
+    first ``path_rows`` rows (all by default); the per-path records cover
+    every row.
 
     Iterate n at step j reads only its own state and iterate n-1's
     left-point state at j, so the iterates advance together as a wavefront:
@@ -559,8 +562,9 @@ def picard_solve_batch(
     acc = np.zeros((n_max, p))
     x0n = np.sqrt(weighted_norm_sq(states[0], w))
     growth = 1.0 / (1.0 - drift.semimonotone_m * dt)
-    values = np.zeros((p, m + 1, dim))    # the path of the last iterate
-    values[:, 0] = states[n_max]
+    rows = p if path_rows is None else max(0, min(path_rows, p))
+    values = np.zeros((rows, m + 1, dim))  # the last iterate's path of the kept rows
+    values[:, 0] = states[n_max, :rows]
     sq = weighted_norm_sq(states, w)
     x_max_sq = sq.copy()                  # running sup ||X^n||^2, n = 0..N
     v_max_sq = np.zeros((n_max, p))       # running sup ||V^n||^2
@@ -643,7 +647,7 @@ def picard_solve_batch(
             diff_sq = weighted_norm_sq(states[1 : a + 1] - states[:a], w)
             np.maximum(dist_max[:a], diff_sq, out=dist_max[:a])
             check_bound(j + 1, sq[1:], x0n + np.sqrt(v_next_sq) + acc[:a])
-            values[:, j + 1] = states[n_max]
+            values[:, j + 1] = states[n_max, :rows]
 
     distances: list[np.ndarray] = []
     for n in range(n_max):

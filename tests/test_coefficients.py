@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -246,6 +247,63 @@ def test_blocked_jump_quadrature_is_bitwise_node_at_a_time(build, seed):
         for got, want in zip(blocked, reference):
             assert np.array_equal(got, want)
     assert 0 < largest <= coefficients._JUMP_BLOCK
+
+
+LEVY = dict(MARKS, levy_drift=0.3, levy_gaussian_variance=0.04)
+
+
+def _check_both(model):
+    """Both checkers' reports on the model at the default sample."""
+    return (
+        check_semimonotone(model.coeffs.drift, model.dim, model.weights,
+                           t_max=model.horizon, support=model.coeffs.support),
+        check_lipschitz_growth(model.coeffs, model.dim, model.weights, model.marks,
+                               t_max=model.horizon),
+    )
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_reaction_diffusion(dim=8, eta=0.5, **MARKS),
+    lambda: build_hyperbolic(n_modes=4, **LEVY),
+    lambda: build_delay(history_cells=32, **LEVY),
+    lambda: build_linear_scalar(**MARKS),
+], ids=["reaction_diffusion", "hyperbolic", "delay", "linear_scalar"])
+def test_blocked_checkers_report_the_full_height_bits(build, monkeypatch):
+    # the checkers evaluate the drift, the diffusion columns and the pair
+    # distances in blocks of rows; the reference takes the whole sample of
+    # 10,000 pairs as one block
+    model = build()
+    drift, heights = model.coeffs.drift.evaluate, set()
+
+    def evaluate(t, x):
+        heights.add(len(x))
+        return drift(t, x)
+
+    monkeypatch.setattr(model.coeffs.drift, "evaluate", evaluate)
+    blocked = _check_both(model)
+    assert max(heights) == coefficients._ROW_BLOCK
+    monkeypatch.setattr(coefficients, "_ROW_BLOCK", 10_000)
+    heights.clear()
+    reference = _check_both(model)
+    assert heights == {10_000}
+    assert blocked == reference
+
+
+def test_semimonotone_check_memory_is_a_few_blocks():
+    # the pairs themselves, 2 * 10,000 * 8 floats, are held whole; the
+    # drift's quadrature values, (pairs, 16) per evaluation, are not
+    model = build_reaction_diffusion(dim=8, validate=False)
+    check = lambda samples: check_semimonotone(
+        model.coeffs.drift, model.dim, model.weights, samples=samples
+    )
+    check(100)  # first-call allocations are not the checker's
+    tracemalloc.start()
+    try:
+        check(10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (2 * 10_000 * 8 * 8)
 
 
 @pytest.mark.parametrize("jump_nodes", [0, -3])

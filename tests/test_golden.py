@@ -126,6 +126,21 @@ for dump, digest in [
         digest,
     )
 
+# picard on the rescaled delay model in the same chunks and dumps: the Picard
+# solver keeps the path of the dumped rows only
+for dump, digest in [
+    (0, "21037c37fb2ccc18b861b61101bbd19500987bd9e680f2cc9b98581b2c038df3"),
+    (7, "081c0ae616ca0dc6f4e9c6c6b2c4564d88368cb104b0412734be314e12f1c24c"),
+    (3, "64425ccf40833b352aa7ecc856cdcee344795c68787e4bf1faf39a304b3d47c8"),
+]:
+    CASES[f"picard-delay-dump-{dump}"] = (
+        "picard",
+        dict(BASE, example="delay", dim=6, paths=7, seed=24, n_max=3, chunk_size=2,
+             dump_paths=dump, model_params=dict(JUMPS, levy_gaussian_variance=0.09)),
+        0,
+        digest,
+    )
+
 
 def csv_digest(out_dir):
     digest = hashlib.sha256()

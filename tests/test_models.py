@@ -255,6 +255,24 @@ def test_builder_registry():
     assert sorted(EXAMPLE_BUILDERS) == ["delay", "hyperbolic", "linear_scalar", "reaction_diffusion"]
 
 
+@pytest.mark.parametrize("build", [build_hyperbolic, build_delay])
+def test_nan_gaussian_variance_is_rejected_by_the_builder(build):
+    # a NaN variance fails the builder's own guard, not model validation
+    with pytest.raises(ValueError, match="^gaussian variance must be >= 0$"):
+        build(levy_gaussian_variance=float("nan"))
+
+
+@pytest.mark.parametrize("params, message", [
+    (dict(mark_std=float("nan")), "mark std must be >= 0"),
+    (dict(jump_rate=float("nan")), "intensity mass must be >= 0"),
+    (dict(mark_mean=float("nan")), "second moment must be finite and >= 0"),
+])
+def test_nan_mark_space_is_rejected_by_the_builder(params, message):
+    # a NaN mark law fails its own guard, not model validation
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_reaction_diffusion(**params)
+
+
 def test_reaction_diffusion_single_mode_reduces_to_linear_oracle():
     # one retained mode with linear jump coefficient: the generator and the
     # linear drift 0.5 u combine into a scalar linear model with

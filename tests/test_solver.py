@@ -749,6 +749,39 @@ def test_euler_route_memory_is_flat_in_steps():
     assert growth < 2**20
 
 
+def picard_route_peak_bytes(n_steps):
+    """Peak traced allocation while 256 rows are drawn and solved by the
+    Picard wavefront with no path kept, as a campaign chunk past its dumped
+    rows solves them."""
+    model = build_linear_scalar(validate=False)
+    tracemalloc.start()
+    try:
+        noise = draw_noise(model, TimeGrid(1.0, n_steps), 3, range(256))
+        picard_solve_batch(model, noise, n_max=2, path_rows=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_picard_route_memory_is_flat_in_steps():
+    # a (rows, steps) table of one float per row and step, as the kept path
+    # of every row was, would add 256 * (2048 - 256) * 8 bytes, 3.7 MB
+    growth = picard_route_peak_bytes(2048) - picard_route_peak_bytes(256)
+    assert growth < 2**20
+
+
+@pytest.mark.parametrize("model", [rd_model(), delay_model()], ids=["rd", "delay"])
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_picard_path_rows_keeps_the_first_rows_of_the_full_run(model, k):
+    noise = draw_noise(model, TimeGrid(1.0, 120), 41, range(6))
+    full = picard_solve_batch(model, noise, n_max=3)
+    kept = picard_solve_batch(model, noise, n_max=3, path_rows=k)
+    assert kept.values.shape == (k, 121, model.dim)
+    assert np.array_equal(kept.values, full.values[:k])
+    for name in ("distances", "x_sup_sq", "v_sup_sq"):
+        assert np.array_equal(getattr(kept, name), getattr(full, name))
+
+
 def test_stacked_chunks_step_like_separate_chunks():
     # a flat product over 128 rows of the 33 x 33 delay semigroup matrix does
     # not round like 16-row products; the stacked batch keeps the 16-row

@@ -15,10 +15,12 @@ Subcommands
 Runs are reproducible: paths draw their noise from (seed, path index) and
 are cut into fixed chunks of ``chunk_size`` paths. The chunks run on up to
 one process per usable core (forked helpers plus the calling process). Each
-chunk returns row arrays that the runner joins in chunk order, and only then
-does a campaign reduce them, so outputs are byte-identical for a fixed
-(config, seed) whatever the core count. Every command is a campaign body in
-one frame (``_campaign``) that times it and writes ``summary.txt``.
+chunk returns row arrays that the runner joins in chunk order (or, for
+``ito-check``'s slack, writes its rows into one table that all processes
+share), and only then does a campaign reduce them, so outputs are
+byte-identical for a fixed (config, seed) whatever the core count. Every
+command is a campaign body in one frame (``_campaign``) that times it and
+writes ``summary.txt``.
 
 Exit codes: 0 all diagnostics pass; 2 diagnostic failure; 3 configuration
 or usage error; 4 solver divergence or nonconvergence.
@@ -378,6 +380,20 @@ def _join(per_chunk: list) -> tuple:
     return tuple(np.concatenate(parts) for parts in zip(*per_chunk))
 
 
+def _chunk_rows(table: np.ndarray, ranges: list) -> np.ndarray:
+    """The rows of table over the chunks of a batch of :func:`_run_stacked`,
+    ranges of one length whose starts are evenly spaced, as a view of shape
+    (chunks, chunk length) + table.shape[1:] that writes into table."""
+    step = ranges[1].start - ranges[0].start if len(ranges) > 1 else 0
+    if any(r.start != ranges[0].start + i * step or len(r) != len(ranges[0])
+           for i, r in enumerate(ranges)):
+        raise ValueError("a batch's chunks must be of one length and evenly spaced")
+    return np.lib.stride_tricks.as_strided(
+        table[ranges[0].start:], (len(ranges), len(ranges[0])) + table.shape[1:],
+        (step * table.strides[0],) + table.strides,
+    )
+
+
 def _chunk_ranges(paths: int, chunk_size: int) -> list:
     return [range(s, min(s + chunk_size, paths)) for s in range(0, paths, chunk_size)]
 
@@ -649,19 +665,28 @@ def run_ito_check(config: RunConfig) -> tuple:
         direct_solve_batch(model, nz, energy=rep, chunk_size=chunk_size)
         return rep
 
+    # the coarse slack of every path: one table in memory shared with the
+    # forked helpers, which each batch fills in place over its chunks' rows,
+    # so no slack row is pickled, joined or copied (mmap is imported here,
+    # where it is used, so that the other campaigns do not load it)
+    import mmap
+
+    m = grid.n_steps
+    slack = np.frombuffer(mmap.mmap(-1, config.paths * (m + 1) * 8)).reshape(-1, m + 1)
+
     def batch(ranges):
         noise_fine = draw_noise(
             model, grid=fine, master_seed=config.seed,
             path_indices=[i for r in ranges for i in r],
         )
         c = len(ranges[0])
-        rep = energy_check(coarsen_noise(noise_fine, 2), c, keep_slack=True)
+        rep = energy_check(coarsen_noise(noise_fine, 2), c, _chunk_rows(slack, ranges))
         if not config.refine_check:
-            return rep.slack, rep.violation_mask()
+            return (rep.violation_mask(),)
         half = energy_check(noise_fine, c, keep_slack=False)
-        return rep.slack, rep.violation_mask(), half.violation_mask()
+        return rep.violation_mask(), half.violation_mask()
 
-    slack, coarse_mask, *fine_mask = _run_stacked([batch], config.paths, config.chunk_size)[0]
+    coarse_mask, *fine_mask = _run_stacked([batch], config.paths, config.chunk_size)[0]
     rate = float(coarse_mask.mean())
     checks = {"violation_rate": rate <= 0.01}
     stats = {
@@ -675,14 +700,11 @@ def run_ito_check(config: RunConfig) -> tuple:
         checks["refinement_non_increasing"] = rate_fine <= rate + 2.0 * se_bin
         stats["violation_rate_half_dt"] = rate_fine
 
-    qs = np.quantile(slack, [0.0, 0.01, 0.05, 0.5], axis=0)
-    rows = [
-        (float(grid.times[j]), float(qs[0, j]), float(qs[1, j]), float(qs[2, j]), float(qs[3, j]))
-        for j in range(grid.n_steps + 1)
-    ]
+    # in place: each column is partitioned, so min_slack is read before
+    qs = np.quantile(slack, [0.0, 0.01, 0.05, 0.5], axis=0, overwrite_input=True)
     _write_csv(
         Path(config.out_dir, "ito_slack.csv"), "mildsde-ito-v1",
-        ["t", "slack_min", "slack_q01", "slack_q05", "slack_median"], rows,
+        ["t", "slack_min", "slack_q01", "slack_q05", "slack_median"], zip(grid.times, *qs),
     )
     return config, checks, stats
 

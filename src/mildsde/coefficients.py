@@ -13,7 +13,7 @@ state that is the whole state (k = dim) by default:
   (the solvers pass one (time, mark) pair per row of x; the jump quadrature
   of :func:`check_lipschitz_growth` passes a (nodes, 1) column of marks
   against (pairs, dim) states, in node blocks whose results are capped at
-  ``_JUMP_BLOCK`` values)
+  ``_JUMP_BLOCK`` = 2^15 values)
 * jump compensator: ``(t, x) -> (..., k)``, the intensity integral of k
 
 The coefficients are exactly zero outside the support, so a consumer forms
@@ -389,8 +389,10 @@ class SemimonotoneReport:
 _RADIUS = 3.0
 # Pairs on which the jump intensity integrals are taken.
 _JUMP_PAIRS = 256
-# Values per (nodes, pairs, width) block of the jump quadrature.
-_JUMP_BLOCK = 2 ** 16
+# Values per (nodes, pairs, width) block of the jump quadrature. The node
+# sums add in node order, so the reports do not depend on it; 2^15 was the
+# fastest of 2^12 .. 2^16 on the benchmark's models.
+_JUMP_BLOCK = 2 ** 15
 # Pairs per block of the checkers' drift, diffusion and distance evaluations.
 # A matrix product may round a row according to the product's height, and
 # heights that are multiples of 16 round as the whole default sample of
@@ -525,11 +527,11 @@ def check_lipschitz_growth(
     use ``jump_nodes`` Monte Carlo nodes on a subsample of ``_JUMP_PAIRS``
     pairs to keep the cost bounded. The quadrature runs in blocks of nodes,
     calling the jump evaluator with a (nodes, 1) column of marks, each
-    result capped at ``_JUMP_BLOCK`` values; it adds each pair's terms in
-    node order. A node sum that overflows is taken again on terms scaled by
-    2^-e, with 2^e at least the node count, so a sum of finite terms whose
-    mean is finite reads finite; a sum with a term that is not finite stays
-    so.
+    result capped at ``_JUMP_BLOCK`` = 2^15 values; it adds each pair's
+    terms in node order. A node sum that overflows is taken again on terms
+    scaled by 2^-e, with 2^e at least the node count, so a sum of finite
+    terms whose mean is finite reads finite; a sum with a term that is not
+    finite stays so.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

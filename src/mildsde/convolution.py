@@ -64,13 +64,17 @@ class ItoCheckReport:
     exp(2 alpha (t - s)) discounting; a path violates the inequality when any
     slack drops below -tolerance or is NaN. The report covers the first
     ``cells`` cells of the grid, and :meth:`add` checks the next one.
-    ``slack`` (..., m+1) is kept only when asked for (None otherwise), and its
-    entries past the cells checked are NaN; the violation flags are always
-    kept. Shapes keep the batch axes of the initial norms.
+    ``keep_slack`` says where ``slack`` goes: True keeps a table (..., m+1)
+    of the report's own, False none (``slack`` is None), and an array (...,
+    m+1) whose leading axes hold as many entries as the initial norms is
+    filled in place, point j of the paths in row-major order into column j,
+    so a view of a larger table, strided or not, receives its rows there.
+    Entries past the cells checked are NaN; the violation flags are always
+    kept. Other shapes keep the batch axes of the initial norms.
     """
 
     def __init__(self, alpha: float, grid: TimeGrid, norm0_sq: np.ndarray,
-                 tolerance: float, keep_slack: bool = True):
+                 tolerance: float, keep_slack: bool | np.ndarray = True):
         self.tolerance = tolerance
         self.cells = 0
         self._m = grid.n_steps
@@ -79,7 +83,18 @@ class ItoCheckReport:
         self._norm0 = np.asarray(norm0_sq, dtype=float)
         self._run = np.zeros(self._norm0.shape)
         self._violated = np.zeros(self._norm0.shape, dtype=bool)
-        self.slack = np.full(self._norm0.shape + (self._m + 1,), np.nan) if keep_slack else None
+        self.slack = None
+        if isinstance(keep_slack, np.ndarray):
+            if keep_slack.shape[-1:] != (self._m + 1,) or (
+                    keep_slack.size != self._norm0.size * (self._m + 1)):
+                raise ValueError(
+                    f"a slack table of shape {keep_slack.shape} does not hold "
+                    f"{self._norm0.size} paths of {self._m + 1} points"
+                )
+            self.slack = keep_slack
+            self.slack.fill(np.nan)
+        elif keep_slack:
+            self.slack = np.full(self._norm0.shape + (self._m + 1,), np.nan)
         self._point(self._norm0)
 
     def _point(self, norm_sq):
@@ -89,14 +104,16 @@ class ItoCheckReport:
             slack = self._discount[self.cells] * self._norm0 + self._run - norm_sq
         self._violated |= ~(slack >= -self.tolerance)
         if self.slack is not None:
-            self.slack[..., self.cells] = slack
+            self.slack[..., self.cells] = slack.reshape(self.slack.shape[:-1])
 
     def add(self, per_cell: np.ndarray, norm_sq: np.ndarray):
         """Check the next cell j from its term 2 <X_j, dZ_j> + d[Z]_j and
         ||X_{j+1}||^2, advancing the discounted running sum."""
         if self.cells == self._m:
             raise ValueError(f"all {self._m} cells of the grid are checked")
-        self._run = self._growth * (self._run + per_cell)
+        run = self._run
+        np.add(run, per_cell, out=run)
+        run *= self._growth
         self.cells += 1
         self._point(norm_sq)
 
@@ -111,7 +128,7 @@ def ito_inequality_check(
     norms_sq: np.ndarray,
     per_cell: np.ndarray,
     tol_coeff: float = ITO_TOL_COEFF,
-    keep_slack: bool = True,
+    keep_slack: bool | np.ndarray = True,
 ) -> ItoCheckReport:
     """Check ||X_t||^2 against the discounted energy bound along the path.
 
@@ -128,6 +145,7 @@ def ito_inequality_check(
     With k < m the report checks the path so far; given no cells
     (``per_cell`` of length 0), it is the running check that
     ``direct_solve_batch(..., energy=report)`` feeds while it steps.
+    ``keep_slack`` says where the slack goes (see :class:`ItoCheckReport`).
     """
     m, dt = grid.n_steps, grid.dt
     cells = per_cell.shape[-1]

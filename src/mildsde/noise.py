@@ -226,9 +226,9 @@ class WienerStreams:
     normals of the stream seeded with ``words[r]`` (see :func:`_seed_words`),
     ``modes`` per step and in C order, times ``scale``. Each entry of
     ``factors`` is a coarsening: groups of that many consecutive steps are
-    summed, in the order the coarsenings were applied. ``ends`` (rows,
-    modes) holds each row's sum of all its increments before any
-    coarsening, added in step order when they were drawn. Every pass over
+    summed in step order, in the order the coarsenings were applied.
+    ``ends`` (rows, modes) holds each row's sum of all its increments before
+    any coarsening, added in step order when they were drawn. Every pass over
     the blocks seeds its own generators, so passes may interleave.
     """
 
@@ -252,7 +252,13 @@ class WienerStreams:
                 gen.standard_normal(out=row)
             block *= self.scale
             for f in self.factors:
-                block = block.reshape(rows, -1, f, self.modes).sum(axis=2)
+                # each group of f steps summed in step order from +0.0, the
+                # bits of block.reshape(rows, -1, f, modes).sum(axis=2) for
+                # f < 8, by strided adds that cost a twentieth of it
+                coarse = block[:, 0::f] + 0.0
+                for i in range(1, f):
+                    coarse += block[:, i::f]
+                block = coarse
             yield block
 
 

@@ -453,7 +453,8 @@ def _cell_assembler(model: ModelSpec, noise: NoiseRealization, brackets: bool = 
                     jump_sq = jump_sq.reshape(xl.shape[:-1])
         bracket = None
         if brackets:
-            bracket = np.zeros(xl.shape[:-1]) + hs_sq + jump_sq
+            # hs_sq, a sum of squares, is never -0.0, so 0.0 + hs_sq == hs_sq
+            bracket = hs_sq + jump_sq if diffuse else np.zeros(xl.shape[:-1]) + jump_sq
         return comp, gdw, sums, bracket
 
     return assemble
@@ -737,8 +738,8 @@ def direct_solve_batch(
 def _euler_steps(model, noise, energy, path_rows, chunk, check=False):
     """The step loop of :func:`direct_solve_batch` on chunks of ``chunk``
     rows; with ``check``, the first step whose state is not finite raises.
-    Each cell's increment is formed on the coefficients' support and
-    widened into the state once."""
+    Each cell's increment is formed on the coefficients' support and added
+    into the state once, with +0.0 outside it."""
     seg = model.semigroup
     f = model.coeffs.drift.evaluate
     support = model.coeffs.support
@@ -762,7 +763,12 @@ def _euler_steps(model, noise, energy, path_rows, chunk, check=False):
         if comp is not None:
             drift_part += comp
         incr = drift_part + (0.0 if gdw is None else gdw)
-        y = x + widen(incr, support, dim)
+        if support == WHOLE:
+            y = x + incr
+        else:
+            # x + widen(incr): +0.0 outside the support, x + incr on it
+            y = x + 0.0
+            np.add(on_support(x, support), incr, out=on_support(y, support))
         if jump_part is not None:
             # (X_j + incr) + jumps: the CSV digests pin this order; outside
             # the support, y already holds X_j + 0.0. The view adds into y.

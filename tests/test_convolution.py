@@ -173,3 +173,37 @@ def test_batch_matches_single_path():
     for p in range(3):
         single = stochastic_convolution(seg, grid, x0[p], drift[p])
         assert np.allclose(batch_path[p], single, rtol=0, atol=1e-14)
+
+
+def test_report_fills_a_strided_view_as_it_keeps_its_own_slack():
+    # six paths written into chunks 0, 2 and 4 of two rows of a 12-row
+    # table, as a batch of interleaved chunks fills a shared table
+    grid = TimeGrid(1.0, 50)
+    seg = DiagonalSemigroup([-1.0, 0.5], alpha=0.0)
+    rng = np.random.default_rng(5)
+    dz = rng.standard_normal((6, 50, 2)) * np.sqrt(grid.dt)
+    terms = energy_terms(seg, grid, np.array([1.0, -0.5]), dz, grid.dt)
+    own = ito_inequality_check(0.0, grid, *terms, tol_coeff=0.5)
+    table = np.full((12, 51), 7.0)
+    view = table.reshape(6, 2, 51)[::2]
+    assert not view.flags.c_contiguous
+    filled = ito_inequality_check(0.0, grid, *terms, tol_coeff=0.5, keep_slack=view)
+    assert filled.slack is view
+    assert view.reshape(6, 51).tobytes() == own.slack.tobytes()
+    assert np.array_equal(filled.violation_mask(), own.violation_mask())
+    assert own.violation_mask().any() and not own.violation_mask().all()
+    # the other chunks' rows are left as they were
+    assert (table.reshape(6, 2, 51)[1::2] == 7.0).all()
+    # a check stopped early leaves NaN past its cells, as its own table does
+    part = ito_inequality_check(0.0, grid, terms[0][:, :11], terms[1][:, :10],
+                                keep_slack=view)
+    assert np.isnan(view[..., 11:]).all() and not np.isnan(view[..., :11]).any()
+    assert part.slack.reshape(6, 51)[:, :11].tobytes() == own.slack[:, :11].tobytes()
+
+
+def test_report_rejects_a_slack_table_of_another_shape():
+    grid = TimeGrid(1.0, 10)
+    norms, per_cell = np.ones((4, 11)), np.zeros((4, 10))
+    for shape in [(4, 10), (3, 11), (2, 3, 11), (4, 11, 1)]:
+        with pytest.raises(ValueError, match="does not hold 4 paths of 11 points"):
+            ito_inequality_check(0.0, grid, norms, per_cell, keep_slack=np.zeros(shape))

@@ -3,12 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mildsde import noise as noise_module
 from mildsde.coefficients import CoefficientSet, DiffusionSpec, DriftSpec, JumpCoeffSpec
 from mildsde.models import build_linear_scalar
 from mildsde.noise import (
     WIENER_BLOCK,
     WIENER_SUM_VALUES,
     TimeGrid,
+    WienerStreams,
     _seed_words,
     coarsen_noise,
     draw_noise,
@@ -232,6 +234,44 @@ def test_coarsened_wiener_blocks_sum_the_fine_table():
     assert np.array_equal(read_blocks(twice), by_two.reshape(3, 300, 3, 2).sum(axis=2))
     # the fine realization still reads its own table
     assert np.array_equal(read_blocks(fine), table)
+
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 0.1, 0.7, 1e308,
+                    -1e308, 5e-324, -5e-324])
+
+
+@pytest.mark.parametrize("factors", [(2,), (2, 3)])
+@pytest.mark.parametrize("modes", [1, 2])
+def test_coarsened_blocks_have_the_bits_of_the_reshape_sum(monkeypatch, factors, modes):
+    # every stream reads a row of a table of signed zeros, infinities, NaN,
+    # overflowing pairs and exact cancellations in place of its normals;
+    # three-step blocks make the coarsening run on reused buffers
+    rows, steps = 40, 30
+    fine = int(np.prod(factors))
+    table = np.random.default_rng(fine + modes).choice(SPECIAL, (rows, steps * fine, modes))
+
+    class Rows:
+        def __init__(self, word):
+            self.row = table[int(word)]
+
+        def standard_normal(self, out):
+            out[...] = self.row[: len(out)]
+            self.row = self.row[len(out):]
+
+    monkeypatch.setattr(noise_module, "_generator", Rows)
+    monkeypatch.setattr(noise_module, "WIENER_BLOCK", 3)
+    streams = WienerStreams(np.arange(rows), np.zeros((rows, modes)), modes, 1.0, factors)
+    with np.errstate(all="ignore"):
+        got = np.concatenate([b.copy() for b in streams.blocks(steps)], axis=1)
+        want = table
+        for f in factors:
+            want = want.reshape(rows, -1, f, modes).sum(axis=2)
+    nan = np.isnan(want)
+    assert want[nan].size and (want == 0.0).any() and np.isinf(want).any()
+    assert np.array_equal(np.isnan(got), nan)
+    # bit for bit, -0.0 and +0.0 apart; a NaN's sign bit is not pinned: on
+    # one mode numpy's reduce may pass on either operand's NaN
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def test_wiener_at_horizon_adds_in_step_order():

@@ -36,6 +36,7 @@ the sample beyond the pairs themselves and a few values per pair.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -51,6 +52,7 @@ __all__ = [
     "JumpCoeffSpec",
     "CoefficientSet",
     "WHOLE",
+    "RESIDUAL_FLOOR",
     "on_support",
     "widen",
     "zero_diffusion",
@@ -65,6 +67,12 @@ __all__ = [
 
 class AliasingError(ValueError):
     """Quadrature grid too coarse to resolve the retained modes."""
+
+
+# Rounding floor of a step residual b + dt f(x) - x per unit of ||b||: b, dt f(x)
+# and x round at eps times their norms, at most 1, 3 and 2 ||b|| for M dt <= 1/2
+# and f(0) = 0 (||x|| <= ||b|| / (1 - M dt)); 16 > 6 covers f's products too.
+RESIDUAL_FLOOR = 16.0 * np.finfo(float).eps
 
 
 @dataclass(eq=False)
@@ -85,9 +93,9 @@ class DriftSpec:
     is a block: the Picard solver stacks one block per iterate. Each row is
     an equation of its own, so a row's x and mask must not depend on the
     rows solved with it beyond the rounding of matrix products, which
-    depends on their height. When it is absent or fails on some rows, the
-    solvers fall back to one damped fixed-point iteration per step over the
-    whole stack at full height, masked to the rows left unsolved.
+    depends on their height. Rows it fails go to step halving; the generic
+    damped iteration solves only drifts without a step. Both also accept a
+    row whose residual is at most ``RESIDUAL_FLOOR * ||b||``.
     """
 
     evaluate: Callable[[float, np.ndarray], np.ndarray]
@@ -261,29 +269,20 @@ def nemitsky_implicit_solver(
     first sweep that accepts it.
     """
     n_quad, synthesis = _unaliased_synthesis(n_modes, n_quad)
-    dust_cache: dict[float, float] = {}
 
+    @functools.cache
     def dust_scale(dt):
         """Scale s solving s = dt * |phi(s) - phi(0)|: states below it are
         inside the implicit step's own attraction basin, where the decreasing
         drift self-limits perturbations (finite-time extinction), so residuals
         that are a small fraction of this scale cannot move any statistic
         above the scheme's strong error."""
-        s = dust_cache.get(dt)
-        if s is None:
-            p0 = float(scalar_fn(np.zeros(1))[0])
-            s = 2.0 * dt
-            for _ in range(60):
-                varn = max(
-                    abs(float(scalar_fn(np.array([s]))[0]) - p0),
-                    abs(float(scalar_fn(np.array([-s]))[0]) - p0),
-                )
-                s_new = dt * varn
-                if s_new <= 0.0 or abs(s_new - s) <= 1e-3 * s:
-                    s = s_new
-                    break
-                s = s_new
-            dust_cache[dt] = s
+        p0 = float(scalar_fn(np.zeros(1))[0])
+        s = 2.0 * dt
+        for _ in range(60):
+            prev, s = s, dt * max(abs(float(scalar_fn(np.array([u]))[0]) - p0) for u in (s, -s))
+            if s <= 0.0 or abs(s - prev) <= 1e-3 * prev:
+                break
         return s
 
     def step(t, b, dt, tol):
@@ -300,7 +299,9 @@ def nemitsky_implicit_solver(
         bt = b / den
         dte = dt / den
         v = bt @ synthesis.T
-        accept_base = max(tol, dust_scale(dt) / 32.0)
+        accept = max(tol, dust_scale(dt) / 32.0)
+        if RESIDUAL_FLOOR * np.sqrt(np.vdot(b, b)) > accept:  # a row may be at its floor
+            accept = np.maximum(accept, RESIDUAL_FLOOR * np.sqrt(np.einsum("...d,...d->...", b, b)))
         # The correction c starts at zero, held as the scalar 0.0: v + dte *
         # 0.0 and f_prev + 0.0 have the bits of the same sums with an array of
         # zeros, and g - 0.0 is g. The sweep is bound by its count of numpy
@@ -329,7 +330,7 @@ def nemitsky_implicit_solver(
             r += b
             r -= x
             rn = np.sqrt(np.einsum("...d,...d->...", r, r))
-            ok = rn <= accept_base
+            ok = rn <= accept
             n_ok = np.count_nonzero(ok)
             if n_ok == len(ok) or sweep == _MAX_OUTER - 1:
                 x_out[live], ok_out[live] = x, ok
@@ -340,9 +341,9 @@ def nemitsky_implicit_solver(
                 live, b, bt, v, a, a_synth = (
                     arr[keep] for arr in (live, b, bt, v, a, a_synth)
                 )
-                c, c_prev, f_prev = (
+                c, c_prev, f_prev, accept = (
                     arr[keep] if isinstance(arr, np.ndarray) else arr
-                    for arr in (c, c_prev, f_prev)
+                    for arr in (c, c_prev, f_prev, accept)
                 )
             # g = (phi(u) S / n_quad) @ S^T - phi(u) = a - (a_synth / n_quad) @ S^T
             a_synth /= n_quad

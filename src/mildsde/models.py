@@ -74,9 +74,9 @@ def cbrt_implicit_root(v: np.ndarray, p: float) -> np.ndarray:
 
     Substituting w = cbrt(u) gives the depressed cubic w^3 + p w = v, solved
     by the Vieta form w = z - p / (3 z) with z^3 = v/2 + sign(v) sqrt(v^2/4 +
-    p^3/27); stable at every float scale including subnormal v. w is -phi(u)
-    for the drift phi = -cbrt, which is what the Nemitsky step's prox returns
-    (see :func:`nemitsky_implicit_solver`).
+    p^3/27), scaled by |v| where v * v overflows; stable at every float scale
+    including subnormal v. w is -phi(u) for the drift phi = -cbrt, which the
+    Nemitsky step's prox returns (see :func:`nemitsky_implicit_solver`).
 
     The Nemitsky step calls this once per sweep on small arrays, so it works
     in place on its own temporaries (v is not written).
@@ -90,6 +90,9 @@ def cbrt_implicit_root(v: np.ndarray, p: float) -> np.ndarray:
     disc *= v
     disc += floor
     np.sqrt(disc, out=disc)
+    big = np.isinf(disc)  # where 0.25 * v * v overflows (|v| > 2.7e154)
+    if big.any():
+        disc[big] = np.abs(v[big]) * np.sqrt(0.25 + floor / v[big] / v[big])
     # z3 = 0.5 * v + copysign(disc, v + 0.0); v + 0.0 turns -0.0 into +0.0,
     # so v = -0.0 takes the +disc branch.
     z = v + 0.0

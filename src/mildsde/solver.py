@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import (
+    RESIDUAL_FLOOR,
     WHOLE,
     CoefficientSet,
     DriftSpec,
@@ -215,9 +216,9 @@ _BOUND_SLACK = 0.05
 _DIVERGENCE_FLOOR = 1e-14
 
 
-def _implicit_f_step(f, t_next, b, dt, w, tol, damping, todo):
-    """Solve x = b + dt f(t_next, x) on the rows of b (..., rows, dim) that
-    ``todo`` (..., rows) marks.
+def _implicit_f_step(f, t_next, b, dt, w, tol, damping):
+    """Solve x = b + dt f(t_next, x) on the rows of b (..., rows, dim), each
+    to ``max(tol, RESIDUAL_FLOOR * ||b||)`` (see :class:`DriftSpec`).
 
     Damped fixed-point iteration accelerated by a secant step scale estimated
     from the previous accepted move (valid because the residual map is
@@ -234,7 +235,8 @@ def _implicit_f_step(f, t_next, b, dt, w, tol, damping, todo):
     xp, rp = x, r
     have_prev = np.zeros(rn.shape, dtype=bool)
     s_max = 10.0
-    active = todo & (rn > tol)
+    tol_rows = np.maximum(tol, RESIDUAL_FLOOR * np.sqrt(weighted_norm_sq(b, w)))
+    active = rn > tol_rows
     for _ in range(_MAX_INNER):
         if not active.any():
             break
@@ -258,8 +260,8 @@ def _implicit_f_step(f, t_next, b, dt, w, tol, damping, todo):
         rn = np.where(accept, rn_new, rn)
         have_prev = (have_prev | accept) & ~reject
         theta = np.where(reject, 0.5 * theta, theta)
-        active &= rn > tol
-    return x, rn <= tol
+        active &= rn > tol_rows
+    return x, rn <= tol_rows
 
 
 def _whole_state_drift(coeffs: CoefficientSet, dim: int) -> DriftSpec:
@@ -274,18 +276,12 @@ def _whole_state_drift(coeffs: CoefficientSet, dim: int) -> DriftSpec:
 
 
 def _solve_step_equation(drift, t_right, b, dt, w, tol, damping):
-    """Solve x = b + dt f(t, x) on the rows of b (..., rows, dim): the drift's
-    own solver runs once on the whole stack, and one damped/secant iteration
-    over the whole stack finishes the rows it left unsolved (every row when
-    the drift has no solver of its own)."""
+    """Solve x = b + dt f(t, x) on the rows of b (..., rows, dim) with one
+    solver over the whole stack, the drift's own step or, when it has none,
+    the damped/secant iteration; the caller bisects the rows left unsolved."""
     if drift.implicit_step is None:
-        todo = np.ones(b.shape[:-1], dtype=bool)
-        return _implicit_f_step(drift.evaluate, t_right, b, dt, w, tol, damping, todo)
-    out, ok = drift.implicit_step(t_right, b, dt, tol)
-    if ok.all():
-        return out, ok
-    x, done = _implicit_f_step(drift.evaluate, t_right, b, dt, w, tol, damping, ~ok)
-    return np.where(ok[..., None], out, x), ok | done
+        return _implicit_f_step(drift.evaluate, t_right, b, dt, w, tol, damping)
+    return drift.implicit_step(t_right, b, dt, tol)
 
 
 def _path_row(row, path_index):

@@ -376,8 +376,10 @@ def test_cbrt_prox_cube_ulp():
 
 
 def _prox_out_of_place(v, p):
-    """cbrt_implicit_prox as first written, one temporary per operation."""
+    """cbrt_implicit_prox as first written, one temporary per operation, with
+    the square scaled by |v| where 0.25 * v * v overflows."""
     disc = np.sqrt(0.25 * v * v + (p ** 3) / 27.0)
+    disc = np.where(np.isinf(disc), np.abs(v) * np.sqrt(0.25 + (p ** 3) / 27.0 / v / v), disc)
     z3 = 0.5 * v + np.copysign(disc, v + 0.0)
     z = np.cbrt(z3)
     w = z - p / np.where(z != 0.0, 3.0 * z, np.inf)
@@ -408,12 +410,27 @@ def test_cbrt_prox_bits(p):
     assert np.array(scalars).tobytes() == reference.ravel()[: len(special)].tobytes()
 
 
+@pytest.mark.parametrize("p", [1e-3, 1e-2, 0.5])
+def test_cbrt_root_stays_finite_where_v_squared_overflows(p):
+    # |v| from 1e155 to the float ceiling: w is finite and w^3 + p w = v to
+    # a few ulps, the cube taken on w / 16 so that it cannot overflow
+    rng = np.random.default_rng(3)
+    v = 10.0 ** rng.uniform(155.0, 308.0, 2_000) * rng.choice([-1.0, 1.0], 2_000)
+    v[:4] = [1e155, -1e155, np.finfo(float).max, -np.finfo(float).max]
+    with np.errstate(over="ignore"):
+        w = cbrt_implicit_root(v, p)
+    assert np.isfinite(w).all()
+    s = w / 16.0
+    lhs = s * s * s + (p / 256.0) * s
+    np.testing.assert_array_max_ulp(lhs, v / 4096.0, maxulp=4)
+
+
 def test_cbrt_root_is_the_cube_root_of_the_prox():
     # the Nemitsky step takes phi(u) = -cbrt(u) at the prox's root as -w, w
     # the cubic's root, where it took -cbrt(w * w * w): the same double over
     # the prox's reachable outputs (w = 0, or |w| of at least about an ulp
     # of sqrt(p / 3)) for steps p from 1e-20 to 1 and |v| from 1e-320 to 1e160,
-    # inf where v * v overflows included
+    # the scaled branch where v * v overflows included
     rng = np.random.default_rng(9)
     for p in 10.0 ** np.linspace(-20.0, 0.0, 41):
         v = 10.0 ** rng.uniform(-320.0, 160.0, 20_000) * rng.choice([-1.0, 1.0], 20_000)

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 
 from mildsde import coefficients, solver
 from mildsde.coefficients import (
+    RESIDUAL_FLOOR,
     CoefficientSet,
     DriftSpec,
     JumpCoeffSpec,
@@ -162,33 +164,13 @@ def tanh_prox(v, dt):
     return np.tanh(2.0 * (lo + hi))
 
 
-def test_nemitsky_fallback_rows_reach_tolerance(monkeypatch):
-    # one outer sweep of the Nemitsky step leaves the unit-scale rows of a
-    # smooth decreasing drift above tolerance; the damped iteration must
-    # finish exactly those rows and leave the accepted ones untouched
-    dim, dt, tol = 8, 1e-3, 1e-8
-    phi = lambda u: -np.tanh(4.0 * u)
-    monkeypatch.setattr(coefficients, "_MAX_OUTER", 1)
-    nem = nemitsky_sine(phi, dim)
-    step = nemitsky_implicit_solver(phi, tanh_prox, dim)
-    drift = DriftSpec(lambda t, x: nem(x), 0.0, 4.0, implicit_step=step)
-    rng = np.random.default_rng(31)
-    b = rng.standard_normal((8, dim)) * np.repeat([1.0, 1e-9], 4)[:, None]
-    first, first_ok = step(1.0, b, dt, tol)
-    assert not first_ok.all() and first_ok.any()
-    out, ok = _solve_step_equation(drift, 1.0, b, dt, None, tol, 1.0)
-    assert ok.all()
-    assert np.array_equal(out[first_ok], first[first_ok])
-    res = b + dt * drift.evaluate(1.0, out) - out
-    assert np.linalg.norm(res[~first_ok], axis=1).max() <= tol
-
-
 def test_fallback_rows_do_not_depend_on_the_rows_solved_with_them(monkeypatch):
     # the generic iteration alone (no own step) on 20 blocks of 8 rows of
     # the tanh lift at scales 1e-3, 1 and 10: scaling row 0 of every block
     # by 50 leaves the other rows' bits as they are, a stack of two blocks
     # gets each block's bits alone, and a step calls the iteration once,
-    # over the whole stack, and only when the drift's own step rejects rows
+    # over the whole stack; a drift with a step of its own never reaches it,
+    # and the rows its step rejects come back unsolved, for bisection
     dim, dt, tol = 8, 0.05, 1e-10
     phi = lambda u: -np.tanh(4.0 * u)
     nem = nemitsky_sine(phi, dim)
@@ -210,20 +192,72 @@ def test_fallback_rows_do_not_depend_on_the_rows_solved_with_them(monkeypatch):
     calls = []
     generic = solver._implicit_f_step
 
-    def counted(*args):
-        calls.append(args[-1].sum())
-        return generic(*args)
+    def counted(f, t, b, *args):
+        calls.append(b.shape)
+        return generic(f, t, b, *args)
 
     monkeypatch.setattr(solver, "_implicit_f_step", counted)
+    _solve_step_equation(drift, 1.0, b, dt, None, tol, 1.0)
+    assert calls == [b.shape]
+    calls.clear()
     monkeypatch.setattr(coefficients, "_MAX_OUTER", 1)
     stepped = replace(drift, implicit_step=nemitsky_implicit_solver(phi, tanh_prox, dim))
-    _, own_ok = stepped.implicit_step(1.0, b, 1e-3, 1e-8)
+    own, own_ok = stepped.implicit_step(1.0, b, 1e-3, 1e-8)
     assert (~own_ok).any(axis=1).sum() > 1
-    _, ok = _solve_step_equation(stepped, 1.0, b, 1e-3, None, 1e-8, 1.0)
-    assert ok.all() and calls == [(~own_ok).sum()]
-    calls.clear()
-    _solve_step_equation(stepped, 1.0, b[:, 1:] * 1e-9, 1e-3, None, 1e-8, 1.0)
+    out, ok = _solve_step_equation(stepped, 1.0, b, 1e-3, None, 1e-8, 1.0)
     assert calls == []
+    assert np.array_equal(ok, own_ok) and np.array_equal(out, own)
+
+
+def test_generic_iteration_accepts_a_huge_row_at_its_rounding_floor():
+    # a drift without a step of its own (the cube-root lift plus -500 x) at
+    # dt = 1e-2: the rounding of a residual of a row of norm 1e40 is about
+    # eps * 1e40, far above tol = 1e-8, so the row is solved at its floor
+    # RESIDUAL_FLOOR * ||b|| (see DriftSpec), and the unit-scale row at tol
+    model = build_reaction_diffusion(dim=4, eta=-500.0, validate=False)
+    drift = replace(model.coeffs.drift, implicit_step=None)
+    b = np.random.default_rng(3).standard_normal((2, 4)) * np.array([[1.0], [1e40]])
+    out, ok = _solve_step_equation(drift, 1.0, b, 1e-2, None, 1e-8, 1.0)
+    assert ok.all()
+    res = np.linalg.norm(b + 1e-2 * drift.evaluate(1.0, out) - out, axis=1)
+    assert res[0] <= 1e-8 < res[1] <= RESIDUAL_FLOOR * np.linalg.norm(b[1])
+
+
+# Path norms ||X(t)|| at t = 0.5 and 1 of paths 0..3 of the stiff runs in
+# the test below, as the generic iteration solved them where the Nemitsky
+# step, accepting at an absolute tolerance only, left the huge rows unsolved
+STIFF_NORMS = {
+    100.0: [5.355311916207703e+20, 2.918352325759186e+41, 5.355311916207703e+20,
+            3.729306580242289e+41, 5.355311916207703e+20, 3.748777803009485e+41,
+            5.355311916207703e+20, 2.913215999318164e+41],
+    178.0: [2.61359314171362e+40, 6.9013949618959e+80, 2.61359314171362e+40,
+            8.81916053009606e+80, 2.61359314171362e+40, 8.865206580643554e+80,
+            2.61359314171362e+40, 6.889248444455253e+80],
+}
+
+
+@pytest.mark.parametrize("eta", [1.0, 100.0, 178.0])
+def test_stiff_rows_are_solved_by_their_own_step(monkeypatch, eta):
+    # reaction_diffusion at eta 100 and 178 grows to norms of 1e41 and 1e81:
+    # the Nemitsky step accepts those rows at their rounding floor, so the
+    # generic iteration and step halving are never reached, and the paths
+    # agree with the generic iteration's solve to 1e-12; at eta 1 no row
+    # gets near the floor and the path keeps its bits
+    calls = []
+    for name in ("_implicit_f_step", "_retry_rows"):
+        fn = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    model = build_reaction_diffusion(dim=4, eta=eta, validate=False)
+    noise = draw_noise(model, TimeGrid(1.0, 1000), 0, range(4))
+    values = picard_solve_batch(model, noise, n_max=10).values
+    assert calls == []
+    if eta == 1.0:
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "58875290a7ba539690129de4fdb1dba9d1eae86728c3dc348e62d8996ce4f61a"
+        )
+    else:
+        norms = np.linalg.norm(values[:, [500, 1000]], axis=-1).ravel()
+        np.testing.assert_allclose(norms, STIFF_NORMS[eta], rtol=1e-12, atol=0)
 
 
 def test_stalled_rows_are_bisected_until_they_reach_tolerance():
@@ -255,8 +289,8 @@ def test_inner_iteration_error_names_the_global_path_and_iterate():
     # the paths of chunk 1 of 64, under the drift f(x) = 8 x at dt = 1/4:
     # its own step solves x = b + 2 x exactly, but in the blocks of iterate
     # 2 on (the solver steps one block of rows per iterate) it rejects the
-    # row with the largest state (path 65), and the generic iteration
-    # diverges for dt * 8 > 1
+    # row with the largest state (path 65), which fails its step as no
+    # halving is allowed
     model = build_linear_scalar(sigma=0.0, jump_rate=0.0, validate=False)
     grid = TimeGrid(1.0, 4)
 
@@ -312,20 +346,10 @@ def feedback_model(gain, fails=(), inflates=()):
     return model
 
 
-def fail_fallback(monkeypatch):
-    """Make the generic iteration give up on every row it is handed, so a
-    row the drift's step rejects fails its step."""
-    monkeypatch.setattr(
-        solver, "_implicit_f_step",
-        lambda f, t, b, dt, w, tol, damping, todo: (b.copy(), np.zeros(b.shape[:-1], dtype=bool)),
-    )
-
-
-def test_inner_iteration_errors_are_raised_in_iterate_order(monkeypatch):
+def test_inner_iteration_errors_are_raised_in_iterate_order():
     # at dt = 1/8 and x0 = 3 on path 65: iterate 3 is the first whose state
     # passes 4.268 at t = 0.375 (X^2 = 4.2656, X^3 = 4.2715), and iterate 1
     # passes 5 only at t = 1 (X^1 = 6); iterate 1's later failure is raised
-    fail_fallback(monkeypatch)
     model = feedback_model(1.0, fails={0.375: 4.268, 1.0: 5.0})
     noise = draw_noise(model, TimeGrid(1.0, 8), 0, range(64, 68))
     noise.x0[1] = 3.0
@@ -338,11 +362,10 @@ def test_inner_iteration_errors_are_raised_in_iterate_order(monkeypatch):
     )
 
 
-def test_bound_error_of_an_iterate_precedes_later_iterates_failures(monkeypatch):
+def test_bound_error_of_an_iterate_precedes_later_iterates_failures():
     # iterate 3 fails its step at t = 0.375 as above; iterate 2 leaves its
     # a-priori bound at t = 0.5, where its state 4.78 (iterate 1's: 4.5) is
     # inflated by 20%; iterate 2's bound error is raised
-    fail_fallback(monkeypatch)
     model = feedback_model(1.0, fails={0.375: 4.268}, inflates={0.5: (4.6, 1.2)})
     noise = draw_noise(model, TimeGrid(1.0, 8), 0, range(64, 68))
     noise.x0[1] = 3.0
@@ -374,11 +397,10 @@ def test_a_non_finite_state_fails_its_step_at_once():
         _advance_step(seg, drift, x, 0 * x, 0 * x, 1.0, 1.0, None, 1e-8, 1.0, 0, 6)
 
 
-def test_divergence_after_an_iterate_precedes_later_iterates_failures(monkeypatch):
+def test_divergence_after_an_iterate_precedes_later_iterates_failures():
     # at gain dt = 1 the distances C(8, n)^2 = 64, 784, 3136 grow, so the
     # guard fires after iterate 3; iterate 4 is the first whose state passes
     # 15.5 at t = 0.5 (X^3 = 15, X^4 = 16); the guard is raised
-    fail_fallback(monkeypatch)
     model = feedback_model(8.0, fails={0.5: 15.5})
     noise = draw_noise(model, TimeGrid(1.0, 8), 0, range(4))
     with pytest.raises(PicardDivergenceError) as err:

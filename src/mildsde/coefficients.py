@@ -36,7 +36,6 @@ the sample beyond the pairs themselves and a few values per pair.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,6 +52,7 @@ __all__ = [
     "CoefficientSet",
     "WHOLE",
     "RESIDUAL_FLOOR",
+    "residual_floor",
     "on_support",
     "widen",
     "zero_diffusion",
@@ -72,7 +72,16 @@ class AliasingError(ValueError):
 # Rounding floor of a step residual b + dt f(x) - x per unit of ||b||: b, dt f(x)
 # and x round at eps times their norms, at most 1, 3 and 2 ||b|| for M dt <= 1/2
 # and f(0) = 0 (||x|| <= ||b|| / (1 - M dt)); 16 > 6 covers f's products too.
-RESIDUAL_FLOOR = 16.0 * np.finfo(float).eps
+RESIDUAL_FLOOR = 2.0 ** -48  # 16 eps, a power of two
+
+
+def residual_floor(b: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """``RESIDUAL_FLOOR * ||b||_w`` per row of b (..., dim), squared after the
+    exact scaling by RESIDUAL_FLOOR: a square overflows only where the floor
+    tops 1.3e154, the largest norm a sum of squares holds, and the floor is
+    held there, so only a residual whose norm is finite passes it."""
+    q = weighted_norm_sq(RESIDUAL_FLOOR * b, w)
+    return np.sqrt(np.minimum(q, np.finfo(float).max, out=q), out=q)
 
 
 @dataclass(eq=False)
@@ -95,7 +104,8 @@ class DriftSpec:
     rows solved with it beyond the rounding of matrix products, which
     depends on their height. Rows it fails go to step halving; the generic
     damped iteration solves only drifts without a step. Both also accept a
-    row whose residual is at most ``RESIDUAL_FLOOR * ||b||``.
+    row whose residual is at most ``RESIDUAL_FLOOR * ||b||``
+    (:func:`residual_floor`).
     """
 
     evaluate: Callable[[float, np.ndarray], np.ndarray]
@@ -270,19 +280,29 @@ def nemitsky_implicit_solver(
     """
     n_quad, synthesis = _unaliased_synthesis(n_modes, n_quad)
 
-    @functools.cache
+    dust_cache: dict[float, float] = {}
+
     def dust_scale(dt):
         """Scale s solving s = dt * |phi(s) - phi(0)|: states below it are
         inside the implicit step's own attraction basin, where the decreasing
         drift self-limits perturbations (finite-time extinction), so residuals
         that are a small fraction of this scale cannot move any statistic
         above the scheme's strong error."""
-        p0 = float(scalar_fn(np.zeros(1))[0])
-        s = 2.0 * dt
-        for _ in range(60):
-            prev, s = s, dt * max(abs(float(scalar_fn(np.array([u]))[0]) - p0) for u in (s, -s))
-            if s <= 0.0 or abs(s - prev) <= 1e-3 * prev:
-                break
+        s = dust_cache.get(dt)
+        if s is None:
+            p0 = float(scalar_fn(np.zeros(1))[0])
+            s = 2.0 * dt
+            for _ in range(60):
+                varn = max(
+                    abs(float(scalar_fn(np.array([s]))[0]) - p0),
+                    abs(float(scalar_fn(np.array([-s]))[0]) - p0),
+                )
+                s_new = dt * varn
+                if s_new <= 0.0 or abs(s_new - s) <= 1e-3 * s:
+                    s = s_new
+                    break
+                s = s_new
+            dust_cache[dt] = s
         return s
 
     def step(t, b, dt, tol):
@@ -299,9 +319,7 @@ def nemitsky_implicit_solver(
         bt = b / den
         dte = dt / den
         v = bt @ synthesis.T
-        accept = max(tol, dust_scale(dt) / 32.0)
-        if RESIDUAL_FLOOR * np.sqrt(np.vdot(b, b)) > accept:  # a row may be at its floor
-            accept = np.maximum(accept, RESIDUAL_FLOOR * np.sqrt(np.einsum("...d,...d->...", b, b)))
+        accept = np.maximum(max(tol, dust_scale(dt) / 32.0), residual_floor(b))
         # The correction c starts at zero, held as the scalar 0.0: v + dte *
         # 0.0 and f_prev + 0.0 have the bits of the same sums with an array of
         # zeros, and g - 0.0 is g. The sweep is bound by its count of numpy
@@ -338,12 +356,12 @@ def nemitsky_implicit_solver(
             if n_ok:
                 x_out[live[ok]], ok_out[live[ok]] = x[ok], True
                 keep = np.flatnonzero(~ok)
-                live, b, bt, v, a, a_synth = (
-                    arr[keep] for arr in (live, b, bt, v, a, a_synth)
+                live, b, bt, v, a, a_synth, accept = (
+                    arr[keep] for arr in (live, b, bt, v, a, a_synth, accept)
                 )
-                c, c_prev, f_prev, accept = (
+                c, c_prev, f_prev = (
                     arr[keep] if isinstance(arr, np.ndarray) else arr
-                    for arr in (c, c_prev, f_prev, accept)
+                    for arr in (c, c_prev, f_prev)
                 )
             # g = (phi(u) S / n_quad) @ S^T - phi(u) = a - (a_synth / n_quad) @ S^T
             a_synth /= n_quad

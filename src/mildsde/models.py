@@ -90,8 +90,8 @@ def cbrt_implicit_root(v: np.ndarray, p: float) -> np.ndarray:
     disc *= v
     disc += floor
     np.sqrt(disc, out=disc)
-    big = np.isinf(disc)  # where 0.25 * v * v overflows (|v| > 2.7e154)
-    if big.any():
+    if not disc.max(initial=0.0) < np.inf:  # 0.25 * v * v overflows (|v| > 2.7e154)
+        big = np.isinf(disc)
         disc[big] = np.abs(v[big]) * np.sqrt(0.25 + floor / v[big] / v[big])
     # z3 = 0.5 * v + copysign(disc, v + 0.0); v + 0.0 turns -0.0 into +0.0,
     # so v = -0.0 takes the +disc branch.

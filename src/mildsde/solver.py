@@ -23,13 +23,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import (
-    RESIDUAL_FLOOR,
     WHOLE,
     CoefficientSet,
     DriftSpec,
     check_lipschitz_growth,
     check_semimonotone,
     on_support,
+    residual_floor,
     widen,
 )
 from .convolution import ItoCheckReport
@@ -218,7 +218,7 @@ _DIVERGENCE_FLOOR = 1e-14
 
 def _implicit_f_step(f, t_next, b, dt, w, tol, damping):
     """Solve x = b + dt f(t_next, x) on the rows of b (..., rows, dim), each
-    to ``max(tol, RESIDUAL_FLOOR * ||b||)`` (see :class:`DriftSpec`).
+    to ``max(tol, residual_floor(b, w))`` (see :class:`DriftSpec`).
 
     Damped fixed-point iteration accelerated by a secant step scale estimated
     from the previous accepted move (valid because the residual map is
@@ -235,7 +235,7 @@ def _implicit_f_step(f, t_next, b, dt, w, tol, damping):
     xp, rp = x, r
     have_prev = np.zeros(rn.shape, dtype=bool)
     s_max = 10.0
-    tol_rows = np.maximum(tol, RESIDUAL_FLOOR * np.sqrt(weighted_norm_sq(b, w)))
+    tol_rows = np.maximum(tol, residual_floor(b, w))
     active = rn > tol_rows
     for _ in range(_MAX_INNER):
         if not active.any():

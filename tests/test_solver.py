@@ -223,6 +223,25 @@ def test_generic_iteration_accepts_a_huge_row_at_its_rounding_floor():
     assert res[0] <= 1e-8 < res[1] <= RESIDUAL_FLOOR * np.linalg.norm(b[1])
 
 
+@pytest.mark.parametrize("own_step", [False, True])
+def test_a_row_whose_squared_norm_overflows_is_not_accepted_above_its_floor(own_step):
+    # rows of norm 1e155 and 1e200 square to inf, but their floors must stay
+    # finite: with an inf floor the generic iteration's first guess x = -4 b
+    # (residual 25 ||b||) came back accepted, and so did the Nemitsky step's
+    # first sweep on every row of the call; residuals are measured scaled
+    model = build_reaction_diffusion(dim=4, eta=-500.0, validate=False)
+    drift = model.coeffs.drift if own_step else replace(model.coeffs.drift, implicit_step=None)
+    scale = np.array([[1.0], [1e40], [1e155], [1e200]])
+    b = np.random.default_rng(4).standard_normal((4, 4)) * scale
+    with np.errstate(all="ignore"):  # as the solvers run it
+        out, ok = _solve_step_equation(drift, 1.0, b, 1e-2, None, 1e-8, 1.0)
+        res = np.linalg.norm((b + 1e-2 * drift.evaluate(1.0, out) - out) / scale, axis=1)
+    floor = RESIDUAL_FLOOR * np.linalg.norm(b / scale, axis=1)
+    assert ok[:2].all()
+    assert (res[2:] <= floor[2:])[ok[2:]].all()
+    assert np.isfinite(out[2]).all()
+
+
 # Path norms ||X(t)|| at t = 0.5 and 1 of paths 0..3 of the stiff runs in
 # the test below, as the generic iteration solved them where the Nemitsky
 # step, accepting at an absolute tolerance only, left the huge rows unsolved

@@ -226,9 +226,9 @@ def test_generic_iteration_accepts_a_huge_row_at_its_rounding_floor():
 @pytest.mark.parametrize("own_step", [False, True])
 def test_a_row_whose_squared_norm_overflows_is_not_accepted_above_its_floor(own_step):
     # rows of norm 1e155 and 1e200 square to inf, but their floors must stay
-    # finite: with an inf floor the generic iteration's first guess x = -4 b
-    # (residual 25 ||b||) came back accepted, and so did the Nemitsky step's
-    # first sweep on every row of the call; residuals are measured scaled
+    # finite: an inf floor would accept the generic iteration's first guess
+    # x = -4 b (residual 25 ||b||), and the Nemitsky step's first sweep on
+    # every row of the call; the residuals are measured scaled
     model = build_reaction_diffusion(dim=4, eta=-500.0, validate=False)
     drift = model.coeffs.drift if own_step else replace(model.coeffs.drift, implicit_step=None)
     scale = np.array([[1.0], [1e40], [1e155], [1e200]])

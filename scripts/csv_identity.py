@@ -10,7 +10,8 @@ workload config of ``perfbench/workloads.json`` and every golden config of
 ``tests/test_golden.py`` (both read from this checkout) then runs at each
 seed in both trees, as ``python -m mildsde.cli COMMAND --config .. --seed S
 --out ..``. One line per (config, seed) says whether the two runs ended
-with the same exit code and wrote the same CSV files with the same bytes,
+with the same exit code, wrote the same CSV files with the same bytes and
+the same ``summary.txt`` lines but ``wall_clock_s`` and ``config.out_dir``,
 and names the files that differ. The script exits 1 when any pair differs.
 """
 
@@ -54,6 +55,20 @@ def differing_csvs(a: Path, b: Path) -> list:
     )
 
 
+def summary_differs(a: Path, b: Path) -> bool:
+    """Whether the summary.txt of directory a and of b, either missing, differ
+    in a line other than the run's wall clock and output directory."""
+
+    def lines(directory):
+        path = directory / "summary.txt"
+        if not path.is_file():
+            return None
+        return [line for line in path.read_text().splitlines()
+                if not line.startswith(("wall_clock_s = ", "config.out_dir = "))]
+
+    return lines(a) != lines(b)
+
+
 def run(tree: Path, command: str, config: dict, seed: int, out: Path) -> int:
     """Exit code of one campaign in ``tree``, writing its outputs to out."""
     config_path = out.with_suffix(".json")
@@ -86,6 +101,8 @@ def main(argv=None) -> int:
                     outs[side] = tmp / f"{side}-{name.replace(':', '-')}-{seed}"
                     codes[side] = run(tree, command, config, seed, outs[side])
                 files = differing_csvs(outs["parent"], outs["change"])
+                if summary_differs(outs["parent"], outs["change"]):
+                    files.append("summary.txt")
                 if codes["parent"] != codes["change"]:
                     files.insert(0, f"exit {codes['parent']} vs {codes['change']}")
                 differ += bool(files)

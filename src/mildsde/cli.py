@@ -45,7 +45,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import check_lipschitz_growth, check_semimonotone
 from .convolution import ITO_TOL_COEFF, ito_inequality_check
 from .models import EXAMPLE_BUILDERS, stochastic_exponential
 from .noise import TimeGrid, coarsen_noise, draw_noise
@@ -115,10 +114,10 @@ class RunConfig:
     """Complete, self-describing description of one campaign run.
 
     ``model_params`` carries example-specific knobs: the keywords of the
-    example's builder listed in ``_MODEL_PARAMS``, whose defaults are the
-    builder's. ``ito_tol_coeff`` None means ``convolution.ITO_TOL_COEFF``.
-    All other fields are common. The config round-trips losslessly through
-    JSON.
+    example's builder other than its dimension argument (``_DIM_ARGS``),
+    ``horizon`` and ``validate``, whose defaults are the builder's.
+    ``ito_tol_coeff`` None means ``convolution.ITO_TOL_COEFF``. All other
+    fields are common. The config round-trips losslessly through JSON.
     """
 
     example: str = "reaction_diffusion"
@@ -206,27 +205,25 @@ class RunConfig:
         return TimeGrid(self.horizon, n)
 
 
-# example -> (the builder argument that receives config.dim, the names
-# model_params may set). Each name's type and default are those of the
-# builder's parameter of that name.
-_JUMPS = ("jump_rate", "mark_std", "mark_mean")
-_LEVY = _JUMPS + ("levy_drift", "levy_gaussian_variance")
-_MODEL_PARAMS = {
-    "reaction_diffusion": ("dim", _JUMPS + ("eta", "n_quad", "x0_amplitude")),
-    "hyperbolic": ("n_modes", _LEVY + ("n_quad", "x0_amplitude")),
-    "delay": ("history_cells", _LEVY),
-    "linear_scalar": (None, _JUMPS + ("a", "sigma", "x0")),
+# example -> the builder argument that receives config.dim (None: the
+# builder takes none). Every other builder parameter but horizon and validate
+# is a name model_params may set, of that parameter's type and default.
+_DIM_ARGS = {
+    "reaction_diffusion": "dim",
+    "hyperbolic": "n_modes",
+    "delay": "history_cells",
+    "linear_scalar": None,
 }
 
 
 def _model_kwargs(config: RunConfig) -> dict:
     """The builder keywords config.model_params sets, each at its given
     value or at the builder's default, and each of the builder's type."""
-    _, names = _MODEL_PARAMS[config.example]
+    params = inspect.signature(EXAMPLE_BUILDERS[config.example]).parameters
+    names = [n for n in params if n not in (_DIM_ARGS[config.example], "horizon", "validate")]
     unknown = set(config.model_params) - set(names)
     if unknown:
         raise ConfigError(f"unknown model_params for {config.example}: {sorted(unknown)}")
-    params = inspect.signature(EXAMPLE_BUILDERS[config.example]).parameters
     kwargs = {}
     for name in names:
         value = config.model_params.get(name, params[name].default)
@@ -238,7 +235,7 @@ def _model_kwargs(config: RunConfig) -> dict:
 def model_from_config(config: RunConfig, validate: bool = True) -> ModelSpec:
     """Build the configured example; a value its builder rejects is a
     configuration error."""
-    dim_arg, _ = _MODEL_PARAMS[config.example]
+    dim_arg = _DIM_ARGS[config.example]
     try:
         kwargs = _model_kwargs(config)
         if dim_arg is not None:
@@ -266,7 +263,7 @@ class RunSummary:
     def __post_init__(self):
         # an example whose builder takes no dimension runs at dim 1, and
         # the summary reports the config the run used
-        if _MODEL_PARAMS[self.config.example][0] is None:
+        if _DIM_ARGS[self.config.example] is None:
             self.config = dataclasses.replace(self.config, dim=1)
 
     def to_text(self) -> str:
@@ -804,14 +801,7 @@ def run_benchmark_oracle(config: RunConfig) -> tuple:
 @_campaign("hypothesis-check")
 def run_hypothesis_check(config: RunConfig) -> tuple:
     model = model_from_config(config, validate=False)
-    mono = check_semimonotone(
-        model.coeffs.drift, model.dim, model.weights,
-        samples=10_000, t_max=config.horizon, seed=config.seed, support=model.coeffs.support,
-    )
-    growth = check_lipschitz_growth(
-        model.coeffs, model.dim, model.weights, model.marks,
-        samples=10_000, t_max=config.horizon, seed=config.seed,
-    )
+    mono, growth = model.check(config.seed)
     rows = [
         ("semimonotone", float(mono.max_ratio), float(mono.declared_m), mono.passed),
         ("diffusion_lipschitz", float(growth.diffusion_lipschitz_max),

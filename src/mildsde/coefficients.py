@@ -550,7 +550,8 @@ def check_lipschitz_growth(
     terms in node order. A node sum that overflows is taken again on terms
     scaled by 2^-e, with 2^e at least the node count, so a sum of finite
     terms whose mean is finite reads finite; a sum with a term that is not
-    finite stays so.
+    finite stays so. For the quadrature's error, the growth ratio may exceed D
+    by 5% of the jump's D, as the jump Lipschitz ratio may exceed its C by 5%.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -564,8 +565,9 @@ def check_lipschitz_growth(
     # Jump Lipschitz and growth via mark-node quadrature on a subsample.
     k_growth = np.zeros(samples)
     if marks is None or marks.rate == 0.0:
-        k_ratio = 0.0
+        k_ratio = k_slack = 0.0
     else:
+        k_slack = 0.05 * coeffs.jump.growth_d
         n_pairs = min(_JUMP_PAIRS, samples)
         rng_nodes = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(1,))
@@ -627,5 +629,5 @@ def check_lipschitz_growth(
             and k_ratio <= coeffs.jump.lipschitz_c * (1 + 0.05) + 1e-12
             and combined <= coeffs.lipschitz_c * (1 + 0.05) + 1e-12
         ),
-        passed_growth=bool(growth_max <= coeffs.growth_d * (1 + 1e-9) + 1e-12),
+        passed_growth=bool(growth_max <= coeffs.growth_d * (1 + 1e-9) + 1e-12 + k_slack),
     )

@@ -9,21 +9,22 @@
   coefficients act on the velocity block, their declared support.
 * ``build_delay``: distributed-delay equation on head x history, cube-root
   drift on the head, the scalar driving process of ``build_hyperbolic``
-  acting through the head, sine initial history by default. Its
-  coefficients act on the head, their declared support.
+  acting through the head, sine initial history. Its coefficients act on
+  the head, their declared support.
 * ``build_linear_scalar``: the one-dimensional linear model with an explicit
   stochastic exponential solution; the degenerate configuration used to
   benchmark the integrators.
 
-Every builder takes its noise from :func:`_multiplicative_noise` and runs the
-semimonotonicity and Lipschitz/growth checkers before returning (disable
-with ``validate=False`` for speed in tight loops).
+Every builder takes its noise from :func:`_multiplicative_noise` and checks
+its model with :meth:`~mildsde.solver.ModelSpec.validate` before returning
+(disable with ``validate=False`` for speed in tight loops). A builder's
+keywords other than its dimension, ``horizon`` and ``validate`` are the
+``model_params`` a run config may set.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -79,7 +80,9 @@ def cbrt_implicit_root(v: np.ndarray, p: float) -> np.ndarray:
     Nemitsky step's prox returns (see :func:`nemitsky_implicit_solver`).
 
     The Nemitsky step calls this once per sweep on small arrays, so it works
-    in place on its own temporaries (v is not written).
+    in place on its own temporaries (v is not written). Outside
+    ``np.errstate`` it warns of the overflow of v * v for |v| > 2.7e154; the
+    solvers call it under ``np.errstate``, so the common path pays no guard.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim == 0:  # the in-place operations below need an array to write
@@ -125,6 +128,13 @@ def _default_profile(dim: int, amplitude: float) -> np.ndarray:
     return amplitude / np.arange(1, dim + 1) ** 2
 
 
+def _finished(model: ModelSpec, validate: bool) -> ModelSpec:
+    """The built model, checked by :meth:`ModelSpec.validate` if ``validate``."""
+    if validate:
+        model.validate()
+    return model
+
+
 def _multiplicative_noise(
     marks: MarkSpaceSpec, source: slice, width: int, g: float, g_sq: float, scale: float = 1.0
 ) -> tuple[DiffusionSpec, JumpCoeffSpec]:
@@ -159,7 +169,6 @@ def build_reaction_diffusion(
     mark_mean: float = 0.0,
     eta: float = 0.0,
     n_quad: int | None = None,
-    x0: np.ndarray | None = None,
     x0_amplitude: float = 1.0,
     horizon: float = 1.0,
     validate: bool = True,
@@ -195,12 +204,10 @@ def build_reaction_diffusion(
         coeffs=coeffs,
         weights=None,
         marks=marks,
-        x0=np.asarray(x0, dtype=float) if x0 is not None else _default_profile(dim, x0_amplitude),
+        x0=_default_profile(dim, x0_amplitude),
         horizon=horizon,
     )
-    if validate:
-        model.validate()
-    return model
+    return _finished(model, validate)
 
 
 def build_hyperbolic(
@@ -211,7 +218,6 @@ def build_hyperbolic(
     levy_drift: float = 0.0,
     levy_gaussian_variance: float = 0.0,
     n_quad: int | None = None,
-    x0_position: np.ndarray | None = None,
     x0_amplitude: float = 1.0,
     horizon: float = 1.0,
     validate: bool = True,
@@ -266,20 +272,16 @@ def build_hyperbolic(
         marks, u_sl, n_modes, math.sqrt(levy_gaussian_variance), levy_gaussian_variance, lam_min
     )
     coeffs = CoefficientSet(drift, *noise, support=v_sl)
-    upos = x0_position if x0_position is not None else _default_profile(n_modes, x0_amplitude)
-    x0 = np.concatenate([np.asarray(upos, dtype=float), np.zeros(n_modes)])
     model = ModelSpec(
         name="hyperbolic",
         semigroup=seg,
         coeffs=coeffs,
         weights=weights,
         marks=marks,
-        x0=x0,
+        x0=np.concatenate([_default_profile(n_modes, x0_amplitude), np.zeros(n_modes)]),
         horizon=horizon,
     )
-    if validate:
-        model.validate()
-    return model
+    return _finished(model, validate)
 
 
 def build_delay(
@@ -289,7 +291,6 @@ def build_delay(
     mark_mean: float = 0.0,
     levy_drift: float = 0.0,
     levy_gaussian_variance: float = 0.0,
-    history: Callable[[np.ndarray], np.ndarray] | None = None,
     horizon: float = 1.0,
     validate: bool = True,
 ) -> ModelSpec:
@@ -298,14 +299,12 @@ def build_delay(
     The free flow integrates the history over the unit lag window, which obeys
     the growth bound exp(t) in the natural weighted norm (so this model
     exercises the contraction rescaling). Drift acts on the head only; the
-    driving process (as in ``build_hyperbolic``) multiplies the head. Default
+    driving process (as in ``build_hyperbolic``) multiplies the head. The
     initial history is sin(pi * theta) on (-1, 0], whose head value is zero.
     """
     marks = gaussian_marks(jump_rate, mark_std, mark_mean)
     if not levy_gaussian_variance >= 0.0:  # NaN too
         raise ValueError("gaussian variance must be >= 0")
-    if history is None:
-        history = lambda theta: np.sin(np.pi * theta)
     seg = DelayShiftSemigroup(history_cells, alpha=1.0)
     weights = seg.natural_weights()
     gamma = levy_drift
@@ -334,29 +333,24 @@ def build_delay(
         marks, head, 1, math.sqrt(levy_gaussian_variance), levy_gaussian_variance
     )
     coeffs = CoefficientSet(drift, *noise, support=head)
-    lags = seg.history_lags()
-    hist_vals = np.asarray(history(lags), dtype=float)
-    x0 = np.concatenate([[float(history(np.array([0.0]))[0])], hist_vals])
     model = ModelSpec(
         name="delay",
         semigroup=seg,
         coeffs=coeffs,
         weights=weights,
         marks=marks,
-        x0=x0,
+        x0=np.concatenate([[0.0], np.sin(np.pi * seg.history_lags())]),
         horizon=horizon,
     )
-    if validate:
-        model.validate()
-    return model
+    return _finished(model, validate)
 
 
 def build_linear_scalar(
-    a: float = -1.0,
-    sigma: float = 0.5,
     jump_rate: float = 2.0,
     mark_std: float = 0.2,
     mark_mean: float = 0.0,
+    a: float = -1.0,
+    sigma: float = 0.5,
     x0: float = 1.0,
     horizon: float = 1.0,
     validate: bool = True,
@@ -389,9 +383,7 @@ def build_linear_scalar(
         x0=np.array([float(x0)]),
         horizon=horizon,
     )
-    if validate:
-        model.validate()
-    return model
+    return _finished(model, validate)
 
 
 def stochastic_exponential(

@@ -194,7 +194,8 @@ class MarkSpaceSpec:
     Poisson process with this rate); ``sample_marks(rng, size)`` draws marks
     from the normalized intensity. ``mark_mean`` and ``mark_second_moment``
     are the declared first and second moments of a single mark under that
-    normalized law; the compensators are built from the mean.
+    normalized law; the compensators are built from the mean. The rate and
+    the second moment must be >= 0; either may be inf.
     """
 
     rate: float
@@ -206,8 +207,11 @@ class MarkSpaceSpec:
         if not self.rate >= 0.0:  # NaN too
             raise ValueError("intensity mass must be >= 0")
         if not self.mark_second_moment >= 0.0:  # NaN too
-            raise ValueError("second moment must be finite and >= 0")
+            raise ValueError("second moment must be >= 0")
 
+
+# The largest mean numpy's Poisson sampler takes ("lam value too large" above)
+POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 # Steps per block of regenerated Wiener increments: a block holds
 # (paths, WIENER_BLOCK, modes) values, about 1 MB for 512 rows of one mode.

@@ -33,7 +33,7 @@ from .coefficients import (
     widen,
 )
 from .convolution import ItoCheckReport
-from .noise import MarkSpaceSpec, NoiseRealization
+from .noise import POISSON_MEAN_MAX, MarkSpaceSpec, NoiseRealization
 from .semigroup import Semigroup
 from .state_space import hs_norm_sq, weighted_inner, weighted_norm_sq
 
@@ -99,15 +99,21 @@ class ModelSpec:
     def wiener_modes(self) -> int:
         return self.coeffs.diffusion.modes
 
-    def validate(self):
-        """Run both coefficient checkers; raise on any failed contract."""
+    def check(self, seed: int = 0) -> tuple:
+        """(semimonotone drift, Lipschitz/growth noise) reports of the two
+        coefficient checkers, on the pairs drawn from ``seed``."""
         mono = check_semimonotone(
-            self.coeffs.drift, self.dim, self.weights, t_max=self.horizon,
+            self.coeffs.drift, self.dim, self.weights, t_max=self.horizon, seed=seed,
             support=self.coeffs.support,
         )
         growth = check_lipschitz_growth(
-            self.coeffs, self.dim, self.weights, self.marks, t_max=self.horizon
+            self.coeffs, self.dim, self.weights, self.marks, t_max=self.horizon, seed=seed
         )
+        return mono, growth
+
+    def validate(self):
+        """Raise on a failed contract of :meth:`check` or a jump count numpy cannot draw."""
+        mono, growth = self.check()
         if not mono.passed:
             raise ModelValidationError(
                 f"{self.name}: semimonotonicity failed, observed ratio "
@@ -120,7 +126,12 @@ class ModelSpec:
                 f"{growth.declared_c:.6g}, D observed {growth.growth_max:.6g} "
                 f"vs {growth.declared_d:.6g})"
             )
-        return mono, growth
+        jumps = self.marks.rate * self.horizon if self.marks is not None else 0.0
+        if not jumps <= POISSON_MEAN_MAX:
+            raise ModelValidationError(
+                f"{self.name}: mean jump count per path (rate * horizon) {jumps:.6g} "
+                f"exceeds {POISSON_MEAN_MAX:.6g}, the largest Poisson mean numpy draws"
+            )
 
 
 # ---------------------------------------------------------------------------

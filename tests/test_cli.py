@@ -12,8 +12,8 @@ import pytest
 
 from mildsde import cli
 from mildsde.cli import (
+    _DIM_ARGS,
     _FIELD_TYPES,
-    _MODEL_PARAMS,
     ConfigError,
     RunConfig,
     _check_type,
@@ -67,20 +67,19 @@ def test_config_rejects_unknown_model_params():
 
 @pytest.mark.parametrize("example", sorted(EXAMPLE_BUILDERS))
 def test_model_params_schema_matches_the_builder(example):
-    # every settable name is a builder parameter whose annotation the config
-    # type rule knows and whose default passes that rule
-    assert set(_MODEL_PARAMS) == set(EXAMPLE_BUILDERS)
-    dim_arg, names = _MODEL_PARAMS[example]
+    # every builder parameter but the dimension, horizon and validate is a
+    # settable name whose annotation the config type rule knows and whose
+    # default passes that rule; no builder knob is out of a config's reach
+    assert set(_DIM_ARGS) == set(EXAMPLE_BUILDERS)
+    dim_arg = _DIM_ARGS[example]
     params = inspect.signature(EXAMPLE_BUILDERS[example]).parameters
     assert dim_arg is None or dim_arg in params
+    names = set(params) - {dim_arg, "horizon", "validate"}
     for name in names:
-        assert name in params
         assert params[name].annotation in _FIELD_TYPES
         _check_type(name, params[name].default, params[name].annotation)
-    # and every builder parameter is settable, the dimension, fixed by the
-    # run, or an initial state; no builder knob is out of a config's reach
-    reachable = set(names) | {dim_arg, "horizon", "validate", "x0", "x0_position", "history"}
-    assert set(params) <= reachable
+    config = RunConfig(example=example, model_params={n: params[n].default for n in names})
+    assert cli._model_kwargs(config) == {n: params[n].default for n in names}
 
 
 def test_config_validates_numbers():
@@ -343,6 +342,39 @@ def test_simulate_exits_4_on_a_norm_that_overflows(tmp_path, capfd):
         err,
     )
     assert caught == []
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        ("picard", {}),
+        ("ito-check", {}),
+        ("simulate", {}),
+        # no jump term in the constants, so only the count is out of range
+        ("benchmark", dict(example="linear_scalar", model_params={
+            "jump_rate": 1e20, "mark_std": 0.0, "dt_exponents": [2, 3]})),
+    ],
+)
+def test_a_jump_count_numpy_cannot_draw_exits_4_with_one_line(tmp_path, capfd, command, case):
+    # rate * horizon above numpy's largest Poisson mean (about 9.2e18) made
+    # each chunk's draw raise "lam value too large"; the model is rejected
+    # before any draw
+    path, cfg = write_config(tmp_path, **{
+        "dim": 4, "dt": 0.05, "paths": 4, "model_params": {"jump_rate": 1e20}, **case})
+    rc, err, caught = run_recording_warnings(capfd, [command, "--config", str(path)])
+    assert rc == 4
+    assert err == (
+        f"solver failure: {cfg['example']}: mean jump count per path (rate * horizon) "
+        "1e+20 exceeds 9.22337e+18, the largest Poisson mean numpy draws\n"
+    )
+    assert caught == []
+
+
+def test_hypothesis_check_takes_a_jump_count_numpy_cannot_draw(tmp_path, capfd):
+    # it draws no noise, so the count's range is no contract it checks
+    path, _ = write_config(tmp_path, dim=4, dt=0.05, paths=4, model_params={"jump_rate": 1e20})
+    rc, err, caught = run_recording_warnings(capfd, ["hypothesis-check", "--config", str(path)])
+    assert (rc, err, caught) == (0, "", [])
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from mildsde.models import (
     decreasing_cbrt,
 )
 from mildsde.noise import MarkSpaceSpec
+from mildsde.solver import ModelValidationError
 from mildsde.state_space import hs_norm_sq, weighted_norm_sq
 
 
@@ -172,6 +173,29 @@ def test_linear_jump_ratio_matches_second_moment():
     assert rep.jump_lipschitz_max == pytest.approx(c_true, rel=0.05)
 
 
+@pytest.mark.parametrize("jump_rate", [100.0, 1000.0])
+def test_an_exact_model_passes_its_own_growth_check(jump_rate):
+    # linear_scalar declares its exact D; the jump part's node quadrature
+    # overshoots it (D observed 5.28225 vs 5.25 at rate 100), which a margin
+    # of 1e-9 on the whole D rejected
+    model = build_linear_scalar(jump_rate=jump_rate)
+    _, growth = model.check()
+    assert growth.growth_max > growth.declared_d
+    assert growth.passed_growth
+
+
+def test_a_growth_constant_understated_beyond_the_quadrature_error_fails():
+    # the jump part may exceed its D by 5% of it, and by no more: at 90% of
+    # the exact jump D the model is rejected
+    model = build_linear_scalar(jump_rate=100.0, validate=False)
+    jump = dataclasses.replace(model.coeffs.jump, growth_d=0.9 * model.coeffs.jump.growth_d)
+    model.coeffs = dataclasses.replace(model.coeffs, jump=jump)
+    _, growth = model.check()
+    assert not growth.passed_growth
+    with pytest.raises(ModelValidationError, match="Lipschitz/growth failed"):
+        model.validate()
+
+
 def test_jump_quadrature_sums_finite_terms_whose_sum_overflows():
     # At mark std 1e152 (declared C = 1e304) the node terms of a wide pair
     # are finite, but their sum over 4096 nodes overflows. The check reads
@@ -252,16 +276,6 @@ def test_blocked_jump_quadrature_is_bitwise_node_at_a_time(build, seed):
 LEVY = dict(MARKS, levy_drift=0.3, levy_gaussian_variance=0.04)
 
 
-def _check_both(model):
-    """Both checkers' reports on the model at the default sample."""
-    return (
-        check_semimonotone(model.coeffs.drift, model.dim, model.weights,
-                           t_max=model.horizon, support=model.coeffs.support),
-        check_lipschitz_growth(model.coeffs, model.dim, model.weights, model.marks,
-                               t_max=model.horizon),
-    )
-
-
 @pytest.mark.parametrize("build", [
     lambda: build_reaction_diffusion(dim=8, eta=0.5, **MARKS),
     lambda: build_hyperbolic(n_modes=4, **LEVY),
@@ -280,11 +294,11 @@ def test_blocked_checkers_report_the_full_height_bits(build, monkeypatch):
         return drift(t, x)
 
     monkeypatch.setattr(model.coeffs.drift, "evaluate", evaluate)
-    blocked = _check_both(model)
+    blocked = model.check()
     assert max(heights) == coefficients._ROW_BLOCK
     monkeypatch.setattr(coefficients, "_ROW_BLOCK", 10_000)
     heights.clear()
-    reference = _check_both(model)
+    reference = model.check()
     assert heights == {10_000}
     assert blocked == reference
 

@@ -520,7 +520,8 @@ def _theory_constant(model: ModelSpec, name: str, compute, *inputs):
     one that overflows from finite inputs, with an OverflowError or to inf,
     is a solver failure that names it, as a state that overflows is."""
     try:
-        value = compute()
+        with np.errstate(over="ignore"):
+            value = compute()
         if np.isfinite(value).all() or not np.isfinite(inputs).all():
             return value
     except OverflowError:
@@ -598,7 +599,9 @@ def run_picard_campaign(config: RunConfig) -> tuple:
     moment_ok = True
     for n in range(1, min(8, n_iters) + 1):
         lhs = xs_mean[n]
-        rhs = factor + coef * (x0_mean + vs_mean[n - 1])
+        rhs = _theory_constant(model, f"the iterate moment bound of iterate {n}",
+                               lambda: factor + coef * (x0_mean + vs_mean[n - 1]),
+                               d_const, x0_mean, vs_mean[n - 1])
         se_parts = (xs_se[n], coef * x0_se, coef * vs_se[n - 1])
         with np.errstate(over="ignore"):
             se_total = math.sqrt(sum(se ** 2 for se in se_parts))
@@ -697,8 +700,10 @@ def run_ito_check(config: RunConfig) -> tuple:
         checks["refinement_non_increasing"] = rate_fine <= rate + 2.0 * se_bin
         stats["violation_rate_half_dt"] = rate_fine
 
-    # in place: each column is partitioned, so min_slack is read before
-    qs = np.quantile(slack, [0.0, 0.01, 0.05, 0.5], axis=0, overwrite_input=True)
+    # in place: each column is partitioned, so min_slack is read before; a
+    # column holding inf may interpolate to nan (inf - inf), which the CSV keeps
+    with np.errstate(invalid="ignore"):
+        qs = np.quantile(slack, [0.0, 0.01, 0.05, 0.5], axis=0, overwrite_input=True)
     _write_csv(
         Path(config.out_dir, "ito_slack.csv"), "mildsde-ito-v1",
         ["t", "slack_min", "slack_q01", "slack_q05", "slack_median"], zip(grid.times, *qs),

@@ -53,6 +53,7 @@ __all__ = [
     "WHOLE",
     "RESIDUAL_FLOOR",
     "residual_floor",
+    "retire_rows",
     "on_support",
     "widen",
     "zero_diffusion",
@@ -82,6 +83,18 @@ def residual_floor(b: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     held there, so only a residual whose norm is finite passes it."""
     q = weighted_norm_sq(RESIDUAL_FLOOR * b, w)
     return np.sqrt(np.minimum(q, np.finfo(float).max, out=q), out=q)
+
+
+def retire_rows(done, live, outs, values, *state):
+    """Retire the live rows marked ``done``: write each array of ``values`` at
+    those rows (a scalar as it is) into its ``outs`` array at their entries of
+    ``live``, the rows' indices there. Returns ``live`` and each array of
+    ``state`` kept at the other rows; scalars and None pass through."""
+    rows = live[done]
+    for out, value in zip(outs, values):
+        out[rows] = value[done] if isinstance(value, np.ndarray) else value
+    keep = np.flatnonzero(~done)
+    return live[keep], *(a[keep] if isinstance(a, np.ndarray) else a for a in state)
 
 
 @dataclass(eq=False)
@@ -354,14 +367,9 @@ def nemitsky_implicit_solver(
                 x_out[live], ok_out[live] = x, ok
                 break
             if n_ok:
-                x_out[live[ok]], ok_out[live[ok]] = x[ok], True
-                keep = np.flatnonzero(~ok)
-                live, b, bt, v, a, a_synth, accept = (
-                    arr[keep] for arr in (live, b, bt, v, a, a_synth, accept)
-                )
-                c, c_prev, f_prev = (
-                    arr[keep] if isinstance(arr, np.ndarray) else arr
-                    for arr in (c, c_prev, f_prev)
+                live, b, bt, v, a, a_synth, accept, c, c_prev, f_prev = retire_rows(
+                    ok, live, (x_out, ok_out), (x, True),
+                    b, bt, v, a, a_synth, accept, c, c_prev, f_prev,
                 )
             # g = (phi(u) S / n_quad) @ S^T - phi(u) = a - (a_synth / n_quad) @ S^T
             a_synth /= n_quad

@@ -210,8 +210,9 @@ class MarkSpaceSpec:
             raise ValueError("second moment must be >= 0")
 
 
-# The largest mean numpy's Poisson sampler takes ("lam value too large" above)
-POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+# The most entries a float64 array holds ("array is too big" above), on every
+# machine: a path's jump times are drawn as one array
+JUMP_COUNT_MAX = np.iinfo(np.intp).max // 8
 
 # Steps per block of regenerated Wiener increments: a block holds
 # (paths, WIENER_BLOCK, modes) values, about 1 MB for 512 rows of one mode.

@@ -30,10 +30,11 @@ from .coefficients import (
     check_semimonotone,
     on_support,
     residual_floor,
+    retire_rows,
     widen,
 )
 from .convolution import ItoCheckReport
-from .noise import POISSON_MEAN_MAX, MarkSpaceSpec, NoiseRealization
+from .noise import JUMP_COUNT_MAX, MarkSpaceSpec, NoiseRealization
 from .semigroup import Semigroup
 from .state_space import hs_norm_sq, weighted_inner, weighted_norm_sq
 
@@ -127,10 +128,11 @@ class ModelSpec:
                 f"vs {growth.declared_d:.6g})"
             )
         jumps = self.marks.rate * self.horizon if self.marks is not None else 0.0
-        if not jumps <= POISSON_MEAN_MAX:
+        # the count drawn may exceed the mean by ten standard deviations
+        if not jumps + 10.0 * math.sqrt(jumps) <= JUMP_COUNT_MAX:
             raise ModelValidationError(
                 f"{self.name}: mean jump count per path (rate * horizon) {jumps:.6g} "
-                f"exceeds {POISSON_MEAN_MAX:.6g}, the largest Poisson mean numpy draws"
+                f"exceeds {JUMP_COUNT_MAX:.6g}, the most jump times one array holds"
             )
 
 
@@ -220,6 +222,9 @@ def unrescale_values(values: np.ndarray, times: np.ndarray, alpha: float) -> np.
 
 # Cap on the inner iterations of one step solve.
 _MAX_INNER = 200
+# Share of its starting damping below which a row of the generic iteration
+# stops, unsolved: eleven of its proposals have failed to reduce its residual.
+_STALL_DAMPING = 2.0 ** -10
 # Relative slack of the a-priori bound check.
 _BOUND_SLACK = 0.05
 # Mean iteration distance below which the divergence guard ignores
@@ -234,45 +239,50 @@ def _implicit_f_step(f, t_next, b, dt, w, tol, damping):
     Damped fixed-point iteration accelerated by a secant step scale estimated
     from the previous accepted move (valid because the residual map is
     strongly monotone for dt * M < 1). Per-row damping halves whenever a
-    proposal fails to reduce the residual. Every iteration runs on the whole
-    stack at its full height and masks the update to the rows still active,
-    so a row's bits do not depend on the other rows, and each block gets the
-    bits it gets alone. Returns (x, converged mask).
+    proposal fails to reduce the residual. The blocks are flattened into
+    rows, and before each iteration a row retires (:func:`retire_rows`):
+    solved once its residual is within its tolerance, unsolved once its
+    damping has dropped below ``damping * _STALL_DAMPING``, for step halving.
+    Each iteration runs on the rows still live. Returns (x, converged mask).
     """
+    shape = b.shape
+    b = b.reshape(-1, shape[-1])
+    x_out, ok_out = np.empty_like(b), np.zeros(len(b), dtype=bool)
+    live = np.arange(len(b))
     x = b + dt * f(t_next, b)
     r = b + dt * f(t_next, x) - x
     rn = np.sqrt(weighted_norm_sq(r, w))
     theta = np.full(rn.shape, damping)
-    xp, rp = x, r
-    have_prev = np.zeros(rn.shape, dtype=bool)
-    s_max = 10.0
     tol_rows = np.maximum(tol, residual_floor(b, w))
-    active = rn > tol_rows
+    # xp, rp = x, r before every update: after a rejected proposal dx = 0,
+    # where the secant scale is unsafe and the damping is used
+    xp, rp = x, r
+    s_max = 10.0
     for _ in range(_MAX_INNER):
-        if not active.any():
+        solved = rn <= tol_rows
+        done = solved | (theta < damping * _STALL_DAMPING)
+        if done.any():
+            live, b, x, r, rn, xp, rp, theta, tol_rows = retire_rows(
+                done, live, (x_out, ok_out), (x, solved), b, x, r, rn, xp, rp, theta, tol_rows
+            )
+        if not len(live):
             break
-        s = theta
-        if have_prev.any():
-            dx = x - xp
-            dr = r - rp
-            denom = -weighted_inner(dx, dr, w)
-            num = weighted_norm_sq(dx, w)
-            safe = have_prev & (denom > 1e-300)
-            s_bb = np.where(safe, num / np.where(safe, denom, 1.0), s)
-            s = np.where(safe & (s_bb > 0.0) & (s_bb < s_max), s_bb, s)
-        x_new = x + s[..., None] * r
+        dx = x - xp
+        denom = -weighted_inner(dx, r - rp, w)
+        safe = denom > 1e-300
+        s_bb = np.where(safe, weighted_norm_sq(dx, w) / np.where(safe, denom, 1.0), theta)
+        s = np.where(safe & (s_bb > 0.0) & (s_bb < s_max), s_bb, theta)
+        x_new = x + s[:, None] * r
         r_new = b + dt * f(t_next, x_new) - x_new
         rn_new = np.sqrt(weighted_norm_sq(r_new, w))
-        accept = active & (rn_new <= rn * (1.0 + 1e-12))
-        reject = active & ~accept
-        keep = accept[..., None]
-        xp, rp = np.where(keep, x, xp), np.where(keep, r, rp)
+        accept = rn_new <= rn * (1.0 + 1e-12)
+        keep = accept[:, None]
+        xp, rp = x, r
         x, r = np.where(keep, x_new, x), np.where(keep, r_new, r)
         rn = np.where(accept, rn_new, rn)
-        have_prev = (have_prev | accept) & ~reject
-        theta = np.where(reject, 0.5 * theta, theta)
-        active &= rn > tol_rows
-    return x, rn <= tol_rows
+        theta = np.where(accept, theta, 0.5 * theta)
+    x_out[live], ok_out[live] = x, rn <= tol_rows
+    return x_out.reshape(shape), ok_out.reshape(shape[:-1])
 
 
 def _whole_state_drift(coeffs: CoefficientSet, dim: int) -> DriftSpec:

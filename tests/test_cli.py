@@ -347,25 +347,32 @@ def test_simulate_exits_4_on_a_norm_that_overflows(tmp_path, capfd):
 @pytest.mark.parametrize(
     "command, case",
     [
-        ("picard", {}),
-        ("ito-check", {}),
-        ("simulate", {}),
-        # no jump term in the constants, so only the count is out of range
-        ("benchmark", dict(example="linear_scalar", model_params={
-            "jump_rate": 1e20, "mark_std": 0.0, "dt_exponents": [2, 3]})),
+        (command, {"horizon": horizon, **case, "model_params": {"jump_rate": rate, **params}})
+        # 1e20 is above numpy's largest Poisson mean (about 9.2e18), and each
+        # chunk's draw raised "lam value too large"; 5e18 is below it, but a
+        # path's jump times are one array, and that draw raised "array is too
+        # big"
+        for rate, horizon in [(1e20, 1.0), (1e19, 0.5)]
+        for command, case, params in [
+            ("picard", {}, {}),
+            ("ito-check", {}, {}),
+            ("simulate", {}, {}),
+            # no jump term in the constants, so only the count is out of range
+            ("benchmark", {"example": "linear_scalar"},
+             {"mark_std": 0.0, "dt_exponents": [2, 3]}),
+        ]
     ],
 )
 def test_a_jump_count_numpy_cannot_draw_exits_4_with_one_line(tmp_path, capfd, command, case):
-    # rate * horizon above numpy's largest Poisson mean (about 9.2e18) made
-    # each chunk's draw raise "lam value too large"; the model is rejected
-    # before any draw
-    path, cfg = write_config(tmp_path, **{
-        "dim": 4, "dt": 0.05, "paths": 4, "model_params": {"jump_rate": 1e20}, **case})
+    # a mean count within ten standard deviations of the most entries a
+    # float64 array holds (about 1.15e18) is rejected before any draw
+    path, cfg = write_config(tmp_path, **{"dim": 4, "dt": 0.05, "paths": 4, **case})
     rc, err, caught = run_recording_warnings(capfd, [command, "--config", str(path)])
     assert rc == 4
+    count = cfg["model_params"]["jump_rate"] * cfg["horizon"]
     assert err == (
         f"solver failure: {cfg['example']}: mean jump count per path (rate * horizon) "
-        "1e+20 exceeds 9.22337e+18, the largest Poisson mean numpy draws\n"
+        f"{count:.6g} exceeds 1.15292e+18, the most jump times one array holds\n"
     )
     assert caught == []
 
@@ -435,6 +442,20 @@ def test_picard_moment_check_stays_finite_on_huge_states(tmp_path, capfd):
     assert len(lines) == 2 and max(values) > 1e80 and all(map(math.isfinite, values))
 
 
+def test_picard_exits_4_on_a_moment_bound_that_overflows(tmp_path, capfd):
+    # marks so wide that D is 2e200: the bound 3 D T^2 exp(2 M T) + (3 +
+    # 2 * that) (E ||X0||^2 + E sup ||V^0||^2) overflows from finite inputs,
+    # which is a solver failure that names it, as C1 and C0 are
+    path, _ = write_config(
+        tmp_path, example="linear_scalar", dim=2, dt=0.01, horizon=0.5, paths=3, seed=2,
+        n_max=1, chunk_size=3, model_params={"mark_std": 1e100, "a": 0, "sigma": 0.5},
+    )
+    rc, err, caught = run_recording_warnings(capfd, ["picard", "--config", str(path)])
+    assert (rc, err, caught) == (
+        4, "solver failure: linear_scalar: the iterate moment bound of iterate 1 overflows\n", []
+    )
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -449,6 +470,23 @@ def test_ito_check_fails_an_overflow_without_a_warning(tmp_path, capfd, case):
     path, _ = write_config(tmp_path, **{"dim": 4, "dt": 0.01, "paths": 8, **case})
     rc, err, caught = run_recording_warnings(capfd, ["ito-check", "--config", str(path)])
     assert (rc, err, caught) == (2, "", [])
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        dict(example="linear_scalar", dt=0.01, paths=4, seed=8, model_params={"a": -1e6}),
+        dict(example="delay", dt=0.5, paths=6, seed=26,
+             model_params={"levy_drift": 1e300, "levy_gaussian_variance": 0.25}),
+    ],
+)
+def test_ito_check_slack_quantiles_over_non_finite_slack_raise_no_warning(tmp_path, capfd, case):
+    # slack that is not finite interpolates to nan in the quantiles, which
+    # the CSV keeps, with nothing on stderr
+    path, _ = write_config(tmp_path, **{"dim": 2, "horizon": 6.0, **case})
+    rc, err, caught = run_recording_warnings(capfd, ["ito-check", "--config", str(path)])
+    assert (rc, err, caught) == (2, "", [])
+    assert "nan" in (tmp_path / "out" / "ito_slack.csv").read_text()
 
 
 @pytest.mark.parametrize("example", ["reaction_diffusion", "hyperbolic"])

@@ -170,7 +170,11 @@ def test_fallback_rows_do_not_depend_on_the_rows_solved_with_them(monkeypatch):
     # by 50 leaves the other rows' bits as they are, a stack of two blocks
     # gets each block's bits alone, and a step calls the iteration once,
     # over the whole stack; a drift with a step of its own never reaches it,
-    # and the rows its step rejects come back unsolved, for bisection
+    # and the rows its step rejects come back unsolved, for bisection. The
+    # bit equalities hold at dim 8, where only a product of height 1 rounds
+    # its rows differently, and not by design: the iteration runs on its
+    # live rows, and DriftSpec lets a row's bits move with the height of the
+    # drift's matrix products
     dim, dt, tol = 8, 0.05, 1e-10
     phi = lambda u: -np.tanh(4.0 * u)
     nem = nemitsky_sine(phi, dim)
@@ -207,6 +211,51 @@ def test_fallback_rows_do_not_depend_on_the_rows_solved_with_them(monkeypatch):
     out, ok = _solve_step_equation(stepped, 1.0, b, 1e-3, None, 1e-8, 1.0)
     assert calls == []
     assert np.array_equal(ok, own_ok) and np.array_equal(out, own)
+
+
+def test_both_solvers_retire_rows_through_one_helper(monkeypatch):
+    # rows of the tanh lift at scales 1e-3, 1 and 10 are accepted on
+    # different sweeps of the Nemitsky step and iterations of the generic
+    # iteration, and each solver retires them through retire_rows
+    assert solver.retire_rows is coefficients.retire_rows
+    calls = {coefficients: [], solver: []}
+    for module, seen in calls.items():
+        def counted(done, *args, seen=seen, fn=module.retire_rows):
+            seen.append(bool(done.all()))
+            return fn(done, *args)
+
+        monkeypatch.setattr(module, "retire_rows", counted)
+    dim, dt, tol = 8, 0.05, 1e-10
+    phi = lambda u: -np.tanh(4.0 * u)
+    nem = nemitsky_sine(phi, dim)
+    rng = np.random.default_rng(5)
+    scale = np.array([1e-3, 1.0, 10.0])[rng.integers(0, 3, size=(20, 8))]
+    b = rng.standard_normal((20, 8, dim)) * scale[..., None]
+    for implicit_step, module in [(nemitsky_implicit_solver(phi, tanh_prox, dim), coefficients),
+                                  (None, solver)]:
+        drift = DriftSpec(lambda t, x: nem(x), 0.0, 4.0, implicit_step=implicit_step)
+        _, ok = _solve_step_equation(drift, 1.0, b, dt, None, tol, 1.0)
+        assert ok.all()
+        # some rows retired while others stayed live
+        assert False in calls[module]
+
+
+def test_a_stalled_row_leaves_the_generic_iteration_early():
+    # x = b + dt f(x) for f(x) = 1.5 x at dt = 1 (the test below): every
+    # proposal raises the residual, so a row with b != 0 leaves unsolved once
+    # its damping has dropped below damping * 2^-10, after 11 rejected
+    # proposals, rather than after _MAX_INNER iterations; the row with b = 0
+    # is solved by the first guess and leaves before the first iteration
+    heights = []
+
+    def f(t, x):
+        heights.append(len(x))
+        return 1.5 * x
+
+    b = np.array([[0.0], [1.0], [-0.3]])
+    _, ok = solver._implicit_f_step(f, 1.0, b, 1.0, None, 1e-8, 1.0)
+    assert ok.tolist() == [True, False, False]
+    assert heights == [3, 3] + [2] * 11
 
 
 def test_generic_iteration_accepts_a_huge_row_at_its_rounding_floor():

@@ -13,9 +13,10 @@ records its wall time and its counts of passed, failed and skipped tests
 (an error counts as a failure), read from its JUnit file (see
 :func:`read_junit`). The tests tracked are the parent's five slowest, by
 their median duration over the parent's runs, and every run records their
-durations (None where a run lacks one). The summary gives per side the
-median wall time and each tracked test's median duration, and the
-change/parent ratios of both.
+durations (None where a run lacks one). The summary gives, for the wall
+time and each tracked test's duration, each side's median and quartiles,
+the change/parent ratio and whether the change reads lower, higher or
+unresolved (see :func:`compare`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "scripts"))
 
-from bench_pairs import export  # noqa: E402
+from bench_pairs import export, quartiles  # noqa: E402
 
 COMMAND = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 TRACKED = 5
@@ -69,28 +70,50 @@ def run_tier1(tree: Path, junit: Path) -> dict:
     return {"wall_s": wall, **read_junit(junit)}
 
 
-def summarize(runs: dict, tracked: int = TRACKED) -> dict:
-    """Per side the median wall time and, under ``tests``, the median
-    duration of each of the parent's ``tracked`` slowest tests (by median
-    over the parent's runs), over the runs that have it, with the
-    change/parent ratios."""
+def compare(parent: list, change: list) -> dict:
+    """Each side's median and quartiles (inclusive method) of one quantity
+    over its runs, the change/parent ratio of the medians, and whether the
+    change reads ``lower`` or ``higher``. It reads ``unresolved`` when
+    either side's interquartile range is at least the difference of the
+    medians, since the runs then spread too widely to tell, unless every
+    change run lies on one side of every parent run: the rule of
+    ``bench_pairs.verdict`` with no bound. All read None when a side has
+    no value."""
+    if not parent or not change:
+        return {"parent_median": None, "change_median": None, "parent_quartiles": None,
+                "change_quartiles": None, "change_over_parent": None, "change_reads": None}
+    med_p, med_c = statistics.median(parent), statistics.median(change)
+    q_p, q_c = quartiles(parent), quartiles(change)
+    spread = max(q3 - q1 for q1, q3 in (q_p, q_c))
+    if all(c < p for c in change for p in parent) or all(c > p for c in change for p in parent):
+        reads = "lower" if med_c < med_p else "higher"
+    elif spread >= abs(med_c - med_p):
+        reads = "unresolved"
+    else:
+        reads = "lower" if med_c < med_p else "higher"
+    return {"parent_median": med_p, "change_median": med_c, "parent_quartiles": q_p,
+            "change_quartiles": q_c, "change_over_parent": med_c / med_p if med_p else None,
+            "change_reads": reads}
 
-    def medians(values_of):
-        med = {}
-        for side, side_runs in runs.items():
-            values = [v for v in map(values_of, side_runs) if v is not None]
-            med[side] = statistics.median(values) if values else None
-        ratio = med["change"] / med["parent"] if med["parent"] and med["change"] else None
-        return {"parent_median": med["parent"], "change_median": med["change"],
-                "change_over_parent": ratio}
+
+def summarize(runs: dict) -> dict:
+    """:func:`compare` of the wall time and, under ``tests``, of the
+    durations of the parent's TRACKED slowest tests (by median over the
+    parent's runs), over the runs that have them."""
+
+    def values(side, of):
+        return [v for v in map(of, runs[side]) if v is not None]
+
+    def compared(of):
+        return compare(values("parent", of), values("change", of))
 
     parent = runs["parent"]
     ids = {t for r in parent for t in r["durations"]}
     median = {t: statistics.median(r["durations"].get(t, 0.0) for r in parent) for t in ids}
-    slowest = sorted(ids, key=lambda t: (-median[t], t))[:tracked]
+    slowest = sorted(ids, key=lambda t: (-median[t], t))[:TRACKED]
     return {
-        "wall_s": medians(lambda r: r["wall_s"]),
-        "tests": {t: medians(lambda r, t=t: r["durations"].get(t)) for t in slowest},
+        "wall_s": compared(lambda r: r["wall_s"]),
+        "tests": {t: compared(lambda r, t=t: r["durations"].get(t)) for t in slowest},
     }
 
 

@@ -222,9 +222,8 @@ def unrescale_values(values: np.ndarray, times: np.ndarray, alpha: float) -> np.
 
 # Cap on the inner iterations of one step solve.
 _MAX_INNER = 200
-# Share of its starting damping below which a row of the generic iteration
-# stops, unsolved: eleven of its proposals have failed to reduce its residual.
-_STALL_DAMPING = 2.0 ** -10
+# Rejected proposals in a row after which the generic iteration gives up a row.
+_MAX_REJECTS = 10
 # Relative slack of the a-priori bound check.
 _BOUND_SLACK = 0.05
 # Mean iteration distance below which the divergence guard ignores
@@ -240,10 +239,10 @@ def _implicit_f_step(f, t_next, b, dt, w, tol, damping):
     from the previous accepted move (valid because the residual map is
     strongly monotone for dt * M < 1). Per-row damping halves whenever a
     proposal fails to reduce the residual. The blocks are flattened into
-    rows, and before each iteration a row retires (:func:`retire_rows`):
-    solved once its residual is within its tolerance, unsolved once its
-    damping has dropped below ``damping * _STALL_DAMPING``, for step halving.
-    Each iteration runs on the rows still live. Returns (x, converged mask).
+    rows; before each iteration a row retires (:func:`retire_rows`), solved
+    once its residual is within its tolerance, unsolved (for step halving)
+    once it is not finite or over ``_MAX_REJECTS`` proposals in a row have
+    failed. Returns (x, converged mask).
     """
     shape = b.shape
     b = b.reshape(-1, shape[-1])
@@ -253,6 +252,7 @@ def _implicit_f_step(f, t_next, b, dt, w, tol, damping):
     r = b + dt * f(t_next, x) - x
     rn = np.sqrt(weighted_norm_sq(r, w))
     theta = np.full(rn.shape, damping)
+    fails = np.zeros(rn.shape, dtype=int)
     tol_rows = np.maximum(tol, residual_floor(b, w))
     # xp, rp = x, r before every update: after a rejected proposal dx = 0,
     # where the secant scale is unsafe and the damping is used
@@ -260,11 +260,11 @@ def _implicit_f_step(f, t_next, b, dt, w, tol, damping):
     s_max = 10.0
     for _ in range(_MAX_INNER):
         solved = rn <= tol_rows
-        done = solved | (theta < damping * _STALL_DAMPING)
+        done = solved | ~np.isfinite(rn) | (fails > _MAX_REJECTS)
         if done.any():
-            live, b, x, r, rn, xp, rp, theta, tol_rows = retire_rows(
-                done, live, (x_out, ok_out), (x, solved), b, x, r, rn, xp, rp, theta, tol_rows
-            )
+            live, b, x, r, rn, xp, rp, theta, fails, tol_rows = retire_rows(
+                done, live, (x_out, ok_out), (x, solved),
+                b, x, r, rn, xp, rp, theta, fails, tol_rows)
         if not len(live):
             break
         dx = x - xp
@@ -281,6 +281,7 @@ def _implicit_f_step(f, t_next, b, dt, w, tol, damping):
         x, r = np.where(keep, x_new, x), np.where(keep, r_new, r)
         rn = np.where(accept, rn_new, rn)
         theta = np.where(accept, theta, 0.5 * theta)
+        fails = np.where(accept, 0, fails + 1)
     x_out[live], ok_out[live] = x, rn <= tol_rows
     return x_out.reshape(shape), ok_out.reshape(shape[:-1])
 

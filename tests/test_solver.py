@@ -242,20 +242,48 @@ def test_both_solvers_retire_rows_through_one_helper(monkeypatch):
 
 def test_a_stalled_row_leaves_the_generic_iteration_early():
     # x = b + dt f(x) for f(x) = 1.5 x at dt = 1 (the test below): every
-    # proposal raises the residual, so a row with b != 0 leaves unsolved once
-    # its damping has dropped below damping * 2^-10, after 11 rejected
-    # proposals, rather than after _MAX_INNER iterations; the row with b = 0
-    # is solved by the first guess and leaves before the first iteration
+    # proposal raises the residual, so a row with b != 0 leaves unsolved after
+    # 11 rejected proposals in a row, rather than after _MAX_INNER iterations;
+    # the row with b = 0 is solved by the first guess and the row with a NaN
+    # residual is given up, both before the first iteration
     heights = []
 
     def f(t, x):
         heights.append(len(x))
         return 1.5 * x
 
-    b = np.array([[0.0], [1.0], [-0.3]])
+    b = np.array([[0.0], [1.0], [-0.3], [np.nan]])
     _, ok = solver._implicit_f_step(f, 1.0, b, 1.0, None, 1e-8, 1.0)
-    assert ok.tolist() == [True, False, False]
-    assert heights == [3, 3] + [2] * 11
+    assert ok.tolist() == [True, False, False, False]
+    assert heights == [4, 4] + [2] * 11
+
+
+def test_a_row_with_rejections_between_accepted_proposals_is_solved():
+    # x = b - dt tanh(10 x) at b = 0.88, dt = 1 (monotone, so one root): the
+    # secant and damped proposals alternate between rejected and accepted,
+    # more than _MAX_REJECTS rejections in all, and the row is solved at its
+    # full step rather than handed to step halving
+    b, dt, tol = 0.88, 1.0, 1e-10
+    xs = []
+
+    def f(t, x):
+        xs.append(x[0, 0])
+        return -np.tanh(10.0 * x)
+
+    x, ok = solver._implicit_f_step(f, 1.0, np.array([[b]]), dt, None, tol, 1.0)
+    assert ok.all() and abs(b - dt * np.tanh(10.0 * x[0, 0]) - x[0, 0]) <= tol
+    # replay the acceptance rule over the proposals (every call after the
+    # first two evaluates one)
+    rn = abs(b - dt * np.tanh(10.0 * xs[1]) - xs[1])
+    rejected = run = longest = 0
+    for xn in xs[2:]:
+        rn_new = abs(b - dt * np.tanh(10.0 * xn) - xn)
+        if rn_new <= rn * (1.0 + 1e-12):
+            rn, run = rn_new, 0
+        else:
+            rejected, run = rejected + 1, run + 1
+            longest = max(longest, run)
+    assert rejected > solver._MAX_REJECTS and longest <= solver._MAX_REJECTS
 
 
 def test_generic_iteration_accepts_a_huge_row_at_its_rounding_floor():

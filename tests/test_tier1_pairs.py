@@ -38,23 +38,44 @@ def run(wall, **durations):
 
 
 def test_summary_tracks_the_parents_slowest_tests_by_median():
-    # by the parent's medians a (8) > b (3) > c (2) > d (1); the change's
-    # runs lack d and add e, which the parent never ran
+    # by the parent's medians a (8) > b (3) > c (2) > d (1.5) > f (1) > g
+    # (0.5), so g is left out; the change's runs lack d and add e, which
+    # the parent never ran
+    assert tier1_pairs.TRACKED == 5
     runs = {
-        "parent": [run(40.0, a=8.0, b=1.0, c=2.0, d=1.0), run(44.0, a=9.0, b=3.0, c=2.0, d=1.0),
-                   run(42.0, a=7.0, b=5.0, c=2.0, d=1.0)],
-        "change": [run(30.0, a=3.0, b=1.0, c=2.0, e=50.0), run(32.0, a=4.0, b=1.0, c=2.0, e=50.0),
-                   run(34.0, a=5.0, b=1.0, c=2.0, e=50.0)],
+        "parent": [run(40.0, a=8.0, b=1.0, c=2.0, d=1.5, f=1.0, g=0.5),
+                   run(44.0, a=9.0, b=3.0, c=2.0, d=1.5, f=1.0, g=0.5),
+                   run(52.0, a=7.0, b=5.0, c=2.0, d=1.5, f=1.0, g=0.5)],
+        "change": [run(38.0, a=3.0, b=1.0, c=2.0, e=50.0, f=1.0, g=0.5),
+                   run(39.0, a=4.0, b=1.0, c=2.0, e=50.0, f=1.0, g=0.5),
+                   run(46.0, a=5.0, b=1.0, c=2.0, e=50.0, f=1.0, g=0.5)],
     }
-    out = tier1_pairs.summarize(runs, tracked=3)
-    assert list(out["tests"]) == ["a", "b", "c"]
-    assert out["wall_s"] == {"parent_median": 42.0, "change_median": 32.0,
-                             "change_over_parent": 32.0 / 42.0}
-    assert out["tests"]["a"] == {"parent_median": 8.0, "change_median": 4.0,
-                                 "change_over_parent": 0.5}
+    out = tier1_pairs.summarize(runs)
+    assert list(out["tests"]) == ["a", "b", "c", "d", "f"]
+    # every change run beats every parent run
+    assert out["tests"]["a"] == {
+        "parent_median": 8.0, "change_median": 4.0, "parent_quartiles": (7.5, 8.5),
+        "change_quartiles": (3.5, 4.5), "change_over_parent": 0.5, "change_reads": "lower",
+    }
+    # the parent's quartiles (42, 48) spread wider than 44 - 39
+    assert out["wall_s"]["parent_quartiles"] == (42.0, 48.0)
+    assert out["wall_s"]["change_over_parent"] == 39.0 / 44.0
+    assert out["wall_s"]["change_reads"] == "unresolved"
+    # equal runs spread by nothing, and so differ by nothing either
+    assert out["tests"]["c"]["change_reads"] == "unresolved"
     assert out["tests"]["b"]["change_over_parent"] == 1.0 / 3.0
     # a tracked test that no run of a side has reads None there
-    out = tier1_pairs.summarize(runs, tracked=4)
-    assert list(out["tests"]) == ["a", "b", "c", "d"]
-    assert out["tests"]["d"] == {"parent_median": 1.0, "change_median": None,
-                                 "change_over_parent": None}
+    assert out["tests"]["d"]["change_median"] is None
+    assert out["tests"]["d"]["change_reads"] is None
+
+
+def test_a_difference_wider_than_both_spreads_is_resolved():
+    # the medians are 10.75 and 6.75, 4.0 apart, and the change's 10.2 is
+    # above the parent's 10.0; the parent's quartiles (10.375, 15.75)
+    # spread 5.375, wider than that
+    out = tier1_pairs.compare([10.0, 10.5, 11.0, 30.0], [6.0, 6.5, 7.0, 10.2])
+    assert out["change_reads"] == "unresolved"
+    # here they spread 0.875, and the change's (6.375, 7.8) 1.425
+    out = tier1_pairs.compare([10.0, 10.5, 11.0, 12.0], [6.0, 6.5, 7.0, 10.2])
+    assert out["parent_quartiles"] == (10.375, 11.25)
+    assert out["change_reads"] == "lower"
